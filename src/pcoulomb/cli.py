@@ -55,6 +55,7 @@ from .model import (
     classify_regime,
     dimension_reduce,
     effective_potential,
+    require_finite,
 )
 from .numerics import (
     GridFunction,
@@ -278,21 +279,35 @@ def _apply_config(
         sub.set_defaults(**config)
 
 
-def _problem(args) -> tuple[PotentialParams, DimensionSpec, PhysicalParams]:
-    phys = PhysicalParams(mass=args.mass, hbar=args.hbar)
-    dim = dimension_reduce(args.N, args.l)
-    a, b, c = args.a, args.b, args.c
-    if args.derive == "b":
+def _couplings(
+    a: float, b: float, c: float, derive: str | None,
+    dim: DimensionSpec, phys: PhysicalParams,
+) -> PotentialParams:
+    """The couplings with the ``derive`` one filled from the constraint surface.
+
+    The given couplings must be finite, so a non-finite input is named
+    instead of the coupling derived from it.
+    """
+    given = {"a": a, "b": b, "c": c}
+    given.pop(derive, None)
+    require_finite(**given)
+    if derive == "b":
         b = constraint_b(a, c, dim, phys)
-    elif args.derive == "a":
+    elif derive == "a":
         if b <= 0 or c <= 0:
             raise ValueError("--derive a requires b > 0 and c > 0")
         a = constraint_a(b, c, dim, phys, n=0)
-    elif args.derive == "c":
+    elif derive == "c":
         if a <= 0 or b <= 0:
             raise ValueError("--derive c requires a > 0 and b > 0")
         c = (b * (dim.m_index - 1) * phys.hbar / (2.0 * a)) ** 2 / (2.0 * phys.mass)
-    return PotentialParams(a=a, b=b, c=c), dim, phys
+    return PotentialParams(a=a, b=b, c=c)
+
+
+def _problem(args) -> tuple[PotentialParams, DimensionSpec, PhysicalParams]:
+    phys = PhysicalParams(mass=args.mass, hbar=args.hbar)
+    dim = dimension_reduce(args.N, args.l)
+    return _couplings(args.a, args.b, args.c, args.derive, dim, phys), dim, phys
 
 
 def _inputs_block(pot, dim, phys) -> dict:
@@ -704,14 +719,10 @@ def cmd_sweep(args) -> int:
         row = {"a": args.a, "b": args.b, "c": args.c, "N": args.N, "l": args.l}
         row.update(dict(zip(names, combo)))
         dim = dimension_reduce(int(row["N"]), int(row["l"]))
-        a, b, c = float(row["a"]), float(row["b"]), float(row["c"])
-        if args.derive == "b":
-            b = constraint_b(a, c, dim, phys)
-        elif args.derive == "a":
-            a = constraint_a(b, c, dim, phys, n=0)
-        elif args.derive == "c":
-            c = (b * (dim.m_index - 1) * phys.hbar / (2.0 * a)) ** 2 / (2.0 * phys.mass)
-        pot = PotentialParams(a=a, b=b, c=c)
+        pot = _couplings(
+            float(row["a"]), float(row["b"]), float(row["c"]), args.derive, dim, phys
+        )
+        a, b, c = pot.a, pot.b, pot.c
         a_level, e_closed = _closed_level_energy(pot, dim, phys, args.n)
         pot_level = PotentialParams(a=a_level, b=b, c=c) if args.n > 0 else pot
         grid = build_grid(pot_level, dim, phys, r_max=args.rmax, h=args.h)

@@ -25,6 +25,13 @@ MIN_POWER = -2
 MAX_POWER = 2
 
 
+def require_finite(**values: float) -> None:
+    """Raise ``ValueError`` naming the first value that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Mass and reduced Planck constant carried explicitly (no hidden rescaling)."""
@@ -33,6 +40,7 @@ class PhysicalParams:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(mass=self.mass, hbar=self.hbar)
         if self.mass <= 0:
             raise ValueError(f"mass must be positive, got {self.mass}")
         if self.hbar <= 0:
@@ -84,13 +92,14 @@ def dimension_reduce(n_dim: int, ell: int) -> DimensionSpec:
 
 @dataclass(frozen=True)
 class PotentialParams:
-    """Couplings of -a/r + b r + c r^2.  b and c are nonnegative."""
+    """Couplings of -a/r + b r + c r^2.  All finite; b and c are nonnegative."""
 
     a: float = 0.0
     b: float = 0.0
     c: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(a=self.a, b=self.b, c=self.c)
         if self.b < 0:
             raise ValueError(f"linear coupling b must be >= 0, got {self.b}")
         if self.c < 0:

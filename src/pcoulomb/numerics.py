@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .model import DimensionSpec, LaurentForm, PhysicalParams, PotentialParams
 from .susy import ClosedFormState
@@ -222,6 +221,10 @@ def eigen_lowest(
         raise ValueError(f"k = {k} out of range for {grid.count} nodes")
     if richardson and eigenvectors:
         raise ValueError("eigenvectors are not defined for extrapolated values")
+
+    # imported here, not at module level: scipy.linalg costs about 250 ms
+    # to load, and only grid eigensolves need it
+    from scipy.linalg import eigh_tridiagonal
 
     diag, off = _tridiagonal(v_eff, grid, phys)
     if eigenvectors:

@@ -31,9 +31,23 @@ a real polynomial of degree n+1 whose roots are the admissible Coulomb
 strengths for an exact level-n state.  For n = 0 the single condition is
 A = a0, reproducing the ground-level coupling relation exactly.
 
+The n+1 rows read together are a tridiagonal eigenproblem M p = A p, and
+every product of opposite off-diagonals is positive, so M is similar to a
+symmetric Jacobi matrix (the Bender-Dunne view of QES constraint polynomials
+as orthogonal polynomials).  ``qes_solve`` takes the roots of D and the
+coefficients p_k as its eigenpairs (Golub-Welsch) with numpy's symmetric
+eigensolver.  The roots are real and simple and accurate to ``ROOT_RTOL`` of
+the level's largest |root|.  The p_k keep their accuracy where
+back-substitution at a rounded root does not: at b = 5, c = 0.05, M = 11,
+n = 8 that loses every digit of p_0.  A root near A = 0 carries the level's
+absolute error too, so its own relative error can exceed ``ROOT_RTOL``
+(2.9e-13 for the root -3.4e-4 at b = 0.3935, c = 0.229, M = 3, n = 1).  The
+node count of a state is the rank of its root; see ``qes_solve``.
+
 Everything here is independent of the closed-form construction: no
 superpotential enters, only the ansatz reduction.  Root lists are returned in
-ascending order and the whole pipeline is deterministic.
+ascending order and the whole pipeline is deterministic.  Nothing here needs
+scipy.
 """
 
 from __future__ import annotations
@@ -50,7 +64,7 @@ from .tolerances import DEFAULT_TOLS
 #: maximum supported polynomial degree of the ansatz
 MAX_LEVEL = 8
 
-#: relative width at which bisection brackets are considered converged
+#: stated accuracy of every root, relative to the level's largest |root|
 ROOT_RTOL = DEFAULT_TOLS.root_bisect_rtol
 
 
@@ -176,122 +190,54 @@ def qes_constraint_polynomial(
     return d
 
 
-def _bisect_root(coeffs: np.ndarray, lo: float, hi: float) -> float:
-    """Bisection to relative width ROOT_RTOL, then two guarded Newton polishes."""
-    flo = npoly.polyval(lo, coeffs)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= ROOT_RTOL * max(1.0, abs(mid)):
-            break
-        fmid = npoly.polyval(mid, coeffs)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0) != (fmid < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    root = 0.5 * (lo + hi)
-    deriv = npoly.polyder(coeffs)
-    for _ in range(2):
-        slope = npoly.polyval(root, deriv)
-        if slope == 0.0:
-            break
-        polished = root - npoly.polyval(root, coeffs) / slope
-        if lo <= polished <= hi:
-            root = polished
-    return float(root)
+def _jacobi_matrix(system: RecursionSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrized recursion matrix and the scale that symmetrizes it.
 
-
-def _root_bound(coeffs: np.ndarray) -> float:
-    """Fujiwara bound: every real root lies in [-bound, bound]."""
-    top = abs(float(coeffs[-1]))
-    deg = len(coeffs) - 1
-    terms = [abs(float(coeffs[deg - k]) / top) ** (1.0 / k) for k in range(1, deg + 1)]
-    return 2.0 * max(terms) + 1.0
-
-
-def _real_roots(coeffs: np.ndarray) -> list[float]:
-    """All real roots, ascending, by monotone-segment bisection.
-
-    The critical points (real roots of the derivative, found recursively)
-    split the Fujiwara bracket into segments on which the polynomial is
-    monotone, so each segment holds at most one root and a sign change pins
-    it exactly.  Fully deterministic; exact zeros at segment ends are kept
-    once.
+    Row i = j+1 of the recursion reads
+        A p_i = -shift[i] p_i - curvature[i] p_{i+1} - step[i] p_{i-1},
+    so the admissible A are the eigenvalues of the tridiagonal matrix M with
+    diagonal -shift and off-diagonals -curvature[i], -step[i+1], and p is
+    the eigenvector.  Every product curvature[i] * step[i+1] is positive, so
+    with scale_0 = 1, scale_{i+1} = scale_i sqrt(curvature[i] / step[i+1])
+    the similarity diag(scale) M diag(scale)^-1 is the symmetric Jacobi
+    matrix with off-diagonals -sqrt(curvature[i] * step[i+1]).
     """
-    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), trim="b")
-    if coeffs.size <= 1:
-        return []
-    if coeffs.size == 2:
-        return [-float(coeffs[0]) / float(coeffs[1])]
-    bound = _root_bound(coeffs)
-    crit = [x for x in _real_roots(npoly.polyder(coeffs)) if -bound < x < bound]
-    points = [-bound] + crit + [bound]
-    roots: list[float] = []
-    for lo, hi in zip(points[:-1], points[1:]):
-        if hi <= lo:
-            continue
-        flo = float(npoly.polyval(lo, coeffs))
-        fhi = float(npoly.polyval(hi, coeffs))
-        if flo == 0.0:
-            roots.append(lo)
-        if fhi != 0.0 and (flo < 0) != (fhi < 0):
-            roots.append(_bisect_root(coeffs, lo, hi))
-    if float(npoly.polyval(points[-1], coeffs)) == 0.0:
-        roots.append(points[-1])
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or abs(r - merged[-1]) > 1e-11 * max(1.0, abs(r)):
-            merged.append(r)
-    return merged
-
-
-def _null_vector(system: RecursionSystem, a_root: float) -> tuple[float, ...]:
-    """Back-substituted polynomial coefficients p_0 .. p_n at a fixed root."""
-    n = system.n
-    p = [0.0] * (n + 2)
-    p[n] = 1.0
-    for j in range(n - 1, -1, -1):
-        curv, shift, step = system.row(j)
-        p[j] = -((a_root + shift) * p[j + 1] + curv * p[j + 2]) / step
-    return tuple(p[: n + 1])
-
-
-def positive_roots(poly: tuple[float, ...], scale: float = 1.0) -> list[float]:
-    """Positive real roots of an ascending-coefficient polynomial.
-
-    Roots within 1e-12 of the origin (measured against ``scale``, a
-    characteristic length) do not count as positive.  Used for node counting
-    of the low-degree polynomials produced here.
-    """
-    return [r for r in _real_roots(np.asarray(poly)) if r > 1e-12 * scale]
+    curvature = np.array(system.curvature[:-1])
+    step = np.array(system.step[1:])
+    scale = np.concatenate(([1.0], np.cumprod(np.sqrt(curvature / step))))
+    off = -np.sqrt(curvature * step)
+    jacobi = np.diag(np.negative(system.shift)) + np.diag(off, 1) + np.diag(off, -1)
+    return jacobi, scale
 
 
 def qes_solve(
     b: float, c: float, dim: DimensionSpec, phys: PhysicalParams, n: int
 ) -> list[OracleSolution]:
-    """All real constraint roots with their states, ascending in A.
+    """All n+1 constraint roots with their states, ascending in A.
 
-    Every solution shares the level energy (the energy does not depend on
-    which root is taken); they differ in the polynomial part and hence in
-    node count.  An empty list means no real roots were found, which is a
-    reportable outcome rather than an error.
+    The roots and the coefficients p_0 .. p_n (monic, p_n = 1) are the
+    eigenpairs of the Jacobi matrix of the recursion (``_jacobi_matrix``), so
+    the roots are always real and simple and the list is never empty.  Every
+    solution shares the level energy (the energy does not depend on which
+    root is taken); they differ in the polynomial part and hence in node
+    count.  The node count is the root's rank: A is the eigenvalue of the
+    radial problem with weight 1/r, and by the oscillation theorem its n+1
+    distinct eigenfunctions with at most n zeros have 0, 1, .., n zeros in
+    ascending order of A.
     """
     system = oracle_reduce(b, c, dim, phys, n)
-    d = qes_constraint_polynomial(b, c, dim, phys, n)
     energy = level_energy(b, c, dim, phys, n)
-    length = 1.0 / math.sqrt(system.kap_exp)
-    solutions = []
-    for a_root in _real_roots(d):
-        poly = _null_vector(system, a_root)
-        nodes = len(positive_roots(poly, scale=length))
-        solutions.append(
-            OracleSolution(
-                n=n, a_root=a_root, poly=poly, energy=energy, node_count=nodes
-            )
+    jacobi, scale = _jacobi_matrix(system)
+    roots, vectors = np.linalg.eigh(jacobi)
+    polys = vectors / scale[:, None]
+    polys /= polys[-1]
+    return [
+        OracleSolution(
+            n=n, a_root=float(roots[k]), poly=tuple(float(p) for p in polys[:, k]),
+            energy=energy, node_count=k,
         )
-    return solutions
+        for k in range(n + 1)
+    ]
 
 
 def oracle_state(

@@ -20,7 +20,8 @@ class Tolerances:
     eigen_vs_closed: float = 1e-4
     #: oracle level-0 root vs the coupling inversion, relative
     oracle_root_rel: float = 1e-13
-    #: relative bracket width at which root bisection stops
+    #: stated accuracy of the qes constraint roots, relative to the largest
+    #: |root| of the level (a root near zero is not relatively this accurate)
     root_bisect_rtol: float = 1e-13
     #: grid residual of exact states at default resolution
     h_residual: float = 1e-6

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -295,6 +296,41 @@ def test_sweep_malformed_range_exits_one(capsys):
     assert "malformed sweep" in err
 
 
+def test_sweep_derive_c_rejects_zero_a(capsys):
+    code, _, err = run_cli(capsys, "sweep", "--sweep", "a=0,1", "--b", "1", "--derive", "c")
+    assert code == EXIT_USAGE
+    assert "--derive c requires a > 0 and b > 0" in err
+    assert "Traceback" not in err
+
+
+def test_sweep_derive_c_matches_solve(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--sweep", "a=1", "--b", "1", "--derive", "c")
+    assert code == EXIT_OK
+    row = out.strip().split("\n")[1].split(",")
+    _, doc, _ = run_cli(capsys, "solve", "--a", "1", "--b", "1", "--derive", "c")
+    assert float(row[2]) == json.loads(doc)["inputs"]["c"]
+    assert float(row[9]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--a", "nan", "--c", "0.5", "--derive", "b"], "a"),
+        (["--b", "inf", "--c", "0.5", "--derive", "a"], "b"),
+        (["--a", "1", "--c", "inf", "--derive", "b"], "c"),
+        (["--a", "1", "--b", "1", "--c=-inf"], "c"),
+        (["--a", "1", "--c", "0.5", "--derive", "b", "--hbar", "nan"], "hbar"),
+        (["--a", "1", "--c", "0.5", "--derive", "b", "--mass", "inf"], "mass"),
+    ],
+)
+def test_non_finite_inputs_named(capsys, flags, field):
+    for command in ("solve", "sweep"):
+        extra = ["--sweep", "N=3"] if command == "sweep" else []
+        code, _, err = run_cli(capsys, command, *extra, *flags)
+        assert code == EXIT_USAGE
+        assert f"{field} must be finite" in err
+
+
 def test_sweep_requires_a_range(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--a", "1", "--c", "0.5")
     assert code == EXIT_USAGE
@@ -497,10 +533,11 @@ sys.stdout.write(json.dumps(results))
 """
 
 
-@pytest.mark.parametrize(
-    "extra_env", [pytest.param(env, id=name) for name, env in _dispatch_settings()]
-)
-def test_goldens_under_dispatch_settings(extra_env):
+#: compared with its own output at default dispatch, not with a golden file
+_ORACLE_RUN = ["oracle", "--b", "2.2", "--c", "0.2", "--N", "4", "--l", "2", "--n", "8"]
+
+
+def _child_env(extra_env: dict) -> dict:
     env = {
         key: value for key, value in os.environ.items()
         if key not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
@@ -508,15 +545,59 @@ def test_goldens_under_dispatch_settings(extra_env):
     package_root = str(Path(pcoulomb.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     env.update(extra_env)
-    argvs = [argv for _, argv in _GOLDEN_RUNS]
+    return env
+
+
+@functools.cache
+def _child_results(extra_env: tuple) -> list:
+    """[[code, stdout], ...] of the golden runs and the oracle run, in a fresh
+    interpreter with ``extra_env`` (key, value pairs) set."""
+    argvs = [argv for _, argv in _GOLDEN_RUNS] + [_ORACLE_RUN]
     result = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(argvs)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(dict(extra_env)),
     )
     assert result.returncode == 0, result.stderr
-    for (golden, _), (code, out) in zip(_GOLDEN_RUNS, json.loads(result.stdout)):
+    return json.loads(result.stdout)
+
+
+@pytest.mark.parametrize(
+    "extra_env", [pytest.param(env, id=name) for name, env in _dispatch_settings()]
+)
+def test_goldens_under_dispatch_settings(extra_env):
+    results = _child_results(tuple(sorted(extra_env.items())))
+    for (golden, _), (code, out) in zip(_GOLDEN_RUNS, results):
         assert code == EXIT_OK
         assert out == (GOLDEN_DIR / golden).read_text(), golden
+    assert results[-1][0] == EXIT_OK
+    assert results[-1] == _child_results(())[-1], "oracle output moved with dispatch"
+
+
+# prints, after each argv, whether scipy.linalg has been imported so far
+_LAPACK_CHILD = """
+import contextlib, io, json, sys
+from pcoulomb.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded.append("scipy.linalg" in sys.modules)
+sys.stdout.write(json.dumps(loaded))
+"""
+
+
+def test_scipy_linalg_loaded_only_by_eigensolves():
+    argvs = [
+        ["solve", "--a", "1", "--c", "0.5", "--derive", "b"],
+        ["oracle", "--b", "1", "--c", "0.5", "--n", "3", "--check"],
+        ["eig", "--a", "1", "--c", "0.5", "--derive", "b"],
+    ]
+    result = subprocess.run(
+        [sys.executable, "-c", _LAPACK_CHILD, json.dumps(argvs)],
+        capture_output=True, text=True, env=_child_env({}),
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [False, False, True]
 
 
 def test_console_entry_point_runs():

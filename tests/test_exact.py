@@ -371,11 +371,10 @@ def test_hierarchy_degree_grows_by_two():
 def test_hierarchy_pure_oscillator_node_position():
     # with b = 0 the ladder reproduces the first excited oscillator state:
     # even quadratic polynomial with its node at r^2 = (2 Lambda + 3) hbar/(2 sqrt(2mc))
-    from pcoulomb.qes import positive_roots
-
     state = hierarchy_states(0.0, 0.5, DIM3, PHYS, 1)
     assert state.poly[1] == pytest.approx(0.0, abs=1e-15)
-    roots = positive_roots(state.poly)
+    zeros = np.polynomial.polynomial.polyroots(state.poly)
+    roots = [z.real for z in zeros if z.imag == 0 and z.real > 0]
     assert len(roots) == 1
     assert roots[0] == pytest.approx(math.sqrt(1.5), rel=1e-12)
 

@@ -46,6 +46,16 @@ def test_physical_params_validation():
     assert PhysicalParams(mass=2.0).kinetic == 0.25
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_params_reject_non_finite(value):
+    for field in ("mass", "hbar"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PhysicalParams(**{field: value})
+    for field in ("a", "b", "c"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PotentialParams(**{"a": 1.0, field: value})
+
+
 def test_potential_params_validation():
     with pytest.raises(ValueError):
         PotentialParams(a=1.0, b=-0.1)

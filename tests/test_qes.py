@@ -8,10 +8,10 @@ from pcoulomb.exact import constraint_a, ground_state
 from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce
 from pcoulomb.qes import (
     MAX_LEVEL,
+    ROOT_RTOL,
     level_energy,
     oracle_reduce,
     oracle_state,
-    positive_roots,
     qes_constraint_polynomial,
     qes_solve,
 )
@@ -248,9 +248,93 @@ def test_qes_solve_pure_oscillator_family():
     assert all(s.energy == pytest.approx(2.5) for s in sols)
 
 
-def test_positive_roots_counting():
-    assert positive_roots((1.0,)) == []
-    assert positive_roots((-2.0, 1.0)) == [pytest.approx(2.0)]
-    assert positive_roots((2.0, 1.0)) == []  # root at -2
-    roots = positive_roots((6.0, -11.0, 6.0, -1.0))  # (1-r)(2-r)(3-r)
-    np.testing.assert_allclose(roots, [1.0, 2.0, 3.0], rtol=1e-10)
+# -- roots and node counts against independent references -----------------------
+
+#: (b, c, N, l) from the reference family to strong Coulomb coupling
+NODE_POINTS = [(1.0, 0.5, 3, 0), (2.2, 0.2, 4, 2), (5.0, 0.05, 7, 2)]
+
+
+def _sign_changes(values: np.ndarray) -> int:
+    signs = np.sign(values)
+    signs = signs[signs != 0]
+    return int(np.count_nonzero(signs[1:] != signs[:-1]))
+
+
+@pytest.mark.parametrize("b, c, n_dim, ell", NODE_POINTS)
+def test_node_counts_match_grid_sign_changes(b, c, n_dim, ell):
+    # P is sampled densely over 12 oscillator lengths, then geometrically out
+    # to its Cauchy bound, beyond which P has no zeros
+    dim = dimension_reduce(n_dim, ell)
+    kap = oracle_reduce(b, c, dim, PHYS, 0).kap_exp
+    extent = 12.0 / math.sqrt(kap)
+    near = np.linspace(0.0, extent, 200_001)[1:]
+    for n in range(MAX_LEVEL + 1):
+        counts = []
+        for sol in qes_solve(b, c, dim, PHYS, n):
+            bound = 1.0 + max(abs(p) for p in sol.poly[:-1]) if n else extent
+            far = np.geomspace(extent, max(bound, extent), 2_000)
+            r = np.concatenate((near, far[1:]))
+            counts.append(_sign_changes(npoly.polyval(r, np.asarray(sol.poly))))
+            assert counts[-1] == sol.node_count, (n, sol.a_root)
+        # n+1 distinct exact states with at most n zeros each
+        assert sorted(counts) == list(range(n + 1)), n
+
+
+def _mp_constraint_roots(b, c, n_dim, ell, n):
+    """Real roots of D(A) at 60 digits, from the recursion in the module
+    docstring (hbar = mass = 1): p_k by back-substitution from p_n = 1 as
+    polynomials in A, D = 2T(Lambda+1) p_1 + (A - a0) p_0."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        b, c = mpmath.mpf(b), mpmath.mpf(c)
+        t = mpmath.mpf(1) / 2
+        big_lam = mpmath.mpf(n_dim + 2 * ell - 3) / 2
+        kap = mpmath.sqrt(2 * c) / 2
+        lam = b / mpmath.sqrt(2 * c)
+        a0 = 2 * t * lam * (big_lam + 1)
+
+        def times_a_plus(shift, p):  # (A + shift) p, ascending in A
+            return [shift * x + y for x, y in zip(p + [0], [0] + p)]
+
+        def add(p, q):
+            size = max(len(p), len(q))
+            return [(p[k] if k < len(p) else 0) + (q[k] if k < len(q) else 0)
+                    for k in range(size)]
+
+        polys = {n: [mpmath.mpf(1)], n + 1: [mpmath.mpf(0)]}
+        for j in range(n - 1, -1, -1):
+            curv = t * ((j + 2) * (j + 1) + 2 * (big_lam + 1) * (j + 2))
+            shift = -a0 - 2 * t * lam * (j + 1)
+            step = 4 * t * kap * (n - j)
+            acc = add(times_a_plus(shift, polys[j + 1]), [curv * x for x in polys[j + 2]])
+            polys[j] = [-x / step for x in acc]
+        p1 = polys[1] if n >= 1 else [mpmath.mpf(0)]
+        d = add([2 * t * (big_lam + 1) * x for x in p1], times_a_plus(-a0, polys[0]))
+        if n == 0:
+            return [float(-d[0] / d[1])]
+        roots = mpmath.polyroots(d[::-1], maxsteps=400, extraprec=240)
+        return sorted(float(mpmath.re(z)) for z in roots)
+
+
+@pytest.mark.parametrize("b, c, n_dim, ell", NODE_POINTS)
+def test_roots_match_mpmath(b, c, n_dim, ell):
+    dim = dimension_reduce(n_dim, ell)
+    for n in range(MAX_LEVEL + 1):
+        ref = _mp_constraint_roots(b, c, n_dim, ell, n)
+        got = [s.a_root for s in qes_solve(b, c, dim, PHYS, n)]
+        assert len(got) == len(ref) == n + 1
+        for x, y in zip(got, ref):
+            assert abs(x - y) <= ROOT_RTOL * abs(y), (n, x, y)
+
+
+def test_near_zero_root_bound_is_relative_to_largest_root():
+    # a root near A = 0 carries the absolute error of the whole level
+    # (2.9e-13 relative to itself here), so the stated accuracy is relative
+    # to the level's largest |root|
+    b, c = 0.3935, 0.229
+    ref = _mp_constraint_roots(b, c, 3, 0, 1)
+    got = [s.a_root for s in qes_solve(b, c, DIM3, PHYS, 1)]
+    assert abs(ref[0]) < 1e-3
+    scale = max(abs(y) for y in ref)
+    for x, y in zip(got, ref):
+        assert abs(x - y) <= ROOT_RTOL * scale
