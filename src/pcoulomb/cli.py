@@ -713,7 +713,9 @@ def _closed_level_energy(pot, dim, phys, n: int) -> tuple[float, float]:
 def cmd_sweep(args) -> int:
     sweeps = _parse_sweeps(args.sweep)
     phys = PhysicalParams(mass=args.mass, hbar=args.hbar)
-    print("a,b,c,N,l,n,E_closed,E_numeric,abs_err,constraint_residual")
+    # every row is solved before any is printed, so a rejected row leaves
+    # stdout empty instead of a truncated scan
+    lines = ["a,b,c,N,l,n,E_closed,E_numeric,abs_err,constraint_residual"]
     names = [name for name, _ in sweeps]
     for combo in product(*(values for _, values in sweeps)):
         row = {"a": args.a, "b": args.b, "c": args.c, "N": args.N, "l": args.l}
@@ -737,7 +739,8 @@ def cmd_sweep(args) -> int:
             _csv_cell(abs(e_closed - numeric)),
             _csv_cell(constraint_residual(pot, dim, phys)),
         ]
-        print(",".join(cells))
+        lines.append(",".join(cells))
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -12,6 +12,14 @@ bisection (Sturm sequence) driver of the symmetric tridiagonal eigenproblem;
 ``sturm_count`` exposes the raw eigenvalue-counting recurrence so the solver
 can be cross-checked independently.
 
+The h/2 solve of a Richardson pair is seeded by the h eigenvalues E_j: it
+bisects inside the windows E_j -+ WINDOW * max(1, |E_j|) instead of the
+Gershgorin interval of the whole matrix, about 18 Sturm sweeps per value
+instead of 57.  The windows are used only when a Sturm count proves that
+window j holds the j-th eigenvalue (Barth, Martin & Wilkinson, Numer. Math.
+9, 386 (1967)); otherwise the unseeded solve runs, so a bad seed costs time,
+never correctness.
+
 Quadrature is composite trapezoid throughout.
 
 Validity note for half-integer Lambda (even M): the leading r^(Lambda+1)
@@ -42,6 +50,16 @@ DEFAULT_STEPS = 20000
 #: minimum number of default steps per characteristic length of the problem
 STEPS_PER_LENGTH = 1200
 
+#: most nodes a grid may have (128 MiB per stored array); the largest grids
+#: built by default, strong-Coulomb oracle --check and Richardson h/2 grids,
+#: stay under 2e6 nodes
+MAX_NODES = 2**24
+
+#: half-width of the window around each h eigenvalue, relative to
+#: max(1, |E|), in which the h/2 eigenvalue of a Richardson pair is bisected
+#: (the largest h -> h/2 shift measured on sweep rows is 8.5e-7 relative)
+WINDOW = 1e-5
+
 
 @dataclass(frozen=True)
 class RadialGrid:
@@ -55,9 +73,15 @@ class RadialGrid:
     count: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.h <= 0 or self.r_max <= 0:
+        if not (self.h > 0 and self.r_max > 0):
             raise ValueError("grid extent and step must be positive")
-        count = int(round(self.r_max / self.h))
+        steps = self.r_max / self.h
+        if steps >= MAX_NODES + 0.5:
+            raise ValueError(
+                f"grid of {steps:.3g} nodes (r_max = {self.r_max:g}, h = {self.h:.3g})"
+                f" exceeds the budget of {MAX_NODES} nodes"
+            )
+        count = int(round(steps))
         if count < 100:
             raise ValueError(f"grid needs at least 100 nodes, got {count}")
         object.__setattr__(self, "count", count)
@@ -116,26 +140,42 @@ def build_grid(
     The default step is r_max / 20000, refined where needed so the shortest
     characteristic length is resolved by at least 1200 steps (strong-Coulomb
     members of a family are much stiffer near the origin than their extent
-    suggests).
+    suggests).  A grid error names what set the extent and the step: an
+    override, or the longest and the shortest length.
     """
-    scales = []
+    scales = {}
     if pot.a > 0:
-        scales.append((dim.lam + 1.0) * phys.hbar**2 / (phys.mass * pot.a))
+        scales["Coulomb length (Lambda+1) hbar^2/(m a)"] = (
+            (dim.lam + 1.0) * phys.hbar**2 / (phys.mass * pot.a))
     if pot.c > 0:
-        scales.append(math.sqrt(phys.hbar / math.sqrt(2.0 * phys.mass * pot.c)))
+        scales["oscillator length sqrt(hbar/sqrt(2mc))"] = (
+            math.sqrt(phys.hbar / math.sqrt(2.0 * phys.mass * pot.c)))
     if pot.b > 0:
-        scales.append((phys.kinetic / pot.b) ** (1.0 / 3.0))
+        scales["linear length (hbar^2/(2m b))^(1/3)"] = (
+            (phys.kinetic / pot.b) ** (1.0 / 3.0))
     if not scales:
         raise ValueError(
             "grid sizing needs an attractive or confining coupling (a, b, or c > 0)"
         )
     if r_max is None:
-        length = max(scales)
-        r_max = max(_turning_radius(pot, dim, phys) + 10.0 * length,
-                    *(10.0 * s for s in scales))
+        longest = max(scales, key=scales.get)
+        r_max = max(_turning_radius(pot, dim, phys) + 10.0 * scales[longest],
+                    *(10.0 * s for s in scales.values()))
+        extent_cause = f"the {longest} = {scales[longest]:.3g}"
+    else:
+        extent_cause = "the extent override (--rmax)"
     if h is None:
-        h = min(r_max / DEFAULT_STEPS, min(scales) / STEPS_PER_LENGTH)
-    return RadialGrid(r_max=r_max, h=h)
+        shortest = min(scales, key=scales.get)
+        h = min(r_max / DEFAULT_STEPS, scales[shortest] / STEPS_PER_LENGTH)
+        step_cause = f"the {shortest} = {scales[shortest]:.3g} over {STEPS_PER_LENGTH}"
+    else:
+        step_cause = "the step override (--h)"
+    try:
+        return RadialGrid(r_max=r_max, h=h)
+    except ValueError as exc:
+        raise ValueError(
+            f"{exc}; r_max is set by {extent_cause}, h by {step_cause}"
+        ) from None
 
 
 def _turning_radius(
@@ -195,6 +235,43 @@ def _tridiagonal(
     return diag, off
 
 
+def _seeded_lowest(diag: np.ndarray, off: np.ndarray, seeds) -> np.ndarray:
+    """Lowest len(seeds) eigenvalues, each bisected in a window around a seed.
+
+    Window j is (s_j - w_j, s_j + w_j] with w_j = WINDOW * max(1, |s_j|).  The
+    windows are used only when they are disjoint, each holds exactly one
+    eigenvalue, and exactly len(seeds) eigenvalues lie at or below the top
+    window edge; then window j holds the j-th eigenvalue.  Otherwise the
+    values come from the unseeded index-range bisection.  Both use stebz's
+    default tolerance.
+    """
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dstebz
+
+    k = len(seeds)
+    seeds = np.asarray(seeds, dtype=float)
+    half = WINDOW * np.maximum(1.0, np.abs(seeds))
+    lows, highs = seeds - half, seeds + half
+    if np.all(highs[:-1] < lows[1:]):
+        # range=1 is RANGE='V'.  Over (-inf, top] LAPACK raises the lower end
+        # to its own Gershgorin bound, and an infinite tolerance stops the
+        # bisection at once, so m is the exact Sturm count N(top)
+        m, _, _, _, info = dstebz(diag, off, 1, -np.inf, highs[-1], 0, 0, np.inf, "E")
+        if info == 0 and m == k:
+            values = []
+            for low, high in zip(lows, highs):
+                m, w, _, _, info = dstebz(diag, off, 1, low, high, 0, 0, 0.0, "E")
+                if info != 0 or m != 1:
+                    break
+                values.append(w[0])
+            else:
+                return np.array(values)
+    return eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(0, k - 1),
+        lapack_driver="stebz",
+    )
+
+
 def eigen_lowest(
     v_eff: LaurentForm,
     grid: RadialGrid,
@@ -206,10 +283,17 @@ def eigen_lowest(
     """Lowest k eigenvalues of the discretized problem, ascending.
 
     Uses the LAPACK bisection driver (Sturm sequence) for the symmetric
-    tridiagonal matrix, which is deterministic and accurate to roundoff.
+    tridiagonal matrix, which is deterministic.  It bisects to its default
+    tolerance ULP * ||T||_1 (about 4 eps T / h^2), not to the roundoff of
+    the eigenvalue itself: on the h and h/2 grids of the benchmark's sweeps
+    the values are off by 5e-12 to 7e-9 against a tight-tolerance solve.
     With ``richardson`` the values are extrapolated over (h, h/2), pushing
-    the discretization error from O(h^2) to O(h^4); eigenvectors are not
-    available in that mode.
+    the discretization error from O(h^2) to O(h^4); the h/2 values are
+    bisected in windows around the h values (see the module docstring).
+    The extrapolation inherits the bisection floor: on n = 0 sweep rows
+    with odd M its error against the closed form is 4e-11 to 3.3e-9, and
+    1e-13 to 1.4e-9 with a tight tolerance.  Eigenvectors are not available
+    in that mode.
 
     Returns a list of eigenvalues, or (eigenvalues, vectors) with vectors in
     columns when ``eigenvectors`` is set.  Vector signs are fixed so the
@@ -242,8 +326,8 @@ def eigen_lowest(
     )
     if not richardson:
         return [float(v) for v in vals]
-    fine = eigen_lowest(v_eff, grid.halved(), phys, k=k)
-    return [(4.0 * ef - ec) / 3.0 for ec, ef in zip(vals, fine)]
+    fine = _seeded_lowest(*_tridiagonal(v_eff, grid.halved(), phys), vals)
+    return [float((4.0 * ef - ec) / 3.0) for ec, ef in zip(vals, fine)]
 
 
 def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,14 @@ def test_sweep_derive_c_rejects_zero_a(capsys):
     assert "Traceback" not in err
 
 
+def test_sweep_rejected_row_leaves_stdout_empty(capsys):
+    # the first row is valid; the second is rejected, and no row is printed
+    code, out, err = run_cli(capsys, "sweep", "--sweep", "a=1,0", "--b", "1", "--derive", "c")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--derive c requires a > 0 and b > 0" in err
+
+
 def test_sweep_derive_c_matches_solve(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--sweep", "a=1", "--b", "1", "--derive", "c")
     assert code == EXIT_OK
@@ -329,6 +338,28 @@ def test_non_finite_inputs_named(capsys, flags, field):
         code, _, err = run_cli(capsys, command, *extra, *flags)
         assert code == EXIT_USAGE
         assert f"{field} must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["verify", "--a", "1e-8", "--c", "0.5", "--derive", "b"], "the Coulomb length"),
+        (["eig", "--a", "1", "--c", "0.5", "--derive", "b", "--h", "1e-9"], "(--h)"),
+    ],
+)
+def test_grid_over_budget_exits_one(capsys, argv, cause):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "exceeds the budget" in err
+    assert cause in err
+    assert "Traceback" not in err
+    assert peak < 2**24  # refused before any grid array exists
 
 
 def test_sweep_requires_a_range(capsys):
@@ -533,8 +564,12 @@ sys.stdout.write(json.dumps(results))
 """
 
 
-#: compared with its own output at default dispatch, not with a golden file
-_ORACLE_RUN = ["oracle", "--b", "2.2", "--c", "0.2", "--N", "4", "--l", "2", "--n", "8"]
+#: compared with their own output at default dispatch, not with a golden file
+_UNGOLDEN_RUNS = (
+    ["oracle", "--b", "2.2", "--c", "0.2", "--N", "4", "--l", "2", "--n", "8"],
+    ["eig", "--a", "1", "--b", "1", "--c", "0.5", "--k", "3", "--rmax", "40", "--h", "0.002",
+     "--richardson"],
+)
 
 
 def _child_env(extra_env: dict) -> dict:
@@ -550,9 +585,9 @@ def _child_env(extra_env: dict) -> dict:
 
 @functools.cache
 def _child_results(extra_env: tuple) -> list:
-    """[[code, stdout], ...] of the golden runs and the oracle run, in a fresh
-    interpreter with ``extra_env`` (key, value pairs) set."""
-    argvs = [argv for _, argv in _GOLDEN_RUNS] + [_ORACLE_RUN]
+    """[[code, stdout], ...] of the golden runs and the ungolden runs, in a
+    fresh interpreter with ``extra_env`` (key, value pairs) set."""
+    argvs = [argv for _, argv in _GOLDEN_RUNS] + list(_UNGOLDEN_RUNS)
     result = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(argvs)],
         capture_output=True, text=True, env=_child_env(dict(extra_env)),
@@ -569,8 +604,10 @@ def test_goldens_under_dispatch_settings(extra_env):
     for (golden, _), (code, out) in zip(_GOLDEN_RUNS, results):
         assert code == EXIT_OK
         assert out == (GOLDEN_DIR / golden).read_text(), golden
-    assert results[-1][0] == EXIT_OK
-    assert results[-1] == _child_results(())[-1], "oracle output moved with dispatch"
+    defaults = _child_results(())[len(_GOLDEN_RUNS):]
+    for argv, result, default in zip(_UNGOLDEN_RUNS, results[len(_GOLDEN_RUNS):], defaults):
+        assert result[0] == EXIT_OK, argv[0]
+        assert result == default, f"{argv[0]} output moved with dispatch"
 
 
 # prints, after each argv, whether scipy.linalg has been imported so far

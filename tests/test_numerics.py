@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pcoulomb.exact import ground_state, hierarchy_states
+from pcoulomb.exact import constraint_b, ground_state, hierarchy_states
 from pcoulomb.model import (
     LaurentForm,
     PhysicalParams,
@@ -13,8 +13,10 @@ from pcoulomb.model import (
     effective_potential,
 )
 from pcoulomb.numerics import (
+    MAX_NODES,
     GridFunction,
     RadialGrid,
+    _seeded_lowest,
     build_grid,
     eigen_lowest,
     evaluate_state,
@@ -45,6 +47,14 @@ def test_grid_nodes_layout():
 def test_grid_requires_enough_nodes():
     with pytest.raises(ValueError, match="at least 100 nodes"):
         RadialGrid(r_max=1.0, h=0.5)
+
+
+def test_grid_node_budget():
+    # a grid stores no array until its nodes are asked for
+    assert RadialGrid(r_max=1.0, h=1.0 / MAX_NODES).count == MAX_NODES
+    for r_max, h in ((1.0, 1.0 / (MAX_NODES + 1)), (math.inf, 0.01), (1.0, 1e-300)):
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            RadialGrid(r_max=r_max, h=h)
 
 
 def test_build_grid_defaults():
@@ -302,6 +312,81 @@ def test_eigen_k_validation():
         eigen_lowest(v_eff, grid, PHYS, k=0)
     with pytest.raises(ValueError):
         eigen_lowest(v_eff, grid, PHYS, k=grid.count)
+
+
+def _stebz_lowest(diag, off, k):
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(0, k - 1),
+        lapack_driver="stebz",
+    )
+
+
+def _matrix(v_eff, grid):
+    t = PHYS.kinetic
+    return 2.0 * t / grid.h**2 + v_eff(grid.nodes), np.full(grid.count - 1, -t / grid.h**2)
+
+
+def _bisection_tol(diag, off):
+    """stebz's default tolerance, ULP * ||T||_1."""
+    col = np.abs(diag) + np.concatenate(([0.0], np.abs(off))) + np.concatenate((np.abs(off), [0.0]))
+    return np.finfo(float).eps * float(np.max(col))
+
+
+#: sweep-like problems: (a, c) on the coupling surface, N, l
+SWEEP_LIKE = [(0.8, 0.4, 3, 0), (1.6, 0.8, 5, 1), (1.2, 0.6, 7, 2)]
+
+
+@pytest.mark.parametrize("a, c, n_dim, ell", SWEEP_LIKE)
+def test_seeded_half_step_matches_unseeded(a, c, n_dim, ell):
+    dim = dimension_reduce(n_dim, ell)
+    pot = PotentialParams(a=a, b=constraint_b(a, c, dim, PHYS), c=c)
+    v_eff = effective_potential(pot, dim, PHYS)
+    grid = build_grid(pot, dim, PHYS)
+    seeds = eigen_lowest(v_eff, grid, PHYS, k=6)
+    diag, off = _matrix(v_eff, grid.halved())
+    tol = _bisection_tol(diag, off)
+    for k in (1, 3, 6):
+        seeded = _seeded_lowest(diag, off, seeds[:k])
+        np.testing.assert_allclose(seeded, _stebz_lowest(diag, off, k), rtol=0, atol=tol)
+
+
+def test_seeded_values_bracketed_by_sturm_counts():
+    grid = RadialGrid(r_max=12.0, h=12.0 / 1000)  # the h/2 grid has 2000 nodes
+    v_eff = effective_potential(P1, DIM3, PHYS)
+    seeds = eigen_lowest(v_eff, grid, PHYS, k=6)
+    diag, off = _matrix(v_eff, grid.halved())
+    step = 4.0 * _bisection_tol(diag, off)
+    for j, value in enumerate(_seeded_lowest(diag, off, seeds)):
+        assert sturm_count(diag, off, value - step) == j
+        assert sturm_count(diag, off, value + step) == j + 1
+
+
+def test_seeded_windows_fall_back_to_unseeded():
+    grid = RadialGrid(r_max=12.0, h=12.0 / 2000)
+    v_eff = effective_potential(P1, DIM3, PHYS)
+    diag, off = _matrix(v_eff, grid)
+    k = 4
+    # the bisection's bits depend on the index range, so compare like with like
+    unseeded = _stebz_lowest(diag, off, k)
+    bad_seeds = {
+        "miss": unseeded + 0.5,  # windows hold no eigenvalue
+        "shifted": _stebz_lowest(diag, off, k + 1)[1:],  # one per window, k + 1 below the top
+        "overlap": [unseeded[0], unseeded[0] + 1e-9, *unseeded[2:]],
+    }
+    for name, seeds in bad_seeds.items():
+        values = _seeded_lowest(diag, off, seeds)
+        assert values.tolist() == unseeded.tolist(), name
+
+
+def test_eigen_lowest_is_the_stebz_index_solve():
+    # non-extrapolated values are the plain index-range bisection, bit for bit
+    grid = RadialGrid(r_max=15.0, h=0.005)
+    v_eff = effective_potential(P1, DIM3, PHYS)
+    expected = _stebz_lowest(*_matrix(v_eff, grid), 4).tolist()
+    assert eigen_lowest(v_eff, grid, PHYS, k=4) == expected
+    assert eigen_lowest(v_eff, grid, PHYS, k=4, eigenvectors=True)[0] == expected
 
 
 def test_sturm_count_consistency_with_eigenvalues():
