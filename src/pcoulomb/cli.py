@@ -30,6 +30,7 @@ off from inside the process and stay untested.  The ``h_residual`` values of
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from itertools import product
 
@@ -96,7 +97,11 @@ def _fmt_float(x: float) -> str:
 
 
 def dump_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: insertion order kept, floats at 17 digits."""
+    """Deterministic JSON: insertion order kept, floats at 17 digits.
+
+    A NaN or infinite float raises ValueError: strict JSON has no literal
+    for it, and a document holding one is not a result.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -106,6 +111,8 @@ def dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"result {float(obj)} is not finite; no JSON document")
         return _fmt_float(float(obj))
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -730,8 +737,8 @@ def cmd_sweep(args) -> int:
         grid = build_grid(pot_level, dim, phys, r_max=args.rmax, h=args.h)
         numeric = eigen_lowest(
             effective_potential(pot_level, dim, phys), grid, phys,
-            k=args.n + 1, richardson=args.richardson,
-        )[args.n]
+            k=1, richardson=args.richardson, first=args.n,
+        )[0]
         cells = [
             _csv_cell(a), _csv_cell(b), _csv_cell(c),
             _csv_cell(int(row["N"])), _csv_cell(int(row["l"])), _csv_cell(args.n),
@@ -765,6 +772,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONSTRAINT
     except ValueError as exc:
         print(f"pcoulomb: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError:
+        # Python float ** raises where numpy would return inf: an input
+        # whose closed forms leave the double range
+        print("pcoulomb: error: a result overflows the float range", file=sys.stderr)
         return EXIT_USAGE
 
 

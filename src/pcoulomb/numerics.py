@@ -12,13 +12,17 @@ bisection (Sturm sequence) driver of the symmetric tridiagonal eigenproblem;
 ``sturm_count`` exposes the raw eigenvalue-counting recurrence so the solver
 can be cross-checked independently.
 
-The h/2 solve of a Richardson pair is seeded by the h eigenvalues E_j: it
-bisects inside the windows E_j -+ WINDOW * max(1, |E_j|) instead of the
-Gershgorin interval of the whole matrix, about 18 Sturm sweeps per value
-instead of 57.  The windows are used only when a Sturm count proves that
-window j holds the j-th eigenvalue (Barth, Martin & Wilkinson, Numer. Math.
-9, 386 (1967)); otherwise the unseeded solve runs, so a bad seed costs time,
-never correctness.
+A Richardson pair is solved along a seeding chain 4h -> h -> h/2.  The
+requested levels first .. first+k-1 are bisected on a grid of step
+COARSEN * h (a quarter of the nodes) from the Gershgorin interval; the h
+values are then bisected inside the windows E_j(4h) -+ COARSE_WINDOW *
+max(1, |E_j|), and the h/2 values inside E_j(h) -+ WINDOW * max(1, |E_j|):
+about 22 and 18 Sturm sweeps per value instead of 57 (a window 20 times
+wider costs log2(20) more).  Each window set is used only when Sturm counts
+prove that window j holds eigenvalue first + j (Barth, Martin & Wilkinson,
+Numer. Math. 9, 386 (1967)); otherwise, and when the 4h grid would have
+fewer than 100 nodes, the unseeded index-range solve runs, so a bad seed
+costs time, never correctness.
 
 Quadrature is composite trapezoid throughout.
 
@@ -59,6 +63,16 @@ MAX_NODES = 2**24
 #: max(1, |E|), in which the h/2 eigenvalue of a Richardson pair is bisected
 #: (the largest h -> h/2 shift measured on sweep rows is 8.5e-7 relative)
 WINDOW = 1e-5
+
+#: step ratio of the grid whose eigenvalues seed the h solve of a
+#: Richardson pair (a quarter of the nodes)
+COARSEN = 4
+
+#: half-width of the windows around the 4h eigenvalues in which the h
+#: eigenvalues are bisected: for an O(h^2) error the 4h -> h shift is
+#: (16 - 1) / (1 - 1/4) = 20 times the h -> h/2 shift that WINDOW covers
+#: (the largest 4h -> h shift measured on sweep rows is 1.5e-5 relative)
+COARSE_WINDOW = 20 * WINDOW
 
 
 @dataclass(frozen=True)
@@ -235,41 +249,56 @@ def _tridiagonal(
     return diag, off
 
 
-def _seeded_lowest(diag: np.ndarray, off: np.ndarray, seeds) -> np.ndarray:
-    """Lowest len(seeds) eigenvalues, each bisected in a window around a seed.
-
-    Window j is (s_j - w_j, s_j + w_j] with w_j = WINDOW * max(1, |s_j|).  The
-    windows are used only when they are disjoint, each holds exactly one
-    eigenvalue, and exactly len(seeds) eigenvalues lie at or below the top
-    window edge; then window j holds the j-th eigenvalue.  Otherwise the
-    values come from the unseeded index-range bisection.  Both use stebz's
-    default tolerance.
-    """
+def _index_solve(diag: np.ndarray, off: np.ndarray, first: int, k: int) -> np.ndarray:
+    """Eigenvalues first .. first+k-1 by the unseeded index-range bisection."""
     from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(first, first + k - 1),
+        lapack_driver="stebz",
+    )
+
+
+def _seeded_lowest(
+    diag: np.ndarray, off: np.ndarray, seeds, first: int, window: float
+) -> np.ndarray:
+    """Eigenvalues first .. first+k-1, each bisected in a window around a seed.
+
+    Window j is (s_j - w_j, s_j + w_j] with w_j = window * max(1, |s_j|) and
+    k = len(seeds).  The windows are used only when they are disjoint, each
+    holds exactly one eigenvalue, exactly first + k eigenvalues lie at or
+    below the top window edge and, when first > 0, exactly first lie at or
+    below the lowest edge; then window j holds eigenvalue first + j.
+    Otherwise the values come from the unseeded index-range bisection.  Both
+    use stebz's default tolerance.
+    """
     from scipy.linalg.lapack import dstebz
 
-    k = len(seeds)
-    seeds = np.asarray(seeds, dtype=float)
-    half = WINDOW * np.maximum(1.0, np.abs(seeds))
-    lows, highs = seeds - half, seeds + half
-    if np.all(highs[:-1] < lows[1:]):
+    def count(top: float) -> int:
         # range=1 is RANGE='V'.  Over (-inf, top] LAPACK raises the lower end
         # to its own Gershgorin bound, and an infinite tolerance stops the
         # bisection at once, so m is the exact Sturm count N(top)
-        m, _, _, _, info = dstebz(diag, off, 1, -np.inf, highs[-1], 0, 0, np.inf, "E")
-        if info == 0 and m == k:
-            values = []
-            for low, high in zip(lows, highs):
-                m, w, _, _, info = dstebz(diag, off, 1, low, high, 0, 0, 0.0, "E")
-                if info != 0 or m != 1:
-                    break
-                values.append(w[0])
-            else:
-                return np.array(values)
-    return eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(0, k - 1),
-        lapack_driver="stebz",
-    )
+        m, _, _, _, info = dstebz(diag, off, 1, -np.inf, top, 0, 0, np.inf, "E")
+        return m if info == 0 else -1
+
+    k = len(seeds)
+    seeds = np.asarray(seeds, dtype=float)
+    half = window * np.maximum(1.0, np.abs(seeds))
+    lows, highs = seeds - half, seeds + half
+    if (
+        np.all(highs[:-1] < lows[1:])
+        and count(highs[-1]) == first + k
+        and (first == 0 or count(lows[0]) == first)
+    ):
+        values = []
+        for low, high in zip(lows, highs):
+            m, w, _, _, info = dstebz(diag, off, 1, low, high, 0, 0, 0.0, "E")
+            if info != 0 or m != 1:
+                break
+            values.append(w[0])
+        else:
+            return np.array(values)
+    return _index_solve(diag, off, first, k)
 
 
 def eigen_lowest(
@@ -279,21 +308,29 @@ def eigen_lowest(
     k: int = 1,
     eigenvectors: bool = False,
     richardson: bool = False,
+    *,
+    first: int = 0,
 ):
-    """Lowest k eigenvalues of the discretized problem, ascending.
+    """Eigenvalues first .. first+k-1 of the discretized problem, ascending.
 
-    Uses the LAPACK bisection driver (Sturm sequence) for the symmetric
-    tridiagonal matrix, which is deterministic.  It bisects to its default
-    tolerance ULP * ||T||_1 (about 4 eps T / h^2), not to the roundoff of
-    the eigenvalue itself: on the h and h/2 grids of the benchmark's sweeps
-    the values are off by 5e-12 to 7e-9 against a tight-tolerance solve.
+    ``first`` = 0 (the default) gives the lowest k.  Uses the LAPACK
+    bisection driver (Sturm sequence) for the symmetric tridiagonal matrix,
+    which is deterministic.  It bisects to its default tolerance
+    ULP * ||T||_1 (about 4 eps T / h^2), not to the roundoff of the
+    eigenvalue itself: on the h and h/2 grids of the benchmark's sweeps the
+    values are off by 5e-12 to 7e-9 against a tight-tolerance solve.  The
+    last digits of a level depend on which levels are solved together, so
+    ``k=1, first=n`` and ``k=n+1`` can differ in level n within that floor.
     With ``richardson`` the values are extrapolated over (h, h/2), pushing
-    the discretization error from O(h^2) to O(h^4); the h/2 values are
-    bisected in windows around the h values (see the module docstring).
-    The extrapolation inherits the bisection floor: on n = 0 sweep rows
-    with odd M its error against the closed form is 4e-11 to 3.3e-9, and
-    1e-13 to 1.4e-9 with a tight tolerance.  Eigenvectors are not available
-    in that mode.
+    the discretization error from O(h^2) to O(h^4); the h values are
+    bisected in windows around the values of the 4h grid, and the h/2 values
+    in windows around the h values (see the module docstring).  A window
+    set that fails its Sturm-count proof, or a 4h grid of fewer than 100
+    nodes, falls back to the unseeded index-range bisection.  The
+    extrapolation inherits the bisection floor: on n = 0 sweep rows with
+    odd M its error against the closed form is 4e-11 to 3.3e-9, and 1e-13
+    to 1.4e-9 with a tight tolerance.  Eigenvectors are not available in
+    that mode.
 
     Returns a list of eigenvalues, or (eigenvalues, vectors) with vectors in
     columns when ``eigenvectors`` is set.  Vector signs are fixed so the
@@ -301,32 +338,40 @@ def eigen_lowest(
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if k > grid.count // 10:
-        raise ValueError(f"k = {k} out of range for {grid.count} nodes")
+    if first < 0:
+        raise ValueError(f"need level first >= 0, got {first}")
+    if first + k > grid.count // 10:
+        raise ValueError(
+            f"levels {first}..{first + k - 1} out of range for {grid.count} nodes"
+        )
     if richardson and eigenvectors:
         raise ValueError("eigenvectors are not defined for extrapolated values")
 
-    # imported here, not at module level: scipy.linalg costs about 250 ms
-    # to load, and only grid eigensolves need it
-    from scipy.linalg import eigh_tridiagonal
-
     diag, off = _tridiagonal(v_eff, grid, phys)
     if eigenvectors:
+        # imported here, not at module level: scipy.linalg costs about 250 ms
+        # to load, and only grid eigensolves need it
+        from scipy.linalg import eigh_tridiagonal
+
         vals, vecs = eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, k - 1), lapack_driver="stebz"
+            diag, off, select="i", select_range=(first, first + k - 1),
+            lapack_driver="stebz",
         )
         for j in range(vecs.shape[1]):
             lead = np.argmax(np.abs(vecs[:, j]))
             if vecs[lead, j] < 0:
                 vecs[:, j] = -vecs[:, j]
         return [float(v) for v in vals], vecs
-    vals = eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(0, k - 1),
-        lapack_driver="stebz",
-    )
     if not richardson:
-        return [float(v) for v in vals]
-    fine = _seeded_lowest(*_tridiagonal(v_eff, grid.halved(), phys), vals)
+        return [float(v) for v in _index_solve(diag, off, first, k)]
+    try:
+        coarse = RadialGrid(r_max=grid.r_max, h=COARSEN * grid.h)
+    except ValueError:
+        vals = _index_solve(diag, off, first, k)
+    else:
+        seeds = _index_solve(*_tridiagonal(v_eff, coarse, phys), first, k)
+        vals = _seeded_lowest(diag, off, seeds, first, COARSE_WINDOW)
+    fine = _seeded_lowest(*_tridiagonal(v_eff, grid.halved(), phys), vals, first, WINDOW)
     return [float((4.0 * ef - ec) / 3.0) for ec, ef in zip(vals, fine)]
 
 

@@ -14,7 +14,7 @@ import pytest
 import pcoulomb
 from pcoulomb import cli
 from pcoulomb.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_USAGE, dump_json, main
-from pcoulomb.exact import constraint_b, ground_state
+from pcoulomb.exact import constraint_a, constraint_b, ground_state
 from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
 from pcoulomb.numerics import build_grid, eigen_lowest
 from pcoulomb.qes import qes_solve
@@ -360,6 +360,62 @@ def test_grid_over_budget_exits_one(capsys, argv, cause):
     assert cause in err
     assert "Traceback" not in err
     assert peak < 2**24  # refused before any grid array exists
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--a", "1e300", "--c", "0.5", "--derive", "b"],
+        ["eig", "--a", "1e300", "--c", "0.5", "--derive", "b"],
+        ["sweep", "--sweep", "a=1e300", "--c", "0.5", "--derive", "b"],
+        ["verify", "--a", "1e300", "--c", "0.5", "--derive", "b"],
+        ["oracle", "--b", "1e200", "--c", "0.5", "--n", "2"],
+        ["solve", "--a", "1", "--b", "1", "--derive", "c", "--hbar", "1e200"],
+    ],
+)
+def test_float_overflow_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "pcoulomb: error: a result overflows the float range" in err
+    assert "Traceback" not in err
+
+
+def test_oracle_non_finite_result_exits_one(capsys):
+    # the level-8 polynomials of these couplings overflow to inf and nan
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, "oracle", "--b", "1e-300", "--c", "1e-300", "--n", "8")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "is not finite" in err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_dump_json_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="not finite"):
+        dump_json({"x": [1.0, value]})
+
+
+def _sweep_level(capsys, n):
+    code, out, _ = run_cli(
+        capsys, "sweep", "--sweep", "a=1", "--c", "0.5", "--derive", "b", "--n", str(n)
+    )
+    assert code == EXIT_OK
+    return float(out.strip().split("\n")[1].split(",")[7])
+
+
+def test_sweep_row_is_the_single_level_solve(capsys):
+    # n = 0 is the k = 1 solve, as before; n = 1 solves level 1 alone
+    phys = PhysicalParams()
+    dim = dimension_reduce(3, 0)
+    pot = PotentialParams(a=1.0, b=constraint_b(1.0, 0.5, dim, phys), c=0.5)
+    grid = build_grid(pot, dim, phys)
+    v_eff = effective_potential(pot, dim, phys)
+    assert _sweep_level(capsys, 0) == eigen_lowest(v_eff, grid, phys, k=1)[0]
+    pot1 = PotentialParams(a=constraint_a(pot.b, pot.c, dim, phys, n=1), b=pot.b, c=pot.c)
+    grid1 = build_grid(pot1, dim, phys)
+    v_eff1 = effective_potential(pot1, dim, phys)
+    assert _sweep_level(capsys, 1) == eigen_lowest(v_eff1, grid1, phys, k=1, first=1)[0]
 
 
 def test_sweep_requires_a_range(capsys):

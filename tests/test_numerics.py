@@ -12,8 +12,12 @@ from pcoulomb.model import (
     dimension_reduce,
     effective_potential,
 )
+from pcoulomb import numerics
 from pcoulomb.numerics import (
+    COARSE_WINDOW,
+    COARSEN,
     MAX_NODES,
+    WINDOW,
     GridFunction,
     RadialGrid,
     _seeded_lowest,
@@ -348,7 +352,7 @@ def test_seeded_half_step_matches_unseeded(a, c, n_dim, ell):
     diag, off = _matrix(v_eff, grid.halved())
     tol = _bisection_tol(diag, off)
     for k in (1, 3, 6):
-        seeded = _seeded_lowest(diag, off, seeds[:k])
+        seeded = _seeded_lowest(diag, off, seeds[:k], 0, WINDOW)
         np.testing.assert_allclose(seeded, _stebz_lowest(diag, off, k), rtol=0, atol=tol)
 
 
@@ -358,7 +362,7 @@ def test_seeded_values_bracketed_by_sturm_counts():
     seeds = eigen_lowest(v_eff, grid, PHYS, k=6)
     diag, off = _matrix(v_eff, grid.halved())
     step = 4.0 * _bisection_tol(diag, off)
-    for j, value in enumerate(_seeded_lowest(diag, off, seeds)):
+    for j, value in enumerate(_seeded_lowest(diag, off, seeds, 0, WINDOW)):
         assert sturm_count(diag, off, value - step) == j
         assert sturm_count(diag, off, value + step) == j + 1
 
@@ -376,7 +380,7 @@ def test_seeded_windows_fall_back_to_unseeded():
         "overlap": [unseeded[0], unseeded[0] + 1e-9, *unseeded[2:]],
     }
     for name, seeds in bad_seeds.items():
-        values = _seeded_lowest(diag, off, seeds)
+        values = _seeded_lowest(diag, off, seeds, 0, WINDOW)
         assert values.tolist() == unseeded.tolist(), name
 
 
@@ -387,6 +391,108 @@ def test_eigen_lowest_is_the_stebz_index_solve():
     expected = _stebz_lowest(*_matrix(v_eff, grid), 4).tolist()
     assert eigen_lowest(v_eff, grid, PHYS, k=4) == expected
     assert eigen_lowest(v_eff, grid, PHYS, k=4, eigenvectors=True)[0] == expected
+
+
+def _stebz_levels(diag, off, first, k):
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(first, first + k - 1),
+        lapack_driver="stebz",
+    )
+
+
+def _no_fallback(*_args):
+    raise AssertionError("the unseeded solve ran")
+
+
+@pytest.mark.parametrize("a, c, n_dim, ell", SWEEP_LIKE)
+def test_coarse_seeded_values_match_unseeded(a, c, n_dim, ell, monkeypatch):
+    dim = dimension_reduce(n_dim, ell)
+    pot = PotentialParams(a=a, b=constraint_b(a, c, dim, PHYS), c=c)
+    v_eff = effective_potential(pot, dim, PHYS)
+    grid = build_grid(pot, dim, PHYS)
+    diag, off = _matrix(v_eff, grid)
+    coarse = _matrix(v_eff, RadialGrid(r_max=grid.r_max, h=COARSEN * grid.h))
+    tol = _bisection_tol(diag, off)
+    for first in range(3):
+        for k in range(1, 4):
+            expected = _stebz_levels(diag, off, first, k)
+            seeds = _stebz_levels(*coarse, first, k)
+            with monkeypatch.context() as patch:
+                # the windows must prove themselves here, not fall back
+                patch.setattr(numerics, "_index_solve", _no_fallback)
+                seeded = _seeded_lowest(diag, off, seeds, first, COARSE_WINDOW)
+            np.testing.assert_allclose(seeded, expected, rtol=0, atol=tol)
+
+
+def test_richardson_levels_match_unseeded_extrapolation():
+    dim = dimension_reduce(5, 1)
+    pot = PotentialParams(a=1.6, b=constraint_b(1.6, 0.8, dim, PHYS), c=0.8)
+    v_eff = effective_potential(pot, dim, PHYS)
+    grid = build_grid(pot, dim, PHYS)
+    coarse, fine = _matrix(v_eff, grid), _matrix(v_eff, grid.halved())
+    # each seeded value is within its grid's bisection tolerance of the
+    # unseeded one, and the extrapolation weighs them 4/3 and 1/3
+    tol = (4.0 * _bisection_tol(*fine) + _bisection_tol(*coarse)) / 3.0
+    for first, k in ((0, 1), (1, 1), (2, 1), (1, 2)):
+        h_vals, half_vals = _stebz_levels(*coarse, first, k), _stebz_levels(*fine, first, k)
+        expected = (4.0 * half_vals - h_vals) / 3.0
+        values = eigen_lowest(v_eff, grid, PHYS, k=k, richardson=True, first=first)
+        np.testing.assert_allclose(values, expected, rtol=0, atol=tol)
+
+
+def test_seeded_windows_with_first_fall_back_to_unseeded():
+    grid = RadialGrid(r_max=12.0, h=12.0 / 2000)
+    v_eff = effective_potential(P1, DIM3, PHYS)
+    diag, off = _matrix(v_eff, grid)
+    first, k = 2, 2
+    unseeded = _stebz_levels(diag, off, first, k)
+    levels = _stebz_levels(diag, off, 0, first + k + 1)
+    bad_seeds = {
+        "lower": levels[first - 1:first - 1 + k],  # N(top) is first + k - 1
+        "higher": levels[first + 1:first + 1 + k],  # N(top) is first + k + 1
+        # one eigenvalue per window and N(top) = first + k, but the windows
+        # hold levels 1 and 3: only N(lowest edge) = 1 != first shows it
+        "gap": [levels[first - 1], levels[first + 1]],
+        "miss": unseeded + 0.5,
+    }
+    for name, seeds in bad_seeds.items():
+        values = _seeded_lowest(diag, off, seeds, first, WINDOW)
+        assert values.tolist() == unseeded.tolist(), name
+
+
+def test_richardson_without_coarse_grid_is_unseeded_at_h():
+    # r_max / (4 h) = 50 nodes: no 4h grid, so the h values are unseeded
+    grid = RadialGrid(r_max=20.0, h=0.1)
+    v_eff = effective_potential(P1, DIM3, PHYS)
+    fine = _matrix(v_eff, grid.halved())
+    for first in (0, 1):
+        coarse_vals = _stebz_levels(*_matrix(v_eff, grid), first, 2)
+        fine_vals = _seeded_lowest(*fine, coarse_vals, first, WINDOW)
+        expected = [float((4.0 * f - c) / 3.0) for c, f in zip(coarse_vals, fine_vals)]
+        assert eigen_lowest(v_eff, grid, PHYS, k=2, richardson=True, first=first) == expected
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_single_level_is_the_stebz_index_solve(n):
+    # non-extrapolated levels are the plain index-range bisection, bit for bit
+    grid = RadialGrid(r_max=15.0, h=0.005)
+    v_eff = effective_potential(P1, DIM3, PHYS)
+    diag, off = _matrix(v_eff, grid)
+    expected = _stebz_levels(diag, off, n, 1).tolist()
+    assert eigen_lowest(v_eff, grid, PHYS, k=1, first=n) == expected
+    assert eigen_lowest(v_eff, grid, PHYS, k=1, first=n, eigenvectors=True)[0] == expected
+
+
+def test_eigen_first_validation():
+    grid = RadialGrid(r_max=10.0, h=0.01)  # 1000 nodes: levels 0..99
+    v_eff = effective_potential(P1, DIM3, PHYS)
+    with pytest.raises(ValueError, match="first >= 0"):
+        eigen_lowest(v_eff, grid, PHYS, k=1, first=-1)
+    with pytest.raises(ValueError, match="out of range"):
+        eigen_lowest(v_eff, grid, PHYS, k=2, first=99)
+    assert len(eigen_lowest(v_eff, grid, PHYS, k=2, first=98)) == 2
 
 
 def test_sturm_count_consistency_with_eigenvalues():
