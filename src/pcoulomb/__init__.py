@@ -5,8 +5,12 @@ problem on its coupling-constraint surface, generates the excited-level
 hierarchy, and checks every claim against two independent oracles: a
 polynomial-ansatz reduction (``qes``) and a finite-difference eigensolver
 (``numerics``).  The ``pcoulomb`` command line exposes solve / verify /
-oracle / eig / sweep.
+oracle / eig / sweep; ``report`` builds its documents and runs the
+verification battery without it.
 """
+
+# bound before the submodules import: ``report`` stamps it on its documents
+__version__ = "0.1.0"
 
 from .model import (
     DimensionSpec,
@@ -37,11 +41,15 @@ from .exact import (
     SpectrumLevel,
     constraint_a,
     constraint_b,
+    constraint_c,
     constraint_residual,
+    closed_level,
     coulomb_ground,
+    derive_couplings,
     dual_view_check,
     ground_state,
     hierarchy_states,
+    level_energy,
     level_superpotential,
     oscillator_view_ground,
     perturbation_ground_coulomb,
@@ -66,9 +74,8 @@ from .numerics import (
     overlap,
     sturm_count,
 )
+from .report import solve_document, verification_checks, verify_document
 from .tolerances import DEFAULT_TOLS, Tolerances
-
-__version__ = "0.1.0"
 
 __all__ = [
     "DimensionSpec",
@@ -95,11 +102,15 @@ __all__ = [
     "SpectrumLevel",
     "constraint_a",
     "constraint_b",
+    "constraint_c",
     "constraint_residual",
+    "closed_level",
     "coulomb_ground",
+    "derive_couplings",
     "dual_view_check",
     "ground_state",
     "hierarchy_states",
+    "level_energy",
     "level_superpotential",
     "oscillator_view_ground",
     "perturbation_ground_coulomb",
@@ -119,6 +130,9 @@ __all__ = [
     "normalize",
     "overlap",
     "sturm_count",
+    "solve_document",
+    "verification_checks",
+    "verify_document",
     "DEFAULT_TOLS",
     "Tolerances",
     "__version__",

@@ -29,7 +29,9 @@ true level constraint.
 
 Off the constraint surface the closed forms are meaningless, so every
 solution operation validates the surface first and raises
-``ConstraintViolation`` carrying the relative violation.
+``ConstraintViolation`` carrying the relative violation.  ``closed_level``
+alone skips the check: a scan reports it to show how far off the surface
+the formulas fail.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import DimensionSpec, LaurentForm, PhysicalParams, PotentialParams
+from .model import (
+    DimensionSpec, LaurentForm, PhysicalParams, PotentialParams, require_finite,
+)
 from .susy import ClosedFormState, Superpotential, ladder_apply
 from .tolerances import DEFAULT_TOLS
 
@@ -97,6 +101,10 @@ def constraint_b(
         raise ValueError(
             "constraint requires attractive Coulomb and confining quadratic terms"
         )
+    return _surface_b(a, c, dim, phys)
+
+
+def _surface_b(a: float, c: float, dim: DimensionSpec, phys: PhysicalParams) -> float:
     return 2.0 * a * math.sqrt(2.0 * phys.mass * c) / ((dim.m_index - 1) * phys.hbar)
 
 
@@ -118,6 +126,15 @@ def constraint_a(
     return (dim.lam + n + 1.0) * phys.hbar * b / math.sqrt(2.0 * phys.mass * c)
 
 
+def constraint_c(
+    a: float, b: float, dim: DimensionSpec, phys: PhysicalParams
+) -> float:
+    """Quadratic coupling that puts (a, b) on the surface; inverts ``constraint_b``."""
+    if a <= 0 or b <= 0:
+        raise ValueError("constraint requires attractive Coulomb and linear terms")
+    return (b * (dim.m_index - 1) * phys.hbar / (2.0 * a)) ** 2 / (2.0 * phys.mass)
+
+
 def constraint_residual(
     pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams
 ) -> float:
@@ -129,13 +146,7 @@ def constraint_residual(
     (a = b = 0) sits exactly on the surface; any stray coupling reports a
     violation of order one.
     """
-    if pot.c > 0:
-        target = (
-            2.0 * pot.a * math.sqrt(2.0 * phys.mass * pot.c)
-            / ((dim.m_index - 1) * phys.hbar)
-        )
-    else:
-        target = 0.0
+    target = _surface_b(pot.a, pot.c, dim, phys) if pot.c > 0 else 0.0
     if target != 0.0:
         return abs(pot.b - target) / abs(target)
     return abs(pot.b)
@@ -157,6 +168,43 @@ def require_constraint(
         )
 
 
+def require_view(
+    pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams
+) -> None:
+    """Raise ``ConstraintViolation`` when neither view is defined (a <= 0, c <= 0)."""
+    if pot.a <= 0 and pot.c <= 0:
+        raise ConstraintViolation(
+            "no solvable view: need a > 0 or c > 0 on the constraint surface",
+            constraint_residual(pot, dim, phys),
+        )
+
+
+def derive_couplings(
+    a: float, b: float, c: float, derive: str | None,
+    dim: DimensionSpec, phys: PhysicalParams,
+) -> PotentialParams:
+    """The couplings with the ``derive`` one ("a", "b", "c" or None) filled
+    from the constraint surface.
+
+    The given couplings must be finite, so a non-finite input is named
+    instead of the coupling derived from it.
+    """
+    given = {"a": a, "b": b, "c": c}
+    given.pop(derive, None)
+    require_finite(**given)
+    if derive == "b":
+        b = constraint_b(a, c, dim, phys)
+    elif derive == "a":
+        if b <= 0 or c <= 0:
+            raise ValueError("--derive a requires b > 0 and c > 0")
+        a = constraint_a(b, c, dim, phys, n=0)
+    elif derive == "c":
+        if a <= 0 or b <= 0:
+            raise ValueError("--derive c requires a > 0 and b > 0")
+        c = constraint_c(a, b, dim, phys)
+    return PotentialParams(a=a, b=b, c=c)
+
+
 def coulomb_ground(
     a: float, dim: DimensionSpec, phys: PhysicalParams
 ) -> tuple[Superpotential, ClosedFormState, float]:
@@ -171,13 +219,28 @@ def coulomb_ground(
     w = Superpotential(
         LaurentForm({
             0: math.sqrt(phys.mass / 2.0) * a / (lp1 * phys.hbar),
-            -1: -lp1 * phys.hbar / math.sqrt(2.0 * phys.mass),
+            -1: _barrier_coeff(lp1, phys),
         })
     )
     lam = phys.mass * a / (lp1 * phys.hbar**2)
     chi = ClosedFormState(poly=(1.0,), q=lp1, lam=lam, kap=0.0)
     epsilon = -phys.mass * a**2 / (2.0 * phys.hbar**2 * lp1**2)
     return w, chi, epsilon
+
+
+def _barrier_coeff(lp1: float, phys: PhysicalParams) -> float:
+    """1/r coefficient -(Lambda+1) hbar / sqrt(2m) of a ground superpotential."""
+    return -lp1 * phys.hbar / math.sqrt(2.0 * phys.mass)
+
+
+def _kappa(c: float, phys: PhysicalParams) -> float:
+    """Gaussian rate kap = sqrt(2mc) / (2 hbar) of every closed-form state."""
+    return math.sqrt(2.0 * phys.mass * c) / (2.0 * phys.hbar)
+
+
+def _oscillator_lambda(b: float, c: float, phys: PhysicalParams) -> float:
+    """Exponential rate sqrt(m/2) b / (hbar sqrt(c)) of the oscillator family."""
+    return math.sqrt(phys.mass / 2.0) * b / (phys.hbar * math.sqrt(c))
 
 
 def perturbation_ground_coulomb(
@@ -196,7 +259,7 @@ def perturbation_ground_coulomb(
     require_constraint(pot, dim, phys, rtol)
     m_index = dim.m_index
     dw = Superpotential(LaurentForm({1: math.sqrt(pot.c)}))
-    kap = math.sqrt(2.0 * phys.mass * pot.c) / (2.0 * phys.hbar)
+    kap = _kappa(pot.c, phys)
     phi = ClosedFormState(poly=(1.0,), q=0.0, lam=0.0, kap=kap)
     delta = (
         m_index * (m_index - 1) * pot.b * phys.hbar**2 / (4.0 * phys.mass * pot.a)
@@ -245,16 +308,14 @@ def oscillator_view_ground(
     require_constraint(pot, dim, phys)
     lp1 = dim.lam + 1.0
     sqrt_c = math.sqrt(pot.c)
-    w = Superpotential(
-        LaurentForm({1: sqrt_c, -1: -lp1 * phys.hbar / math.sqrt(2.0 * phys.mass)})
-    )
-    kap = math.sqrt(2.0 * phys.mass * pot.c) / (2.0 * phys.hbar)
+    w = Superpotential(LaurentForm({1: sqrt_c, -1: _barrier_coeff(lp1, phys)}))
+    kap = _kappa(pot.c, phys)
     chi = ClosedFormState(poly=(1.0,), q=lp1, lam=0.0, kap=kap)
     epsilon = phys.hbar * sqrt_c * (2.0 * dim.lam + 3.0) / math.sqrt(2.0 * phys.mass)
 
     dw_coeff = 0.0 if pot.b == 0 else pot.b / (2.0 * sqrt_c)
     dw = Superpotential(LaurentForm({0: dw_coeff}))
-    lam = math.sqrt(phys.mass / 2.0) * pot.b / (phys.hbar * sqrt_c)
+    lam = _oscillator_lambda(pot.b, pot.c, phys)
     phi = ClosedFormState(poly=(1.0,), q=0.0, lam=lam, kap=0.0)
     delta = -pot.b**2 / (4.0 * pot.c)
     return GroundSolution(
@@ -312,14 +373,45 @@ def spectrum(
         raise ValueError(f"linear coupling must be >= 0, got {b}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    scale = phys.hbar * math.sqrt(c) / math.sqrt(2.0 * phys.mass)
-    shift = -b**2 / (4.0 * c)
     levels = []
     for n in range(n_max + 1):
         a_n = 0.0 if b == 0 else constraint_a(b, c, dim, phys, n)
-        e_n = shift + scale * (2.0 * (n + dim.lam) + 3.0)
-        levels.append(SpectrumLevel(n=n, a_n=a_n, e_n=e_n))
+        levels.append(SpectrumLevel(n=n, a_n=a_n, e_n=level_energy(b, c, dim, phys, n)))
     return levels
+
+
+def level_energy(
+    b: float, c: float, dim: DimensionSpec, phys: PhysicalParams, n: int
+) -> float:
+    """E_n = -b^2/(4c) + (hbar sqrt(c)/sqrt(2m)) (2(n + Lambda) + 3), for c > 0."""
+    scale = phys.hbar * math.sqrt(c) / math.sqrt(2.0 * phys.mass)
+    return -b**2 / (4.0 * c) + scale * (2.0 * (n + dim.lam) + 3.0)
+
+
+def closed_level(
+    pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams, n: int
+) -> tuple[float, float]:
+    """(a used at level n, energy of level n) without the constraint gate.
+
+    Level 0 is the coulomb view's epsilon + delta when a > 0, else E_0;
+    level n >= 1 is E_n at the linear-rule a_n.  ``sweep`` prints it beside
+    the numeric eigenvalue, so off-surface rows expose the formula's failure.
+    A level with no closed form raises as ``solve`` does (level 0) or with
+    ValueError (c = 0 at n >= 1).
+    """
+    if n == 0:
+        if pot.a > 0:
+            _, _, epsilon = coulomb_ground(pot.a, dim, phys)
+            delta = 0.0
+            if pot.b > 0 or pot.c > 0:
+                _, _, delta = perturbation_ground_coulomb(pot, dim, phys, rtol=math.inf)
+            return pot.a, epsilon + delta
+        require_view(pot, dim, phys)
+        return pot.a, level_energy(pot.b, pot.c, dim, phys, 0)
+    if pot.c <= 0:
+        raise ValueError(f"level {n} has a closed form only for c > 0")
+    a_n = constraint_a(pot.b, pot.c, dim, phys, n) if pot.b > 0 else 0.0
+    return a_n, level_energy(pot.b, pot.c, dim, phys, n)
 
 
 def level_superpotential(
@@ -341,7 +433,7 @@ def level_superpotential(
     lp1 = dim.lam + n + 1.0
     return Superpotential(
         LaurentForm({
-            -1: -lp1 * phys.hbar / math.sqrt(2.0 * phys.mass),
+            -1: _barrier_coeff(lp1, phys),
             0: b / (2.0 * math.sqrt(c)),
             1: math.sqrt(c),
         })
@@ -353,8 +445,7 @@ def hierarchy_ground(
 ) -> ClosedFormState:
     """Unnormalized ground state of hierarchy level n (nodeless closed form)."""
     lp1 = dim.lam + n + 1.0
-    lam = math.sqrt(phys.mass / 2.0) * b / (phys.hbar * math.sqrt(c))
-    kap = math.sqrt(2.0 * phys.mass * c) / (2.0 * phys.hbar)
+    lam, kap = _oscillator_lambda(b, c, phys), _kappa(c, phys)
     return ClosedFormState(poly=(1.0,), q=lp1, lam=lam, kap=kap)
 
 

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import pcoulomb
-from pcoulomb import cli
+from pcoulomb import cli, report
 from pcoulomb.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_USAGE, dump_json, main
-from pcoulomb.exact import constraint_a, constraint_b, ground_state
+from pcoulomb.exact import constraint_a, constraint_b, derive_couplings, ground_state
 from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
 from pcoulomb.numerics import build_grid, eigen_lowest
 from pcoulomb.qes import qes_solve
@@ -381,6 +381,41 @@ def test_float_overflow_exits_one(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # hbar**2 underflows in the coulomb view's epsilon
+        ["verify", "--a", "1e-300", "--b", "1", "--c", "1e200", "--N", "1", "--l", "3",
+         "--derive", "b", "--hbar", "1e-300", "--rmax", "20", "--h", "0.01"],
+        # sqrt(2mc) underflows in the oscillator length of the grid sizing
+        ["eig", "--a", "1", "--c", "1e-300", "--mass", "1e-300", "--rmax", "20", "--h", "0.01"],
+        # m c overflows, so the ground state vanishes on the grid and the
+        # level-0 formula a of the oracle check underflows
+        ["verify", "--a", "1e8", "--b", "3.86", "--c", "1e200", "--N", "1", "--l", "3",
+         "--mass", "1e200", "--rmax", "5", "--h", "1e-3"],
+    ],
+)
+def test_denominator_underflow_exits_one(capsys, argv):
+    with np.errstate(all="ignore"):
+        code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("pcoulomb: error: ")
+    assert "Traceback" not in err
+
+
+def test_sweep_level_without_closed_form_exits_with_message(capsys):
+    # c = 0 has no level n >= 1; a = c = 0 has no view at n = 0, as in solve
+    code, out, err = run_cli(capsys, "sweep", "--sweep", "a=1,2", "--n", "1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "only for c > 0" in err
+    code, out, err = run_cli(capsys, "sweep", "--sweep", "c=0,0.5", "--b", "1")
+    assert (code, out) == (EXIT_CONSTRAINT, "")
+    _, _, solve_err = run_cli(capsys, "solve", "--b", "1")
+    assert err == solve_err
+    assert "no solvable view: need a > 0 or c > 0" in err
+
+
 def test_oracle_non_finite_result_exits_one(capsys):
     # the level-8 polynomials of these couplings overflow to inf and nan
     with np.errstate(all="ignore"):
@@ -543,6 +578,19 @@ def test_golden_hydrogen_verify(capsys):
     assert out == golden
 
 
+@pytest.mark.parametrize("c, derive", [(0.5, "b"), (0.0, None)])
+def test_library_verify_document_matches_cli(capsys, c, derive):
+    # the golden cases: the battery runs without argparse and gives the
+    # document the CLI prints
+    argv = ["--a", "1", "--c", str(c), "--N", "3", "--l", "0", "--out", "json"]
+    _, out, _ = run_cli(capsys, "verify", *argv, *(["--derive", derive] if derive else []))
+    phys = PhysicalParams()
+    dim = dimension_reduce(3, 0)
+    pot = derive_couplings(1.0, 0.0, c, derive, dim, phys)
+    doc = report.verify_document(pot, dim, phys, nmax=2, richardson=False)
+    assert doc == json.loads(out)
+
+
 GRID_INFO_CHECKS = (
     "ladder_level1_residual_advanced_a",
     "ladder_level1_residual_fixed_a",
@@ -556,9 +604,9 @@ def test_verification_checks_round_only_grid_info_values(monkeypatch):
     dim = dimension_reduce(3, 0)
     pot = PotentialParams(a=1.0, b=constraint_b(1.0, 0.5, dim, phys), c=0.5)
     grid = build_grid(pot, dim, phys)
-    reported = cli.verification_checks(pot, dim, phys, grid, False)
-    monkeypatch.setattr(cli, "GRID_INFO_DIGITS", 17)
-    full = cli.verification_checks(pot, dim, phys, grid, False)
+    reported = report.verification_checks(pot, dim, phys, grid, False)
+    monkeypatch.setattr(report, "GRID_INFO_DIGITS", 17)
+    full = report.verification_checks(pot, dim, phys, grid, False)
 
     assert [c["name"] for c in reported] == [c["name"] for c in full]
     for rep, raw in zip(reported, full):
@@ -696,7 +744,7 @@ def test_scipy_linalg_loaded_only_by_eigensolves():
 def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "pcoulomb.cli", "solve", "--a", "1", "--c", "0.5", "--derive", "b"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=_child_env({}),
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["views"]["coulomb"]["E"] == 1.0
