@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pcoulomb
-from pcoulomb import cli, report
+from pcoulomb import report
 from pcoulomb.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_USAGE, dump_json, main
 from pcoulomb.exact import constraint_a, constraint_b, derive_couplings, ground_state
 from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
