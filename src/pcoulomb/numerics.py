@@ -24,6 +24,12 @@ Numer. Math. 9, 386 (1967)); otherwise, and when the 4h grid would have
 fewer than 100 nodes, the unseeded index-range solve runs, so a bad seed
 costs time, never correctness.
 
+LAPACK comes from scipy's extension module ``scipy/linalg/_flapack``, which
+``_lapack`` loads on its own (see there): the solver calls only ``dstebz``
+(bisection) and ``dstein`` (inverse iteration), the routines behind
+``scipy.linalg.eigh_tridiagonal(lapack_driver="stebz")``, so no command
+imports the ``scipy.linalg`` package.
+
 Quadrature is composite trapezoid throughout.
 
 Validity note for half-integer Lambda (even M): the leading r^(Lambda+1)
@@ -36,7 +42,11 @@ extension at all; grid-based adjudication is restricted to M >= 3.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 from dataclasses import dataclass, field
 
@@ -246,17 +256,86 @@ def _tridiagonal(
     t = phys.kinetic
     diag = 2.0 * t / grid.h**2 + v_eff(grid.nodes)
     off = np.full(grid.count - 1, -t / grid.h**2)
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
+        raise ValueError("the grid Hamiltonian overflows: a matrix entry is not finite")
     return diag, off
 
 
-def _index_solve(diag: np.ndarray, off: np.ndarray, first: int, k: int) -> np.ndarray:
-    """Eigenvalues first .. first+k-1 by the unseeded index-range bisection."""
-    from scipy.linalg import eigh_tridiagonal
+#: scipy's LAPACK extension module, set by the first ``_lapack()`` call
+_FLAPACK = None
 
-    return eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(first, first + k - 1),
-        lapack_driver="stebz",
-    )
+
+def _lapack():
+    """The module that holds LAPACK's ``dstebz`` and ``dstein``.
+
+    Importing the ``scipy.linalg`` package costs about 300 ms after numpy;
+    loading its extension file ``scipy/linalg/_flapack`` alone takes a few
+    ms.  The file is found without importing scipy and registered in
+    ``sys.modules`` as ``scipy.linalg._flapack``, so a later
+    ``import scipy.linalg`` reuses it rather than loading it again.  If that
+    extension is already loaded it is reused; when it cannot be found or
+    loaded (an ImportError), the routines come from ``scipy.linalg.lapack``.
+    """
+    global _FLAPACK
+    if _FLAPACK is None:
+        try:
+            _FLAPACK = _load_flapack()
+        except ImportError:
+            from scipy.linalg import lapack
+
+            _FLAPACK = lapack
+    return _FLAPACK
+
+
+def _flapack_path() -> str:
+    """Path of scipy's ``linalg/_flapack`` extension file; scipy is not imported."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed as a package")
+    root = spec.submodule_search_locations[0]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(root, "linalg", "_flapack" + suffix)
+        if os.path.isfile(path):
+            return path
+    raise ImportError(f"no _flapack extension under {root}")
+
+
+def _load_flapack():
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.spec_from_file_location(name, _flapack_path())
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+def _check(info: int, routine: str) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info})")
+
+
+def _index_solve(diag: np.ndarray, off: np.ndarray, first: int, k: int, vectors: bool = False):
+    """Eigenvalues first .. first+k-1 by the unseeded index-range bisection.
+
+    With ``vectors``, returns (values, vectors in columns): inverse iteration
+    on the bisected values, the steps of
+    ``eigh_tridiagonal(lapack_driver="stebz")``.
+    """
+    lapack = _lapack()
+    # range=2 is RANGE='I' with 1-based indices, tolerance 0 is stebz's
+    # default; dstein wants the values ordered by block ("B"), sorted after
+    m, w, iblock, isplit, info = lapack.dstebz(
+        diag, off, 2, 0.0, 0.0, first + 1, first + k, 0.0, "B" if vectors else "E")
+    _check(info, "dstebz")
+    w = w[:m]
+    if not vectors:
+        return w
+    vecs, info = lapack.dstein(diag, off, w, iblock, isplit)
+    _check(info, "dstein")
+    order = np.argsort(w)
+    return w[order], vecs[:, order]
 
 
 def _seeded_lowest(
@@ -272,7 +351,7 @@ def _seeded_lowest(
     Otherwise the values come from the unseeded index-range bisection.  Both
     use stebz's default tolerance.
     """
-    from scipy.linalg.lapack import dstebz
+    dstebz = _lapack().dstebz
 
     def count(top: float) -> int:
         # range=1 is RANGE='V'.  Over (-inf, top] LAPACK raises the lower end
@@ -333,7 +412,8 @@ def eigen_lowest(
     that mode.
 
     Returns a list of eigenvalues, or (eigenvalues, vectors) with vectors in
-    columns when ``eigenvectors`` is set.  Vector signs are fixed so the
+    columns, found by inverse iteration (LAPACK dstein) on the bisected
+    values, when ``eigenvectors`` is set.  Vector signs are fixed so the
     largest-magnitude component is positive.
     """
     if k < 1:
@@ -349,14 +429,7 @@ def eigen_lowest(
 
     diag, off = _tridiagonal(v_eff, grid, phys)
     if eigenvectors:
-        # imported here, not at module level: scipy.linalg costs about 250 ms
-        # to load, and only grid eigensolves need it
-        from scipy.linalg import eigh_tridiagonal
-
-        vals, vecs = eigh_tridiagonal(
-            diag, off, select="i", select_range=(first, first + k - 1),
-            lapack_driver="stebz",
-        )
+        vals, vecs = _index_solve(diag, off, first, k, vectors=True)
         for j in range(vecs.shape[1]):
             lead = np.argmax(np.abs(vecs[:, j]))
             if vecs[lead, j] < 0:

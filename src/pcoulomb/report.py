@@ -218,8 +218,7 @@ def _battery(pot, dim, phys, grid, richardson, coul, osc, ground_f) -> list[dict
     if pot.b > 0 and pot.c > 0:
         sols1 = qes_solve(pot.b, pot.c, dim, phys, n=1)
         checks.extend(_oracle_checks(pot, dim, phys, sols1))
-        coul_f = ground_f if coul is not None else None
-        checks.extend(_hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, coul_f))
+        checks.extend(_hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, ground_f))
     return checks
 
 
@@ -247,11 +246,12 @@ def _oracle_checks(pot, dim, phys, sols1) -> list[dict]:
     return checks
 
 
-def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, coul_f) -> list[dict]:
+def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, ground_f) -> list[dict]:
     """Shape-invariance, ladder-state, and non-orthogonality diagnostics.
 
-    ``coul_f`` is the coulomb view's ground state normalized on the grid, or
-    None when the problem has no coulomb view (a <= 0).
+    ``ground_f`` is the exact ground state normalized on the grid: the
+    coulomb view's, or the oscillator view's when a <= 0 (both views give
+    the same state where both exist).
     """
     checks = []
     s0 = level_superpotential(pot.b, pot.c, dim, phys, 0)
@@ -303,14 +303,11 @@ def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, coul_f) -> list[dict]:
 
     nodeless = [s for s in sols1 if s.node_count == 0]
     if nodeless:
-        if coul_f is None:
-            # the overlap is defined against the coulomb view's ground state
-            raise ValueError("no bound Coulomb state for a <= 0 in this construction")
         other = oracle_state(nodeless[0], dim, phys, pot.b, pot.c)
         other_f, _ = normalize(evaluate_state(other, grid))
         checks.append(
             _grid_info_check(
-                "ground_vs_oracle_nodeless_overlap", overlap(coul_f, other_f)
+                "ground_vs_oracle_nodeless_overlap", overlap(ground_f, other_f)
             )
         )
     return checks

@@ -175,6 +175,22 @@ def test_verify_assert_failure_exits_three(capsys):
     assert by_name["riccati_coulomb_view"]["pass"] is True
 
 
+@pytest.mark.parametrize("b, exit_code", [("1e-13", EXIT_OK), ("1e-11", 3)])
+def test_verify_oscillator_view_only_runs_the_battery(capsys, b, exit_code):
+    # a = 0 on the coupling surface to within its 1e-10 gate: only the
+    # oscillator view exists, and the nodeless overlap uses its ground state;
+    # at b = 1e-11 the view's Riccati residual |b| exceeds its 1.5e-12 assert
+    code, out, _ = run_cli(
+        capsys, "verify", "--b", b, "--c", "0.5", "--rmax", "20", "--h", "0.01",
+        "--out", "json",
+    )
+    assert code == exit_code
+    by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert "riccati_coulomb_view" not in by_name
+    assert by_name["riccati_oscillator_view"]["pass"] is (exit_code == EXIT_OK)
+    assert by_name["ground_vs_oracle_nodeless_overlap"]["value"] == pytest.approx(0.976, abs=1e-3)
+
+
 def test_verify_table_lists_all_checks(capsys):
     code, out, _ = run_cli(capsys, "verify", "--a", "1", "--c", "0.5", "--derive", "b")
     assert code == EXIT_OK
@@ -714,7 +730,8 @@ def test_goldens_under_dispatch_settings(extra_env):
         assert result == default, f"{argv[0]} output moved with dispatch"
 
 
-# prints, after each argv, whether scipy.linalg has been imported so far
+# prints, after each argv, whether the scipy.linalg package and its LAPACK
+# extension have been loaded so far
 _LAPACK_CHILD = """
 import contextlib, io, json, sys
 from pcoulomb.cli import main
@@ -722,23 +739,28 @@ loaded = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-    loaded.append("scipy.linalg" in sys.modules)
+    loaded.append([name in sys.modules for name in ("scipy.linalg", "scipy.linalg._flapack")])
 sys.stdout.write(json.dumps(loaded))
 """
 
 
-def test_scipy_linalg_loaded_only_by_eigensolves():
+def test_commands_load_lapack_without_scipy_linalg():
     argvs = [
         ["solve", "--a", "1", "--c", "0.5", "--derive", "b"],
         ["oracle", "--b", "1", "--c", "0.5", "--n", "3", "--check"],
         ["eig", "--a", "1", "--c", "0.5", "--derive", "b"],
+        ["verify", "--a", "1", "--c", "0.5", "--derive", "b"],
+        ["sweep", "--sweep", "a=1,2", "--c", "0.5", "--derive", "b", "--richardson"],
     ]
     result = subprocess.run(
         [sys.executable, "-c", _LAPACK_CHILD, json.dumps(argvs)],
         capture_output=True, text=True, env=_child_env({}),
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [False, False, True]
+    linalg, flapack = zip(*json.loads(result.stdout))
+    assert linalg == (False,) * 5
+    # the first grid eigensolve (eig) loads the extension on its own
+    assert flapack == (False, False, True, True, True)
 
 
 def test_console_entry_point_runs():

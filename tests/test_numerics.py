@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -483,6 +487,96 @@ def test_single_level_is_the_stebz_index_solve(n):
     expected = _stebz_levels(diag, off, n, 1).tolist()
     assert eigen_lowest(v_eff, grid, PHYS, k=1, first=n) == expected
     assert eigen_lowest(v_eff, grid, PHYS, k=1, first=n, eigenvectors=True)[0] == expected
+
+
+# Solves P1 in a fresh interpreter, where no scipy.linalg is loaded yet, with
+# LAPACK loaded directly or, for "fallback", with the lookup of the extension
+# file made to fail; then imports scipy.linalg and checks each solve against
+# eigh_tridiagonal bit for bit.
+_LAPACK_PATH_CHILD = """
+import sys
+import numpy as np
+from pcoulomb import numerics
+from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
+
+mode = sys.argv[1]
+if mode == "fallback":
+    def _missing():
+        raise ImportError("no extension file")
+    numerics._flapack_path = _missing
+lapack = numerics._lapack()
+expected = {"direct": "scipy.linalg._flapack", "fallback": "scipy.linalg.lapack"}[mode]
+assert lapack.__name__ == expected
+assert ("scipy.linalg" in sys.modules) == (mode == "fallback")
+
+phys = PhysicalParams()
+v_eff = effective_potential(PotentialParams(a=1.0, b=1.0, c=0.5), dimension_reduce(3, 0), phys)
+grid = numerics.RadialGrid(r_max=15.0, h=0.005)
+diag, off = numerics._tridiagonal(v_eff, grid, phys)
+half = numerics._tridiagonal(v_eff, grid.halved(), phys)
+cases = [(0, 1), (0, 3), (1, 2)]  # each seeded window set proves itself
+solved = []
+for first, k in cases:
+    values = numerics._index_solve(diag, off, first, k)
+    seeded = numerics._seeded_lowest(*half, values, first, numerics.WINDOW)
+    missed = numerics._seeded_lowest(*half, values + 0.5, first, numerics.WINDOW)
+    pairs = numerics.eigen_lowest(v_eff, grid, phys, k=k, first=first, eigenvectors=True)
+    solved.append((values, seeded, missed, pairs))
+
+import scipy.linalg
+from scipy.linalg import eigh_tridiagonal
+
+assert scipy.linalg.lapack.dstebz is numerics._lapack().dstebz
+assert scipy.linalg.lapack.dstein is numerics._lapack().dstein
+
+def same(x, y):
+    assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+for (first, k), (values, seeded, missed, (pair_vals, vecs)) in zip(cases, solved):
+    levels = (first, first + k - 1)
+    same(values, eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                  select_range=levels, lapack_driver="stebz"))
+    widths = numerics.WINDOW * np.maximum(1.0, np.abs(values))
+    for j, (seed, width) in enumerate(zip(values, widths)):
+        same(seeded[j:j + 1], eigh_tridiagonal(*half, eigvals_only=True, select="v",
+             select_range=(seed - width, seed + width), lapack_driver="stebz"))
+    same(missed, eigh_tridiagonal(*half, eigvals_only=True, select="i",
+                                  select_range=levels, lapack_driver="stebz"))
+    ref_vals, ref_vecs = eigh_tridiagonal(diag, off, select="i", select_range=levels,
+                                          lapack_driver="stebz")
+    same(pair_vals, ref_vals)
+    lead = np.abs(ref_vecs).argmax(axis=0)
+    same(vecs, ref_vecs * np.sign(ref_vecs[lead, range(k)]))
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("mode", ["direct", "fallback"])
+def test_lapack_paths_match_eigh_tridiagonal(mode):
+    package_root = str(Path(numerics.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _LAPACK_PATH_CHILD, mode],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
+
+
+def test_lapack_failure_raises_linalg_error(capfd):
+    diag, off = np.linspace(1.0, 2.0, 200), np.full(199, -0.3)
+    with pytest.raises(np.linalg.LinAlgError, match="dstebz"):
+        numerics._index_solve(diag, off, 200, 1)  # level 200 of a 200 x 200 matrix
+    capfd.readouterr()  # LAPACK's own message on the illegal argument
+
+
+def test_non_finite_matrix_is_refused():
+    # c r^2 overflows at the far nodes
+    pot = PotentialParams(a=1.0, b=0.0, c=1e307)
+    v_eff = effective_potential(pot, DIM3, PHYS)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        eigen_lowest(v_eff, RadialGrid(r_max=20.0, h=0.01), PHYS)
 
 
 def test_eigen_first_validation():
