@@ -74,8 +74,7 @@ from .numerics import (
     overlap,
     sturm_count,
 )
-from .report import solve_document, verification_checks, verify_document
-from .tolerances import DEFAULT_TOLS, Tolerances
+from .report import solve_document, verify_document
 
 __all__ = [
     "DimensionSpec",
@@ -131,9 +130,6 @@ __all__ = [
     "overlap",
     "sturm_count",
     "solve_document",
-    "verification_checks",
     "verify_document",
-    "DEFAULT_TOLS",
-    "Tolerances",
     "__version__",
 ]

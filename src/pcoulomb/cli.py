@@ -10,7 +10,7 @@ Usage:
 Exit codes: 0 ok, 1 usage error, 2 constraint violation, 3 verification
 assert failure.  Output is byte-identical for identical inputs and flags;
 floats are emitted with 17 significant digits.  A plain ``key = value``
-config file (``--config PATH``) supplies defaults that explicit flags
+config file (``--config PATH``) supplies flags that explicit flags
 override; environment variables are never consulted.  The documents and the
 verification battery are built by ``pcoulomb.report``.
 """
@@ -26,7 +26,9 @@ import numpy as np
 
 from . import __version__
 from .exact import ConstraintViolation, closed_level, constraint_residual, derive_couplings
-from .model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
+from .model import (
+    DimensionSpec, PhysicalParams, PotentialParams, dimension_reduce, effective_potential,
+)
 from .numerics import build_grid, eigen_lowest, h_residual
 from .qes import oracle_state, qes_solve
 from .report import inputs_block, meta_block, solve_document, verify_document
@@ -99,9 +101,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def load_config(path: str) -> dict:
-    """Plain ``key = value`` lines; ``#`` starts a comment."""
-    values: dict[str, object] = {}
+def load_config(path: str) -> list[tuple[str, str]]:
+    """Plain ``key = value`` lines in file order; ``#`` starts a comment."""
+    pairs = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -110,25 +112,8 @@ def load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, text = line.partition("=")
-            values[key.strip()] = _coerce(text.strip())
-    return values
-
-
-def _coerce(text: str):
-    lowered = text.lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
+            pairs.append((key.strip(), text.strip()))
+    return pairs
 
 
 def _add_problem_options(sub: argparse.ArgumentParser) -> None:
@@ -145,39 +130,41 @@ def _add_problem_options(sub: argparse.ArgumentParser) -> None:
         default=None,
         help="fill this coupling from the constraint surface",
     )
-    sub.add_argument("--config", default=None, help="key = value defaults file")
+    sub.add_argument("--config", default=None, help="file of key = value flags")
 
 
-def _add_grid_options(sub: argparse.ArgumentParser) -> None:
+def _add_grid_options(sub: argparse.ArgumentParser, richardson: bool) -> None:
     sub.add_argument("--rmax", type=float, default=None, help="grid extent override")
     sub.add_argument("--h", type=float, default=None, help="grid step override")
-    sub.add_argument(
-        "--richardson", action="store_true", help="extrapolate eigenvalues over (h, h/2)"
-    )
+    if richardson:
+        sub.add_argument(
+            "--richardson", action="store_true", help="extrapolate eigenvalues over (h, h/2)"
+        )
 
 
-def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
+def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its command parsers by name."""
     parser = _Parser(prog="pcoulomb", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     solve = commands.add_parser("solve", help="closed-form solution document")
     _add_problem_options(solve)
-    _add_grid_options(solve)
+    _add_grid_options(solve, richardson=False)
     solve.add_argument("--nmax", type=int, default=2, help="levels in the spectrum block")
     solve.add_argument("--out", choices=("json", "table"), default="json")
     solve.set_defaults(func=cmd_solve)
 
     verify = commands.add_parser("verify", help="run the verification battery")
     _add_problem_options(verify)
-    _add_grid_options(verify)
+    _add_grid_options(verify, richardson=True)
     verify.add_argument("--nmax", type=int, default=2, help="levels in the spectrum block")
     verify.add_argument("--out", choices=("json", "table"), default="table")
     verify.set_defaults(func=cmd_verify)
 
     oracle = commands.add_parser("oracle", help="polynomial-ansatz constraint roots")
     _add_problem_options(oracle)
-    _add_grid_options(oracle)
+    _add_grid_options(oracle, richardson=False)
     oracle.add_argument("--n", type=int, required=True, help="level (polynomial degree)")
     oracle.add_argument(
         "--check", action="store_true", help="attach grid residuals to each solution"
@@ -186,13 +173,13 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
 
     eig = commands.add_parser("eig", help="lowest numeric eigenvalues")
     _add_problem_options(eig)
-    _add_grid_options(eig)
+    _add_grid_options(eig, richardson=True)
     eig.add_argument("--k", type=int, default=1, help="number of eigenvalues")
     eig.set_defaults(func=cmd_eig)
 
     sweep = commands.add_parser("sweep", help="CSV scan over one or two parameters")
     _add_problem_options(sweep)
-    _add_grid_options(sweep)
+    _add_grid_options(sweep, richardson=True)
     sweep.add_argument(
         "--sweep",
         action="append",
@@ -203,16 +190,17 @@ def build_parser() -> tuple[_Parser, list[argparse.ArgumentParser]]:
     sweep.add_argument("--n", type=int, default=0, help="spectrum level per row")
     sweep.set_defaults(func=cmd_sweep)
 
-    return parser, [solve, verify, oracle, eig, sweep]
+    return parser, commands.choices
 
 
-def _apply_config(
-    subparsers: list[argparse.ArgumentParser], argv: list[str]
-) -> None:
-    """Install config-file values as defaults on every command parser.
+def _with_config(commands: dict[str, argparse.ArgumentParser], argv: list[str]) -> list[str]:
+    """``argv`` with the config file's lines as flags after the command name.
 
-    Subcommands parse into their own namespace, so the defaults must be set
-    where the options live.  Explicit flags still override.
+    A line ``key = value`` becomes ``--key=value``; a switch's line takes
+    ``true`` (the switch) or ``false`` (nothing).  argparse thus converts and
+    checks each value as it does the flag's, an explicit flag later on the
+    command line overrides it, and a ``sweep`` line adds a range ahead of the
+    ``--sweep`` flags.  Keys that only other commands take are skipped.
     """
     path = None
     for i, token in enumerate(argv):
@@ -221,19 +209,33 @@ def _apply_config(
         elif token.startswith("--config="):
             path = token.split("=", 1)[1]
     if path is None:
-        return
-    config = load_config(path)
+        return argv
+    pairs = load_config(path)
     known = {
         action.dest
-        for sub in subparsers
+        for sub in commands.values()
         for action in sub._actions
         if action.dest != "help"
     }
-    unknown = sorted(set(config) - known)
+    unknown = sorted({key for key, _ in pairs} - known)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    for sub in subparsers:
-        sub.set_defaults(**config)
+    if argv[0] not in commands:
+        return argv
+    actions = {action.dest: action for action in commands[argv[0]]._actions}
+    flags = []
+    for key, text in pairs:
+        action = actions.get(key)
+        if action is None:
+            continue
+        option = action.option_strings[0]
+        if action.nargs != 0:
+            flags.append(f"{option}={text}")
+        elif text not in ("true", "false"):
+            raise ValueError(f"config key {key} takes true or false, not {text!r}")
+        elif text == "true":
+            flags.append(option)
+    return argv[:1] + flags + argv[1:]
 
 
 def _problem(args) -> tuple[PotentialParams, DimensionSpec, PhysicalParams]:
@@ -427,9 +429,9 @@ def cmd_sweep(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
+    parser, commands = build_parser()
     try:
-        _apply_config(subparsers, argv)
+        argv = _with_config(commands, argv)
     except (OSError, ValueError) as exc:
         print(f"pcoulomb: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -43,10 +43,7 @@ from .model import (
     DimensionSpec, LaurentForm, PhysicalParams, PotentialParams, require_finite,
 )
 from .susy import ClosedFormState, Superpotential, ladder_apply
-from .tolerances import DEFAULT_TOLS
-
-#: relative tolerance for accepting the coupling constraint
-CONSTRAINT_RTOL = DEFAULT_TOLS.constraint_rtol
+from .tolerances import CONSTRAINT_RTOL
 
 
 class ConstraintViolation(ValueError):

@@ -139,9 +139,6 @@ class LaurentForm:
     def coeff(self, p: int) -> float:
         return self._coeffs.get(p, 0.0)
 
-    def __getitem__(self, p: int) -> float:
-        return self.coeff(p)
-
     def as_dict(self) -> dict[int, float]:
         return dict(sorted(self._coeffs.items()))
 
@@ -234,16 +231,12 @@ def effective_potential(
     return LaurentForm({-2: barrier, -1: -pot.a, 1: pot.b, 2: pot.c})
 
 
-def classify_regime(pot: PotentialParams, prefer: str | None = None) -> str:
+def classify_regime(pot: PotentialParams) -> str:
     """Advisory tag: which exactly solvable part dominates the problem.
 
     The tag never gates a computation; both solution views run whenever the
-    coupling relation holds.  ``prefer`` overrides the default rule.
+    coupling relation holds.
     """
-    if prefer is not None:
-        if prefer not in ("coulomb-dominant", "oscillator-dominant"):
-            raise ValueError(f"unknown regime tag {prefer!r}")
-        return prefer
     if pot.a > 0 and pot.a >= pot.b and pot.a >= pot.c:
         return "coulomb-dominant"
     return "oscillator-dominant"

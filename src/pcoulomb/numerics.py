@@ -470,24 +470,19 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
 
 
 def h_residual(
-    state,
+    state: ClosedFormState,
     energy: float,
     v_eff: LaurentForm,
     phys: PhysicalParams,
-    grid: RadialGrid | None = None,
+    grid: RadialGrid,
 ) -> float:
     """Relative grid defect ||H f - E f|| / ||f|| on interior nodes.
 
-    Accepts a closed-form state (evaluated on ``grid``) or a ready
-    GridFunction.  Three nodes at each boundary are excluded so Dirichlet
-    truncation does not pollute the measurement.
+    ``state`` is a closed-form state, evaluated on ``grid``.  Three nodes at
+    each boundary are excluded so Dirichlet truncation does not pollute the
+    measurement.
     """
-    if isinstance(state, GridFunction):
-        f = state
-    else:
-        if grid is None:
-            raise ValueError("a grid is required to evaluate a closed-form state")
-        f = evaluate_state(state, grid)
+    f = evaluate_state(state, grid)
     hf = hamiltonian_apply(v_eff, f, phys)
     defect = hf.values - energy * f.values
     sl = slice(RESIDUAL_TRIM, -RESIDUAL_TRIM)

@@ -59,13 +59,10 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .model import DimensionSpec, PhysicalParams
-from .tolerances import DEFAULT_TOLS
+from .tolerances import ROOT_RTOL  # the stated root accuracy, see above
 
 #: maximum supported polynomial degree of the ansatz
 MAX_LEVEL = 8
-
-#: stated accuracy of every root, relative to the level's largest |root|
-ROOT_RTOL = DEFAULT_TOLS.root_bisect_rtol
 
 
 @dataclass(frozen=True)

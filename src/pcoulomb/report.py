@@ -47,7 +47,6 @@ from .model import (
 )
 from .numerics import (
     GridFunction,
-    RadialGrid,
     build_grid,
     eigen_lowest,
     evaluate_state,
@@ -63,13 +62,9 @@ from .susy import (
     riccati_residual,
     shape_invariance_compare,
 )
-from .tolerances import DEFAULT_TOLS, GRID_INFO_DIGITS
-
-#: assert-check tolerances used by the verification report
-TOL_RICCATI = DEFAULT_TOLS.riccati
-TOL_DUAL_VIEW = DEFAULT_TOLS.dual_view
-TOL_EIGEN = DEFAULT_TOLS.eigen_vs_closed
-TOL_ORACLE_ROOT = DEFAULT_TOLS.oracle_root_rel
+from .tolerances import (
+    GRID_INFO_DIGITS, TOL_DUAL_VIEW, TOL_EIGEN, TOL_ORACLE_ROOT, TOL_RICCATI,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +162,6 @@ def _grid_info_check(name, value) -> dict:
     """Info check on closed-form states sampled on the grid, at the digits
     that are the same on every host (``GRID_INFO_DIGITS``)."""
     return _check(name, "info", float("%.*g" % (GRID_INFO_DIGITS, value)))
-
-
-def verification_checks(
-    pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams,
-    grid: RadialGrid, richardson: bool,
-) -> list[dict]:
-    """The battery of assert and info checks for one problem instance."""
-    coul, osc = _solution_views(pot, dim, phys)
-    ground_f, _ = normalize(evaluate_state((coul or osc).psi, grid))
-    return _battery(pot, dim, phys, grid, richardson, coul, osc, ground_f)
 
 
 def _battery(pot, dim, phys, grid, richardson, coul, osc, ground_f) -> list[dict]:

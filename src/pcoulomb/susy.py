@@ -67,15 +67,14 @@ class ClosedFormState:
     ``poly`` holds the coefficients of P in ascending order (p_0 .. p_deg).
     The state is normalizable iff q > -1/2 and at least one of lam, kap is
     positive.  Its node count for r > 0 equals the number of positive real
-    roots of P.  ``norm`` is the L2 normalization factor once computed, else
-    None.
+    roots of P.  It carries no normalization factor; ``numerics.normalize``
+    computes one on a grid.
     """
 
     poly: tuple[float, ...] = (1.0,)
     q: float = 0.0
     lam: float = 0.0
     kap: float = 0.0
-    norm: float | None = None
 
     def __post_init__(self) -> None:
         if not self.poly:
@@ -116,9 +115,6 @@ class ClosedFormState:
         if vals.ndim == 0:
             return float(vals)
         return vals
-
-    def with_norm(self, norm: float) -> "ClosedFormState":
-        return ClosedFormState(self.poly, self.q, self.lam, self.kap, norm)
 
 
 @dataclass(frozen=True)

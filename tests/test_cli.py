@@ -541,6 +541,85 @@ def test_config_equals_form_and_unknown_keys(tmp_path, capsys):
     assert "unknown config keys: bogus_key" in err
 
 
+def run_cli_usage(capsys, *argv):
+    """``run_cli`` for argv that argparse rejects: its SystemExit code is the exit code."""
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return err.value.code, captured.out, captured.err
+
+
+_SURFACE_CONFIG = "a = 1\nc = 0.5\nderive = b\n"
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("solve", "a = true", "argument --a: invalid float value: 'true'"),
+    ("solve", "N = 3.5", "argument --N: invalid int value: '3.5'"),
+    ("eig", "k = 2.5", "argument --k: invalid int value: '2.5'"),
+    ("solve", "out = xml", "argument --out: invalid choice: 'xml'"),
+    ("solve", "derive = d", "argument --derive: invalid choice: 'd'"),
+])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, command, line, message):
+    config = tmp_path / "run.conf"
+    config.write_text(_SURFACE_CONFIG + line + "\n")
+    code, out, err = run_cli_usage(capsys, command, "--config", str(config))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert message in err
+
+
+def test_config_switch_takes_true_or_false(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    argv = ["verify", "--config", str(config), "--out", "json"]
+    for text, expected in (("true", True), ("false", False)):
+        config.write_text(_SURFACE_CONFIG + f"richardson = {text}\n")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["inputs"]["grid"]["richardson"] is expected
+
+    config.write_text(_SURFACE_CONFIG + "richardson = yes\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "config key richardson takes true or false, not 'yes'" in err
+
+
+def test_config_skips_keys_of_other_commands(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text(_SURFACE_CONFIG + "k = 2\nrichardson = true\nsweep = a=1,2\n")
+    code, out, _ = run_cli(capsys, "solve", "--config", str(config))
+    assert code == EXIT_OK
+    assert json.loads(out)["inputs"]["b"] == 1.0
+
+
+def test_config_sweep_line_adds_a_range_ahead_of_the_flags(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("c = 0.5\nderive = b\nsweep = a=0.5,1\n")
+    base = ["--c", "0.5", "--derive", "b"]
+    code, out, _ = run_cli(capsys, "sweep", "--config", str(config))
+    assert (code, out) == run_cli(capsys, "sweep", "--sweep", "a=0.5,1", *base)[:2]
+    assert code == EXIT_OK and len(out.splitlines()) == 3
+
+    code, out, _ = run_cli(capsys, "sweep", "--config", str(config), "--sweep", "c=0.5,1")
+    expected = run_cli(capsys, "sweep", "--sweep", "a=0.5,1", "--sweep", "c=0.5,1", *base)
+    assert (code, out) == expected[:2]
+    assert code == EXIT_OK and len(out.splitlines()) == 5
+
+    code, out, err = run_cli(
+        capsys, "sweep", "--config", str(config), "--sweep", "c=0.5,1", "--sweep", "l=0,1"
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "at most two sweep parameters" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--a", "1", "--c", "0.5", "--derive", "b"],
+    ["oracle", "--b", "1", "--c", "0.5", "--n", "1"],
+])
+def test_richardson_only_on_grid_eigenvalue_commands(capsys, argv):
+    code, out, err = run_cli_usage(capsys, *argv, "--richardson")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments: --richardson" in err
+
+
 # -- determinism and schema --------------------------------------------------------
 
 def test_verify_byte_identical(capsys):
@@ -620,9 +699,14 @@ def test_verification_checks_round_only_grid_info_values(monkeypatch):
     dim = dimension_reduce(3, 0)
     pot = PotentialParams(a=1.0, b=constraint_b(1.0, 0.5, dim, phys), c=0.5)
     grid = build_grid(pot, dim, phys)
-    reported = report.verification_checks(pot, dim, phys, grid, False)
+
+    def battery():
+        doc = report.verify_document(pot, dim, phys, 2, False, r_max=grid.r_max, h=grid.h)
+        return doc["checks"]
+
+    reported = battery()
     monkeypatch.setattr(report, "GRID_INFO_DIGITS", 17)
-    full = report.verification_checks(pot, dim, phys, grid, False)
+    full = battery()
 
     assert [c["name"] for c in reported] == [c["name"] for c in full]
     for rep, raw in zip(reported, full):

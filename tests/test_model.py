@@ -96,9 +96,6 @@ def test_classify_regime():
     assert classify_regime(PotentialParams(a=1.0, b=1.0, c=0.5)) == "coulomb-dominant"
     assert classify_regime(PotentialParams(a=0.1, b=0.1, c=10.0)) == "oscillator-dominant"
     assert classify_regime(PotentialParams(a=1.0)) == "coulomb-dominant"
-    assert classify_regime(PotentialParams(c=1.0), prefer="coulomb-dominant") == "coulomb-dominant"
-    with pytest.raises(ValueError):
-        classify_regime(PotentialParams(a=1.0), prefer="bogus")
 
 
 # -- LaurentForm algebra -----------------------------------------------------
