@@ -94,7 +94,15 @@ def _csv_cell(value) -> str:
 # argument handling
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit with code 1."""
+    """argparse variant whose usage errors exit with code 1.
+
+    Options must be spelled out: an abbreviation such as ``--conf`` would
+    parse as ``--config`` while ``_with_config``, which reads the literal
+    tokens, skipped the file.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -12,17 +12,21 @@ bisection (Sturm sequence) driver of the symmetric tridiagonal eigenproblem;
 ``sturm_count`` exposes the raw eigenvalue-counting recurrence so the solver
 can be cross-checked independently.
 
-A Richardson pair is solved along a seeding chain 4h -> h -> h/2.  The
-requested levels first .. first+k-1 are bisected on a grid of step
-COARSEN * h (a quarter of the nodes) from the Gershgorin interval; the h
-values are then bisected inside the windows E_j(4h) -+ COARSE_WINDOW *
-max(1, |E_j|), and the h/2 values inside E_j(h) -+ WINDOW * max(1, |E_j|):
-about 22 and 18 Sturm sweeps per value instead of 57 (a window 20 times
-wider costs log2(20) more).  Each window set is used only when Sturm counts
-prove that window j holds eigenvalue first + j (Barth, Martin & Wilkinson,
-Numer. Math. 9, 386 (1967)); otherwise, and when the 4h grid would have
-fewer than 100 nodes, the unseeded index-range solve runs, so a bad seed
-costs time, never correctness.
+Every grid solve runs one seeding chain, 4h -> h, extended to h/2 for a
+Richardson pair.  The requested levels first .. first+k-1 are bisected on a
+grid of step COARSEN * h (a quarter of the nodes) from the Gershgorin
+interval; the h values are then bisected inside the windows E_j(4h) -+
+COARSE_WINDOW * max(1, |E_j|), and the h/2 values inside E_j(h) -+ WINDOW *
+max(1, |E_j|): about 22 and 18 Sturm sweeps per value instead of 57 (a
+window 20 times wider costs log2(20) more).  Each window set is used only
+when Sturm counts prove that window j holds eigenvalue first + j (Barth,
+Martin & Wilkinson, Numer. Math. 9, 386 (1967)); otherwise, and when the 4h
+grid would have fewer than 100 nodes, the unseeded index-range solve of the
+h grid runs, so a bad seed costs time, never correctness.  Eigenvectors are
+found by inverse iteration on the h values the chain produced, windowed or
+fallen back; only the levels asked for are iterated.  Seeds come from the
+coarse grid only, never from a closed form, so this oracle stays
+independent of the constructions it checks.
 
 LAPACK comes from scipy's extension module ``scipy/linalg/_flapack``, which
 ``_lapack`` loads on its own (see there): the solver calls only ``dstebz``
@@ -74,8 +78,8 @@ MAX_NODES = 2**24
 #: (the largest h -> h/2 shift measured on sweep rows is 8.5e-7 relative)
 WINDOW = 1e-5
 
-#: step ratio of the grid whose eigenvalues seed the h solve of a
-#: Richardson pair (a quarter of the nodes)
+#: step ratio of the grid whose eigenvalues seed every h solve (a quarter
+#: of the nodes)
 COARSEN = 4
 
 #: half-width of the windows around the 4h eigenvalues in which the h
@@ -323,24 +327,32 @@ def _index_solve(diag: np.ndarray, off: np.ndarray, first: int, k: int, vectors:
     on the bisected values, the steps of
     ``eigh_tridiagonal(lapack_driver="stebz")``.
     """
-    lapack = _lapack()
     # range=2 is RANGE='I' with 1-based indices, tolerance 0 is stebz's
-    # default; dstein wants the values ordered by block ("B"), sorted after
-    m, w, iblock, isplit, info = lapack.dstebz(
+    # default; dstein wants the values ordered by block ("B")
+    m, w, iblock, isplit, info = _lapack().dstebz(
         diag, off, 2, 0.0, 0.0, first + 1, first + k, 0.0, "B" if vectors else "E")
     _check(info, "dstebz")
-    w = w[:m]
     if not vectors:
-        return w
-    vecs, info = lapack.dstein(diag, off, w, iblock, isplit)
+        return w[:m]
+    return _inverse_iteration(diag, off, w[:m], iblock, isplit)
+
+
+def _inverse_iteration(diag, off, w, iblock, isplit):
+    """(values ascending, vectors in columns) by LAPACK ``dstein``.
+
+    ``w`` and the first len(w) entries of ``iblock`` are grouped by split-off
+    block, as ``dstebz`` orders them with "B"; ``isplit`` is ``dstebz``'s.
+    """
+    vecs, info = _lapack().dstein(diag, off, w, iblock, isplit)
     _check(info, "dstein")
     order = np.argsort(w)
     return w[order], vecs[:, order]
 
 
 def _seeded_lowest(
-    diag: np.ndarray, off: np.ndarray, seeds, first: int, window: float
-) -> np.ndarray:
+    diag: np.ndarray, off: np.ndarray, seeds, first: int, window: float,
+    vectors: bool = False,
+):
     """Eigenvalues first .. first+k-1, each bisected in a window around a seed.
 
     Window j is (s_j - w_j, s_j + w_j] with w_j = window * max(1, |s_j|) and
@@ -349,7 +361,9 @@ def _seeded_lowest(
     below the top window edge and, when first > 0, exactly first lie at or
     below the lowest edge; then window j holds eigenvalue first + j.
     Otherwise the values come from the unseeded index-range bisection.  Both
-    use stebz's default tolerance.
+    use stebz's default tolerance.  With ``vectors``, returns (values,
+    vectors in columns) as ``_index_solve`` does, by inverse iteration on
+    whichever values were found.
     """
     dstebz = _lapack().dstebz
 
@@ -369,15 +383,22 @@ def _seeded_lowest(
         and count(highs[-1]) == first + k
         and (first == 0 or count(lows[0]) == first)
     ):
-        values = []
+        values, blocks = [], []
         for low, high in zip(lows, highs):
-            m, w, _, _, info = dstebz(diag, off, 1, low, high, 0, 0, 0.0, "E")
+            m, w, iblock, isplit, info = dstebz(diag, off, 1, low, high, 0, 0, 0.0, "B")
             if info != 0 or m != 1:
                 break
             values.append(w[0])
+            blocks.append(iblock[0])
         else:
-            return np.array(values)
-    return _index_solve(diag, off, first, k)
+            values = np.array(values)
+            if not vectors:
+                return values
+            # ascending values, stably grouped by block, stay ascending in each
+            by_block = np.argsort(blocks, kind="stable")
+            iblock[:k] = np.take(blocks, by_block)
+            return _inverse_iteration(diag, off, values[by_block], iblock, isplit)
+    return _index_solve(diag, off, first, k, vectors)
 
 
 def eigen_lowest(
@@ -392,29 +413,33 @@ def eigen_lowest(
 ):
     """Eigenvalues first .. first+k-1 of the discretized problem, ascending.
 
-    ``first`` = 0 (the default) gives the lowest k.  Uses the LAPACK
-    bisection driver (Sturm sequence) for the symmetric tridiagonal matrix,
-    which is deterministic.  It bisects to its default tolerance
-    ULP * ||T||_1 (about 4 eps T / h^2), not to the roundoff of the
-    eigenvalue itself: on the h and h/2 grids of the benchmark's sweeps the
-    values are off by 5e-12 to 7e-9 against a tight-tolerance solve.  The
-    last digits of a level depend on which levels are solved together, so
-    ``k=1, first=n`` and ``k=n+1`` can differ in level n within that floor.
-    With ``richardson`` the values are extrapolated over (h, h/2), pushing
-    the discretization error from O(h^2) to O(h^4); the h values are
-    bisected in windows around the values of the 4h grid, and the h/2 values
-    in windows around the h values (see the module docstring).  A window
-    set that fails its Sturm-count proof, or a 4h grid of fewer than 100
-    nodes, falls back to the unseeded index-range bisection.  The
-    extrapolation inherits the bisection floor: on n = 0 sweep rows with
-    odd M its error against the closed form is 4e-11 to 3.3e-9, and 1e-13
-    to 1.4e-9 with a tight tolerance.  Eigenvectors are not available in
-    that mode.
+    ``first`` = 0 (the default) gives the lowest k.  Every call runs the
+    seeding chain of the module docstring: the levels are bisected from the
+    Gershgorin interval on the grid of step COARSEN * h, then on this grid
+    inside windows around those values; with ``richardson`` the h/2 values
+    are bisected in windows around the h values, and the pair is
+    extrapolated over (h, h/2), pushing the discretization error from O(h^2)
+    to O(h^4).  A window set that fails its Sturm-count proof, or a coarse
+    grid of fewer than 100 nodes, falls back to the unseeded index-range
+    bisection of this grid.  The seeds come from the coarse grid alone, so
+    the values are independent of any closed form.
 
-    Returns a list of eigenvalues, or (eigenvalues, vectors) with vectors in
-    columns, found by inverse iteration (LAPACK dstein) on the bisected
-    values, when ``eigenvectors`` is set.  Vector signs are fixed so the
-    largest-magnitude component is positive.
+    The LAPACK bisection driver (Sturm sequence) is deterministic.  It
+    bisects to its default tolerance ULP * ||T||_1 (about 4 eps T / h^2), not
+    to the roundoff of the eigenvalue itself: on the h and h/2 grids of the
+    benchmark's sweeps the values are off by 5e-12 to 7e-9 against a
+    tight-tolerance solve.  The last digits of a level depend on the window
+    or index range it was bisected in, so ``k=1, first=n`` and ``k=n+1`` can
+    differ in level n within that floor, and so can a window solve and the
+    index-range fallback.  The extrapolation inherits the floor: on n = 0
+    sweep rows with odd M its error against the closed form is 4e-11 to
+    3.3e-9, and 1e-13 to 1.4e-9 with a tight tolerance.
+
+    Returns a list of eigenvalues, or, when ``eigenvectors`` is set,
+    (eigenvalues, vectors in columns): inverse iteration (LAPACK dstein) on
+    the chain's values, windowed or fallen back, of this grid.  Vector signs
+    are fixed so the largest-magnitude component is positive.  Eigenvectors
+    are not available with ``richardson``.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -428,24 +453,24 @@ def eigen_lowest(
         raise ValueError("eigenvectors are not defined for extrapolated values")
 
     diag, off = _tridiagonal(v_eff, grid, phys)
+    try:
+        coarse = RadialGrid(r_max=grid.r_max, h=COARSEN * grid.h)
+    except ValueError:
+        solved = _index_solve(diag, off, first, k, eigenvectors)
+    else:
+        seeds = _index_solve(*_tridiagonal(v_eff, coarse, phys), first, k)
+        solved = _seeded_lowest(diag, off, seeds, first, COARSE_WINDOW, eigenvectors)
     if eigenvectors:
-        vals, vecs = _index_solve(diag, off, first, k, vectors=True)
+        vals, vecs = solved
         for j in range(vecs.shape[1]):
             lead = np.argmax(np.abs(vecs[:, j]))
             if vecs[lead, j] < 0:
                 vecs[:, j] = -vecs[:, j]
         return [float(v) for v in vals], vecs
     if not richardson:
-        return [float(v) for v in _index_solve(diag, off, first, k)]
-    try:
-        coarse = RadialGrid(r_max=grid.r_max, h=COARSEN * grid.h)
-    except ValueError:
-        vals = _index_solve(diag, off, first, k)
-    else:
-        seeds = _index_solve(*_tridiagonal(v_eff, coarse, phys), first, k)
-        vals = _seeded_lowest(diag, off, seeds, first, COARSE_WINDOW)
-    fine = _seeded_lowest(*_tridiagonal(v_eff, grid.halved(), phys), vals, first, WINDOW)
-    return [float((4.0 * ef - ec) / 3.0) for ec, ef in zip(vals, fine)]
+        return [float(v) for v in solved]
+    fine = _seeded_lowest(*_tridiagonal(v_eff, grid.halved(), phys), solved, first, WINDOW)
+    return [float((4.0 * ef - ec) / 3.0) for ec, ef in zip(solved, fine)]
 
 
 def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:

@@ -278,8 +278,8 @@ def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, ground_f) -> list[dict
     )
 
     ladder_f, _ = normalize(evaluate_state(ladder, grid))
-    _, vecs = eigen_lowest(v_up, grid, phys, k=2, eigenvectors=True)
-    numeric_excited = GridFunction(grid=grid, values=vecs[:, 1])
+    _, vecs = eigen_lowest(v_up, grid, phys, k=1, eigenvectors=True, first=1)
+    numeric_excited = GridFunction(grid=grid, values=vecs[:, 0])
     checks.append(
         _grid_info_check(
             "ladder_vs_numeric_overlap", abs(overlap(ladder_f, numeric_excited))

@@ -550,6 +550,7 @@ def run_cli_usage(capsys, *argv):
 
 
 _SURFACE_CONFIG = "a = 1\nc = 0.5\nderive = b\n"
+_SURFACE_FLAGS = ("--a", "1", "--c", "0.5", "--derive", "b")
 
 
 @pytest.mark.parametrize("command, line, message", [
@@ -608,6 +609,23 @@ def test_config_sweep_line_adds_a_range_ahead_of_the_flags(tmp_path, capsys):
     )
     assert (code, out) == (EXIT_USAGE, "")
     assert "at most two sweep parameters" in err
+
+
+def test_option_abbreviations_are_refused(tmp_path, capsys):
+    # "--conf" used to parse as --config while the file was never read
+    config = tmp_path / "run.conf"
+    config.write_text(_SURFACE_CONFIG)
+    for argv in (["--config", str(config)], [f"--config={config}"]):
+        code, out, _ = run_cli(capsys, "solve", *argv)
+        assert code == EXIT_OK
+        assert json.loads(out)["inputs"]["b"] == 1.0
+    for argv in (["--conf", str(config)], [f"--conf={config}"]):
+        code, out, err = run_cli_usage(capsys, "solve", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"unrecognized arguments: {' '.join(argv)}" in err
+    code, out, err = run_cli_usage(capsys, "verify", *_SURFACE_FLAGS, "--rich")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments: --rich" in err
 
 
 @pytest.mark.parametrize("argv", [

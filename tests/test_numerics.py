@@ -386,15 +386,37 @@ def test_seeded_windows_fall_back_to_unseeded():
     for name, seeds in bad_seeds.items():
         values = _seeded_lowest(diag, off, seeds, 0, WINDOW)
         assert values.tolist() == unseeded.tolist(), name
+        _assert_same_pairs(_seeded_lowest(diag, off, seeds, 0, WINDOW, vectors=True),
+                           numerics._index_solve(diag, off, 0, k, vectors=True), name)
+
+
+def _assert_same_pairs(pairs, expected, name):
+    """(values, vectors) equal bit for bit."""
+    for got, want in zip(pairs, expected):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+
+
+def _chain(v_eff, grid, first, k):
+    """The h values of the 4h -> h chain composed from its parts: the coarse
+    grid's index-range values, then a window around each on the h grid."""
+    coarse = RadialGrid(r_max=grid.r_max, h=COARSEN * grid.h)
+    seeds = _stebz_levels(*_matrix(v_eff, coarse), first, k)
+    return _seeded_lowest(*_matrix(v_eff, grid), seeds, first, COARSE_WINDOW)
 
 
 def test_eigen_lowest_is_the_stebz_index_solve():
-    # non-extrapolated values are the plain index-range bisection, bit for bit
+    # values and vectors' values are the seeded chain's, bit for bit, and
+    # within stebz's tolerance of the plain index-range bisection.  Level 3
+    # moves by 2.2e-4 relative from 4h to h on this grid, outside its
+    # COARSE_WINDOW, so here (and at n = 3 below) the chain falls back
     grid = RadialGrid(r_max=15.0, h=0.005)
     v_eff = effective_potential(P1, DIM3, PHYS)
-    expected = _stebz_lowest(*_matrix(v_eff, grid), 4).tolist()
-    assert eigen_lowest(v_eff, grid, PHYS, k=4) == expected
-    assert eigen_lowest(v_eff, grid, PHYS, k=4, eigenvectors=True)[0] == expected
+    diag, off = _matrix(v_eff, grid)
+    expected = _chain(v_eff, grid, 0, 4)
+    assert eigen_lowest(v_eff, grid, PHYS, k=4) == expected.tolist()
+    assert eigen_lowest(v_eff, grid, PHYS, k=4, eigenvectors=True)[0] == expected.tolist()
+    np.testing.assert_allclose(
+        expected, _stebz_lowest(diag, off, 4), rtol=0, atol=_bisection_tol(diag, off))
 
 
 def _stebz_levels(diag, off, first, k):
@@ -464,6 +486,23 @@ def test_seeded_windows_with_first_fall_back_to_unseeded():
     for name, seeds in bad_seeds.items():
         values = _seeded_lowest(diag, off, seeds, first, WINDOW)
         assert values.tolist() == unseeded.tolist(), name
+        _assert_same_pairs(_seeded_lowest(diag, off, seeds, first, WINDOW, vectors=True),
+                           numerics._index_solve(diag, off, first, k, vectors=True), name)
+
+
+def test_seeded_vectors_of_a_split_matrix(monkeypatch):
+    # a zero off-diagonal splits the matrix into two blocks whose levels
+    # interleave, so the windowed values reach dstein regrouped by block
+    diag = np.concatenate((np.linspace(1.0, 2.0, 100), np.linspace(1.03, 2.03, 100)))
+    off = np.full(199, -0.3)
+    off[99] = 0.0
+    values, vectors = numerics._index_solve(diag, off, 0, 4, vectors=True)
+    in_second = np.sum(vectors[100:] ** 2, axis=0)
+    np.testing.assert_allclose(in_second, [0.0, 1.0, 0.0, 1.0], atol=1e-12)
+    monkeypatch.setattr(numerics, "_index_solve", _no_fallback)
+    seeded, seeded_vectors = _seeded_lowest(diag, off, values, 0, WINDOW, vectors=True)
+    np.testing.assert_allclose(seeded, values, rtol=0, atol=_bisection_tol(diag, off))
+    assert np.all(np.abs(np.sum(seeded_vectors * vectors, axis=0)) >= 1.0 - 1e-12)
 
 
 def test_richardson_without_coarse_grid_is_unseeded_at_h():
@@ -480,19 +519,57 @@ def test_richardson_without_coarse_grid_is_unseeded_at_h():
 
 @pytest.mark.parametrize("n", range(4))
 def test_single_level_is_the_stebz_index_solve(n):
-    # non-extrapolated levels are the plain index-range bisection, bit for bit
+    # a single level is the seeded chain's, bit for bit, and within stebz's
+    # tolerance of the plain index-range bisection
     grid = RadialGrid(r_max=15.0, h=0.005)
     v_eff = effective_potential(P1, DIM3, PHYS)
     diag, off = _matrix(v_eff, grid)
-    expected = _stebz_levels(diag, off, n, 1).tolist()
-    assert eigen_lowest(v_eff, grid, PHYS, k=1, first=n) == expected
-    assert eigen_lowest(v_eff, grid, PHYS, k=1, first=n, eigenvectors=True)[0] == expected
+    expected = _chain(v_eff, grid, n, 1)
+    assert eigen_lowest(v_eff, grid, PHYS, k=1, first=n) == expected.tolist()
+    assert eigen_lowest(v_eff, grid, PHYS, k=1, first=n, eigenvectors=True)[0] == expected.tolist()
+    np.testing.assert_allclose(
+        expected, _stebz_levels(diag, off, n, 1), rtol=0, atol=_bisection_tol(diag, off))
+
+
+@pytest.mark.parametrize("a, c, n_dim, ell", SWEEP_LIKE)
+def test_eigen_lowest_windows_prove_themselves(a, c, n_dim, ell, monkeypatch):
+    dim = dimension_reduce(n_dim, ell)
+    pot = PotentialParams(a=a, b=constraint_b(a, c, dim, PHYS), c=c)
+    v_eff = effective_potential(pot, dim, PHYS)
+    grid = build_grid(pot, dim, PHYS)
+    index_solve = numerics._index_solve
+
+    def coarse_only(diag, off, first, k, vectors=False):
+        if len(diag) == grid.count:
+            raise AssertionError("the h grid fell back to the unseeded solve")
+        return index_solve(diag, off, first, k, vectors)
+
+    monkeypatch.setattr(numerics, "_index_solve", coarse_only)
+    for first in range(3):
+        for k in range(1, 4):
+            values = eigen_lowest(v_eff, grid, PHYS, k=k, first=first)
+            pair_values, vecs = eigen_lowest(
+                v_eff, grid, PHYS, k=k, first=first, eigenvectors=True)
+            assert pair_values == values
+            assert vecs.shape == (grid.count, k)
+
+
+@pytest.mark.parametrize("a, c, n_dim, ell", SWEEP_LIKE)
+def test_seeded_level_one_vector_matches_index_solve(a, c, n_dim, ell):
+    dim = dimension_reduce(n_dim, ell)
+    pot = PotentialParams(a=a, b=constraint_b(a, c, dim, PHYS), c=c)
+    v_eff = effective_potential(pot, dim, PHYS)
+    grid = build_grid(pot, dim, PHYS)
+    _, vecs = eigen_lowest(v_eff, grid, PHYS, k=1, first=1, eigenvectors=True)
+    _, expected = numerics._index_solve(*_matrix(v_eff, grid), 1, 1, vectors=True)
+    assert abs(float(vecs[:, 0] @ expected[:, 0])) >= 1.0 - 1e-12
 
 
 # Solves P1 in a fresh interpreter, where no scipy.linalg is loaded yet, with
 # LAPACK loaded directly or, for "fallback", with the lookup of the extension
 # file made to fail; then imports scipy.linalg and checks each solve against
-# eigh_tridiagonal bit for bit.
+# eigh_tridiagonal, or for eigen_lowest's vectors against scipy's own
+# dstebz/dstein composed as the chain does, bit for bit.
 _LAPACK_PATH_CHILD = """
 import sys
 import numpy as np
@@ -514,14 +591,17 @@ v_eff = effective_potential(PotentialParams(a=1.0, b=1.0, c=0.5), dimension_redu
 grid = numerics.RadialGrid(r_max=15.0, h=0.005)
 diag, off = numerics._tridiagonal(v_eff, grid, phys)
 half = numerics._tridiagonal(v_eff, grid.halved(), phys)
+coarse = numerics._tridiagonal(
+    v_eff, numerics.RadialGrid(r_max=grid.r_max, h=numerics.COARSEN * grid.h), phys)
 cases = [(0, 1), (0, 3), (1, 2)]  # each seeded window set proves itself
 solved = []
 for first, k in cases:
     values = numerics._index_solve(diag, off, first, k)
+    index_pairs = numerics._index_solve(diag, off, first, k, vectors=True)
     seeded = numerics._seeded_lowest(*half, values, first, numerics.WINDOW)
     missed = numerics._seeded_lowest(*half, values + 0.5, first, numerics.WINDOW)
     pairs = numerics.eigen_lowest(v_eff, grid, phys, k=k, first=first, eigenvectors=True)
-    solved.append((values, seeded, missed, pairs))
+    solved.append((values, index_pairs, seeded, missed, pairs))
 
 import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
@@ -532,21 +612,36 @@ assert scipy.linalg.lapack.dstein is numerics._lapack().dstein
 def same(x, y):
     assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
-for (first, k), (values, seeded, missed, (pair_vals, vecs)) in zip(cases, solved):
+for (first, k), (values, index_pairs, seeded, missed, pairs) in zip(cases, solved):
     levels = (first, first + k - 1)
     same(values, eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                   select_range=levels, lapack_driver="stebz"))
+    ref_vals, ref_vecs = eigh_tridiagonal(diag, off, select="i", select_range=levels,
+                                          lapack_driver="stebz")
+    same(index_pairs[0], ref_vals)
+    same(index_pairs[1], ref_vecs)
     widths = numerics.WINDOW * np.maximum(1.0, np.abs(values))
     for j, (seed, width) in enumerate(zip(values, widths)):
         same(seeded[j:j + 1], eigh_tridiagonal(*half, eigvals_only=True, select="v",
              select_range=(seed - width, seed + width), lapack_driver="stebz"))
     same(missed, eigh_tridiagonal(*half, eigvals_only=True, select="i",
                                   select_range=levels, lapack_driver="stebz"))
-    ref_vals, ref_vecs = eigh_tridiagonal(diag, off, select="i", select_range=levels,
-                                          lapack_driver="stebz")
-    same(pair_vals, ref_vals)
-    lead = np.abs(ref_vecs).argmax(axis=0)
-    same(vecs, ref_vecs * np.sign(ref_vecs[lead, range(k)]))
+    # eigen_lowest: a stebz window around each coarse value, then dstein on
+    # the windowed values with stebz's block numbers and split points
+    seeds = eigh_tridiagonal(*coarse, eigvals_only=True, select="i",
+                             select_range=levels, lapack_driver="stebz")
+    widths = numerics.COARSE_WINDOW * np.maximum(1.0, np.abs(seeds))
+    windows = [scipy.linalg.lapack.dstebz(diag, off, 1, s - w, s + w, 0, 0, 0.0, "B")
+               for s, w in zip(seeds, widths)]
+    assert [win[0] for win in windows] == [1] * k
+    chain_vals = np.array([win[1][0] for win in windows])
+    iblock, isplit = windows[-1][2], windows[-1][3]
+    iblock[:k] = [win[2][0] for win in windows]
+    chain_vecs, info = scipy.linalg.lapack.dstein(diag, off, chain_vals, iblock, isplit)
+    assert info == 0
+    same(pairs[0], chain_vals)
+    lead = np.abs(chain_vecs).argmax(axis=0)
+    same(pairs[1], chain_vecs * np.sign(chain_vecs[lead, range(k)]))
 print("ok")
 """
 
