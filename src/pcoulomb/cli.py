@@ -29,7 +29,7 @@ from .exact import ConstraintViolation, closed_level, constraint_residual, deriv
 from .model import (
     DimensionSpec, PhysicalParams, PotentialParams, dimension_reduce, effective_potential,
 )
-from .numerics import build_grid, eigen_lowest, h_residual
+from .numerics import build_grid, eigen_lowest, evaluate_state, h_residual
 from .qes import oracle_state, qes_solve
 from .report import inputs_block, meta_block, solve_document, verify_document
 
@@ -330,8 +330,6 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     """Emit the level-n solutions as a JSON list, ascending in the root."""
     pot, dim, phys = _problem(args)
-    if pot.c <= 0:
-        raise ValueError("oracle requires c > 0")
     solutions = qes_solve(pot.b, pot.c, dim, phys, args.n)
     entries = []
     for sol in solutions:
@@ -347,8 +345,8 @@ def cmd_oracle(args) -> int:
             pot_root = PotentialParams(a=sol.a_root, b=pot.b, c=pot.c)
             grid = build_grid(pot_root, dim, phys, r_max=args.rmax, h=args.h)
             entry["h_residual"] = h_residual(
-                state, sol.energy, effective_potential(pot_root, dim, phys),
-                phys, grid=grid,
+                evaluate_state(state, grid), sol.energy,
+                effective_potential(pot_root, dim, phys), phys,
             )
         entries.append(entry)
     print(dump_json(entries))

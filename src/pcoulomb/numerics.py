@@ -495,19 +495,15 @@ def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:
 
 
 def h_residual(
-    state: ClosedFormState,
-    energy: float,
-    v_eff: LaurentForm,
-    phys: PhysicalParams,
-    grid: RadialGrid,
+    f: GridFunction, energy: float, v_eff: LaurentForm, phys: PhysicalParams
 ) -> float:
     """Relative grid defect ||H f - E f|| / ||f|| on interior nodes.
 
-    ``state`` is a closed-form state, evaluated on ``grid``.  Three nodes at
-    each boundary are excluded so Dirichlet truncation does not pollute the
-    measurement.
+    ``f`` is a state sampled on its grid (``evaluate_state``); the ratio does
+    not depend on its scale, so a caller can sample a state once and use the
+    samples for residuals and overlaps alike.  Three nodes at each boundary
+    are excluded so Dirichlet truncation does not pollute the measurement.
     """
-    f = evaluate_state(state, grid)
     hf = hamiltonian_apply(v_eff, f, phys)
     defect = hf.values - energy * f.values
     sl = slice(RESIDUAL_TRIM, -RESIDUAL_TRIM)

@@ -36,7 +36,14 @@ every product of opposite off-diagonals is positive, so M is similar to a
 symmetric Jacobi matrix (the Bender-Dunne view of QES constraint polynomials
 as orthogonal polynomials).  ``qes_solve`` takes the roots of D and the
 coefficients p_k as its eigenpairs (Golub-Welsch) with numpy's symmetric
-eigensolver.  The roots are real and simple and accurate to ``ROOT_RTOL`` of
+eigensolver, and ``qes_constraint_polynomial`` builds D from the same
+eigenvalues: each back-substitution step divides by step[j] = 4 T kap (n-j)
+and multiplies by -A, so D has the leading coefficient
+(-1)^n / prod_{j=0..n-1} step[j], and up to that sign
+
+    D(A) = prod_k (A - root_k) / prod_{j=0..n-1} step[j].
+
+The roots are real and simple and accurate to ``ROOT_RTOL`` of
 the level's largest |root|.  The p_k keep their accuracy where
 back-substitution at a rounded root does not: at b = 5, c = 0.05, M = 11,
 n = 8 that loses every digit of p_0.  A root near A = 0 carries the level's
@@ -149,46 +156,23 @@ def oracle_reduce(
     )
 
 
-def _coefficients_in_a(system: RecursionSystem) -> list[np.ndarray]:
-    """p_0 .. p_n as ascending coefficient arrays in A, monic seed p_n = 1.
-
-    Row j solved for p_j:
-        p_j = -[ (A + shift[j]) p_{j+1} + curvature[j] p_{j+2} ] / step[j],
-    descending j = n-1 .. 0.  step[j] = 4 T kap (n-j) > 0 throughout.
-    """
-    n = system.n
-    polys: dict[int, np.ndarray] = {n: np.array([1.0]), n + 1: np.array([0.0])}
-    for j in range(n - 1, -1, -1):
-        curv, shift, step = system.row(j)
-        acc = npoly.polymul(np.array([shift, 1.0]), polys[j + 1])
-        acc = npoly.polyadd(acc, curv * polys[j + 2])
-        polys[j] = -acc / step
-    return [polys[k] for k in range(n + 1)]
-
-
 def qes_constraint_polynomial(
     b: float, c: float, dim: DimensionSpec, phys: PhysicalParams, n: int
 ) -> np.ndarray:
     """Constraint polynomial D(A), ascending coefficients, degree n+1.
 
-    Canonicalized to a positive leading coefficient; the root set is what
-    matters, the overall scale is a convention.
+    D = prod_k (A - root_k) / prod_{j=0..n-1} step[j], with the roots the
+    Jacobi eigenvalues ``qes_solve`` takes: the back-substituted D of the
+    module docstring with its sign (-1)^n dropped, so the leading
+    coefficient is positive.
     """
     system = oracle_reduce(b, c, dim, phys, n)
-    polys = _coefficients_in_a(system)
-    p1 = polys[1] if n >= 1 else np.array([0.0])
-    d = npoly.polyadd(
-        2.0 * system.kinetic * (dim.lam + 1.0) * p1,
-        npoly.polymul(np.array([-system.a0, 1.0]), polys[0]),
-    )
-    d = np.asarray(d, dtype=float)
-    if d[-1] < 0:
-        d = -d
-    return d
+    roots, _ = _eigenpairs(system)
+    return npoly.polyfromroots(roots) / math.prod(system.step[1:])
 
 
-def _jacobi_matrix(system: RecursionSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrized recursion matrix and the scale that symmetrizes it.
+def _eigenpairs(system: RecursionSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of D, ascending, and the monic coefficient columns p_0 .. p_n.
 
     Row i = j+1 of the recursion reads
         A p_i = -shift[i] p_i - curvature[i] p_{i+1} - step[i] p_{i-1},
@@ -197,14 +181,18 @@ def _jacobi_matrix(system: RecursionSystem) -> tuple[np.ndarray, np.ndarray]:
     the eigenvector.  Every product curvature[i] * step[i+1] is positive, so
     with scale_0 = 1, scale_{i+1} = scale_i sqrt(curvature[i] / step[i+1])
     the similarity diag(scale) M diag(scale)^-1 is the symmetric Jacobi
-    matrix with off-diagonals -sqrt(curvature[i] * step[i+1]).
+    matrix with off-diagonals -sqrt(curvature[i] * step[i+1]); its
+    eigenvectors divided by scale are those of M.
     """
     curvature = np.array(system.curvature[:-1])
     step = np.array(system.step[1:])
     scale = np.concatenate(([1.0], np.cumprod(np.sqrt(curvature / step))))
     off = -np.sqrt(curvature * step)
     jacobi = np.diag(np.negative(system.shift)) + np.diag(off, 1) + np.diag(off, -1)
-    return jacobi, scale
+    roots, vectors = np.linalg.eigh(jacobi)
+    polys = vectors / scale[:, None]
+    polys /= polys[-1]
+    return roots, polys
 
 
 def qes_solve(
@@ -213,7 +201,7 @@ def qes_solve(
     """All n+1 constraint roots with their states, ascending in A.
 
     The roots and the coefficients p_0 .. p_n (monic, p_n = 1) are the
-    eigenpairs of the Jacobi matrix of the recursion (``_jacobi_matrix``), so
+    eigenpairs of the Jacobi matrix of the recursion (``_eigenpairs``), so
     the roots are always real and simple and the list is never empty.  Every
     solution shares the level energy (the energy does not depend on which
     root is taken); they differ in the polynomial part and hence in node
@@ -224,10 +212,7 @@ def qes_solve(
     """
     system = oracle_reduce(b, c, dim, phys, n)
     energy = level_energy(b, c, dim, phys, n)
-    jacobi, scale = _jacobi_matrix(system)
-    roots, vectors = np.linalg.eigh(jacobi)
-    polys = vectors / scale[:, None]
-    polys /= polys[-1]
+    roots, polys = _eigenpairs(system)
     return [
         OracleSolution(
             n=n, a_root=float(roots[k]), poly=tuple(float(p) for p in polys[:, k]),

@@ -82,12 +82,26 @@ def meta_block() -> dict:
     return {"package": "pcoulomb", "version": __version__}
 
 
-def _solution_views(pot, dim, phys):
-    """Both views when defined: (coulomb GroundSolution | None, oscillator | None)."""
+#: most spectrum levels a document lists (a few hundred bytes each)
+MAX_NMAX = 10_000
+
+
+def _ground_on_grid(pot, dim, phys, nmax, r_max, h):
+    """Both views when defined, the grid, psi normalized on it and its scale
+    N0: (coulomb GroundSolution | None, oscillator | None, grid, psi, N0).
+
+    ``nmax`` is checked first and the grid is built after the views, so a
+    ``nmax`` outside 0..``MAX_NMAX`` raises ``ValueError`` and a problem with
+    no view ``ConstraintViolation`` before any grid array exists.
+    """
+    if not 0 <= nmax <= MAX_NMAX:
+        raise ValueError(f"nmax must be in 0..{MAX_NMAX}, got {nmax}")
     require_view(pot, dim, phys)
     coul = ground_state(pot, dim, phys) if pot.a > 0 else None
     osc = oscillator_view_ground(pot, dim, phys) if pot.c > 0 else None
-    return coul, osc
+    grid = build_grid(pot, dim, phys, r_max=r_max, h=h)
+    ground_f, n0 = normalize(evaluate_state((coul or osc).psi, grid))
+    return coul, osc, grid, ground_f, n0
 
 
 def _view_block(sol) -> dict | None:
@@ -122,11 +136,9 @@ def solve_document(
 ) -> dict:
     """The ``solve`` document: both views, psi with its grid norm N0, and the
     spectrum up to level ``nmax``.  ``r_max`` and ``h`` override the grid
-    sizing as in ``build_grid``; the grid is built after the views, so a
-    problem with no view raises ``ConstraintViolation`` first."""
-    coul, osc = _solution_views(pot, dim, phys)
-    grid = build_grid(pot, dim, phys, r_max=r_max, h=h)
-    _, n0 = normalize(evaluate_state((coul or osc).psi, grid))
+    sizing as in ``build_grid``; input errors are raised before the grid is
+    built (``_ground_on_grid``)."""
+    coul, osc, _, _, n0 = _ground_on_grid(pot, dim, phys, nmax, r_max, h)
     return _document(pot, dim, phys, coul, osc, n0, nmax)
 
 
@@ -135,9 +147,7 @@ def verify_document(
     richardson: bool, r_max: float | None = None, h: float | None = None,
 ) -> dict:
     """The ``solve`` document plus the grid and the verification checks."""
-    grid = build_grid(pot, dim, phys, r_max=r_max, h=h)
-    coul, osc = _solution_views(pot, dim, phys)
-    ground_f, n0 = normalize(evaluate_state((coul or osc).psi, grid))
+    coul, osc, grid, ground_f, n0 = _ground_on_grid(pot, dim, phys, nmax, r_max, h)
     checks = _battery(pot, dim, phys, grid, richardson, coul, osc, ground_f)
     doc = _document(pot, dim, phys, coul, osc, n0, nmax)
     doc["inputs"]["grid"] = {
@@ -264,20 +274,19 @@ def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, ground_f) -> list[dict
     ladder = hierarchy_states(pot.b, pot.c, dim, phys, n=1)
     pot_up = PotentialParams(a=a1, b=pot.b, c=pot.c)
     v_up = effective_potential(pot_up, dim, phys)
+    ladder_f = evaluate_state(ladder, grid)
     checks.append(
         _grid_info_check(
-            "ladder_level1_residual_advanced_a",
-            h_residual(ladder, e1, v_up, phys, grid=grid),
+            "ladder_level1_residual_advanced_a", h_residual(ladder_f, e1, v_up, phys)
         )
     )
     checks.append(
         _grid_info_check(
-            "ladder_level1_residual_fixed_a",
-            h_residual(ladder, e1, v_eff, phys, grid=grid),
+            "ladder_level1_residual_fixed_a", h_residual(ladder_f, e1, v_eff, phys)
         )
     )
 
-    ladder_f, _ = normalize(evaluate_state(ladder, grid))
+    ladder_f, _ = normalize(ladder_f)
     _, vecs = eigen_lowest(v_up, grid, phys, k=1, eigenvectors=True, first=1)
     numeric_excited = GridFunction(grid=grid, values=vecs[:, 0])
     checks.append(

@@ -28,7 +28,7 @@ from pcoulomb.model import (
     dimension_reduce,
     effective_potential,
 )
-from pcoulomb.numerics import RadialGrid, build_grid, eigen_lowest, h_residual
+from pcoulomb.numerics import RadialGrid, build_grid, eigen_lowest, evaluate_state, h_residual
 from pcoulomb.qes import level_energy, oracle_state, qes_solve
 from pcoulomb.susy import perturbation_residual, riccati_residual, shape_invariance_compare
 
@@ -178,8 +178,8 @@ def test_c09_oracle_exactness():
             pot = PotentialParams(a=sol.a_root, b=1.0, c=0.5)
             v = effective_potential(pot, DIM3, PHYS)
             grid = build_grid(pot, DIM3, PHYS)
-            res = h_residual(state, sol.energy, v, PHYS, grid=grid)
-            res_half = h_residual(state, sol.energy, v, PHYS, grid=grid.halved())
+            res = h_residual(evaluate_state(state, grid), sol.energy, v, PHYS)
+            res_half = h_residual(evaluate_state(state, grid.halved()), sol.energy, v, PHYS)
             worst = max(worst, res)
             ok = ok and res <= 1e-6 and 3.6 <= res / res_half <= 4.4
     roots = [s.a_root for s in qes_solve(1.0, 0.5, DIM3, PHYS, 1)]
@@ -206,8 +206,8 @@ def test_c10_ladder_adjudication():
     pot = PotentialParams(a=a1, b=1.0, c=0.5)
     v = effective_potential(pot, DIM3, PHYS)
     grid = build_grid(pot, DIM3, PHYS)
-    first = h_residual(hierarchy_states(1.0, 0.5, DIM3, PHYS, 1), e1, v, PHYS, grid=grid)
-    second = h_residual(hierarchy_states(1.0, 0.5, DIM3, PHYS, 1), e1, v, PHYS, grid=grid)
+    first = h_residual(evaluate_state(hierarchy_states(1.0, 0.5, DIM3, PHYS, 1), grid), e1, v, PHYS)
+    second = h_residual(evaluate_state(hierarchy_states(1.0, 0.5, DIM3, PHYS, 1), grid), e1, v, PHYS)
     ok = ok and abs(first - second) <= 1e-12
     _report(10, "ladder adjudication: 1/r mismatch = a0-a1; residual reported, reproducible",
             ok, f"ladder residual vs (a1, E1) = {first:.6f}")

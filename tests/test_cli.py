@@ -18,6 +18,7 @@ from pcoulomb.exact import constraint_a, constraint_b, derive_couplings, ground_
 from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
 from pcoulomb.numerics import build_grid, eigen_lowest
 from pcoulomb.qes import qes_solve
+from pcoulomb.susy import ClosedFormState
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -376,6 +377,51 @@ def test_grid_over_budget_exits_one(capsys, argv, cause):
     assert cause in err
     assert "Traceback" not in err
     assert peak < 2**24  # refused before any grid array exists
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--a", "-1", "--b", "0", "--c", "0"],
+        # a step that would put the grid over budget: the views come first
+        ["--a", "-1", "--b", "1", "--h", "1e-9"],
+    ],
+)
+def test_no_solvable_view_exits_two_before_the_grid(capsys, command, flags):
+    code, out, err = run_cli(capsys, command, *flags)
+    assert (code, out) == (EXIT_CONSTRAINT, "")
+    assert "no solvable view" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("flags", [["--a", "1"], ["--a", "1", "--c", "0.5", "--derive", "b"]])
+@pytest.mark.parametrize("nmax", ["-5", str(report.MAX_NMAX + 1), "100000000"])
+def test_nmax_out_of_range_exits_one(capsys, command, flags, nmax):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, command, *flags, "--nmax", nmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"nmax must be in 0..{report.MAX_NMAX}, got {nmax}" in err
+    assert peak < 2**24  # refused before any grid array or level list exists
+
+
+def test_verify_samples_each_state_once(capsys, monkeypatch):
+    # psi, the ladder state and the nodeless oracle state
+    sampled = []
+    evaluate = ClosedFormState.evaluate
+
+    def counting(self, r):
+        sampled.append(self)
+        return evaluate(self, r)
+
+    monkeypatch.setattr(ClosedFormState, "evaluate", counting)
+    code, _, _ = run_cli(capsys, "verify", "--a", "1", "--c", "0.5", "--derive", "b")
+    assert code == EXIT_OK
+    assert len(sampled) == len({id(state) for state in sampled}) == 3
 
 
 @pytest.mark.parametrize(

@@ -195,7 +195,7 @@ def test_h_residual_exact_ground_is_discretization_limited():
     psi = ground_state(P1, DIM3, PHYS).psi
     v_eff = effective_potential(P1, DIM3, PHYS)
     grid = build_grid(P1, DIM3, PHYS)
-    res = h_residual(psi, 1.0, v_eff, PHYS, grid=grid)
+    res = h_residual(evaluate_state(psi, grid), 1.0, v_eff, PHYS)
     assert res <= 1e-6
 
 
@@ -203,8 +203,8 @@ def test_h_residual_scales_second_order():
     psi = ground_state(P1, DIM3, PHYS).psi
     v_eff = effective_potential(P1, DIM3, PHYS)
     coarse = RadialGrid(r_max=12.0, h=12.0 / 10000)
-    res_h = h_residual(psi, 1.0, v_eff, PHYS, grid=coarse)
-    res_h2 = h_residual(psi, 1.0, v_eff, PHYS, grid=coarse.halved())
+    res_h = h_residual(evaluate_state(psi, coarse), 1.0, v_eff, PHYS)
+    res_h2 = h_residual(evaluate_state(psi, coarse.halved()), 1.0, v_eff, PHYS)
     assert 3.6 <= res_h / res_h2 <= 4.4
 
 
@@ -214,7 +214,7 @@ def test_h_residual_oracle_state():
     state = oracle_state(sol, DIM3, PHYS, 1.0, 0.5)
     pot = PotentialParams(a=sol.a_root, b=1.0, c=0.5)
     grid = build_grid(pot, DIM3, PHYS)
-    res = h_residual(state, 2.0, effective_potential(pot, DIM3, PHYS), PHYS, grid=grid)
+    res = h_residual(evaluate_state(state, grid), 2.0, effective_potential(pot, DIM3, PHYS), PHYS)
     assert res <= 1e-6
 
 
@@ -240,9 +240,9 @@ def test_h_residual_ladder_state_reproducible():
     pot = PotentialParams(a=2.0, b=1.0, c=0.5)
     v_eff = effective_potential(pot, DIM3, PHYS)
     grid = build_grid(pot, DIM3, PHYS)
-    first = h_residual(ladder, 2.0, v_eff, PHYS, grid=grid)
+    first = h_residual(evaluate_state(ladder, grid), 2.0, v_eff, PHYS)
     second = h_residual(
-        hierarchy_states(1.0, 0.5, DIM3, PHYS, 1), 2.0, v_eff, PHYS, grid=grid
+        evaluate_state(hierarchy_states(1.0, 0.5, DIM3, PHYS, 1), grid), 2.0, v_eff, PHYS
     )
     assert first == second
     assert first > 0.1  # the ladder state is far from an exact eigenstate here

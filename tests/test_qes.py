@@ -280,8 +280,8 @@ def test_node_counts_match_grid_sign_changes(b, c, n_dim, ell):
         assert sorted(counts) == list(range(n + 1)), n
 
 
-def _mp_constraint_roots(b, c, n_dim, ell, n):
-    """Real roots of D(A) at 60 digits, from the recursion in the module
+def _mp_constraint_polynomial(b, c, n_dim, ell, n):
+    """D(A) at 60 digits, ascending in A, from the recursion in the module
     docstring (hbar = mass = 1): p_k by back-substitution from p_n = 1 as
     polynomials in A, D = 2T(Lambda+1) p_1 + (A - a0) p_0."""
     mpmath = pytest.importorskip("mpmath")
@@ -309,11 +309,30 @@ def _mp_constraint_roots(b, c, n_dim, ell, n):
             acc = add(times_a_plus(shift, polys[j + 1]), [curv * x for x in polys[j + 2]])
             polys[j] = [-x / step for x in acc]
         p1 = polys[1] if n >= 1 else [mpmath.mpf(0)]
-        d = add([2 * t * (big_lam + 1) * x for x in p1], times_a_plus(-a0, polys[0]))
+        return add([2 * t * (big_lam + 1) * x for x in p1], times_a_plus(-a0, polys[0]))
+
+
+def _mp_constraint_roots(b, c, n_dim, ell, n):
+    """Real roots of D(A) at 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        d = _mp_constraint_polynomial(b, c, n_dim, ell, n)
         if n == 0:
             return [float(-d[0] / d[1])]
         roots = mpmath.polyroots(d[::-1], maxsteps=400, extraprec=240)
         return sorted(float(mpmath.re(z)) for z in roots)
+
+
+@pytest.mark.parametrize("b, c, n_dim, ell", NODE_POINTS)
+def test_constraint_polynomial_matches_mpmath(b, c, n_dim, ell):
+    # back-substitution leaves D the leading sign (-1)^n, which the module drops
+    dim = dimension_reduce(n_dim, ell)
+    for n in range(MAX_LEVEL + 1):
+        ref = (-1) ** n * np.array([float(x) for x in _mp_constraint_polynomial(
+            b, c, n_dim, ell, n)])
+        got = qes_constraint_polynomial(b, c, dim, PHYS, n)
+        assert len(got) == len(ref) == n + 2
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), n
 
 
 @pytest.mark.parametrize("b, c, n_dim, ell", NODE_POINTS)
