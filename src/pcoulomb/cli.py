@@ -378,7 +378,9 @@ def cmd_eig(args) -> int:
 _SWEEPABLE = ("a", "b", "c", "N", "l")
 
 
-def _parse_sweeps(ranges: list[str] | None) -> list[tuple[str, list[float]]]:
+def _parse_sweeps(ranges: list[str] | None, derive: str | None) -> list[tuple[str, list]]:
+    """(parameter, values) per range.  A range needs a value and a parameter
+    that no other range names and ``--derive`` does not fill."""
     if not ranges:
         raise ValueError("sweep requires at least one --sweep PARAM=V1,V2,...")
     if len(ranges) > 2:
@@ -388,18 +390,20 @@ def _parse_sweeps(ranges: list[str] | None) -> list[tuple[str, list[float]]]:
         name, sep, text = item.partition("=")
         if not sep or name not in _SWEEPABLE:
             raise ValueError(f"malformed sweep {item!r}; expected PARAM=V1,V2,...")
-        values = []
-        for token in text.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            values.append(int(token) if name in ("N", "l") else float(token))
+        if name in (swept for swept, _ in sweeps):
+            raise ValueError(f"sweep parameter {name} is given twice")
+        if name == derive:
+            raise ValueError(f"cannot sweep {name}: --derive {name} sets it")
+        kind = int if name in ("N", "l") else float
+        values = [kind(token) for token in map(str.strip, text.split(",")) if token]
+        if not values:
+            raise ValueError(f"sweep of {name} has no values")
         sweeps.append((name, values))
     return sweeps
 
 
 def cmd_sweep(args) -> int:
-    sweeps = _parse_sweeps(args.sweep)
+    sweeps = _parse_sweeps(args.sweep, args.derive)
     phys = PhysicalParams(mass=args.mass, hbar=args.hbar)
     # every row is solved before any is printed, so a rejected row leaves
     # stdout empty instead of a truncated scan
@@ -413,7 +417,7 @@ def cmd_sweep(args) -> int:
             float(row["a"]), float(row["b"]), float(row["c"]), args.derive, dim, phys
         )
         a_level, e_closed = closed_level(pot, dim, phys, args.n)
-        pot_level = PotentialParams(a=a_level, b=pot.b, c=pot.c) if args.n > 0 else pot
+        pot_level = PotentialParams(a=a_level, b=pot.b, c=pot.c)
         grid = build_grid(pot_level, dim, phys, r_max=args.rmax, h=args.h)
         numeric = eigen_lowest(
             effective_potential(pot_level, dim, phys), grid, phys,

@@ -150,13 +150,11 @@ def constraint_residual(
 
 
 def require_constraint(
-    pot: PotentialParams,
-    dim: DimensionSpec,
-    phys: PhysicalParams,
-    rtol: float = CONSTRAINT_RTOL,
+    pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams
 ) -> None:
+    """Raise ``ConstraintViolation`` beyond ``CONSTRAINT_RTOL`` from the surface."""
     violation = constraint_residual(pot, dim, phys)
-    if violation > rtol:
+    if violation > CONSTRAINT_RTOL:
         raise ConstraintViolation(
             f"couplings are off the exactly solvable surface "
             f"(relative violation {violation:.6g}); "
@@ -240,28 +238,27 @@ def _oscillator_lambda(b: float, c: float, phys: PhysicalParams) -> float:
     return math.sqrt(phys.mass / 2.0) * b / (phys.hbar * math.sqrt(c))
 
 
+def _coulomb_delta(pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams) -> float:
+    """Coulomb-view correction energy M (M-1) b hbar^2 / (4 m a)."""
+    m_index = dim.m_index
+    return m_index * (m_index - 1) * pot.b * phys.hbar**2 / (4.0 * phys.mass * pot.a)
+
+
 def perturbation_ground_coulomb(
-    pot: PotentialParams,
-    dim: DimensionSpec,
-    phys: PhysicalParams,
-    rtol: float = CONSTRAINT_RTOL,
+    pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams
 ) -> tuple[Superpotential, ClosedFormState, float]:
     """Correction pieces for the coulomb view: (dW, phi, delta_epsilon).
 
     dW = sqrt(c) r is the unique choice regular at the origin; it induces the
     Gaussian moderating factor phi = exp(-kap r^2) with
     kap = b (M-1) / (4a) = sqrt(2mc) / (2 hbar) on the constraint surface,
-    and delta_epsilon = M (M-1) b hbar^2 / (4 m a).
+    and delta_epsilon = M (M-1) b hbar^2 / (4 m a).  With b = c = 0 all three
+    vanish (dW = 0, kap = 0, delta_epsilon = 0).
     """
-    require_constraint(pot, dim, phys, rtol)
-    m_index = dim.m_index
+    require_constraint(pot, dim, phys)
     dw = Superpotential(LaurentForm({1: math.sqrt(pot.c)}))
-    kap = _kappa(pot.c, phys)
-    phi = ClosedFormState(poly=(1.0,), q=0.0, lam=0.0, kap=kap)
-    delta = (
-        m_index * (m_index - 1) * pot.b * phys.hbar**2 / (4.0 * phys.mass * pot.a)
-    )
-    return dw, phi, delta
+    phi = ClosedFormState(poly=(1.0,), q=0.0, lam=0.0, kap=_kappa(pot.c, phys))
+    return dw, phi, _coulomb_delta(pot, dim, phys)
 
 
 def ground_state(
@@ -269,16 +266,11 @@ def ground_state(
 ) -> GroundSolution:
     """Exact ground solution in the coulomb view.
 
-    With b = c = 0 the correction pieces vanish and this reduces to the pure
-    Coulomb ground solution.
+    With b = c = 0 the correction pieces vanish and this is the pure Coulomb
+    ground solution.
     """
     w, chi, epsilon = coulomb_ground(pot.a, dim, phys)
-    if pot.b == 0 and pot.c == 0:
-        dw = Superpotential.zero()
-        phi = ClosedFormState(poly=(1.0,), q=0.0, lam=0.0, kap=0.0)
-        delta = 0.0
-    else:
-        dw, phi, delta = perturbation_ground_coulomb(pot, dim, phys)
+    dw, phi, delta = perturbation_ground_coulomb(pot, dim, phys)
     return GroundSolution(
         view="coulomb",
         w=w,
@@ -310,8 +302,7 @@ def oscillator_view_ground(
     chi = ClosedFormState(poly=(1.0,), q=lp1, lam=0.0, kap=kap)
     epsilon = phys.hbar * sqrt_c * (2.0 * dim.lam + 3.0) / math.sqrt(2.0 * phys.mass)
 
-    dw_coeff = 0.0 if pot.b == 0 else pot.b / (2.0 * sqrt_c)
-    dw = Superpotential(LaurentForm({0: dw_coeff}))
+    dw = Superpotential(LaurentForm({0: pot.b / (2.0 * sqrt_c)}))
     lam = _oscillator_lambda(pot.b, pot.c, phys)
     phi = ClosedFormState(poly=(1.0,), q=0.0, lam=lam, kap=0.0)
     delta = -pot.b**2 / (4.0 * pot.c)
@@ -399,10 +390,7 @@ def closed_level(
     if n == 0:
         if pot.a > 0:
             _, _, epsilon = coulomb_ground(pot.a, dim, phys)
-            delta = 0.0
-            if pot.b > 0 or pot.c > 0:
-                _, _, delta = perturbation_ground_coulomb(pot, dim, phys, rtol=math.inf)
-            return pot.a, epsilon + delta
+            return pot.a, epsilon + _coulomb_delta(pot, dim, phys)
         require_view(pot, dim, phys)
         return pot.a, level_energy(pot.b, pot.c, dim, phys, 0)
     if pot.c <= 0:

@@ -92,7 +92,7 @@ def dimension_reduce(n_dim: int, ell: int) -> DimensionSpec:
 
 @dataclass(frozen=True)
 class PotentialParams:
-    """Couplings of -a/r + b r + c r^2.  All finite; b and c are nonnegative."""
+    """Couplings of -a/r + b r + c r^2: finite, b and c >= 0, -0.0 stored as 0.0."""
 
     a: float = 0.0
     b: float = 0.0
@@ -100,6 +100,8 @@ class PotentialParams:
 
     def __post_init__(self) -> None:
         require_finite(a=self.a, b=self.b, c=self.c)
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, getattr(self, name) + 0.0)
         if self.b < 0:
             raise ValueError(f"linear coupling b must be >= 0, got {self.b}")
         if self.c < 0:

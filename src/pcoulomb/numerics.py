@@ -22,17 +22,17 @@ window 20 times wider costs log2(20) more).  Each window set is used only
 when Sturm counts prove that window j holds eigenvalue first + j (Barth,
 Martin & Wilkinson, Numer. Math. 9, 386 (1967)); otherwise, and when the 4h
 grid would have fewer than 100 nodes, the unseeded index-range solve of the
-h grid runs, so a bad seed costs time, never correctness.  Eigenvectors are
-found by inverse iteration on the h values the chain produced, windowed or
-fallen back; only the levels asked for are iterated.  Seeds come from the
-coarse grid only, never from a closed form, so this oracle stays
-independent of the constructions it checks.
+h grid runs, so a bad seed costs time, never correctness.  An eigenvector
+is found for one level, by inverse iteration on the h value the chain
+produced, windowed or fallen back.  Seeds come from the coarse grid only,
+never from a closed form, so this oracle stays independent of the
+constructions it checks.
 
 LAPACK comes from scipy's extension module ``scipy/linalg/_flapack``, which
 ``_lapack`` loads on its own (see there): the solver calls only ``dstebz``
 (bisection) and ``dstein`` (inverse iteration), the routines behind
 ``scipy.linalg.eigh_tridiagonal(lapack_driver="stebz")``, so no command
-imports the ``scipy.linalg`` package.
+imports the ``scipy.linalg`` package; one imported later binds ``_flapack``.
 
 Quadrature is composite trapezoid throughout.
 
@@ -46,6 +46,7 @@ extension at all; grid-based adjudication is restricted to M >= 3.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -265,30 +266,32 @@ def _tridiagonal(
     return diag, off
 
 
-#: scipy's LAPACK extension module, set by the first ``_lapack()`` call
-_FLAPACK = None
-
-
+@functools.cache
 def _lapack():
     """The module that holds LAPACK's ``dstebz`` and ``dstein``.
 
     Importing the ``scipy.linalg`` package costs about 300 ms after numpy;
-    loading its extension file ``scipy/linalg/_flapack`` alone takes a few
-    ms.  The file is found without importing scipy and registered in
-    ``sys.modules`` as ``scipy.linalg._flapack``, so a later
-    ``import scipy.linalg`` reuses it rather than loading it again.  If that
-    extension is already loaded it is reused; when it cannot be found or
-    loaded (an ImportError), the routines come from ``scipy.linalg.lapack``.
+    its extension file ``scipy/linalg/_flapack``, found without importing
+    scipy, loads in a few ms.  The ``sys.modules`` entry the extension makes
+    while it initialises is removed, so a later ``import scipy.linalg``
+    loads it as usual (CPython reuses the initialised module's routines)
+    and binds it to the package.  An extension already loaded is reused;
+    when it cannot be found or loaded (an ImportError), the routines come
+    from ``scipy.linalg.lapack``.
     """
-    global _FLAPACK
-    if _FLAPACK is None:
-        try:
-            _FLAPACK = _load_flapack()
-        except ImportError:
-            from scipy.linalg import lapack
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    try:
+        spec = importlib.util.spec_from_file_location(name, _flapack_path())
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        from scipy.linalg import lapack
 
-            _FLAPACK = lapack
-    return _FLAPACK
+        return lapack
+    sys.modules.pop(name, None)
+    return module
 
 
 def _flapack_path() -> str:
@@ -296,23 +299,11 @@ def _flapack_path() -> str:
     spec = importlib.util.find_spec("scipy")
     if spec is None or not spec.submodule_search_locations:
         raise ImportError("scipy is not installed as a package")
-    root = spec.submodule_search_locations[0]
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(root, "linalg", "_flapack" + suffix)
-        if os.path.isfile(path):
-            return path
-    raise ImportError(f"no _flapack extension under {root}")
-
-
-def _load_flapack():
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.spec_from_file_location(name, _flapack_path())
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
-    return module
+    linalg = os.path.join(spec.submodule_search_locations[0], "linalg")
+    found = importlib.machinery.PathFinder.find_spec("_flapack", [linalg])
+    if found is None:
+        raise ImportError(f"no _flapack extension under {linalg}")
+    return found.origin
 
 
 def _check(info: int, routine: str) -> None:
@@ -323,14 +314,14 @@ def _check(info: int, routine: str) -> None:
 def _index_solve(diag: np.ndarray, off: np.ndarray, first: int, k: int, vectors: bool = False):
     """Eigenvalues first .. first+k-1 by the unseeded index-range bisection.
 
-    With ``vectors``, returns (values, vectors in columns): inverse iteration
-    on the bisected values, the steps of
+    With ``vectors`` (k = 1 only), returns (values, vector in a column):
+    inverse iteration on the bisected value, the steps of
     ``eigh_tridiagonal(lapack_driver="stebz")``.
     """
     # range=2 is RANGE='I' with 1-based indices, tolerance 0 is stebz's
-    # default; dstein wants the values ordered by block ("B")
+    # default, "E" orders the values ascending
     m, w, iblock, isplit, info = _lapack().dstebz(
-        diag, off, 2, 0.0, 0.0, first + 1, first + k, 0.0, "B" if vectors else "E")
+        diag, off, 2, 0.0, 0.0, first + 1, first + k, 0.0, "E")
     _check(info, "dstebz")
     if not vectors:
         return w[:m]
@@ -338,15 +329,11 @@ def _index_solve(diag: np.ndarray, off: np.ndarray, first: int, k: int, vectors:
 
 
 def _inverse_iteration(diag, off, w, iblock, isplit):
-    """(values ascending, vectors in columns) by LAPACK ``dstein``.
-
-    ``w`` and the first len(w) entries of ``iblock`` are grouped by split-off
-    block, as ``dstebz`` orders them with "B"; ``isplit`` is ``dstebz``'s.
-    """
+    """(values, vector in a column) by LAPACK ``dstein`` for the one value in
+    ``w``; ``iblock`` and ``isplit`` are ``dstebz``'s for it."""
     vecs, info = _lapack().dstein(diag, off, w, iblock, isplit)
     _check(info, "dstein")
-    order = np.argsort(w)
-    return w[order], vecs[:, order]
+    return w, vecs
 
 
 def _seeded_lowest(
@@ -361,9 +348,9 @@ def _seeded_lowest(
     below the top window edge and, when first > 0, exactly first lie at or
     below the lowest edge; then window j holds eigenvalue first + j.
     Otherwise the values come from the unseeded index-range bisection.  Both
-    use stebz's default tolerance.  With ``vectors``, returns (values,
-    vectors in columns) as ``_index_solve`` does, by inverse iteration on
-    whichever values were found.
+    use stebz's default tolerance.  With ``vectors`` (one seed only), returns
+    (values, vector in a column) as ``_index_solve`` does, by inverse
+    iteration on whichever value was found.
     """
     dstebz = _lapack().dstebz
 
@@ -383,21 +370,17 @@ def _seeded_lowest(
         and count(highs[-1]) == first + k
         and (first == 0 or count(lows[0]) == first)
     ):
-        values, blocks = [], []
+        values = []
         for low, high in zip(lows, highs):
-            m, w, iblock, isplit, info = dstebz(diag, off, 1, low, high, 0, 0, 0.0, "B")
+            m, w, iblock, isplit, info = dstebz(diag, off, 1, low, high, 0, 0, 0.0, "E")
             if info != 0 or m != 1:
                 break
             values.append(w[0])
-            blocks.append(iblock[0])
         else:
             values = np.array(values)
             if not vectors:
                 return values
-            # ascending values, stably grouped by block, stay ascending in each
-            by_block = np.argsort(blocks, kind="stable")
-            iblock[:k] = np.take(blocks, by_block)
-            return _inverse_iteration(diag, off, values[by_block], iblock, isplit)
+            return _inverse_iteration(diag, off, values, iblock, isplit)
     return _index_solve(diag, off, first, k, vectors)
 
 
@@ -436,13 +419,16 @@ def eigen_lowest(
     3.3e-9, and 1e-13 to 1.4e-9 with a tight tolerance.
 
     Returns a list of eigenvalues, or, when ``eigenvectors`` is set,
-    (eigenvalues, vectors in columns): inverse iteration (LAPACK dstein) on
-    the chain's values, windowed or fallen back, of this grid.  Vector signs
-    are fixed so the largest-magnitude component is positive.  Eigenvectors
-    are not available with ``richardson``.
+    ([eigenvalue], vector in a column) for the one level ``first`` (k = 1):
+    inverse iteration (LAPACK dstein) on the chain's value, windowed or
+    fallen back, of this grid.  dstein scales the vector to unit 2-norm with
+    its largest-magnitude component positive.  Eigenvectors are not
+    available with ``richardson``.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
+    if eigenvectors and k != 1:
+        raise ValueError(f"eigenvectors are found for one level (k = 1), got k = {k}")
     if first < 0:
         raise ValueError(f"need level first >= 0, got {first}")
     if first + k > grid.count // 10:
@@ -461,12 +447,8 @@ def eigen_lowest(
         seeds = _index_solve(*_tridiagonal(v_eff, coarse, phys), first, k)
         solved = _seeded_lowest(diag, off, seeds, first, COARSE_WINDOW, eigenvectors)
     if eigenvectors:
-        vals, vecs = solved
-        for j in range(vecs.shape[1]):
-            lead = np.argmax(np.abs(vecs[:, j]))
-            if vecs[lead, j] < 0:
-                vecs[:, j] = -vecs[:, j]
-        return [float(v) for v in vals], vecs
+        values, vecs = solved
+        return [float(values[0])], vecs
     if not richardson:
         return [float(v) for v in solved]
     fine = _seeded_lowest(*_tridiagonal(v_eff, grid.halved(), phys), solved, first, WINDOW)

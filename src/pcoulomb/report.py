@@ -286,7 +286,6 @@ def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, ground_f) -> list[dict
         )
     )
 
-    ladder_f, _ = normalize(ladder_f)
     _, vecs = eigen_lowest(v_up, grid, phys, k=1, eigenvectors=True, first=1)
     numeric_excited = GridFunction(grid=grid, values=vecs[:, 0])
     checks.append(
@@ -298,7 +297,7 @@ def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, ground_f) -> list[dict
     nodeless = [s for s in sols1 if s.node_count == 0]
     if nodeless:
         other = oracle_state(nodeless[0], dim, phys, pot.b, pot.c)
-        other_f, _ = normalize(evaluate_state(other, grid))
+        other_f = evaluate_state(other, grid)
         checks.append(
             _grid_info_check(
                 "ground_vs_oracle_nodeless_overlap", overlap(ground_f, other_f)

@@ -64,6 +64,18 @@ def test_solve_hydrogen_limit(capsys):
     assert doc["spectrum"] == []
 
 
+@pytest.mark.parametrize("command", [["solve"], ["verify", "--out", "json"]])
+def test_negative_zero_coupling_is_zero(command, capsys):
+    # --b -0 used to print "b": -0, and a different document from --b 0
+    for problem in (["--a", "1", "--b", "{}"], ["--a", "{}", "--c", "0.5"]):
+        outs = [
+            run_cli(capsys, *command, *(arg.format(zero) for arg in problem))
+            for zero in ("-0", "0")
+        ]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == EXIT_OK
+
+
 def test_solve_table_output(capsys):
     code, out, _ = run_cli(
         capsys, "solve", "--a", "1", "--c", "0.5", "--derive", "b", "--out", "table"
@@ -293,10 +305,33 @@ def test_sweep_reference_rows(capsys):
         assert float(cells[9]) <= 1e-12  # constraint_residual
 
 
-def test_sweep_empty_range_header_only(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--sweep", "a=", "--c", "0.5")
-    assert code == EXIT_OK
-    assert out.strip() == "a,b,c,N,l,n,E_closed,E_numeric,abs_err,constraint_residual"
+def test_sweep_empty_range_exits_one(capsys):
+    # a range with no values used to print the header alone and exit 0
+    for text in ("a=", "a=,"):
+        code, out, err = run_cli(capsys, "sweep", "--sweep", text, "--c", "0.5")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "sweep of a has no values" in err
+
+
+def test_sweep_of_the_derived_coupling_exits_one(capsys):
+    # the swept a = 5 used to be overwritten by the derived a = 1
+    code, out, err = run_cli(
+        capsys, "sweep", "--sweep", "a=5", "--derive", "a", "--b", "1", "--c", "0.5")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "cannot sweep a: --derive a sets it" in err
+
+
+def test_sweep_of_one_parameter_twice_exits_one(tmp_path, capsys):
+    # the second range used to override the first, row by row
+    base = ["--c", "0.5", "--derive", "b"]
+    code, out, err = run_cli(capsys, "sweep", "--sweep", "a=1,2", "--sweep", "a=3", *base)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "sweep parameter a is given twice" in err
+    config = tmp_path / "run.conf"
+    config.write_text("sweep = a=1,2\n")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(config), "--sweep", "a=3", *base)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "sweep parameter a is given twice" in err
 
 
 def test_sweep_over_dimension_derives_b_per_row(capsys):
@@ -878,16 +913,17 @@ def test_goldens_under_dispatch_settings(extra_env):
         assert result == default, f"{argv[0]} output moved with dispatch"
 
 
-# prints, after each argv, whether the scipy.linalg package and its LAPACK
-# extension have been loaded so far
+# prints, after each argv, whether the scipy.linalg package and the LAPACK
+# routines of pcoulomb.numerics have been loaded so far
 _LAPACK_CHILD = """
 import contextlib, io, json, sys
+from pcoulomb import numerics
 from pcoulomb.cli import main
 loaded = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-    loaded.append([name in sys.modules for name in ("scipy.linalg", "scipy.linalg._flapack")])
+    loaded.append(["scipy.linalg" in sys.modules, numerics._lapack.cache_info().currsize > 0])
 sys.stdout.write(json.dumps(loaded))
 """
 
@@ -909,6 +945,29 @@ def test_commands_load_lapack_without_scipy_linalg():
     assert linalg == (False,) * 5
     # the first grid eigensolve (eig) loads the extension on its own
     assert flapack == (False, False, True, True, True)
+
+
+# runs eig, then imports scipy.linalg as a library user would
+_IMPORT_AFTER_EIG_CHILD = """
+import contextlib, io
+from pcoulomb import numerics
+from pcoulomb.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["eig", "--a", "1", "--c", "0.5", "--derive", "b"]) == 0
+import scipy.linalg
+assert scipy.linalg._flapack.dstebz is numerics._lapack().dstebz
+assert scipy.linalg.lapack.dstein is numerics._lapack().dstein
+print("ok")
+"""
+
+
+def test_import_scipy_linalg_after_an_eigensolve_binds_flapack():
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_AFTER_EIG_CHILD],
+        capture_output=True, text=True, env=_child_env({}),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "ok\n"
 
 
 def test_console_entry_point_runs():

@@ -313,6 +313,13 @@ def test_eigen_eigenvector_ground_matches_closed_form():
     assert abs(overlap(numeric, closed)) == pytest.approx(1.0, abs=1e-8)
 
 
+def test_eigenvectors_are_for_one_level():
+    grid = RadialGrid(r_max=10.0, h=0.01)
+    v_eff = effective_potential(P1, DIM3, PHYS)
+    with pytest.raises(ValueError, match="k = 2"):
+        eigen_lowest(v_eff, grid, PHYS, k=2, eigenvectors=True)
+
+
 def test_eigen_k_validation():
     grid = RadialGrid(r_max=10.0, h=0.01)
     v_eff = effective_potential(P1, DIM3, PHYS)
@@ -386,8 +393,10 @@ def test_seeded_windows_fall_back_to_unseeded():
     for name, seeds in bad_seeds.items():
         values = _seeded_lowest(diag, off, seeds, 0, WINDOW)
         assert values.tolist() == unseeded.tolist(), name
-        _assert_same_pairs(_seeded_lowest(diag, off, seeds, 0, WINDOW, vectors=True),
-                           numerics._index_solve(diag, off, 0, k, vectors=True), name)
+    # a vector is found for one level: its bad seed falls back the same way
+    for name, seed in {"miss": unseeded[0] + 0.5, "shifted": unseeded[1]}.items():
+        _assert_same_pairs(_seeded_lowest(diag, off, [seed], 0, WINDOW, vectors=True),
+                           numerics._index_solve(diag, off, 0, 1, vectors=True), name)
 
 
 def _assert_same_pairs(pairs, expected, name):
@@ -414,7 +423,9 @@ def test_eigen_lowest_is_the_stebz_index_solve():
     diag, off = _matrix(v_eff, grid)
     expected = _chain(v_eff, grid, 0, 4)
     assert eigen_lowest(v_eff, grid, PHYS, k=4) == expected.tolist()
-    assert eigen_lowest(v_eff, grid, PHYS, k=4, eigenvectors=True)[0] == expected.tolist()
+    # a vector is found for one level, with its single-level chain's value
+    pair_values = eigen_lowest(v_eff, grid, PHYS, k=1, first=3, eigenvectors=True)[0]
+    assert pair_values == _chain(v_eff, grid, 3, 1).tolist()
     np.testing.assert_allclose(
         expected, _stebz_lowest(diag, off, 4), rtol=0, atol=_bisection_tol(diag, off))
 
@@ -486,23 +497,31 @@ def test_seeded_windows_with_first_fall_back_to_unseeded():
     for name, seeds in bad_seeds.items():
         values = _seeded_lowest(diag, off, seeds, first, WINDOW)
         assert values.tolist() == unseeded.tolist(), name
-        _assert_same_pairs(_seeded_lowest(diag, off, seeds, first, WINDOW, vectors=True),
-                           numerics._index_solve(diag, off, first, k, vectors=True), name)
+    # a vector is found for one level: its bad seed falls back the same way.
+    # A single window that holds one eigenvalue with N(top) = first + 1 holds
+    # level first, so "gap" has no one-level form
+    one = {"lower": levels[first - 1], "higher": levels[first + 1], "miss": levels[first] + 0.5}
+    for name, seed in one.items():
+        _assert_same_pairs(_seeded_lowest(diag, off, [seed], first, WINDOW, vectors=True),
+                           numerics._index_solve(diag, off, first, 1, vectors=True), name)
 
 
 def test_seeded_vectors_of_a_split_matrix(monkeypatch):
     # a zero off-diagonal splits the matrix into two blocks whose levels
-    # interleave, so the windowed values reach dstein regrouped by block
+    # interleave, so dstein must take each window's block number
     diag = np.concatenate((np.linspace(1.0, 2.0, 100), np.linspace(1.03, 2.03, 100)))
     off = np.full(199, -0.3)
     off[99] = 0.0
-    values, vectors = numerics._index_solve(diag, off, 0, 4, vectors=True)
-    in_second = np.sum(vectors[100:] ** 2, axis=0)
-    np.testing.assert_allclose(in_second, [0.0, 1.0, 0.0, 1.0], atol=1e-12)
+    values = numerics._index_solve(diag, off, 0, 4)
+    index_solve = numerics._index_solve
     monkeypatch.setattr(numerics, "_index_solve", _no_fallback)
-    seeded, seeded_vectors = _seeded_lowest(diag, off, values, 0, WINDOW, vectors=True)
-    np.testing.assert_allclose(seeded, values, rtol=0, atol=_bisection_tol(diag, off))
-    assert np.all(np.abs(np.sum(seeded_vectors * vectors, axis=0)) >= 1.0 - 1e-12)
+    for level, in_second in enumerate([0.0, 1.0, 0.0, 1.0]):
+        value, vector = index_solve(diag, off, level, 1, vectors=True)
+        np.testing.assert_allclose(np.sum(vector[100:] ** 2), in_second, atol=1e-12)
+        seeded, seeded_vector = _seeded_lowest(
+            diag, off, values[level:level + 1], level, WINDOW, vectors=True)
+        np.testing.assert_allclose(seeded, value, rtol=0, atol=_bisection_tol(diag, off))
+        assert abs(float(seeded_vector[:, 0] @ vector[:, 0])) >= 1.0 - 1e-12
 
 
 def test_richardson_without_coarse_grid_is_unseeded_at_h():
@@ -548,10 +567,11 @@ def test_eigen_lowest_windows_prove_themselves(a, c, n_dim, ell, monkeypatch):
     for first in range(3):
         for k in range(1, 4):
             values = eigen_lowest(v_eff, grid, PHYS, k=k, first=first)
-            pair_values, vecs = eigen_lowest(
-                v_eff, grid, PHYS, k=k, first=first, eigenvectors=True)
-            assert pair_values == values
-            assert vecs.shape == (grid.count, k)
+            if k == 1:
+                pair_values, vecs = eigen_lowest(
+                    v_eff, grid, PHYS, k=k, first=first, eigenvectors=True)
+                assert pair_values == values
+                assert vecs.shape == (grid.count, k)
 
 
 @pytest.mark.parametrize("a, c, n_dim, ell", SWEEP_LIKE)
@@ -568,8 +588,8 @@ def test_seeded_level_one_vector_matches_index_solve(a, c, n_dim, ell):
 # Solves P1 in a fresh interpreter, where no scipy.linalg is loaded yet, with
 # LAPACK loaded directly or, for "fallback", with the lookup of the extension
 # file made to fail; then imports scipy.linalg and checks each solve against
-# eigh_tridiagonal, or for eigen_lowest's vectors against scipy's own
-# dstebz/dstein composed as the chain does, bit for bit.
+# eigh_tridiagonal, or for a level's vector against scipy's own dstebz/dstein
+# composed as the chain does, bit for bit.
 _LAPACK_PATH_CHILD = """
 import sys
 import numpy as np
@@ -593,14 +613,16 @@ diag, off = numerics._tridiagonal(v_eff, grid, phys)
 half = numerics._tridiagonal(v_eff, grid.halved(), phys)
 coarse = numerics._tridiagonal(
     v_eff, numerics.RadialGrid(r_max=grid.r_max, h=numerics.COARSEN * grid.h), phys)
-cases = [(0, 1), (0, 3), (1, 2)]  # each seeded window set proves itself
+cases = [(0, 1), (1, 1), (0, 3), (1, 2)]  # each seeded window set proves itself
 solved = []
 for first, k in cases:
     values = numerics._index_solve(diag, off, first, k)
-    index_pairs = numerics._index_solve(diag, off, first, k, vectors=True)
     seeded = numerics._seeded_lowest(*half, values, first, numerics.WINDOW)
     missed = numerics._seeded_lowest(*half, values + 0.5, first, numerics.WINDOW)
-    pairs = numerics.eigen_lowest(v_eff, grid, phys, k=k, first=first, eigenvectors=True)
+    index_pairs = pairs = None
+    if k == 1:  # vectors are found for one level
+        index_pairs = numerics._index_solve(diag, off, first, k, vectors=True)
+        pairs = numerics.eigen_lowest(v_eff, grid, phys, k=k, first=first, eigenvectors=True)
     solved.append((values, index_pairs, seeded, missed, pairs))
 
 import scipy.linalg
@@ -616,32 +638,30 @@ for (first, k), (values, index_pairs, seeded, missed, pairs) in zip(cases, solve
     levels = (first, first + k - 1)
     same(values, eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
                                   select_range=levels, lapack_driver="stebz"))
-    ref_vals, ref_vecs = eigh_tridiagonal(diag, off, select="i", select_range=levels,
-                                          lapack_driver="stebz")
-    same(index_pairs[0], ref_vals)
-    same(index_pairs[1], ref_vecs)
     widths = numerics.WINDOW * np.maximum(1.0, np.abs(values))
     for j, (seed, width) in enumerate(zip(values, widths)):
         same(seeded[j:j + 1], eigh_tridiagonal(*half, eigvals_only=True, select="v",
              select_range=(seed - width, seed + width), lapack_driver="stebz"))
     same(missed, eigh_tridiagonal(*half, eigvals_only=True, select="i",
                                   select_range=levels, lapack_driver="stebz"))
-    # eigen_lowest: a stebz window around each coarse value, then dstein on
-    # the windowed values with stebz's block numbers and split points
-    seeds = eigh_tridiagonal(*coarse, eigvals_only=True, select="i",
-                             select_range=levels, lapack_driver="stebz")
-    widths = numerics.COARSE_WINDOW * np.maximum(1.0, np.abs(seeds))
-    windows = [scipy.linalg.lapack.dstebz(diag, off, 1, s - w, s + w, 0, 0, 0.0, "B")
-               for s, w in zip(seeds, widths)]
-    assert [win[0] for win in windows] == [1] * k
-    chain_vals = np.array([win[1][0] for win in windows])
-    iblock, isplit = windows[-1][2], windows[-1][3]
-    iblock[:k] = [win[2][0] for win in windows]
-    chain_vecs, info = scipy.linalg.lapack.dstein(diag, off, chain_vals, iblock, isplit)
+    if k != 1:
+        continue
+    ref_vals, ref_vecs = eigh_tridiagonal(diag, off, select="i", select_range=levels,
+                                          lapack_driver="stebz")
+    same(index_pairs[0], ref_vals)
+    same(index_pairs[1], ref_vecs)
+    # eigen_lowest: a stebz window around the coarse value, then dstein on
+    # the windowed value with stebz's block number and split points
+    seed = eigh_tridiagonal(*coarse, eigvals_only=True, select="i",
+                            select_range=levels, lapack_driver="stebz")[0]
+    width = numerics.COARSE_WINDOW * max(1.0, abs(seed))
+    m, chain_vals, iblock, isplit, info = scipy.linalg.lapack.dstebz(
+        diag, off, 1, seed - width, seed + width, 0, 0, 0.0, "B")
+    assert (m, info) == (1, 0)
+    chain_vecs, info = scipy.linalg.lapack.dstein(diag, off, chain_vals[:1], iblock, isplit)
     assert info == 0
-    same(pairs[0], chain_vals)
-    lead = np.abs(chain_vecs).argmax(axis=0)
-    same(pairs[1], chain_vecs * np.sign(chain_vecs[lead, range(k)]))
+    same(pairs[0], chain_vals[:1])
+    same(pairs[1], chain_vecs)
 print("ok")
 """
 

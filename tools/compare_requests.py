@@ -1,0 +1,130 @@
+"""Compare the CLI output of two checkouts on every benchmark request.
+
+    python tools/compare_requests.py OLD_ROOT NEW_ROOT
+
+Each ROOT is a checkout of this repository (a directory holding
+``src/pcoulomb``).  The requests are every distinct argv of the three
+benchmark workloads (``cli-cold``, ``verify-battery``, ``sweep-scan``) for
+seeds 1-10, read from ``perfbench/workloads.py`` of the checkout this script
+lives in, which is loaded by path and only read.  For each root one fresh
+interpreter imports that root's ``pcoulomb.cli`` and runs every request in
+turn through ``main``, capturing the exit code, stdout and stderr.  The two
+roots run side by side, one process each.
+
+Prints, per command, how many requests gave identical (exit code, stdout,
+stderr), then the first differing line of each differing request.  Exits 0
+when every request is identical and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SEEDS = range(1, 11)
+
+# runs the argvs of stdin under ROOT's package and prints
+# [exit code, stdout, stderr] per argv as one JSON list
+_CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from pcoulomb.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 1
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def distinct_requests() -> list[list[str]]:
+    """Every distinct request of the benchmark workloads, seeds 1-10, in
+    first-seen order."""
+    workloads = _workloads()
+    seen = {}
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            for argv in workloads.requests(workload, seed):
+                seen.setdefault(tuple(argv), list(argv))
+    return list(seen.values())
+
+
+def _start(root: Path, argvs: list[list[str]]) -> subprocess.Popen:
+    src = root / "src"
+    if not (src / "pcoulomb").is_dir():
+        raise SystemExit(f"{root} holds no src/pcoulomb")
+    child = subprocess.Popen(
+        [sys.executable, "-c", _CHILD, str(src)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+    child.stdin.write(json.dumps(argvs))
+    child.stdin.close()
+    return child
+
+
+def _collect(child: subprocess.Popen, root: Path) -> list:
+    text = child.stdout.read()
+    if child.wait() != 0:
+        raise SystemExit(f"the interpreter for {root} exited with {child.returncode}")
+    return json.loads(text)
+
+
+def _first_difference(old, new) -> str:
+    if old[0] != new[0]:
+        return f"exit code {old[0]} != {new[0]}"
+    for stream, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
+        if a == b:
+            continue
+        a_lines, b_lines = a.splitlines(), b.splitlines()
+        for i in range(max(len(a_lines), len(b_lines))):
+            a_line = a_lines[i] if i < len(a_lines) else "<end>"
+            b_line = b_lines[i] if i < len(b_lines) else "<end>"
+            if a_line != b_line:
+                return f"{stream} line {i + 1}: {a_line!r} != {b_line!r}"
+        return f"{stream} differs in line endings"
+    return "identical"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+        return 2
+    roots = [Path(a).resolve() for a in argv]
+    argvs = distinct_requests()
+    children = [_start(root, argvs) for root in roots]
+    old, new = (_collect(child, root) for child, root in zip(children, roots))
+    total, same, diffs = Counter(), Counter(), []
+    for request, a, b in zip(argvs, old, new):
+        total[request[0]] += 1
+        if a == b:
+            same[request[0]] += 1
+        else:
+            diffs.append(f"{' '.join(request)}\n    {_first_difference(a, b)}")
+    for command in sorted(total):
+        print(f"{command:<8}{same[command]:>5} of {total[command]:>4} identical")
+    print(f"{'all':<8}{sum(same.values()):>5} of {len(argvs):>4} identical")
+    for line in diffs:
+        print(line)
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
