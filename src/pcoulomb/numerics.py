@@ -7,32 +7,30 @@ is re-checked here against the three-point discretization of
 
 on a uniform grid r_i = i h, i = 1..count, with Dirichlet zeros at r = 0 and
 r = r_max + h.  The scheme is O(h^2); Richardson extrapolation over (h, h/2)
-is available where O(h^4) is wanted.  The lowest eigenvalues come from the
-bisection (Sturm sequence) driver of the symmetric tridiagonal eigenproblem;
-``sturm_count`` exposes the raw eigenvalue-counting recurrence so the solver
-can be cross-checked independently.
+is available where O(h^4) is wanted.  ``sturm_count`` exposes the raw
+eigenvalue-counting recurrence so the solver can be cross-checked
+independently.
 
 Every grid solve runs one seeding chain, 4h -> h, extended to h/2 for a
-Richardson pair.  The requested levels first .. first+k-1 are bisected on a
-grid of step COARSEN * h (a quarter of the nodes) from the Gershgorin
-interval; the h values are then bisected inside the windows E_j(4h) -+
-COARSE_WINDOW * max(1, |E_j|), and the h/2 values inside E_j(h) -+ WINDOW *
-max(1, |E_j|): about 22 and 18 Sturm sweeps per value instead of 57 (a
-window 20 times wider costs log2(20) more).  Each window set is used only
-when Sturm counts prove that window j holds eigenvalue first + j (Barth,
-Martin & Wilkinson, Numer. Math. 9, 386 (1967)); otherwise, and when the 4h
-grid would have fewer than 100 nodes, the unseeded index-range solve of the
-h grid runs, so a bad seed costs time, never correctness.  An eigenvector
-is found for one level, by inverse iteration on the h value the chain
-produced, windowed or fallen back.  Seeds come from the coarse grid only,
-never from a closed form, so this oracle stays independent of the
-constructions it checks.
+Richardson pair.  Each level first .. first+k-1 is bisected on its own
+(Sturm sequence) on a grid of step COARSEN * h, a quarter of the nodes.
+Each 4h value is the shift of two steps of inverse iteration on the h grid,
+and the Rayleigh quotient E of the unit iterate x is the h value (Parlett,
+The Symmetric Eigenvalue Problem, ch. 4-5); h values seed h/2 the same way.
+The residual ||T x - E x|| puts an eigenvalue within it of E, and Sturm
+counts at the window edges prove each value's index (Barth, Martin &
+Wilkinson, Numer. Math. 9, 386 (1967)); see ``_refine``.  A set that fails
+the proof, or an h grid without a 4h grid of 100 nodes, is refined from the
+unseeded index-range bisection of its own grid instead, so a bad seed costs
+time, never correctness.  An eigenvector is found for one level: the
+iterate itself.  Seeds come from the coarser grid only, never from a closed
+form, so this oracle stays independent of the constructions it checks.
 
 LAPACK comes from scipy's extension module ``scipy/linalg/_flapack``, which
 ``_lapack`` loads on its own (see there): the solver calls only ``dstebz``
-(bisection) and ``dstein`` (inverse iteration), the routines behind
-``scipy.linalg.eigh_tridiagonal(lapack_driver="stebz")``, so no command
-imports the ``scipy.linalg`` package; one imported later binds ``_flapack``.
+(bisection and Sturm counts) and ``dgtsv`` (the shifted tridiagonal solves),
+so no command imports the ``scipy.linalg`` package; one imported later binds
+``_flapack``.
 
 Quadrature is composite trapezoid throughout.
 
@@ -74,20 +72,13 @@ STEPS_PER_LENGTH = 1200
 #: stay under 2e6 nodes
 MAX_NODES = 2**24
 
-#: half-width of the window around each h eigenvalue, relative to
-#: max(1, |E|), in which the h/2 eigenvalue of a Richardson pair is bisected
-#: (the largest h -> h/2 shift measured on sweep rows is 8.5e-7 relative)
-WINDOW = 1e-5
-
 #: step ratio of the grid whose eigenvalues seed every h solve (a quarter
 #: of the nodes)
 COARSEN = 4
 
-#: half-width of the windows around the 4h eigenvalues in which the h
-#: eigenvalues are bisected: for an O(h^2) error the 4h -> h shift is
-#: (16 - 1) / (1 - 1/4) = 20 times the h -> h/2 shift that WINDOW covers
-#: (the largest 4h -> h shift measured on sweep rows is 1.5e-5 relative)
-COARSE_WINDOW = 20 * WINDOW
+#: half-width, relative to max(1, |E|), of the window centred on each refined
+#: eigenvalue that must hold its residual (near 1e-9 on default grids)
+WINDOW = 1e-5
 
 
 @dataclass(frozen=True)
@@ -268,7 +259,7 @@ def _tridiagonal(
 
 @functools.cache
 def _lapack():
-    """The module that holds LAPACK's ``dstebz`` and ``dstein``.
+    """The module that holds LAPACK's ``dstebz`` and ``dgtsv``.
 
     Importing the ``scipy.linalg`` package costs about 300 ms after numpy;
     its extension file ``scipy/linalg/_flapack``, found without importing
@@ -311,77 +302,89 @@ def _check(info: int, routine: str) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info})")
 
 
-def _index_solve(diag: np.ndarray, off: np.ndarray, first: int, k: int, vectors: bool = False):
-    """Eigenvalues first .. first+k-1 by the unseeded index-range bisection.
-
-    With ``vectors`` (k = 1 only), returns (values, vector in a column):
-    inverse iteration on the bisected value, the steps of
-    ``eigh_tridiagonal(lapack_driver="stebz")``.
-    """
+def _index_solve(diag: np.ndarray, off: np.ndarray, first: int, k: int) -> np.ndarray:
+    """Eigenvalues first .. first+k-1 by the unseeded index-range bisection."""
     # range=2 is RANGE='I' with 1-based indices, tolerance 0 is stebz's
     # default, "E" orders the values ascending
-    m, w, iblock, isplit, info = _lapack().dstebz(
+    m, w, _, _, info = _lapack().dstebz(
         diag, off, 2, 0.0, 0.0, first + 1, first + k, 0.0, "E")
     _check(info, "dstebz")
-    if not vectors:
-        return w[:m]
-    return _inverse_iteration(diag, off, w[:m], iblock, isplit)
+    return w[:m]
 
 
-def _inverse_iteration(diag, off, w, iblock, isplit):
-    """(values, vector in a column) by LAPACK ``dstein`` for the one value in
-    ``w``; ``iblock`` and ``isplit`` are ``dstebz``'s for it."""
-    vecs, info = _lapack().dstein(diag, off, w, iblock, isplit)
-    _check(info, "dstein")
-    return w, vecs
+def _refine(diag: np.ndarray, off: np.ndarray, shifts, first: int, margin: float):
+    """(values, vectors, proved): per shift, two steps of inverse iteration
+    from a ones vector, then the Rayleigh quotient E of the unit iterate x;
+    None when ``dgtsv`` meets an exactly singular pivot or x is not finite.
 
-
-def _seeded_lowest(
-    diag: np.ndarray, off: np.ndarray, seeds, first: int, window: float,
-    vectors: bool = False,
-):
-    """Eigenvalues first .. first+k-1, each bisected in a window around a seed.
-
-    Window j is (s_j - w_j, s_j + w_j] with w_j = window * max(1, |s_j|) and
-    k = len(seeds).  The windows are used only when they are disjoint, each
-    holds exactly one eigenvalue, exactly first + k eigenvalues lie at or
-    below the top window edge and, when first > 0, exactly first lie at or
-    below the lowest edge; then window j holds eigenvalue first + j.
-    Otherwise the values come from the unseeded index-range bisection.  Both
-    use stebz's default tolerance.  With ``vectors`` (one seed only), returns
-    (values, vector in a column) as ``_index_solve`` does, by inverse
-    iteration on whichever value was found.
+    ``proved`` is whether window j, E_j -+ WINDOW * max(1, |E_j|), holds
+    eigenvalue first + j for every j.  The residual ||T x - E x|| puts an
+    eigenvalue within it of E, so a window wider than the residual plus
+    ``margin`` (its roundoff and a Sturm count's) holds one; when the windows
+    are disjoint, exactly first + k eigenvalues lie at or below the top edge
+    and, for first > 0, exactly first at or below the lowest edge, window j
+    holds eigenvalue first + j.  Sums are ``np.add.reduce`` (pairwise, in a
+    fixed order), not BLAS ``dot``, so the bits do not depend on the CPU's
+    dispatch level.
     """
-    dstebz = _lapack().dstebz
+    lapack = _lapack()
+    values, vectors, residuals = [], [], []
+    for shift in shifts:
+        x = np.ones(len(diag))
+        for _ in range(2):
+            x, info = lapack.dgtsv(off, diag - shift, off, x, overwrite_d=1, overwrite_b=1)[3:]
+            with np.errstate(over="ignore", invalid="ignore"):
+                norm = math.sqrt(np.add.reduce(x * x))
+            if info != 0 or not 0.0 < norm < math.inf:
+                return None
+            x /= norm
+        tx = diag * x
+        tx[1:] += off * x[:-1]
+        tx[:-1] += off * x[1:]
+        values.append(float(np.add.reduce(x * tx)))
+        vectors.append(x)
+        defect = tx - values[-1] * x
+        residuals.append(math.sqrt(np.add.reduce(defect * defect)))
 
     def count(top: float) -> int:
         # range=1 is RANGE='V'.  Over (-inf, top] LAPACK raises the lower end
         # to its own Gershgorin bound, and an infinite tolerance stops the
         # bisection at once, so m is the exact Sturm count N(top)
-        m, _, _, _, info = dstebz(diag, off, 1, -np.inf, top, 0, 0, np.inf, "E")
+        m, _, _, _, info = lapack.dstebz(diag, off, 1, -np.inf, top, 0, 0, np.inf, "E")
         return m if info == 0 else -1
 
-    k = len(seeds)
-    seeds = np.asarray(seeds, dtype=float)
-    half = window * np.maximum(1.0, np.abs(seeds))
-    lows, highs = seeds - half, seeds + half
-    if (
-        np.all(highs[:-1] < lows[1:])
-        and count(highs[-1]) == first + k
+    values = np.array(values)
+    half = WINDOW * np.maximum(1.0, np.abs(values))
+    lows, highs = values - half, values + half
+    proved = bool(
+        np.all(np.array(residuals) + margin < half)
+        and np.all(highs[:-1] < lows[1:])
+        and count(highs[-1]) == first + len(values)
         and (first == 0 or count(lows[0]) == first)
-    ):
-        values = []
-        for low, high in zip(lows, highs):
-            m, w, iblock, isplit, info = dstebz(diag, off, 1, low, high, 0, 0, 0.0, "E")
-            if info != 0 or m != 1:
-                break
-            values.append(w[0])
-        else:
-            values = np.array(values)
-            if not vectors:
-                return values
-            return _inverse_iteration(diag, off, values, iblock, isplit)
-    return _index_solve(diag, off, first, k, vectors)
+    )
+    return values, vectors, proved
+
+
+def _seeded_lowest(diag: np.ndarray, off: np.ndarray, seeds, first: int, k: int):
+    """(values, vectors) of eigenvalues first .. first+k-1, refined from seeds.
+
+    A set that ``_refine`` cannot prove, or no seeds (None), is refined from
+    the unseeded index-range bisection's values instead.  If those fail
+    their proof too, the bisection's own values are returned (its index
+    range proves them) with the iterates, or none when ``dgtsv`` failed.
+    """
+    # 8 eps ||T||_1 bounds the roundoff of a residual and of a Sturm count
+    norm = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off)))
+    margin = 8.0 * sys.float_info.epsilon * norm
+    refined = None if seeds is None else _refine(diag, off, seeds, first, margin)
+    if refined is None or not refined[2]:
+        values = _index_solve(diag, off, first, k)
+        # a bisected value can be an exact eigenvalue of the computed matrix
+        # (a diagonal one, say), where dgtsv meets a zero pivot: shift off it
+        refined = _refine(diag, off, values + margin, first, margin)
+        if refined is None or not refined[2]:
+            return values, None if refined is None else refined[1]
+    return refined[:2]
 
 
 def eigen_lowest(
@@ -397,33 +400,24 @@ def eigen_lowest(
     """Eigenvalues first .. first+k-1 of the discretized problem, ascending.
 
     ``first`` = 0 (the default) gives the lowest k.  Every call runs the
-    seeding chain of the module docstring: the levels are bisected from the
-    Gershgorin interval on the grid of step COARSEN * h, then on this grid
-    inside windows around those values; with ``richardson`` the h/2 values
-    are bisected in windows around the h values, and the pair is
-    extrapolated over (h, h/2), pushing the discretization error from O(h^2)
-    to O(h^4).  A window set that fails its Sturm-count proof, or a coarse
-    grid of fewer than 100 nodes, falls back to the unseeded index-range
-    bisection of this grid.  The seeds come from the coarse grid alone, so
-    the values are independent of any closed form.
+    seeding chain of the module docstring, 4h -> h; with ``richardson`` also
+    h -> h/2, and the pair is extrapolated over (h, h/2), pushing the
+    discretization error from O(h^2) to O(h^4).  Each level's 4h seed is
+    bisected on its own, so a level's value does not depend on k or first.
 
-    The LAPACK bisection driver (Sturm sequence) is deterministic.  It
-    bisects to its default tolerance ULP * ||T||_1 (about 4 eps T / h^2), not
-    to the roundoff of the eigenvalue itself: on the h and h/2 grids of the
-    benchmark's sweeps the values are off by 5e-12 to 7e-9 against a
-    tight-tolerance solve.  The last digits of a level depend on the window
-    or index range it was bisected in, so ``k=1, first=n`` and ``k=n+1`` can
-    differ in level n within that floor, and so can a window solve and the
-    index-range fallback.  The extrapolation inherits the floor: on n = 0
-    sweep rows with odd M its error against the closed form is 4e-11 to
-    3.3e-9, and 1e-13 to 1.4e-9 with a tight tolerance.
+    The values are not limited by the bisection tolerance ULP * ||T||_1
+    (about 4 eps T / h^2): at h = 1e-3 on the reference problem they are
+    within 1.2e-11 of a tight-tolerance dstebz solve, where it is 4.4e-10.
+    On n = 0, odd-M sweep rows of the benchmark (seeds 1-10) the
+    extrapolation is within 5.9e-11 of the closed form (median 1e-11).
 
     Returns a list of eigenvalues, or, when ``eigenvectors`` is set,
     ([eigenvalue], vector in a column) for the one level ``first`` (k = 1):
-    inverse iteration (LAPACK dstein) on the chain's value, windowed or
-    fallen back, of this grid.  dstein scales the vector to unit 2-norm with
-    its largest-magnitude component positive.  Eigenvectors are not
-    available with ``richardson``.
+    the unit iterate, signed so that its largest-magnitude component is
+    positive (dstein's convention).  Its angle to the eigenvector is at most
+    the residual over the gap to the next level: about 1e-10 on default
+    grids, 1e-6 at h = 0.01.  Eigenvectors are not available with
+    ``richardson``.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -442,17 +436,22 @@ def eigen_lowest(
     try:
         coarse = RadialGrid(r_max=grid.r_max, h=COARSEN * grid.h)
     except ValueError:
-        solved = _index_solve(diag, off, first, k, eigenvectors)
+        seeds = None
     else:
-        seeds = _index_solve(*_tridiagonal(v_eff, coarse, phys), first, k)
-        solved = _seeded_lowest(diag, off, seeds, first, COARSE_WINDOW, eigenvectors)
+        coarse_matrix = _tridiagonal(v_eff, coarse, phys)  # one bisection per level
+        seeds = [_index_solve(*coarse_matrix, level, 1)[0] for level in range(first, first + k)]
+    values, vectors = _seeded_lowest(diag, off, seeds, first, k)
     if eigenvectors:
-        values, vecs = solved
-        return [float(values[0])], vecs
+        if vectors is None:
+            raise np.linalg.LinAlgError("LAPACK dgtsv met a singular pivot at every shift")
+        vector = vectors[0]
+        if vector[np.argmax(np.abs(vector))] < 0.0:
+            vector = -vector
+        return [float(values[0])], vector[:, np.newaxis]
     if not richardson:
-        return [float(v) for v in solved]
-    fine = _seeded_lowest(*_tridiagonal(v_eff, grid.halved(), phys), solved, first, WINDOW)
-    return [float((4.0 * ef - ec) / 3.0) for ec, ef in zip(solved, fine)]
+        return [float(v) for v in values]
+    fine, _ = _seeded_lowest(*_tridiagonal(v_eff, grid.halved(), phys), values, first, k)
+    return [float((4.0 * ef - ec) / 3.0) for ec, ef in zip(values, fine)]
 
 
 def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:

@@ -550,6 +550,69 @@ def test_sweep_row_is_the_single_level_solve(capsys):
     assert _sweep_level(capsys, 1) == eigen_lowest(v_eff1, grid1, phys, k=1, first=1)[0]
 
 
+def test_level_bits_do_not_depend_on_k(capsys):
+    # each level's seed is bisected on its own on the 4h grid, so E0 is the
+    # same double whichever k asks for it
+    e0 = set()
+    for k in ("1", "2", "3"):
+        code, out, _ = run_cli(capsys, "eig", "--a", "1", "--b", "1", "--c", "0.5",
+                               "--rmax", "40", "--h", "0.002", "--k", k)
+        assert code == EXIT_OK
+        e0.add(json.loads(out)["eigenvalues"][0])
+    assert len(e0) == 1
+
+
+@pytest.mark.parametrize("argv, coarse_nodes", [
+    (["eig", "--a", "1", "--b", "1", "--c", "0.5", "--k", "4", "--rmax", "15", "--h", "0.005"],
+     750),
+    (["verify", "--a", "1", "--c", "0.5", "--derive", "b", "--rmax", "20", "--h", "0.01"], 500),
+])
+def test_coarse_user_grids_do_not_fall_back(argv, coarse_nodes, capsys, monkeypatch):
+    # the h grid's windows prove themselves even where a level moves by
+    # 2.2e-4 relative from 4h to h: only the 4h grid is bisected
+    from pcoulomb import numerics
+
+    sizes = []
+    index_solve = numerics._index_solve
+
+    def recording(diag, off, first, k):
+        sizes.append(len(diag))
+        return index_solve(diag, off, first, k)
+
+    monkeypatch.setattr(numerics, "_index_solve", recording)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert sizes and set(sizes) == {coarse_nodes}
+
+
+def _benchmark_requests(workload, seeds):
+    """The benchmark's request lists, read from ``perfbench/workloads.py``."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [argv for seed in seeds for argv in module.requests(workload, seed)]
+
+
+def test_richardson_sweep_rows_match_closed_form(capsys):
+    # n = 0 rows with odd M of the sweep-scan requests, seeds 1-3: the
+    # extrapolated value is within 1e-10 of the closed form (measured up to
+    # 5.9e-11; 3.8e-9 when each grid value was bisected to ULP * ||T||_1)
+    rows = 0
+    for argv in _benchmark_requests("sweep-scan", range(1, 4)):
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        if flags["--n"] != "0" or (int(flags["--N"]) + 2 * int(flags["--l"])) % 2 == 0:
+            continue
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        for line in out.strip().split("\n")[1:]:
+            assert float(line.split(",")[8]) <= 1e-10, (argv, line)
+            rows += 1
+    assert rows == 36
+
+
 def test_sweep_requires_a_range(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--a", "1", "--c", "0.5")
     assert code == EXIT_USAGE
@@ -956,7 +1019,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["eig", "--a", "1", "--c", "0.5", "--derive", "b"]) == 0
 import scipy.linalg
 assert scipy.linalg._flapack.dstebz is numerics._lapack().dstebz
-assert scipy.linalg.lapack.dstein is numerics._lapack().dstein
+assert scipy.linalg.lapack.dgtsv is numerics._lapack().dgtsv
 print("ok")
 """
 
