@@ -11,26 +11,28 @@ is available where O(h^4) is wanted.  ``sturm_count`` exposes the raw
 eigenvalue-counting recurrence so the solver can be cross-checked
 independently.
 
-Every grid solve runs one seeding chain, 4h -> h, extended to h/2 for a
-Richardson pair.  Each level first .. first+k-1 is bisected on its own
-(Sturm sequence) on a grid of step COARSEN * h, a quarter of the nodes.
-Each 4h value is the shift of two steps of inverse iteration on the h grid,
-and the Rayleigh quotient E of the unit iterate x is the h value (Parlett,
-The Symmetric Eigenvalue Problem, ch. 4-5); h values seed h/2 the same way.
-The residual ||T x - E x|| puts an eigenvalue within it of E, and Sturm
-counts at the window edges prove each value's index (Barth, Martin &
-Wilkinson, Numer. Math. 9, 386 (1967)); see ``_refine``.  A set that fails
-the proof, or an h grid without a 4h grid of 100 nodes, is refined from the
-unseeded index-range bisection of its own grid instead, so a bad seed costs
-time, never correctness.  An eigenvector is found for one level: the
-iterate itself.  Seeds come from the coarser grid only, never from a closed
-form, so this oracle stays independent of the constructions it checks.
+Every grid solve runs one seeding chain of grids, coarsest first: 16h ->
+4h -> h, extended to h/2 for a Richardson pair (steps COARSEN**2 * h and
+COARSEN * h).  Each level first .. first+k-1 is bisected on its own
+(Sturm sequence) on the coarsest grid that resolves it (at least 100 nodes,
+ten per level), a sixteenth of the nodes on default grids.  Each value of a
+grid is the shift of two steps of inverse iteration on the next finer grid,
+and the Rayleigh quotient E of the unit iterate x is that grid's value
+(Parlett, The Symmetric Eigenvalue Problem, ch. 4-5).  The residual
+||T x - E x|| puts an eigenvalue within it of E, and Sturm counts at the
+window edges prove each value's index (Barth, Martin & Wilkinson, Numer.
+Math. 9, 386 (1967)); see ``_refine``.  A set that fails the proof, or an h
+grid with no coarser grid to seed it, is refined from the unseeded
+index-range bisection of its own grid instead, so a bad seed costs time,
+never correctness.  An eigenvector is found for one level: the iterate
+itself.  Seeds come from the coarser grids only, never from a closed form,
+so this oracle stays independent of the constructions it checks.
 
 LAPACK comes from scipy's extension module ``scipy/linalg/_flapack``, which
 ``_lapack`` loads on its own (see there): the solver calls only ``dstebz``
-(bisection and Sturm counts) and ``dgtsv`` (the shifted tridiagonal solves),
-so no command imports the ``scipy.linalg`` package; one imported later binds
-``_flapack``.
+(the index-range bisection), ``dpttrf`` (the LDL^T pivots of a Sturm count)
+and ``dgtsv`` (the shifted tridiagonal solves), so no command imports the
+``scipy.linalg`` package; one imported later binds ``_flapack``.
 
 Quadrature is composite trapezoid throughout.
 
@@ -72,8 +74,7 @@ STEPS_PER_LENGTH = 1200
 #: stay under 2e6 nodes
 MAX_NODES = 2**24
 
-#: step ratio of the grid whose eigenvalues seed every h solve (a quarter
-#: of the nodes)
+#: step ratio between neighbouring grids of the seeding chain 16h -> 4h -> h
 COARSEN = 4
 
 #: half-width, relative to max(1, |E|), of the window centred on each refined
@@ -259,7 +260,7 @@ def _tridiagonal(
 
 @functools.cache
 def _lapack():
-    """The module that holds LAPACK's ``dstebz`` and ``dgtsv``.
+    """The module that holds LAPACK's ``dstebz``, ``dpttrf`` and ``dgtsv``.
 
     Importing the ``scipy.linalg`` package costs about 300 ms after numpy;
     its extension file ``scipy/linalg/_flapack``, found without importing
@@ -346,23 +347,44 @@ def _refine(diag: np.ndarray, off: np.ndarray, shifts, first: int, margin: float
         defect = tx - values[-1] * x
         residuals.append(math.sqrt(np.add.reduce(defect * defect)))
 
-    def count(top: float) -> int:
-        # range=1 is RANGE='V'.  Over (-inf, top] LAPACK raises the lower end
-        # to its own Gershgorin bound, and an infinite tolerance stops the
-        # bisection at once, so m is the exact Sturm count N(top)
-        m, _, _, _, info = lapack.dstebz(diag, off, 1, -np.inf, top, 0, 0, np.inf, "E")
-        return m if info == 0 else -1
-
     values = np.array(values)
     half = WINDOW * np.maximum(1.0, np.abs(values))
     lows, highs = values - half, values + half
     proved = bool(
         np.all(np.array(residuals) + margin < half)
         and np.all(highs[:-1] < lows[1:])
-        and count(highs[-1]) == first + len(values)
-        and (first == 0 or count(lows[0]) == first)
+        and _count_at_or_below(diag, off, highs[-1]) == first + len(values)
+        and (first == 0 or _count_at_or_below(diag, off, lows[0]) == first)
     )
     return values, vectors, proved
+
+
+def _count_at_or_below(diag: np.ndarray, off: np.ndarray, top: float) -> int:
+    """Sturm count N(top): the nonpositive pivots of the LDL^T factorization
+    of T - top I, which ``dpttrf`` computes until the first of them.
+
+    After a nonpositive pivot d_i the count restarts at row i + 1 with the
+    diagonal (a_{i+1} - top) - b_i^2 / min(d_i, -pivmin), pivmin as in
+    ``dstebz``: a zero pivot counts as negative, and a -inf one (after a tiny
+    positive pivot) leaves the plain diagonal.  The count is backward stable
+    (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995).
+    """
+    lapack = _lapack()
+    d, e = diag - top, off.copy()
+    pivmin = sys.float_info.min * max(1.0, float(np.max(np.abs(off), initial=0.0)) ** 2)
+    count, start = 0, 0
+    while start < len(d) - 1:
+        pivots, _, info = lapack.dpttrf(d[start:], e[start:], overwrite_d=1, overwrite_e=1)
+        if info == 0:
+            return count
+        count += 1
+        row = start + info  # the row after the nonpositive pivot
+        if row == len(d):
+            return count
+        d[row] -= e[row - 1] ** 2 / min(pivots[info - 1], -pivmin)
+        start = row
+    # a one-row tail: the wrapper rejects an off-diagonal of size 0
+    return count + int(d[start] <= 0.0)
 
 
 def _seeded_lowest(diag: np.ndarray, off: np.ndarray, seeds, first: int, k: int):
@@ -400,10 +422,11 @@ def eigen_lowest(
     """Eigenvalues first .. first+k-1 of the discretized problem, ascending.
 
     ``first`` = 0 (the default) gives the lowest k.  Every call runs the
-    seeding chain of the module docstring, 4h -> h; with ``richardson`` also
-    h -> h/2, and the pair is extrapolated over (h, h/2), pushing the
-    discretization error from O(h^2) to O(h^4).  Each level's 4h seed is
-    bisected on its own, so a level's value does not depend on k or first.
+    seeding chain of the module docstring, 16h -> 4h -> h; with
+    ``richardson`` also h -> h/2, and the pair is extrapolated over (h, h/2),
+    pushing the discretization error from O(h^2) to O(h^4).  Each level is
+    bisected on its own on the coarsest grid, so a level's value does not
+    depend on k or first.
 
     The values are not limited by the bisection tolerance ULP * ||T||_1
     (about 4 eps T / h^2): at h = 1e-3 on the reference problem they are
@@ -432,15 +455,17 @@ def eigen_lowest(
     if richardson and eigenvectors:
         raise ValueError("eigenvectors are not defined for extrapolated values")
 
-    diag, off = _tridiagonal(v_eff, grid, phys)
-    try:
-        coarse = RadialGrid(r_max=grid.r_max, h=COARSEN * grid.h)
-    except ValueError:
-        seeds = None
-    else:
-        coarse_matrix = _tridiagonal(v_eff, coarse, phys)  # one bisection per level
-        seeds = [_index_solve(*coarse_matrix, level, 1)[0] for level in range(first, first + k)]
-    values, vectors = _seeded_lowest(diag, off, seeds, first, k)
+    chain = _coarse_grids(grid, first + k)
+    values = None
+    if chain:
+        coarsest = _tridiagonal(v_eff, chain.pop(0), phys)  # one bisection per level
+        values = [_index_solve(*coarsest, level, 1)[0] for level in range(first, first + k)]
+    chain.append(grid)
+    if richardson:
+        chain.append(grid.halved())
+    for link in chain:
+        seeds = values
+        values, vectors = _seeded_lowest(*_tridiagonal(v_eff, link, phys), seeds, first, k)
     if eigenvectors:
         if vectors is None:
             raise np.linalg.LinAlgError("LAPACK dgtsv met a singular pivot at every shift")
@@ -450,8 +475,22 @@ def eigen_lowest(
         return [float(values[0])], vector[:, np.newaxis]
     if not richardson:
         return [float(v) for v in values]
-    fine, _ = _seeded_lowest(*_tridiagonal(v_eff, grid.halved(), phys), values, first, k)
-    return [float((4.0 * ef - ec) / 3.0) for ec, ef in zip(values, fine)]
+    return [float((4.0 * ef - ec) / 3.0) for ec, ef in zip(seeds, values)]
+
+
+def _coarse_grids(grid: RadialGrid, levels: int) -> list[RadialGrid]:
+    """The grids of step COARSEN**2 * h and COARSEN * h, coarsest first, that
+    resolve the lowest ``levels`` levels as ``eigen_lowest`` asks of any grid:
+    at least 100 nodes and ten per level."""
+    coarse = []
+    for power in (2, 1):
+        try:
+            candidate = RadialGrid(r_max=grid.r_max, h=COARSEN**power * grid.h)
+        except ValueError:
+            continue
+        if levels <= candidate.count // 10:
+            coarse.append(candidate)
+    return coarse
 
 
 def sturm_count(diag: np.ndarray, off: np.ndarray, sigma: float) -> int:

@@ -425,11 +425,13 @@ def test_seeded_windows_fall_back_to_unseeded():
 
 
 def _chain(v_eff, grid, first, k):
-    """(values, vectors) of the 4h -> h chain composed from its parts: one
-    index-range bisection per level on the 4h grid, then the refinement of
-    those seeds on the h grid."""
+    """(values, vectors) of the 16h -> 4h -> h chain composed from its parts:
+    one index-range bisection per level on the 16h grid, then the refinement
+    of those seeds on the 4h grid and of its values on the h grid."""
+    coarsest = _matrix(v_eff, RadialGrid(r_max=grid.r_max, h=COARSEN**2 * grid.h))
+    seeds = [_stebz_levels(*coarsest, level, 1)[0] for level in range(first, first + k)]
     coarse = _matrix(v_eff, RadialGrid(r_max=grid.r_max, h=COARSEN * grid.h))
-    seeds = [_stebz_levels(*coarse, level, 1)[0] for level in range(first, first + k)]
+    seeds, _ = _seeded_lowest(*coarse, seeds, first, k)
     return _seeded_lowest(*_matrix(v_eff, grid), seeds, first, k)
 
 
@@ -594,18 +596,21 @@ def test_single_level_is_the_stebz_index_solve(n):
 
 @pytest.mark.parametrize("a, c, n_dim, ell", SWEEP_LIKE)
 def test_eigen_lowest_windows_prove_themselves(a, c, n_dim, ell, monkeypatch):
+    # only the coarsest grid (16h) is bisected: no fallback at 4h, h or h/2
     v_eff, grid = _sweep_like(a, c, n_dim, ell)
+    coarsest = RadialGrid(r_max=grid.r_max, h=COARSEN**2 * grid.h).count
     index_solve = numerics._index_solve
 
-    def coarse_only(diag, off, first, k):
-        if len(diag) == grid.count:
-            raise AssertionError("the h grid fell back to the unseeded solve")
+    def coarsest_only(diag, off, first, k):
+        if len(diag) != coarsest:
+            raise AssertionError(f"the grid of {len(diag)} nodes fell back to the unseeded solve")
         return index_solve(diag, off, first, k)
 
-    monkeypatch.setattr(numerics, "_index_solve", coarse_only)
+    monkeypatch.setattr(numerics, "_index_solve", coarsest_only)
     for first in range(3):
         for k in range(1, 4):
             values = eigen_lowest(v_eff, grid, PHYS, k=k, first=first)
+            eigen_lowest(v_eff, grid, PHYS, k=k, first=first, richardson=True)
             if k == 1:
                 pair_values, vecs = eigen_lowest(
                     v_eff, grid, PHYS, k=k, first=first, eigenvectors=True)
@@ -710,6 +715,7 @@ from scipy.linalg import eigh_tridiagonal
 
 assert scipy.linalg.lapack.dstebz is numerics._lapack().dstebz
 assert scipy.linalg.lapack.dgtsv is numerics._lapack().dgtsv
+assert scipy.linalg.lapack.dpttrf is numerics._lapack().dpttrf
 
 levels = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 4),
                           lapack_driver="stebz")
@@ -779,6 +785,120 @@ def test_eigen_first_validation():
     with pytest.raises(ValueError, match="out of range"):
         eigen_lowest(v_eff, grid, PHYS, k=2, first=99)
     assert len(eigen_lowest(v_eff, grid, PHYS, k=2, first=98)) == 2
+
+
+@pytest.mark.parametrize("first, coarsest", [(9, 100), (10, 400)])
+def test_levels_the_16h_grid_cannot_resolve_are_seeded_at_4h(first, coarsest, monkeypatch):
+    # 1600 nodes: the 16h grid (100 nodes) resolves levels 0..9 and the 4h
+    # grid (400 nodes) levels 0..39; the coarsest grid that resolves the
+    # level is bisected first.  Levels this high move too far between grids
+    # this coarse for the windows to hold, so finer grids fall back here
+    grid = RadialGrid(r_max=16.0, h=0.01)
+    v_eff = effective_potential(P1, DIM3, PHYS)
+    sizes = []
+    index_solve = numerics._index_solve
+
+    def recording(diag, off, first, k):
+        sizes.append(len(diag))
+        return index_solve(diag, off, first, k)
+
+    monkeypatch.setattr(numerics, "_index_solve", recording)
+    eigen_lowest(v_eff, grid, PHYS, k=1, first=first)
+    assert sizes[0] == coarsest
+
+
+def _stebz_count(diag, off, top):
+    """dstebz's Sturm count N(top), RANGE='V' over (-inf, top]."""
+    from scipy.linalg.lapack import dstebz
+
+    m, _, _, _, info = dstebz(diag, off, 1, -np.inf, top, 0, 0, np.inf, "E")
+    assert info == 0
+    return m
+
+
+def _dense_levels(diag, off):
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+
+def _assert_counts_agree(diag, off, shifts):
+    """The pivot count against sturm_count and dstebz at every shift at
+    least ``_seeded_lowest``'s margin, 8 eps ||T||_1, from every eigenvalue."""
+    levels = _dense_levels(diag, off)
+    margin = 8.0 * np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off)))
+    checked = 0
+    for top in shifts:
+        if np.min(np.abs(levels - top)) < margin:
+            continue
+        expected = int(np.sum(levels < top))
+        assert numerics._count_at_or_below(diag, off, top) == expected, top
+        assert sturm_count(diag, off, top) == expected == _stebz_count(diag, off, top), top
+        checked += 1
+    assert checked > len(shifts) // 2
+
+
+def _midpoints(diag, off):
+    """Shifts between neighbouring eigenvalues and beyond both ends."""
+    levels = _dense_levels(diag, off)
+    return np.concatenate(([levels[0] - 1.0], (levels[1:] + levels[:-1]) / 2.0,
+                           [levels[-1] + 1.0]))
+
+
+def test_pivot_count_of_the_reference_problem():
+    v_eff = effective_potential(P1, DIM3, PHYS)
+    diag, off = _matrix(v_eff, RadialGrid(r_max=12.0, h=12.0 / 400))
+    rng = np.random.default_rng(13)
+    shifts = np.concatenate((_midpoints(diag, off), rng.uniform(diag.min() - 1.0, 2.0 * diag.max(), 100)))
+    _assert_counts_agree(diag, off, shifts)
+
+
+def test_pivot_count_of_a_split_matrix():
+    # a zero off-diagonal: the factorization runs on through the split
+    diag = np.concatenate((np.linspace(1.0, 2.0, 100), np.linspace(1.03, 2.03, 100)))
+    off = np.full(199, -0.3)
+    off[99] = 0.0
+    _assert_counts_agree(diag, off, _midpoints(diag, off))
+
+
+def test_pivot_count_at_a_zero_pivot():
+    # a shift exactly on an entry of a diagonal matrix is an exactly zero
+    # pivot: it counts as negative, as in dstebz, so N(top) counts the
+    # eigenvalues at or below top
+    diag = np.linspace(1.0, 2.0, 200)
+    off = np.zeros(199)
+    for j in (0, 57, 198, 199):
+        assert numerics._count_at_or_below(diag, off, diag[j]) == j + 1 == _stebz_count(
+            diag, off, diag[j])
+    _assert_counts_agree(diag, off, _midpoints(diag, off))
+    # with a coupled next row, the restart divides by -pivmin, not by zero
+    v_eff = effective_potential(P1, DIM3, PHYS)
+    diag, off = _matrix(v_eff, RadialGrid(r_max=12.0, h=12.0 / 400))
+    with np.errstate(over="ignore"):  # sturm_count's nudged zero pivot overflows
+        _assert_counts_agree(diag, off, [diag[0]])
+
+
+def test_pivot_count_after_a_tiny_positive_pivot():
+    # the first pivot is a subnormal positive number, so the second,
+    # 1 - 1 / 1e-310, is -inf: the count restarts at the third row with its
+    # plain diagonal
+    diag = np.full(50, 3.0)
+    diag[:2] = 1e-310, 1.0
+    off = np.full(49, 0.5)
+    off[0] = 1.0
+    with np.errstate(over="ignore"):  # sturm_count overflows the same way
+        assert diag[1] - off[0] ** 2 / diag[0] == -np.inf
+        _assert_counts_agree(diag, off, [0.0])
+    assert numerics._count_at_or_below(diag, off, 0.0) == 1
+
+
+@pytest.mark.parametrize("last, count", [(3.0, 1), (-5.0, 2)])
+def test_pivot_count_with_a_one_row_tail(last, count):
+    # a negative pivot at row n - 2 leaves one row, which is counted without
+    # dpttrf, positive or negative
+    diag = np.full(20, 3.0)
+    diag[-2:] = -5.0, last
+    off = np.full(19, 0.5)
+    _assert_counts_agree(diag, off, [0.0])
+    assert numerics._count_at_or_below(diag, off, 0.0) == count
 
 
 def test_sturm_count_consistency_with_eigenvalues():

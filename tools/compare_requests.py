@@ -12,12 +12,16 @@ turn through ``main``, capturing the exit code, stdout and stderr.  The two
 roots run side by side, one process each.
 
 Prints, per command, how many requests gave identical (exit code, stdout,
-stderr), then the first differing line of each differing request.  Exits 0
-when every request is identical and 1 otherwise.
+stderr), then the first differing line of each differing request, then,
+per numeric field, how many differing requests moved it and its largest
+absolute move over them.  The fields are the check values of ``verify
+--out json`` (by check name), the ``eig`` eigenvalues and the ``sweep`` CSV
+columns.  Exits 0 when every request is identical and 1 otherwise.
 """
 
 from __future__ import annotations
 
+import csv
 import importlib.util
 import json
 import subprocess
@@ -103,6 +107,42 @@ def _first_difference(old, new) -> str:
     return "identical"
 
 
+def _numbers(value) -> list[float]:
+    """The numbers of one output value: a number or a list of them."""
+    values = value if isinstance(value, list) else [value]
+    return [float(v) for v in values if isinstance(v, (int, float))]
+
+
+def _fields(command: str, stdout: str) -> dict[str, list[float]]:
+    """Numeric fields of one output, by name; {} for any other output."""
+    try:
+        if command == "verify":
+            return {c["name"]: _numbers(c["value"]) for c in json.loads(stdout)["checks"]}
+        if command == "eig":
+            return {"eigenvalues": _numbers(json.loads(stdout)["eigenvalues"])}
+        if command == "sweep":
+            header, *rows = csv.reader(stdout.splitlines())
+            return {name: [float(row[i]) for row in rows] for i, name in enumerate(header)}
+    except (ValueError, KeyError, TypeError):
+        pass
+    return {}
+
+
+def _moves(command: str, old, new, moves: dict) -> None:
+    """Adds to ``moves`` (field -> [requests moved, largest move]) the
+    fields of one differing request whose values moved."""
+    old_fields, new_fields = _fields(command, old[1]), _fields(command, new[1])
+    for name, a in old_fields.items():
+        b = new_fields.get(name)
+        if b is None or len(a) != len(b):
+            continue
+        move = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+        if move > 0.0:
+            entry = moves.setdefault(f"{command} {name}", [0, 0.0])
+            entry[0] += 1
+            entry[1] = max(entry[1], move)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
@@ -111,18 +151,24 @@ def main(argv: list[str]) -> int:
     argvs = distinct_requests()
     children = [_start(root, argvs) for root in roots]
     old, new = (_collect(child, root) for child, root in zip(children, roots))
-    total, same, diffs = Counter(), Counter(), []
+    total, same, diffs, moves = Counter(), Counter(), [], {}
     for request, a, b in zip(argvs, old, new):
-        total[request[0]] += 1
+        command = request[0]
+        total[command] += 1
         if a == b:
-            same[request[0]] += 1
-        else:
-            diffs.append(f"{' '.join(request)}\n    {_first_difference(a, b)}")
+            same[command] += 1
+            continue
+        diffs.append(f"{' '.join(request)}\n    {_first_difference(a, b)}")
+        _moves(command, a, b, moves)
     for command in sorted(total):
         print(f"{command:<8}{same[command]:>5} of {total[command]:>4} identical")
     print(f"{'all':<8}{sum(same.values()):>5} of {len(argvs):>4} identical")
     for line in diffs:
         print(line)
+    if diffs:
+        print("fields moved (requests, largest absolute move):")
+        for name, (count, move) in sorted(moves.items()):
+            print(f"    {name:<48}{count:>5}  {move:.3g}")
     return 1 if diffs else 0
 
 
