@@ -13,24 +13,25 @@ independently.
 
 Every grid solve runs one seeding chain of grids, coarsest first: 16h ->
 4h -> h, extended to h/2 for a Richardson pair (steps COARSEN**2 * h and
-COARSEN * h).  Each level first .. first+k-1 is bisected on its own
-(Sturm sequence) on the coarsest grid that resolves it (at least 100 nodes,
-ten per level), a sixteenth of the nodes on default grids.  Each value of a
-grid is the shift of two steps of inverse iteration on the next finer grid,
-and the Rayleigh quotient E of the unit iterate x is that grid's value
-(Parlett, The Symmetric Eigenvalue Problem, ch. 4-5).  The residual
-||T x - E x|| puts an eigenvalue within it of E, and Sturm counts at the
-window edges prove each value's index (Barth, Martin & Wilkinson, Numer.
-Math. 9, 386 (1967)); see ``_refine``.  A set that fails the proof, or an h
-grid with no coarser grid to seed it, is refined from the unseeded
-index-range bisection of its own grid instead, so a bad seed costs time,
-never correctness.  An eigenvector is found for one level: the iterate
-itself.  Seeds come from the coarser grids only, never from a closed form,
-so this oracle stays independent of the constructions it checks.
+COARSEN * h).  Every step handles one level.  On the coarsest grid that
+resolves the levels asked for (at least 100 nodes, ten per level), a
+sixteenth of the nodes on default grids, each level is bisected (Sturm
+sequence).  Its value is the shift of two steps of inverse iteration on the
+next finer grid, and the Rayleigh quotient E of the unit iterate x is that
+grid's value (Parlett, The Symmetric Eigenvalue Problem, ch. 4-5).  The
+residual ||T x - E x|| puts an eigenvalue within it of E, and two Sturm
+counts at the edges of the window around E prove that it is this level
+(Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)); see ``_refine``.
+A value that fails the proof, or a level on an h grid with no coarser grid
+to seed it, is refined from that level's own bisection on its grid instead,
+so a bad seed costs time, never correctness.  An eigenvector is found for
+one level: the iterate itself.  Seeds come from the coarser grids only,
+never from a closed form, so this oracle stays independent of the
+constructions it checks.
 
 LAPACK comes from scipy's extension module ``scipy/linalg/_flapack``, which
 ``_lapack`` loads on its own (see there): the solver calls only ``dstebz``
-(the index-range bisection), ``dpttrf`` (the LDL^T pivots of a Sturm count)
+(the index bisection), ``dpttrf`` (the LDL^T pivots of a Sturm count)
 and ``dgtsv`` (the shifted tridiagonal solves), so no command imports the
 ``scipy.linalg`` package; one imported later binds ``_flapack``.
 
@@ -121,11 +122,14 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class GridFunction:
+    """Samples at the grid nodes.  ``values`` is a read-only view that aliases
+    a float array argument (no copy); the caller's array stays writeable."""
+
     grid: RadialGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values, dtype=float).view()
         if values.shape != (self.grid.count,):
             raise ValueError(
                 f"values shape {values.shape} does not match grid count {self.grid.count}"
@@ -303,60 +307,51 @@ def _check(info: int, routine: str) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info})")
 
 
-def _index_solve(diag: np.ndarray, off: np.ndarray, first: int, k: int) -> np.ndarray:
-    """Eigenvalues first .. first+k-1 by the unseeded index-range bisection."""
-    # range=2 is RANGE='I' with 1-based indices, tolerance 0 is stebz's
-    # default, "E" orders the values ascending
-    m, w, _, _, info = _lapack().dstebz(
-        diag, off, 2, 0.0, 0.0, first + 1, first + k, 0.0, "E")
+def _index_solve(diag: np.ndarray, off: np.ndarray, level: int) -> float:
+    """Eigenvalue ``level`` (0-based) by the unseeded index bisection."""
+    # range=2 is RANGE='I' with 1-based indices, tolerance 0 is stebz's default
+    _, w, _, _, info = _lapack().dstebz(
+        diag, off, 2, 0.0, 0.0, level + 1, level + 1, 0.0, "E")
     _check(info, "dstebz")
-    return w[:m]
+    return w[0]
 
 
-def _refine(diag: np.ndarray, off: np.ndarray, shifts, first: int, margin: float):
-    """(values, vectors, proved): per shift, two steps of inverse iteration
-    from a ones vector, then the Rayleigh quotient E of the unit iterate x;
-    None when ``dgtsv`` meets an exactly singular pivot or x is not finite.
+def _refine(diag: np.ndarray, off: np.ndarray, shift: float, level: int, margin: float):
+    """(value, vector, proved): two steps of inverse iteration shifted to
+    ``shift`` from a ones vector, then the Rayleigh quotient E of the unit
+    iterate x; None when ``dgtsv`` meets an exactly singular pivot or x is
+    not finite.
 
-    ``proved`` is whether window j, E_j -+ WINDOW * max(1, |E_j|), holds
-    eigenvalue first + j for every j.  The residual ||T x - E x|| puts an
+    ``proved`` is whether the window E -+ half, half = WINDOW * max(1, |E|),
+    holds eigenvalue ``level``.  The residual ||T x - E x|| puts an
     eigenvalue within it of E, so a window wider than the residual plus
-    ``margin`` (its roundoff and a Sturm count's) holds one; when the windows
-    are disjoint, exactly first + k eigenvalues lie at or below the top edge
-    and, for first > 0, exactly first at or below the lowest edge, window j
-    holds eigenvalue first + j.  Sums are ``np.add.reduce`` (pairwise, in a
-    fixed order), not BLAS ``dot``, so the bits do not depend on the CPU's
-    dispatch level.
+    ``margin`` (its roundoff and a Sturm count's) holds one; when exactly
+    level + 1 eigenvalues lie at or below its top edge and, for level > 0,
+    exactly ``level`` at or below its bottom edge, that one is eigenvalue
+    ``level`` (Barth, Martin & Wilkinson).  Sums are ``np.add.reduce``
+    (pairwise, in a fixed order), not BLAS ``dot``, so the bits do not
+    depend on the CPU's dispatch level.
     """
-    lapack = _lapack()
-    values, vectors, residuals = [], [], []
-    for shift in shifts:
-        x = np.ones(len(diag))
-        for _ in range(2):
-            x, info = lapack.dgtsv(off, diag - shift, off, x, overwrite_d=1, overwrite_b=1)[3:]
-            with np.errstate(over="ignore", invalid="ignore"):
-                norm = math.sqrt(np.add.reduce(x * x))
-            if info != 0 or not 0.0 < norm < math.inf:
-                return None
-            x /= norm
-        tx = diag * x
-        tx[1:] += off * x[:-1]
-        tx[:-1] += off * x[1:]
-        values.append(float(np.add.reduce(x * tx)))
-        vectors.append(x)
-        defect = tx - values[-1] * x
-        residuals.append(math.sqrt(np.add.reduce(defect * defect)))
-
-    values = np.array(values)
-    half = WINDOW * np.maximum(1.0, np.abs(values))
-    lows, highs = values - half, values + half
-    proved = bool(
-        np.all(np.array(residuals) + margin < half)
-        and np.all(highs[:-1] < lows[1:])
-        and _count_at_or_below(diag, off, highs[-1]) == first + len(values)
-        and (first == 0 or _count_at_or_below(diag, off, lows[0]) == first)
+    x = np.ones(len(diag))
+    for _ in range(2):
+        x, info = _lapack().dgtsv(off, diag - shift, off, x, overwrite_d=1, overwrite_b=1)[3:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = math.sqrt(np.add.reduce(x * x))
+        if info != 0 or not 0.0 < norm < math.inf:
+            return None
+        x /= norm
+    tx = diag * x
+    tx[1:] += off * x[:-1]
+    tx[:-1] += off * x[1:]
+    value = float(np.add.reduce(x * tx))
+    defect = tx - value * x
+    half = WINDOW * max(1.0, abs(value))
+    proved = (
+        math.sqrt(np.add.reduce(defect * defect)) + margin < half
+        and _count_at_or_below(diag, off, value + half) == level + 1
+        and (level == 0 or _count_at_or_below(diag, off, value - half) == level)
     )
-    return values, vectors, proved
+    return value, x, proved
 
 
 def _count_at_or_below(diag: np.ndarray, off: np.ndarray, top: float) -> int:
@@ -387,25 +382,25 @@ def _count_at_or_below(diag: np.ndarray, off: np.ndarray, top: float) -> int:
     return count + int(d[start] <= 0.0)
 
 
-def _seeded_lowest(diag: np.ndarray, off: np.ndarray, seeds, first: int, k: int):
-    """(values, vectors) of eigenvalues first .. first+k-1, refined from seeds.
+def _seeded_lowest(diag: np.ndarray, off: np.ndarray, seed, level: int):
+    """(value, vector) of eigenvalue ``level``, refined from ``seed``.
 
-    A set that ``_refine`` cannot prove, or no seeds (None), is refined from
-    the unseeded index-range bisection's values instead.  If those fail
-    their proof too, the bisection's own values are returned (its index
-    range proves them) with the iterates, or none when ``dgtsv`` failed.
+    A value that ``_refine`` cannot prove, or no seed (None), is refined
+    from this level's unseeded bisection instead.  If that fails its proof
+    too, the bisected value is returned (its index proves it) with the
+    iterate, or None when ``dgtsv`` failed.
     """
     # 8 eps ||T||_1 bounds the roundoff of a residual and of a Sturm count
     norm = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off)))
     margin = 8.0 * sys.float_info.epsilon * norm
-    refined = None if seeds is None else _refine(diag, off, seeds, first, margin)
+    refined = None if seed is None else _refine(diag, off, seed, level, margin)
     if refined is None or not refined[2]:
-        values = _index_solve(diag, off, first, k)
+        value = _index_solve(diag, off, level)
         # a bisected value can be an exact eigenvalue of the computed matrix
         # (a diagonal one, say), where dgtsv meets a zero pivot: shift off it
-        refined = _refine(diag, off, values + margin, first, margin)
+        refined = _refine(diag, off, value + margin, level, margin)
         if refined is None or not refined[2]:
-            return values, None if refined is None else refined[1]
+            return value, None if refined is None else refined[1]
     return refined[:2]
 
 
@@ -424,9 +419,11 @@ def eigen_lowest(
     ``first`` = 0 (the default) gives the lowest k.  Every call runs the
     seeding chain of the module docstring, 16h -> 4h -> h; with
     ``richardson`` also h -> h/2, and the pair is extrapolated over (h, h/2),
-    pushing the discretization error from O(h^2) to O(h^4).  Each level is
-    bisected on its own on the coarsest grid, so a level's value does not
-    depend on k or first.
+    pushing the discretization error from O(h^2) to O(h^4).  Each grid's
+    matrix is built once and each level is solved on it alone, so a level's
+    value does not depend on k or first while the same coarse grids resolve
+    every requested level at ten nodes per level: on default grids (16h
+    grids of 1,250 nodes or more), up to 125 levels.
 
     The values are not limited by the bisection tolerance ULP * ||T||_1
     (about 4 eps T / h^2): at h = 1e-3 on the reference problem they are
@@ -455,21 +452,23 @@ def eigen_lowest(
     if richardson and eigenvectors:
         raise ValueError("eigenvectors are not defined for extrapolated values")
 
+    levels = range(first, first + k)
     chain = _coarse_grids(grid, first + k)
-    values = None
+    values = [None] * k
     if chain:
         coarsest = _tridiagonal(v_eff, chain.pop(0), phys)  # one bisection per level
-        values = [_index_solve(*coarsest, level, 1)[0] for level in range(first, first + k)]
+        values = [_index_solve(*coarsest, level) for level in levels]
     chain.append(grid)
     if richardson:
         chain.append(grid.halved())
-    for link in chain:
-        seeds = values
-        values, vectors = _seeded_lowest(*_tridiagonal(v_eff, link, phys), seeds, first, k)
+    for link in chain:  # grids in the outer loop: each matrix is built once
+        seeds, matrix = values, _tridiagonal(v_eff, link, phys)
+        values, vectors = zip(*(_seeded_lowest(*matrix, seed, level)
+                                for seed, level in zip(seeds, levels)))
     if eigenvectors:
-        if vectors is None:
-            raise np.linalg.LinAlgError("LAPACK dgtsv met a singular pivot at every shift")
         vector = vectors[0]
+        if vector is None:
+            raise np.linalg.LinAlgError("LAPACK dgtsv met a singular pivot at every shift")
         if vector[np.argmax(np.abs(vector))] < 0.0:
             vector = -vector
         return [float(values[0])], vector[:, np.newaxis]

@@ -182,16 +182,22 @@ def _eigenpairs(system: RecursionSystem) -> tuple[np.ndarray, np.ndarray]:
     with scale_0 = 1, scale_{i+1} = scale_i sqrt(curvature[i] / step[i+1])
     the similarity diag(scale) M diag(scale)^-1 is the symmetric Jacobi
     matrix with off-diagonals -sqrt(curvature[i] * step[i+1]); its
-    eigenvectors divided by scale are those of M.
+    eigenvectors divided by scale are those of M.  A scale that overflows
+    (tiny couplings, or a tiny hbar) is a ValueError, not a RuntimeWarning.
     """
     curvature = np.array(system.curvature[:-1])
     step = np.array(system.step[1:])
-    scale = np.concatenate(([1.0], np.cumprod(np.sqrt(curvature / step))))
     off = -np.sqrt(curvature * step)
     jacobi = np.diag(np.negative(system.shift)) + np.diag(off, 1) + np.diag(off, -1)
     roots, vectors = np.linalg.eigh(jacobi)
-    polys = vectors / scale[:, None]
-    polys /= polys[-1]
+    with np.errstate(all="ignore"):
+        scale = np.concatenate(([1.0], np.cumprod(np.sqrt(curvature / step))))
+        polys = vectors / scale[:, None]
+        polys /= polys[-1]
+    if not np.all(np.isfinite(polys)):
+        raise ValueError(
+            f"level n = {system.n}: a polynomial coefficient p_0 .. p_{system.n}"
+            " is not finite in double precision")
     return roots, polys
 
 

@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -514,12 +515,17 @@ def test_sweep_level_without_closed_form_exits_with_message(capsys):
 
 
 def test_oracle_non_finite_result_exits_one(capsys):
-    # the level-8 polynomials of these couplings overflow to inf and nan
-    with np.errstate(all="ignore"):
-        code, out, err = run_cli(capsys, "oracle", "--b", "1e-300", "--c", "1e-300", "--n", "8")
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "is not finite" in err
+    # the polynomials of tiny couplings, or of a tiny hbar, overflow to inf
+    # and nan: one error line, and no numpy RuntimeWarning on the way
+    for argv in (["--b", "1e-300", "--c", "1e-300", "--n", "8"],
+                 ["--b", "1", "--c", "0.5", "--n", "3", "--check", "--hbar", "1e-100"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "oracle", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "is not finite" in err
+        assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
@@ -551,15 +557,20 @@ def test_sweep_row_is_the_single_level_solve(capsys):
 
 
 def test_level_bits_do_not_depend_on_k(capsys):
-    # each level's seed is bisected on its own on the 4h grid, so E0 is the
-    # same double whichever k asks for it
-    e0 = set()
-    for k in ("1", "2", "3"):
-        code, out, _ = run_cli(capsys, "eig", "--a", "1", "--b", "1", "--c", "0.5",
-                               "--rmax", "40", "--h", "0.002", "--k", k)
-        assert code == EXIT_OK
-        e0.add(json.loads(out)["eigenvalues"][0])
-    assert len(e0) == 1
+    # each level is solved on its own on every grid of the chain, so E0 is
+    # the same double whichever k asks for it, also where the higher levels
+    # fall back to their own bisection on coarse grids (--h 0.05: levels
+    # 1..4 on the 400-node h grid; --h 0.01 --k 10: levels 5..9 on 1600)
+    grids = {("40", "0.002"): ("1", "2", "3"), ("20", "0.05"): ("1", "3", "5"),
+             ("16", "0.01"): ("1", "10")}
+    for (r_max, h), ks in grids.items():
+        e0 = set()
+        for k in ks:
+            code, out, _ = run_cli(capsys, "eig", "--a", "1", "--b", "1", "--c", "0.5",
+                                   "--rmax", r_max, "--h", h, "--k", k)
+            assert code == EXIT_OK
+            e0.add(json.loads(out)["eigenvalues"][0])
+        assert len(e0) == 1, (r_max, h)
 
 
 @pytest.mark.parametrize("argv, coarse_nodes", [
@@ -568,9 +579,9 @@ def test_level_bits_do_not_depend_on_k(capsys):
     (["verify", "--a", "1", "--c", "0.5", "--derive", "b", "--rmax", "20", "--h", "0.01"], 500),
 ])
 def test_coarse_user_grids_do_not_fall_back(argv, coarse_nodes, capsys, monkeypatch):
-    # the h grid's windows (3000 and 2000 nodes) prove themselves even where
-    # a level moves by 2.2e-4 relative from 4h to h: only the chain's coarse
-    # grids, 16h and 4h (coarse_nodes), are bisected, never the h grid
+    # each level's window on the h grid (3000 and 2000 nodes) proves itself
+    # even where a level moves by 2.2e-4 relative from 4h to h: only the
+    # chain's coarse grids, 16h and 4h (coarse_nodes), are bisected, never h
     from pcoulomb import numerics
 
     flags = dict(zip(argv[1::2], argv[2::2]))
@@ -579,9 +590,9 @@ def test_coarse_user_grids_do_not_fall_back(argv, coarse_nodes, capsys, monkeypa
     sizes = []
     index_solve = numerics._index_solve
 
-    def recording(diag, off, first, k):
+    def recording(diag, off, level):
         sizes.append(len(diag))
-        return index_solve(diag, off, first, k)
+        return index_solve(diag, off, level)
 
     monkeypatch.setattr(numerics, "_index_solve", recording)
     code, _, _ = run_cli(capsys, *argv)

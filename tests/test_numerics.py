@@ -119,6 +119,17 @@ def test_evaluate_state_large_exponent_no_overflow():
     assert np.all(np.isfinite(f.values))
 
 
+def test_grid_function_freezes_a_view_not_the_callers_array():
+    grid = RadialGrid(r_max=2.0, h=0.01)
+    values = np.ones(grid.count)
+    f = GridFunction(grid=grid, values=values)
+    assert np.shares_memory(f.values, values)  # no copy
+    values[0] = 2.0
+    assert f.values[0] == 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[0] = 3.0
+
+
 def test_normalize_unit_norm():
     psi = ground_state(P1, DIM3, PHYS).psi
     grid = build_grid(P1, DIM3, PHYS)
@@ -367,9 +378,9 @@ def _sweep_like(a, c, n_dim, ell):
     return effective_potential(pot, dim, PHYS), build_grid(pot, dim, PHYS)
 
 
-def _unseeded(diag, off, first, k):
-    """(values, vectors) of the unseeded path: the index-range values, refined."""
-    return _seeded_lowest(diag, off, None, first, k)
+def _unseeded(diag, off, level):
+    """(value, vector) of the unseeded path: the level's bisected value, refined."""
+    return _seeded_lowest(diag, off, None, level)
 
 
 @pytest.mark.parametrize("a, c, n_dim, ell", SWEEP_LIKE)
@@ -378,9 +389,8 @@ def test_seeded_half_step_matches_unseeded(a, c, n_dim, ell):
     seeds = eigen_lowest(v_eff, grid, PHYS, k=6)
     diag, off = _matrix(v_eff, grid.halved())
     tol = _bisection_tol(diag, off)
-    for k in (1, 3, 6):
-        seeded, _ = _seeded_lowest(diag, off, seeds[:k], 0, k)
-        np.testing.assert_allclose(seeded, _stebz_levels(diag, off, 0, k), rtol=0, atol=tol)
+    seeded = [_seeded_lowest(diag, off, seed, level)[0] for level, seed in enumerate(seeds)]
+    np.testing.assert_allclose(seeded, _stebz_levels(diag, off, 0, 6), rtol=0, atol=tol)
 
 
 def test_seeded_values_bracketed_by_sturm_counts():
@@ -389,7 +399,8 @@ def test_seeded_values_bracketed_by_sturm_counts():
     seeds = eigen_lowest(v_eff, grid, PHYS, k=6)
     diag, off = _matrix(v_eff, grid.halved())
     step = 4.0 * _bisection_tol(diag, off)
-    for j, value in enumerate(_seeded_lowest(diag, off, seeds, 0, 6)[0]):
+    for j, seed in enumerate(seeds):
+        value, _ = _seeded_lowest(diag, off, seed, j)
         assert sturm_count(diag, off, value - step) == j
         assert sturm_count(diag, off, value + step) == j + 1
 
@@ -404,35 +415,30 @@ def test_seeded_windows_fall_back_to_unseeded():
     grid = RadialGrid(r_max=12.0, h=12.0 / 2000)
     v_eff = effective_potential(P1, DIM3, PHYS)
     diag, off = _matrix(v_eff, grid)
-    k = 4
-    levels = _stebz_levels(diag, off, 0, k + 1)
-    bad_seeds = {
-        "miss": levels[:k] + 0.5,  # residuals far wider than the windows
-        "shifted": levels[1:],  # one per window, k + 1 below the top
-        "overlap": [levels[0], levels[0] + 1e-9, *levels[2:k]],  # two windows on level 0
-    }
-    for name, seeds in bad_seeds.items():
-        _assert_same_pairs(_seeded_lowest(diag, off, seeds, 0, k),
-                           _unseeded(diag, off, 0, k), name)
-    # the fallback's values are refined and prove themselves
-    values, vectors = _unseeded(diag, off, 0, k)
-    np.testing.assert_allclose(values, levels[:k], rtol=0, atol=_bisection_tol(diag, off))
-    assert len(vectors) == k
-    # a vector is found for one level: its bad seed falls back the same way
-    for name, seed in {"miss": levels[0] + 0.5, "shifted": levels[1]}.items():
-        _assert_same_pairs(_seeded_lowest(diag, off, [seed], 0, 1),
-                           _unseeded(diag, off, 0, 1), name)
+    levels = _stebz_levels(diag, off, 0, 5)
+    for level in range(4):
+        bad_seeds = {
+            "miss": levels[level] + 0.5,  # a residual far wider than the window
+            "shifted": levels[level + 1],  # N(top) is level + 2
+        }
+        for name, seed in bad_seeds.items():
+            _assert_same_pairs(_seeded_lowest(diag, off, seed, level),
+                               _unseeded(diag, off, level), name)
+        # the fallback's value is refined and proves itself
+        value, vector = _unseeded(diag, off, level)
+        np.testing.assert_allclose(value, levels[level], rtol=0, atol=_bisection_tol(diag, off))
+        assert vector is not None
 
 
-def _chain(v_eff, grid, first, k):
-    """(values, vectors) of the 16h -> 4h -> h chain composed from its parts:
-    one index-range bisection per level on the 16h grid, then the refinement
-    of those seeds on the 4h grid and of its values on the h grid."""
+def _chain(v_eff, grid, level):
+    """(value, vector) of one level by the 16h -> 4h -> h chain composed from
+    its parts: the level's index bisection on the 16h grid, then the
+    refinement of that seed on the 4h grid and of its value on the h grid."""
     coarsest = _matrix(v_eff, RadialGrid(r_max=grid.r_max, h=COARSEN**2 * grid.h))
-    seeds = [_stebz_levels(*coarsest, level, 1)[0] for level in range(first, first + k)]
+    seed = _stebz_levels(*coarsest, level, 1)[0]
     coarse = _matrix(v_eff, RadialGrid(r_max=grid.r_max, h=COARSEN * grid.h))
-    seeds, _ = _seeded_lowest(*coarse, seeds, first, k)
-    return _seeded_lowest(*_matrix(v_eff, grid), seeds, first, k)
+    seed, _ = _seeded_lowest(*coarse, seed, level)
+    return _seeded_lowest(*_matrix(v_eff, grid), seed, level)
 
 
 def _assert_chain_vector(vecs, chain_vector):
@@ -449,12 +455,12 @@ def test_eigen_lowest_is_the_stebz_index_solve():
     grid = RadialGrid(r_max=15.0, h=0.005)
     v_eff = effective_potential(P1, DIM3, PHYS)
     diag, off = _matrix(v_eff, grid)
-    expected, _ = _chain(v_eff, grid, 0, 4)
-    assert eigen_lowest(v_eff, grid, PHYS, k=4) == expected.tolist()
+    expected = [_chain(v_eff, grid, level)[0] for level in range(4)]
+    assert eigen_lowest(v_eff, grid, PHYS, k=4) == expected
     pair_values, vecs = eigen_lowest(v_eff, grid, PHYS, k=1, first=3, eigenvectors=True)
-    chain_values, chain_vectors = _chain(v_eff, grid, 3, 1)
-    assert pair_values == chain_values.tolist()
-    _assert_chain_vector(vecs, chain_vectors[0])
+    chain_value, chain_vector = _chain(v_eff, grid, 3)
+    assert pair_values == [chain_value]
+    _assert_chain_vector(vecs, chain_vector)
     np.testing.assert_allclose(
         expected, _stebz_levels(diag, off, 0, 4), rtol=0, atol=_bisection_tol(diag, off))
 
@@ -476,7 +482,8 @@ def test_coarse_seeded_values_match_unseeded(a, c, n_dim, ell, monkeypatch):
             with monkeypatch.context() as patch:
                 # the windows must prove themselves here, not fall back
                 patch.setattr(numerics, "_index_solve", _no_fallback)
-                seeded, _ = _seeded_lowest(diag, off, seeds, first, k)
+                seeded = [_seeded_lowest(diag, off, seed, level)[0]
+                          for level, seed in enumerate(seeds, first)]
             np.testing.assert_allclose(seeded, expected, rtol=0, atol=tol)
 
 
@@ -500,26 +507,16 @@ def test_seeded_windows_with_first_fall_back_to_unseeded():
     grid = RadialGrid(r_max=12.0, h=12.0 / 2000)
     v_eff = effective_potential(P1, DIM3, PHYS)
     diag, off = _matrix(v_eff, grid)
-    first, k = 2, 2
-    levels = _stebz_levels(diag, off, 0, first + k + 1)
-    bad_seeds = {
-        "lower": levels[first - 1:first - 1 + k],  # N(top) is first + k - 1
-        "higher": levels[first + 1:first + 1 + k],  # N(top) is first + k + 1
-        # one eigenvalue per window and N(top) = first + k, but the windows
-        # hold levels 1 and 3: only N(lowest edge) = 1 != first shows it
-        "gap": [levels[first - 1], levels[first + 1]],
-        "miss": levels[first:first + k] + 0.5,
-    }
-    for name, seeds in bad_seeds.items():
-        _assert_same_pairs(_seeded_lowest(diag, off, seeds, first, k),
-                           _unseeded(diag, off, first, k), name)
-    # a vector is found for one level: its bad seed falls back the same way.
-    # A single window that holds one eigenvalue with N(top) = first + 1 holds
-    # level first, so "gap" has no one-level form
-    one = {"lower": levels[first - 1], "higher": levels[first + 1], "miss": levels[first] + 0.5}
-    for name, seed in one.items():
-        _assert_same_pairs(_seeded_lowest(diag, off, [seed], first, 1),
-                           _unseeded(diag, off, first, 1), name)
+    levels = _stebz_levels(diag, off, 0, 5)
+    for level in (2, 3):
+        bad_seeds = {
+            "lower": levels[level - 1],  # N(top) is level, N(bottom) level - 1
+            "higher": levels[level + 1],  # N(top) is level + 2, N(bottom) level + 1
+            "miss": levels[level] + 0.5,
+        }
+        for name, seed in bad_seeds.items():
+            _assert_same_pairs(_seeded_lowest(diag, off, seed, level),
+                               _unseeded(diag, off, level), name)
 
 
 def test_seeded_vectors_of_a_split_matrix(monkeypatch):
@@ -528,12 +525,12 @@ def test_seeded_vectors_of_a_split_matrix(monkeypatch):
     diag = np.concatenate((np.linspace(1.0, 2.0, 100), np.linspace(1.03, 2.03, 100)))
     off = np.full(199, -0.3)
     off[99] = 0.0
-    values = numerics._index_solve(diag, off, 0, 5)
+    values = _stebz_levels(diag, off, 0, 5)
     tol = _bisection_tol(diag, off)
     monkeypatch.setattr(numerics, "_index_solve", _no_fallback)
     for level, in_second in enumerate([0.0, 1.0, 0.0, 1.0]):
-        seeded, vectors = _seeded_lowest(diag, off, values[level:level + 1], level, 1)
-        vector = vectors[0] * np.sign(vectors[0][np.argmax(np.abs(vectors[0]))])
+        seeded, vector = _seeded_lowest(diag, off, values[level], level)
+        vector = vector * np.sign(vector[np.argmax(np.abs(vector))])
         np.testing.assert_allclose(np.sum(vector[100:] ** 2), in_second, atol=1e-12)
         np.testing.assert_allclose(seeded, values[level], rtol=0, atol=tol)
         # dstein's vector, within ULP * ||T||_1 over the gap to the next level
@@ -547,17 +544,17 @@ def test_diagonal_matrix_falls_back_past_singular_pivots():
     # and the fallback shifts the bisected values off the entries
     diag = np.linspace(1.0, 2.0, 200)
     off = np.zeros(199)
-    for first in (0, 3):
-        values, vectors = _seeded_lowest(diag, off, diag[first:first + 2], first, 2)
-        assert values.tolist() == diag[first:first + 2].tolist()
-        for j, vector in enumerate(vectors):
-            np.testing.assert_allclose(np.abs(vector), np.eye(200)[first + j], rtol=0, atol=1e-20)
+    for level in (0, 1, 3, 4):
+        value, vector = _seeded_lowest(diag, off, diag[level], level)
+        assert value == diag[level]
+        np.testing.assert_allclose(np.abs(vector), np.eye(200)[level], rtol=0, atol=1e-20)
     # entries so small that the shift is below their last bit: dgtsv fails at
-    # every shift, the bisected values are returned, and no vector
+    # every shift, the bisected value is returned, and no vector
     tiny = 1e-300 * diag
-    values, vectors = _seeded_lowest(tiny, off, None, 0, 2)
-    assert values.tolist() == _stebz_levels(tiny, off, 0, 2).tolist()
-    assert vectors is None
+    for level in (0, 1):
+        value, vector = _seeded_lowest(tiny, off, None, level)
+        assert value == _stebz_levels(tiny, off, level, 1)[0]
+        assert vector is None
 
 
 def test_richardson_without_coarse_grid_is_unseeded_at_h():
@@ -567,10 +564,11 @@ def test_richardson_without_coarse_grid_is_unseeded_at_h():
     diag, off = _matrix(v_eff, grid)
     fine = _matrix(v_eff, grid.halved())
     for first in (0, 1):
-        coarse_vals, _ = _unseeded(diag, off, first, 2)
+        levels = (first, first + 1)
+        coarse_vals = [_unseeded(diag, off, level)[0] for level in levels]
         np.testing.assert_allclose(coarse_vals, _stebz_levels(diag, off, first, 2),
                                    rtol=0, atol=_bisection_tol(diag, off))
-        fine_vals, _ = _seeded_lowest(*fine, coarse_vals, first, 2)
+        fine_vals = [_seeded_lowest(*fine, c, level)[0] for c, level in zip(coarse_vals, levels)]
         expected = [float((4.0 * f - c) / 3.0) for c, f in zip(coarse_vals, fine_vals)]
         assert eigen_lowest(v_eff, grid, PHYS, k=2, richardson=True, first=first) == expected
 
@@ -582,14 +580,14 @@ def test_single_level_is_the_stebz_index_solve(n):
     grid = RadialGrid(r_max=15.0, h=0.005)
     v_eff = effective_potential(P1, DIM3, PHYS)
     diag, off = _matrix(v_eff, grid)
-    expected, chain_vectors = _chain(v_eff, grid, n, 1)
-    assert eigen_lowest(v_eff, grid, PHYS, k=1, first=n) == expected.tolist()
-    # each level's seed is bisected on its own: the level solved with others
-    # is the same double
-    assert eigen_lowest(v_eff, grid, PHYS, k=4)[n] == expected[0]
+    expected, chain_vector = _chain(v_eff, grid, n)
+    assert eigen_lowest(v_eff, grid, PHYS, k=1, first=n) == [expected]
+    # each level is solved on its own: the level solved with others is the
+    # same double
+    assert eigen_lowest(v_eff, grid, PHYS, k=4)[n] == expected
     pair_values, vecs = eigen_lowest(v_eff, grid, PHYS, k=1, first=n, eigenvectors=True)
-    assert pair_values == expected.tolist()
-    _assert_chain_vector(vecs, chain_vectors[0])
+    assert pair_values == [expected]
+    _assert_chain_vector(vecs, chain_vector)
     np.testing.assert_allclose(
         expected, _stebz_levels(diag, off, n, 1), rtol=0, atol=_bisection_tol(diag, off))
 
@@ -601,10 +599,10 @@ def test_eigen_lowest_windows_prove_themselves(a, c, n_dim, ell, monkeypatch):
     coarsest = RadialGrid(r_max=grid.r_max, h=COARSEN**2 * grid.h).count
     index_solve = numerics._index_solve
 
-    def coarsest_only(diag, off, first, k):
+    def coarsest_only(diag, off, level):
         if len(diag) != coarsest:
             raise AssertionError(f"the grid of {len(diag)} nodes fell back to the unseeded solve")
-        return index_solve(diag, off, first, k)
+        return index_solve(diag, off, level)
 
     monkeypatch.setattr(numerics, "_index_solve", coarsest_only)
     for first in range(3):
@@ -662,8 +660,8 @@ def test_values_below_the_bisection_floor():
     assert np.max(np.abs(values - tight[:3])) <= floor / 10.0
     if np.finfo(np.longdouble).eps > 1e-18:
         return
-    refined, vectors = _chain(v_eff, grid, 0, 3)
-    assert refined.tolist() == values.tolist()
+    refined, vectors = zip(*(_chain(v_eff, grid, level) for level in range(3)))
+    assert list(refined) == values.tolist()
     wide = diag.astype(np.longdouble), off.astype(np.longdouble)
     for value, vector in zip(values, vectors):
         x = vector.astype(np.longdouble)
@@ -704,7 +702,8 @@ solved = []
 for first, k in cases:
     values = numerics.eigen_lowest(v_eff, grid, phys, k=k, first=first)
     extrapolated = numerics.eigen_lowest(v_eff, grid, phys, k=k, first=first, richardson=True)
-    unseeded, _ = numerics._seeded_lowest(diag, off, None, first, k)
+    unseeded = np.array([numerics._seeded_lowest(diag, off, None, level)[0]
+                         for level in range(first, first + k)])
     vecs = None
     if k == 1:  # vectors are found for one level
         vecs = numerics.eigen_lowest(v_eff, grid, phys, k=k, first=first, eigenvectors=True)[1]
@@ -765,7 +764,7 @@ def test_lapack_paths_match_eigh_tridiagonal(mode):
 def test_lapack_failure_raises_linalg_error(capfd):
     diag, off = np.linspace(1.0, 2.0, 200), np.full(199, -0.3)
     with pytest.raises(np.linalg.LinAlgError, match="dstebz"):
-        numerics._index_solve(diag, off, 200, 1)  # level 200 of a 200 x 200 matrix
+        numerics._index_solve(diag, off, 200)  # level 200 of a 200 x 200 matrix
     capfd.readouterr()  # LAPACK's own message on the illegal argument
 
 
@@ -798,9 +797,9 @@ def test_levels_the_16h_grid_cannot_resolve_are_seeded_at_4h(first, coarsest, mo
     sizes = []
     index_solve = numerics._index_solve
 
-    def recording(diag, off, first, k):
+    def recording(diag, off, level):
         sizes.append(len(diag))
-        return index_solve(diag, off, first, k)
+        return index_solve(diag, off, level)
 
     monkeypatch.setattr(numerics, "_index_solve", recording)
     eigen_lowest(v_eff, grid, PHYS, k=1, first=first)

@@ -6,17 +6,20 @@ Each ROOT is a checkout of this repository (a directory holding
 ``src/pcoulomb``).  The requests are every distinct argv of the three
 benchmark workloads (``cli-cold``, ``verify-battery``, ``sweep-scan``) for
 seeds 1-10, read from ``perfbench/workloads.py`` of the checkout this script
-lives in, which is loaded by path and only read.  For each root one fresh
-interpreter imports that root's ``pcoulomb.cli`` and runs every request in
-turn through ``main``, capturing the exit code, stdout and stderr.  The two
-roots run side by side, one process each.
+lives in, which is loaded by path and only read.  The fixed ``EXTRA``
+argvs run after them as a group of their own (paths no benchmark request
+takes).  For each root one fresh interpreter imports that root's
+``pcoulomb.cli`` and runs every request in turn through ``main``, capturing
+the exit code, stdout and stderr.  The two roots run side by side, one
+process each.
 
-Prints, per command, how many requests gave identical (exit code, stdout,
-stderr), then the first differing line of each differing request, then,
-per numeric field, how many differing requests moved it and its largest
-absolute move over them.  The fields are the check values of ``verify
---out json`` (by check name), the ``eig`` eigenvalues and the ``sweep`` CSV
-columns.  Exits 0 when every request is identical and 1 otherwise.
+Prints, per command, how many benchmark requests gave identical (exit code,
+stdout, stderr), the same tally for the ``EXTRA`` group, then the first
+differing line of each differing request, then, per numeric field, how many
+differing requests moved it and its largest absolute move over them.  The
+fields are the check values of ``verify --out json`` (by check name), the
+``eig`` eigenvalues and the ``sweep`` CSV columns.  Exits 0 when every
+request of both groups is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -31,6 +34,27 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 SEEDS = range(1, 11)
+
+#: requests outside the benchmark: the README command lines; coarse user
+#: grids where some levels fall back to their own bisection; k sweeps whose
+#: E0 must not depend on k; and an h grid with no coarse grid to seed it
+EXTRA = [argv.split() for argv in (
+    "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
+    "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
+    "verify --a 1 --c 0.5 --N 3 --l 0 --derive b --out json",
+    "oracle --b 1 --c 0.5 --N 3 --l 0 --n 1 --check",
+    "eig --a 1 --b 1 --c 0.5 --k 3 --rmax 40 --h 0.002 --richardson",
+    "sweep --sweep a=0.5,1,2 --c 0.5 --derive b",
+    "eig --a 1 --b 1 --c 0.5 --k 2 --rmax 40 --h 0.002 --richardson",
+    "eig --a 1 --b 1 --c 0.5 --k 4 --rmax 15 --h 0.005",
+    "verify --a 1 --c 0.5 --derive b --rmax 20 --h 0.01",
+    "eig --a 1 --b 1 --c 0.5 --rmax 20 --h 0.05 --k 1",
+    "eig --a 1 --b 1 --c 0.5 --rmax 20 --h 0.05 --k 3",
+    "eig --a 1 --b 1 --c 0.5 --rmax 20 --h 0.05 --k 5",
+    "eig --a 1 --b 1 --c 0.5 --rmax 16 --h 0.01 --k 1",
+    "eig --a 1 --b 1 --c 0.5 --rmax 16 --h 0.01 --k 10",
+    "eig --a 1 --b 1 --c 0.5 --k 2 --rmax 20 --h 0.1 --richardson",
+)]
 
 # runs the argvs of stdin under ROOT's package and prints
 # [exit code, stdout, stderr] per argv as one JSON list
@@ -148,21 +172,24 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
         return 2
     roots = [Path(a).resolve() for a in argv]
-    argvs = distinct_requests()
+    requests = distinct_requests()
+    argvs = requests + EXTRA
     children = [_start(root, argvs) for root in roots]
     old, new = (_collect(child, root) for child, root in zip(children, roots))
     total, same, diffs, moves = Counter(), Counter(), [], {}
-    for request, a, b in zip(argvs, old, new):
-        command = request[0]
-        total[command] += 1
+    for i, (request, a, b) in enumerate(zip(argvs, old, new)):
+        group = request[0] if i < len(requests) else "extra"
+        total[group] += 1
         if a == b:
-            same[command] += 1
+            same[group] += 1
             continue
         diffs.append(f"{' '.join(request)}\n    {_first_difference(a, b)}")
-        _moves(command, a, b, moves)
+        _moves(request[0], a, b, moves)
+    extra = same.pop("extra", 0), total.pop("extra", 0)
     for command in sorted(total):
         print(f"{command:<8}{same[command]:>5} of {total[command]:>4} identical")
-    print(f"{'all':<8}{sum(same.values()):>5} of {len(argvs):>4} identical")
+    print(f"{'all':<8}{sum(same.values()):>5} of {len(requests):>4} identical")
+    print(f"{'extra':<8}{extra[0]:>5} of {extra[1]:>4} identical")
     for line in diffs:
         print(line)
     if diffs:
