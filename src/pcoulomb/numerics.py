@@ -17,7 +17,8 @@ COARSEN * h).  Every step handles one level.  On the coarsest grid that
 resolves the levels asked for (at least 100 nodes, ten per level), a
 sixteenth of the nodes on default grids, each level is bisected (Sturm
 sequence).  Its value is the shift of two steps of inverse iteration on the
-next finer grid, and the Rayleigh quotient E of the unit iterate x is that
+next finer grid, both solved with one unpivoted LDL^T factorization of the
+shifted matrix, and the Rayleigh quotient E of the unit iterate x is that
 grid's value (Parlett, The Symmetric Eigenvalue Problem, ch. 4-5).  The
 residual ||T x - E x|| puts an eigenvalue within it of E, and two Sturm
 counts at the edges of the window around E prove that it is this level
@@ -31,9 +32,10 @@ constructions it checks.
 
 LAPACK comes from scipy's extension module ``scipy/linalg/_flapack``, which
 ``_lapack`` loads on its own (see there): the solver calls only ``dstebz``
-(the index bisection), ``dpttrf`` (the LDL^T pivots of a Sturm count)
-and ``dgtsv`` (the shifted tridiagonal solves), so no command imports the
-``scipy.linalg`` package; one imported later binds ``_flapack``.
+(the index bisection), ``dpttrf`` (the LDL^T factorization whose pivots are
+a Sturm count) and ``dpttrs`` (the shifted solves with its factors), so no
+command imports the ``scipy.linalg`` package; one imported later binds
+``_flapack``.
 
 Quadrature is composite trapezoid throughout.
 
@@ -264,7 +266,7 @@ def _tridiagonal(
 
 @functools.cache
 def _lapack():
-    """The module that holds LAPACK's ``dstebz``, ``dpttrf`` and ``dgtsv``.
+    """The module that holds LAPACK's ``dstebz``, ``dpttrf`` and ``dpttrs``.
 
     Importing the ``scipy.linalg`` package costs about 300 ms after numpy;
     its extension file ``scipy/linalg/_flapack``, found without importing
@@ -316,11 +318,58 @@ def _index_solve(diag: np.ndarray, off: np.ndarray, level: int) -> float:
     return w[0]
 
 
+def _factor(diag: np.ndarray, off: np.ndarray, shift: float):
+    """(d, l, count): T - shift I = L D L^T with D = diag(d) and L unit lower
+    bidiagonal with subdiagonal l, and ``count`` the nonpositive pivots d_i,
+    which is the Sturm count N(shift) of eigenvalues at or below ``shift``.
+
+    ``dpttrf`` factors until the first nonpositive pivot d_i.  That pivot is
+    kept, lowered to -pivmin when above it (pivmin as in ``dstebz``), so a
+    zero pivot counts as negative and divides safely; then l_i = b_i / d_i
+    and ``dpttrf`` resumes at row i + 1 with the diagonal
+    (a_{i+1} - shift) - l_i b_i.  A -inf pivot (after a tiny positive one)
+    gives l_i = 0 and leaves the plain diagonal.  The count is backward
+    stable (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995), and ``dpttrs``
+    solves with the factors as inverse iteration does (Dhillon & Parlett,
+    Lin. Alg. Appl. 387, 1 (2004)).
+    """
+    lapack = _lapack()
+    d, l = diag - shift, off.copy()
+    # max |b_i| without a temporary array, which would raise the peak memory
+    largest = max(float(np.max(off, initial=0.0)), -float(np.min(off, initial=0.0)))
+    pivmin = sys.float_info.min * max(1.0, largest) ** 2
+    count, start = 0, 0
+    while start < len(d) - 1:
+        # overwrite_d and overwrite_e: the slices are factored in place
+        info = lapack.dpttrf(d[start:], l[start:], overwrite_d=1, overwrite_e=1)[2]
+        if info == 0:
+            return d, l, count
+        count += 1
+        row = start + info  # the row after the nonpositive pivot
+        d[row - 1] = min(d[row - 1], -pivmin)
+        if row == len(d):
+            return d, l, count
+        l[row - 1] /= d[row - 1]
+        d[row] -= l[row - 1] * off[row - 1]
+        start = row
+    # a one-row tail: the wrapper rejects an off-diagonal of size 0
+    if d[start] <= 0.0:
+        count += 1
+        d[start] = min(d[start], -pivmin)
+    return d, l, count
+
+
+def _count_at_or_below(diag: np.ndarray, off: np.ndarray, top: float) -> int:
+    """Sturm count N(top): the nonpositive pivots of ``_factor`` at ``top``."""
+    return _factor(diag, off, top)[2]
+
+
 def _refine(diag: np.ndarray, off: np.ndarray, shift: float, level: int, margin: float):
     """(value, vector, proved): two steps of inverse iteration shifted to
-    ``shift`` from a ones vector, then the Rayleigh quotient E of the unit
-    iterate x; None when ``dgtsv`` meets an exactly singular pivot or x is
-    not finite.
+    ``shift`` from a ones vector, each a ``dpttrs`` solve with the one
+    factorization ``_factor`` gives, then the Rayleigh quotient E of the unit
+    iterate x; None when x is not finite or its norm overflows (a shift on
+    an eigenvalue of a diagonal matrix meets a zero pivot).
 
     ``proved`` is whether the window E -+ half, half = WINDOW * max(1, |E|),
     holds eigenvalue ``level``.  The residual ||T x - E x|| puts an
@@ -332,14 +381,19 @@ def _refine(diag: np.ndarray, off: np.ndarray, shift: float, level: int, margin:
     (pairwise, in a fixed order), not BLAS ``dot``, so the bits do not
     depend on the CPU's dispatch level.
     """
+    # the iterate outlives the factors: allocated before them, it does not
+    # pin the heap above them once they are freed (peak RSS)
     x = np.ones(len(diag))
+    d, l, _ = _factor(diag, off, shift)
     for _ in range(2):
-        x, info = _lapack().dgtsv(off, diag - shift, off, x, overwrite_d=1, overwrite_b=1)[3:]
+        x, info = _lapack().dpttrs(d, l, x, overwrite_b=1)
+        _check(info, "dpttrs")
         with np.errstate(over="ignore", invalid="ignore"):
             norm = math.sqrt(np.add.reduce(x * x))
-        if info != 0 or not 0.0 < norm < math.inf:
+        if not 0.0 < norm < math.inf:
             return None
         x /= norm
+    del d, l  # freed before the proof's counts, which factor again
     tx = diag * x
     tx[1:] += off * x[:-1]
     tx[:-1] += off * x[1:]
@@ -354,41 +408,13 @@ def _refine(diag: np.ndarray, off: np.ndarray, shift: float, level: int, margin:
     return value, x, proved
 
 
-def _count_at_or_below(diag: np.ndarray, off: np.ndarray, top: float) -> int:
-    """Sturm count N(top): the nonpositive pivots of the LDL^T factorization
-    of T - top I, which ``dpttrf`` computes until the first of them.
-
-    After a nonpositive pivot d_i the count restarts at row i + 1 with the
-    diagonal (a_{i+1} - top) - b_i^2 / min(d_i, -pivmin), pivmin as in
-    ``dstebz``: a zero pivot counts as negative, and a -inf one (after a tiny
-    positive pivot) leaves the plain diagonal.  The count is backward stable
-    (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995).
-    """
-    lapack = _lapack()
-    d, e = diag - top, off.copy()
-    pivmin = sys.float_info.min * max(1.0, float(np.max(np.abs(off), initial=0.0)) ** 2)
-    count, start = 0, 0
-    while start < len(d) - 1:
-        pivots, _, info = lapack.dpttrf(d[start:], e[start:], overwrite_d=1, overwrite_e=1)
-        if info == 0:
-            return count
-        count += 1
-        row = start + info  # the row after the nonpositive pivot
-        if row == len(d):
-            return count
-        d[row] -= e[row - 1] ** 2 / min(pivots[info - 1], -pivmin)
-        start = row
-    # a one-row tail: the wrapper rejects an off-diagonal of size 0
-    return count + int(d[start] <= 0.0)
-
-
 def _seeded_lowest(diag: np.ndarray, off: np.ndarray, seed, level: int):
     """(value, vector) of eigenvalue ``level``, refined from ``seed``.
 
     A value that ``_refine`` cannot prove, or no seed (None), is refined
     from this level's unseeded bisection instead.  If that fails its proof
     too, the bisected value is returned (its index proves it) with the
-    iterate, or None when ``dgtsv`` failed.
+    iterate, or None when inverse iteration gave no finite iterate.
     """
     # 8 eps ||T||_1 bounds the roundoff of a residual and of a Sturm count
     norm = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off)))
@@ -397,7 +423,8 @@ def _seeded_lowest(diag: np.ndarray, off: np.ndarray, seed, level: int):
     if refined is None or not refined[2]:
         value = _index_solve(diag, off, level)
         # a bisected value can be an exact eigenvalue of the computed matrix
-        # (a diagonal one, say), where dgtsv meets a zero pivot: shift off it
+        # (a diagonal one, say), where a zero pivot overflows the iterate:
+        # shift off it
         refined = _refine(diag, off, value + margin, level, margin)
         if refined is None or not refined[2]:
             return value, None if refined is None else refined[1]
@@ -427,9 +454,9 @@ def eigen_lowest(
 
     The values are not limited by the bisection tolerance ULP * ||T||_1
     (about 4 eps T / h^2): at h = 1e-3 on the reference problem they are
-    within 1.2e-11 of a tight-tolerance dstebz solve, where it is 4.4e-10.
+    within 1.5e-11 of a tight-tolerance dstebz solve, where it is 4.4e-10.
     On n = 0, odd-M sweep rows of the benchmark (seeds 1-10) the
-    extrapolation is within 5.9e-11 of the closed form (median 1e-11).
+    extrapolation is within 7.3e-11 of the closed form (median 8.5e-12).
 
     Returns a list of eigenvalues, or, when ``eigenvectors`` is set,
     ([eigenvalue], vector in a column) for the one level ``first`` (k = 1):
@@ -468,7 +495,7 @@ def eigen_lowest(
     if eigenvectors:
         vector = vectors[0]
         if vector is None:
-            raise np.linalg.LinAlgError("LAPACK dgtsv met a singular pivot at every shift")
+            raise np.linalg.LinAlgError("inverse iteration found no finite iterate at any shift")
         if vector[np.argmax(np.abs(vector))] < 0.0:
             vector = -vector
         return [float(values[0])], vector[:, np.newaxis]

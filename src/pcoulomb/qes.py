@@ -164,11 +164,18 @@ def qes_constraint_polynomial(
     D = prod_k (A - root_k) / prod_{j=0..n-1} step[j], with the roots the
     Jacobi eigenvalues ``qes_solve`` takes: the back-substituted D of the
     module docstring with its sign (-1)^n dropped, so the leading
-    coefficient is positive.
+    coefficient is positive.  A D that is not finite (the product of steps
+    underflows at tiny couplings) is a ValueError, not a RuntimeWarning.
     """
     system = oracle_reduce(b, c, dim, phys, n)
     roots, _ = _eigenpairs(system)
-    return npoly.polyfromroots(roots) / math.prod(system.step[1:])
+    with np.errstate(all="ignore"):
+        coefficients = npoly.polyfromroots(roots) / math.prod(system.step[1:])
+    if not np.all(np.isfinite(coefficients)):
+        raise ValueError(
+            f"level n = {n}: a coefficient of the constraint polynomial D"
+            " is not finite in double precision")
+    return coefficients
 
 
 def _eigenpairs(system: RecursionSystem) -> tuple[np.ndarray, np.ndarray]:

@@ -614,7 +614,7 @@ def _benchmark_requests(workload, seeds):
 def test_richardson_sweep_rows_match_closed_form(capsys):
     # n = 0 rows with odd M of the sweep-scan requests, seeds 1-3: the
     # extrapolated value is within 1e-10 of the closed form (measured up to
-    # 5.9e-11; 3.8e-9 when each grid value was bisected to ULP * ||T||_1)
+    # 4.7e-11; 3.8e-9 when each grid value was bisected to ULP * ||T||_1)
     rows = 0
     for argv in _benchmark_requests("sweep-scan", range(1, 4)):
         flags = dict(zip(argv[1::2], argv[2::2]))
@@ -1034,7 +1034,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["eig", "--a", "1", "--c", "0.5", "--derive", "b"]) == 0
 import scipy.linalg
 assert scipy.linalg._flapack.dstebz is numerics._lapack().dstebz
-assert scipy.linalg.lapack.dgtsv is numerics._lapack().dgtsv
+assert scipy.linalg.lapack.dpttrs is numerics._lapack().dpttrs
 assert scipy.linalg.lapack.dpttrf is numerics._lapack().dpttrf
 print("ok")
 """

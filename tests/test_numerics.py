@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from pcoulomb.exact import constraint_b, ground_state, hierarchy_states
+from pcoulomb.exact import closed_level, constraint_b, ground_state, hierarchy_states
 from pcoulomb.model import (
     LaurentForm,
     PhysicalParams,
@@ -540,16 +540,18 @@ def test_seeded_vectors_of_a_split_matrix(monkeypatch):
 
 def test_diagonal_matrix_falls_back_past_singular_pivots():
     # with T = hbar^2/2m underflowing to zero the matrix is diagonal: a seed
-    # equal to an entry is an exactly singular dgtsv pivot and falls back,
-    # and the fallback shifts the bisected values off the entries
+    # equal to an entry is an exactly zero pivot, lowered to -pivmin, whose
+    # iterate overflows the norm and falls back, and the fallback shifts the
+    # bisected values off the entries
     diag = np.linspace(1.0, 2.0, 200)
     off = np.zeros(199)
     for level in (0, 1, 3, 4):
         value, vector = _seeded_lowest(diag, off, diag[level], level)
         assert value == diag[level]
         np.testing.assert_allclose(np.abs(vector), np.eye(200)[level], rtol=0, atol=1e-20)
-    # entries so small that the shift is below their last bit: dgtsv fails at
-    # every shift, the bisected value is returned, and no vector
+    # entries so small that the shift off them is subnormal: the pivot is
+    # lowered to -pivmin at every shift, the iterate overflows the norm, and
+    # the bisected value is returned with no vector
     tiny = 1e-300 * diag
     for level in (0, 1):
         value, vector = _seeded_lowest(tiny, off, None, level)
@@ -647,7 +649,7 @@ def test_values_below_the_bisection_floor():
     # the refined values against a dstebz solve at a tight tolerance, and
     # against the Rayleigh quotient of the same iterates summed in extended
     # precision, where numpy has it: both differences are far below stebz's
-    # default tolerance (measured 2.6e-2 and 5.3e-3 of it)
+    # default tolerance (measured 3.3e-2 and 7.6e-3 of it)
     from scipy.linalg.lapack import dstebz
 
     grid = RadialGrid(r_max=20.0, h=1e-3)
@@ -713,7 +715,7 @@ import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
 assert scipy.linalg.lapack.dstebz is numerics._lapack().dstebz
-assert scipy.linalg.lapack.dgtsv is numerics._lapack().dgtsv
+assert scipy.linalg.lapack.dpttrs is numerics._lapack().dpttrs
 assert scipy.linalg.lapack.dpttrf is numerics._lapack().dpttrf
 
 levels = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 4),
@@ -898,6 +900,82 @@ def test_pivot_count_with_a_one_row_tail(last, count):
     off = np.full(19, 0.5)
     _assert_counts_agree(diag, off, [0.0])
     assert numerics._count_at_or_below(diag, off, 0.0) == count
+
+
+def _assert_factors_reproduce(diag, off, shift):
+    """L D L^T of ``_factor`` is T - shift I within 3 eps |L| |D| |L^T|,
+    entry by entry (the backward error of an LDL^T factorization; pivots
+    grow between levels, to 325 eps ||T||_1 on the reference matrix)."""
+    d, l, count = numerics._factor(diag, off, shift)
+    eps = np.finfo(float).eps
+    rebuilt, bound = d.copy(), np.abs(d)
+    rebuilt[1:] += l * l * d[:-1]
+    bound[1:] += l * l * np.abs(d[:-1])
+    assert np.all(np.abs(rebuilt - (diag - shift)) <= 3.0 * eps * bound), shift
+    assert np.all(np.abs(l * d[:-1] - off) <= 3.0 * eps * np.abs(l * d[:-1])), shift
+    return d, count
+
+
+def test_factor_reproduces_the_shifted_matrix():
+    # below the spectrum, between levels, and above several levels, where
+    # every nonpositive pivot restarts dpttrf
+    v_eff = effective_potential(P1, DIM3, PHYS)
+    diag, off = _matrix(v_eff, RadialGrid(r_max=12.0, h=12.0 / 400))
+    levels = _dense_levels(diag, off)
+    shifts = [levels[0] - 1.0] + [(levels[j] + levels[j + 1]) / 2.0 for j in (0, 1, 2, 5, 9, 51)]
+    for shift in shifts:
+        d, count = _assert_factors_reproduce(diag, off, shift)
+        assert count == int(np.sum(d <= 0.0)) == int(np.sum(levels < shift))
+        assert count == sturm_count(diag, off, shift) == _stebz_count(diag, off, shift)
+    # a split matrix factors on through its zero off-diagonal
+    diag = np.concatenate((np.linspace(1.0, 2.0, 100), np.linspace(1.03, 2.03, 100)))
+    off = np.full(199, -0.3)
+    off[99] = 0.0
+    for shift in _midpoints(diag, off)[::20]:
+        _assert_factors_reproduce(diag, off, shift)
+
+
+def test_factor_on_an_entry_of_a_diagonal_matrix():
+    # the zero pivot is lowered to -pivmin: the solve is finite and points
+    # at that entry alone
+    diag = np.linspace(1.0, 2.0, 200)
+    off = np.zeros(199)
+    lapack = numerics._lapack()
+    for j in (0, 57, 199):
+        d, l, count = numerics._factor(diag, off, diag[j])
+        assert count == j + 1
+        x, info = lapack.dpttrs(d, l, np.ones(200))
+        assert info == 0 and np.all(np.isfinite(x))
+        unit = x / np.max(np.abs(x))
+        np.testing.assert_allclose(np.abs(unit), np.eye(200)[j], rtol=0, atol=1e-300)
+
+
+def test_surface_points_do_not_fall_back(monkeypatch):
+    # the benchmark's surface points (perfbench/workloads.py), M 3..11 at
+    # levels 0..2 as sweep solves them: every window on 4h, h and h/2
+    # proves itself, so only the coarsest grid is bisected.  The radial
+    # problem depends on M = N + 2l alone, so one (N, l) stands for each M
+    index_solve = numerics._index_solve
+    coarsest = [0]
+
+    def coarsest_only(diag, off, level):
+        if len(diag) != coarsest[0]:
+            raise AssertionError(f"the grid of {len(diag)} nodes fell back")
+        return index_solve(diag, off, level)
+
+    monkeypatch.setattr(numerics, "_index_solve", coarsest_only)
+    for a, c in [(0.7, 0.8), (1.1, 0.6), (1.6, 0.4)]:
+        for m_index in range(3, 12):
+            dim = dimension_reduce(3 + m_index % 2, (m_index - 3) // 2)
+            pot = PotentialParams(a=a, b=constraint_b(a, c, dim, PHYS), c=c)
+            for n in range(3):
+                a_level, _ = closed_level(pot, dim, PHYS, n)
+                pot_level = PotentialParams(a=a_level, b=pot.b, c=c)
+                grid = build_grid(pot_level, dim, PHYS)
+                coarsest[0] = RadialGrid(r_max=grid.r_max, h=COARSEN**2 * grid.h).count
+                v_eff = effective_potential(pot_level, dim, PHYS)
+                for richardson in (False, True):
+                    eigen_lowest(v_eff, grid, PHYS, first=n, richardson=richardson)
 
 
 def test_sturm_count_consistency_with_eigenvalues():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -357,3 +358,21 @@ def test_near_zero_root_bound_is_relative_to_largest_root():
     scale = max(abs(y) for y in ref)
     for x, y in zip(got, ref):
         assert abs(x - y) <= ROOT_RTOL * scale
+
+
+@pytest.mark.parametrize("coupling", [1e-300, 1e-200, 1e-100])
+def test_constraint_polynomial_at_tiny_couplings_is_finite_or_refused(coupling):
+    # the product of steps underflows to zero at n 3..4 (1e-300), 4..6
+    # (1e-200) and 7..8 (1e-100): D is refused, never a RuntimeWarning
+    refused = []
+    for n in range(MAX_LEVEL + 1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                d = qes_constraint_polynomial(coupling, coupling, DIM3, PHYS, n)
+            except ValueError as exc:
+                assert str(exc).startswith(f"level n = {n}: "), exc
+                refused.append(n)
+                continue
+        assert np.all(np.isfinite(d)), n
+    assert refused and refused == list(range(refused[0], MAX_LEVEL + 1))
