@@ -18,6 +18,7 @@ verification battery are built by ``pcoulomb.report``.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from itertools import product
@@ -150,8 +151,10 @@ def _add_grid_options(sub: argparse.ArgumentParser, richardson: bool) -> None:
         )
 
 
+@functools.cache
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its command parsers by name."""
+    """The parser and its command parsers by name, built once per process:
+    parsing leaves them as they were, so every ``main`` call shares them."""
     parser = _Parser(prog="pcoulomb", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
     commands = parser.add_subparsers(dest="command", parser_class=_Parser)

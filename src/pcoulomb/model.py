@@ -199,7 +199,13 @@ class LaurentForm:
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         for p, v in self._coeffs.items():
-            out = out + v * r ** float(p)
+            # out = out + v * r**p in place, in the term's buffer (numpy's
+            # temporary elision did the same for large arrays): the same bits,
+            # and the sum lives in the last buffer made, as it did
+            term = r ** float(p)
+            term *= v
+            term += out
+            out = term
         if out.ndim == 0:
             return float(out)
         return out

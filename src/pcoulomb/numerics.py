@@ -21,14 +21,24 @@ next finer grid, both solved with one unpivoted LDL^T factorization of the
 shifted matrix, and the Rayleigh quotient E of the unit iterate x is that
 grid's value (Parlett, The Symmetric Eigenvalue Problem, ch. 4-5).  The
 residual ||T x - E x|| puts an eigenvalue within it of E, and two Sturm
-counts at the edges of the window around E prove that it is this level
-(Barth, Martin & Wilkinson, Numer. Math. 9, 386 (1967)); see ``_refine``.
-A value that fails the proof, or a level on an h grid with no coarser grid
-to seed it, is refined from that level's own bisection on its grid instead,
-so a bad seed costs time, never correctness.  An eigenvector is found for
-one level: the iterate itself.  Seeds come from the coarser grids only,
-never from a closed form, so this oracle stays independent of the
-constructions it checks.
+counts that bracket that interval prove that it is this level (Barth,
+Martin & Wilkinson, Numer. Math. 9, 386 (1967)); the factorization at the
+shift is one of them when the shift lies beyond the interval with the
+right count, and otherwise the edges of a window around E are counted; see
+``_refine``.  A value that fails the proof, or a level on an h grid with no
+coarser grid to seed it, is refined from that level's own bisection on its
+grid instead, so a bad seed costs time, never correctness.  An eigenvector
+is found for one level: the iterate itself.  Seeds come from the coarser
+grids only, never from a closed form, so this oracle stays independent of
+the constructions it checks.
+
+The chain's steps are powers of two times its finest step, so the
+potential is sampled once, on the finest grid, and each coarser diagonal is
+a strided view of the samples, bit for bit the grid's own.  A chain's
+diagonals, factors, iterates and T x share work arrays allocated once per
+``eigen_lowest`` call, sized for its finest grid and freed when it returns;
+they are written by in-place ufuncs in the order of the plain expressions,
+so the bits do not depend on them.
 
 LAPACK comes from scipy's extension module ``scipy/linalg/_flapack``, which
 ``_lapack`` loads on its own (see there): the solver calls only ``dstebz``
@@ -256,12 +266,44 @@ def hamiltonian_apply(
 def _tridiagonal(
     v_eff: LaurentForm, grid: RadialGrid, phys: PhysicalParams
 ) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off) of one grid on its own; ``_chain_matrices`` gives the
+    same diagonals, bit for bit, from ``_chain_samples``."""
     t = phys.kinetic
     diag = 2.0 * t / grid.h**2 + v_eff(grid.nodes)
     off = np.full(grid.count - 1, -t / grid.h**2)
     if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
         raise ValueError("the grid Hamiltonian overflows: a matrix entry is not finite")
     return diag, off
+
+
+def _chain_samples(v_eff: LaurentForm, links: list[RadialGrid]) -> np.ndarray:
+    """``v_eff`` at the nodes of the last grid of ``links``, out to the
+    furthest node of any grid of ``links`` (a coarse grid can end past the
+    last one).
+
+    Every step of ``links`` is a power of two times the last grid's, so node
+    i of a grid of step s h is node s i of the last grid, the same double,
+    and the samples hold every grid's potential (``_chain_matrices``).
+    """
+    fine = links[-1].h
+    extent = max(round(link.h / fine) * link.count for link in links)
+    return v_eff(fine * np.arange(1, extent + 1))
+
+
+def _chain_matrices(samples: np.ndarray, links: list[RadialGrid], phys: PhysicalParams,
+                    out: np.ndarray):
+    """Yields (diag, off) of each grid of ``links`` in turn: the diagonal,
+    2T/h^2 plus a strided view of ``_chain_samples`` written into ``out``,
+    and the one off-diagonal value -T/h^2."""
+    t, fine = phys.kinetic, links[-1].h
+    for link in links:
+        stride = round(link.h / fine)
+        diag = np.add(samples[stride - 1:stride * link.count:stride], 2.0 * t / link.h**2,
+                      out=out[:link.count])
+        off = -t / link.h**2
+        if not (np.all(np.isfinite(diag)) and math.isfinite(off)):
+            raise ValueError("the grid Hamiltonian overflows: a matrix entry is not finite")
+        yield diag, off
 
 
 @functools.cache
@@ -309,19 +351,37 @@ def _check(info: int, routine: str) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info})")
 
 
-def _index_solve(diag: np.ndarray, off: np.ndarray, level: int) -> float:
-    """Eigenvalue ``level`` (0-based) by the unseeded index bisection."""
+def _index_solve(diag: np.ndarray, off, level: int) -> float:
+    """Eigenvalue ``level`` (0-based) by the unseeded index bisection;
+    ``off`` is the n - 1 off-diagonal entries or, on a grid, their one value."""
     # range=2 is RANGE='I' with 1-based indices, tolerance 0 is stebz's default
     _, w, _, _, info = _lapack().dstebz(
-        diag, off, 2, 0.0, 0.0, level + 1, level + 1, 0.0, "E")
+        diag, np.broadcast_to(off, len(diag) - 1), 2, 0.0, 0.0, level + 1, level + 1, 0.0, "E")
     _check(info, "dstebz")
     return w[0]
 
 
-def _factor(diag: np.ndarray, off: np.ndarray, shift: float):
+def _largest(off) -> float:
+    """max |b_i| of the off-diagonal, without a temporary array, which
+    would raise the peak memory; O(1) for a grid's one value."""
+    if np.ndim(off) == 0:
+        return abs(float(off))
+    return max(float(np.max(off, initial=0.0)), -float(np.min(off, initial=0.0)))
+
+
+def _margin(diag: np.ndarray, off) -> float:
+    """8 eps ||T||_1: it bounds the roundoff of a residual and of a Sturm count."""
+    norm = max(float(np.max(diag)), -float(np.min(diag))) + 2.0 * _largest(off)
+    return 8.0 * sys.float_info.epsilon * norm
+
+
+def _factor(diag: np.ndarray, off, shift: float, work: np.ndarray | None = None):
     """(d, l, count): T - shift I = L D L^T with D = diag(d) and L unit lower
     bidiagonal with subdiagonal l, and ``count`` the nonpositive pivots d_i,
     which is the Sturm count N(shift) of eigenvalues at or below ``shift``.
+    ``off`` is the n - 1 off-diagonal entries b_i or, on a grid, their one
+    value.  d and l are written into the first two rows of ``work`` (rows
+    of at least n entries; new arrays when None).
 
     ``dpttrf`` factors until the first nonpositive pivot d_i.  That pivot is
     kept, lowered to -pivmin when above it (pivmin as in ``dstebz``), so a
@@ -334,12 +394,14 @@ def _factor(diag: np.ndarray, off: np.ndarray, shift: float):
     Lin. Alg. Appl. 387, 1 (2004)).
     """
     lapack = _lapack()
-    d, l = diag - shift, off.copy()
-    # max |b_i| without a temporary array, which would raise the peak memory
-    largest = max(float(np.max(off, initial=0.0)), -float(np.min(off, initial=0.0)))
-    pivmin = sys.float_info.min * max(1.0, largest) ** 2
+    n = len(diag)
+    if work is None:
+        work = np.empty((2, n))
+    d, l = np.subtract(diag, shift, out=work[0, :n]), work[1, :n - 1]
+    np.copyto(l, off)
+    pivmin = sys.float_info.min * max(1.0, _largest(off)) ** 2
     count, start = 0, 0
-    while start < len(d) - 1:
+    while start < n - 1:
         # overwrite_d and overwrite_e: the slices are factored in place
         info = lapack.dpttrf(d[start:], l[start:], overwrite_d=1, overwrite_e=1)[2]
         if info == 0:
@@ -347,10 +409,11 @@ def _factor(diag: np.ndarray, off: np.ndarray, shift: float):
         count += 1
         row = start + info  # the row after the nonpositive pivot
         d[row - 1] = min(d[row - 1], -pivmin)
-        if row == len(d):
+        if row == n:
             return d, l, count
-        l[row - 1] /= d[row - 1]
-        d[row] -= l[row - 1] * off[row - 1]
+        b = l[row - 1]  # dpttrf stopped before dividing it
+        l[row - 1] = b / d[row - 1]
+        d[row] -= l[row - 1] * b
         start = row
     # a one-row tail: the wrapper rejects an off-diagonal of size 0
     if d[start] <= 0.0:
@@ -359,73 +422,91 @@ def _factor(diag: np.ndarray, off: np.ndarray, shift: float):
     return d, l, count
 
 
-def _count_at_or_below(diag: np.ndarray, off: np.ndarray, top: float) -> int:
+def _count_at_or_below(diag: np.ndarray, off, top: float, work: np.ndarray | None = None) -> int:
     """Sturm count N(top): the nonpositive pivots of ``_factor`` at ``top``."""
-    return _factor(diag, off, top)[2]
+    return _factor(diag, off, top, work)[2]
 
 
-def _refine(diag: np.ndarray, off: np.ndarray, shift: float, level: int, margin: float):
+def _refine(diag: np.ndarray, off, shift: float, level: int, margin: float, work: np.ndarray):
     """(value, vector, proved): two steps of inverse iteration shifted to
     ``shift`` from a ones vector, each a ``dpttrs`` solve with the one
     factorization ``_factor`` gives, then the Rayleigh quotient E of the unit
     iterate x; None when x is not finite or its norm overflows (a shift on
     an eigenvalue of a diagonal matrix meets a zero pivot).
 
+    Everything is written into ``work``, rows d, l, x and T x of at least n
+    entries, by in-place ufuncs in the order of the plain expressions, so
+    the bits are theirs; the vector is the row x, which the next call
+    overwrites.
+
     ``proved`` is whether the window E -+ half, half = WINDOW * max(1, |E|),
     holds eigenvalue ``level``.  The residual ||T x - E x|| puts an
-    eigenvalue within it of E, so a window wider than the residual plus
-    ``margin`` (its roundoff and a Sturm count's) holds one; when exactly
-    level + 1 eigenvalues lie at or below its top edge and, for level > 0,
-    exactly ``level`` at or below its bottom edge, that one is eigenvalue
-    ``level`` (Barth, Martin & Wilkinson).  Sums are ``np.add.reduce``
-    (pairwise, in a fixed order), not BLAS ``dot``, so the bits do not
-    depend on the CPU's dispatch level.
+    eigenvalue within bound = residual + ``margin`` (its roundoff and a
+    Sturm count's) of E, so a window wider than bound holds one; when
+    exactly level + 1 eigenvalues lie at or below a top edge at or above
+    E + bound and, for level > 0, exactly ``level`` at or below a bottom
+    edge below E - bound, that one is eigenvalue ``level`` (Barth, Martin &
+    Wilkinson).  The edges are those of the window, except that the
+    factorization at the shift has counted N(shift) already: a shift at or
+    above E + bound with N(shift) = level + 1 is the top edge (level 0 then
+    needs no other count), and one below E - bound with N(shift) = level the
+    bottom edge.  Sums are ``np.add.reduce`` (pairwise, in a fixed order),
+    not BLAS ``dot``, so the bits do not depend on the CPU's dispatch level.
     """
-    # the iterate outlives the factors: allocated before them, it does not
-    # pin the heap above them once they are freed (peak RSS)
-    x = np.ones(len(diag))
-    d, l, _ = _factor(diag, off, shift)
+    n = len(diag)
+    x, tx = work[2, :n], work[3, :n]
+    x.fill(1.0)
+    d, l, count = _factor(diag, off, shift, work)
     for _ in range(2):
         x, info = _lapack().dpttrs(d, l, x, overwrite_b=1)
         _check(info, "dpttrs")
         with np.errstate(over="ignore", invalid="ignore"):
-            norm = math.sqrt(np.add.reduce(x * x))
+            norm = math.sqrt(np.add.reduce(np.multiply(x, x, out=tx)))
         if not 0.0 < norm < math.inf:
             return None
         x /= norm
-    del d, l  # freed before the proof's counts, which factor again
-    tx = diag * x
-    tx[1:] += off * x[:-1]
-    tx[:-1] += off * x[1:]
-    value = float(np.add.reduce(x * tx))
-    defect = tx - value * x
+    # T x, then the defect T x - E x, with the spent factors' row d as scratch
+    np.multiply(diag, x, out=tx)
+    np.add(tx[1:], np.multiply(off, x[:-1], out=d[:-1]), out=tx[1:])
+    np.add(tx[:-1], np.multiply(off, x[1:], out=d[:-1]), out=tx[:-1])
+    value = float(np.add.reduce(np.multiply(x, tx, out=d)))
+    defect = np.subtract(tx, np.multiply(value, x, out=d), out=d)
+    bound = math.sqrt(np.add.reduce(np.multiply(defect, defect, out=d))) + margin
     half = WINDOW * max(1.0, abs(value))
+    top = shift >= value + bound and count == level + 1
+    bottom = shift < value - bound and count == level
     proved = (
-        math.sqrt(np.add.reduce(defect * defect)) + margin < half
-        and _count_at_or_below(diag, off, value + half) == level + 1
-        and (level == 0 or _count_at_or_below(diag, off, value - half) == level)
+        bound < half
+        and (top or _count_at_or_below(diag, off, value + half, work) == level + 1)
+        and (level == 0 or bottom
+             or _count_at_or_below(diag, off, value - half, work) == level)
     )
     return value, x, proved
 
 
-def _seeded_lowest(diag: np.ndarray, off: np.ndarray, seed, level: int):
+def _seeded_lowest(diag: np.ndarray, off, seed, level: int,
+                   margin: float | None = None, work: np.ndarray | None = None):
     """(value, vector) of eigenvalue ``level``, refined from ``seed``.
 
     A value that ``_refine`` cannot prove, or no seed (None), is refined
     from this level's unseeded bisection instead.  If that fails its proof
     too, the bisected value is returned (its index proves it) with the
     iterate, or None when inverse iteration gave no finite iterate.
+    ``margin`` is ``_margin(diag, off)`` and ``work`` the rows ``_refine``
+    writes into; each is made here when None.  The vector is a row of
+    ``work``.
     """
-    # 8 eps ||T||_1 bounds the roundoff of a residual and of a Sturm count
-    norm = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off)))
-    margin = 8.0 * sys.float_info.epsilon * norm
-    refined = None if seed is None else _refine(diag, off, seed, level, margin)
+    if margin is None:
+        margin = _margin(diag, off)
+    if work is None:
+        work = np.empty((4, len(diag)))
+    refined = None if seed is None else _refine(diag, off, seed, level, margin, work)
     if refined is None or not refined[2]:
         value = _index_solve(diag, off, level)
         # a bisected value can be an exact eigenvalue of the computed matrix
         # (a diagonal one, say), where a zero pivot overflows the iterate:
         # shift off it
-        refined = _refine(diag, off, value + margin, level, margin)
+        refined = _refine(diag, off, value + margin, level, margin, work)
         if refined is None or not refined[2]:
             return value, None if refined is None else refined[1]
     return refined[:2]
@@ -446,11 +527,15 @@ def eigen_lowest(
     ``first`` = 0 (the default) gives the lowest k.  Every call runs the
     seeding chain of the module docstring, 16h -> 4h -> h; with
     ``richardson`` also h -> h/2, and the pair is extrapolated over (h, h/2),
-    pushing the discretization error from O(h^2) to O(h^4).  Each grid's
-    matrix is built once and each level is solved on it alone, so a level's
-    value does not depend on k or first while the same coarse grids resolve
-    every requested level at ten nodes per level: on default grids (16h
-    grids of 1,250 nodes or more), up to 125 levels.
+    pushing the discretization error from O(h^2) to O(h^4).  The potential
+    is sampled once, on the finest grid of the chain, and each grid's
+    diagonal is a strided view of it (``_chain_samples``).  Each level is
+    solved on each grid alone, so a level's value does not depend on k or
+    first while the same coarse grids resolve every requested level at ten
+    nodes per level: on default grids (16h grids of 1,250 nodes or more),
+    up to 125 levels.  The factors, iterates and diagonals live in work
+    arrays allocated once per call, sized for its finest grid and freed
+    with it; a returned vector is a copy.
 
     The values are not limited by the bisection tolerance ULP * ||T||_1
     (about 4 eps T / h^2): at h = 1e-3 on the reference problem they are
@@ -480,24 +565,32 @@ def eigen_lowest(
         raise ValueError("eigenvectors are not defined for extrapolated values")
 
     levels = range(first, first + k)
-    chain = _coarse_grids(grid, first + k)
+    coarse = _coarse_grids(grid, first + k)
+    links = [*coarse, grid, *([grid.halved()] if richardson else [])]
+    samples = _chain_samples(v_eff, links)
+    # rows: the diagonal, then d, l, x and T x of _refine, as long as the
+    # last grid's, which has the most nodes; made after the sampling has
+    # freed its temporaries, and the samples are freed with the generator
+    work = np.empty((5, links[-1].count))
+    matrices = _chain_matrices(samples, links, phys, work[0])
+    del samples
     values = [None] * k
-    if chain:
-        coarsest = _tridiagonal(v_eff, chain.pop(0), phys)  # one bisection per level
+    if coarse:
+        coarsest = next(matrices)  # one bisection per level
         values = [_index_solve(*coarsest, level) for level in levels]
-    chain.append(grid)
-    if richardson:
-        chain.append(grid.halved())
-    for link in chain:  # grids in the outer loop: each matrix is built once
-        seeds, matrix = values, _tridiagonal(v_eff, link, phys)
-        values, vectors = zip(*(_seeded_lowest(*matrix, seed, level)
-                                for seed, level in zip(seeds, levels)))
+    for diag, off in matrices:
+        margin = _margin(diag, off)
+        solved = [_seeded_lowest(diag, off, seed, level, margin, work[1:])
+                  for seed, level in zip(values, levels)]
+        seeds, values = values, [value for value, _ in solved]
     if eigenvectors:
-        vector = vectors[0]
+        vector = solved[0][1]
         if vector is None:
             raise np.linalg.LinAlgError("inverse iteration found no finite iterate at any shift")
-        if vector[np.argmax(np.abs(vector))] < 0.0:
-            vector = -vector
+        # the iterate is a row of the work array: a new array either way,
+        # and the spent diagonal row holds |x|
+        largest = np.argmax(np.abs(vector, out=work[0, :len(vector)]))
+        vector = -vector if vector[largest] < 0.0 else vector.copy()
         return [float(values[0])], vector[:, np.newaxis]
     if not richardson:
         return [float(v) for v in values]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pcoulomb
-from pcoulomb import report
+from pcoulomb import cli, report
 from pcoulomb.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_USAGE, dump_json, main
 from pcoulomb.exact import constraint_a, constraint_b, derive_couplings, ground_state
 from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
@@ -785,6 +785,45 @@ def test_option_abbreviations_are_refused(tmp_path, capsys):
     code, out, err = run_cli_usage(capsys, "verify", *_SURFACE_FLAGS, "--rich")
     assert (code, out) == (EXIT_USAGE, "")
     assert "unrecognized arguments: --rich" in err
+
+
+def _exit_and_output(capsys, *argv):
+    """(exit code, stdout, stderr) of one ``main`` call, usage errors included."""
+    try:
+        return run_cli(capsys, *argv)
+    except SystemExit as exc:
+        return exc.code, *capsys.readouterr()
+
+
+def test_parser_is_built_once_and_shared(tmp_path, capsys):
+    # main calls in one process share one parser; a call after another, with
+    # or without --config, exits and prints as a fresh process would
+    config = tmp_path / "run.conf"
+    config.write_text(_SURFACE_CONFIG + "N = 5\n")
+    calls = [
+        ("solve", *_SURFACE_FLAGS),
+        ("solve", "--config", str(config)),
+        ("solve", "--conf", str(config)),
+        ("verify", *_SURFACE_FLAGS, "--out", "json", "--rich"),
+        ("sweep", "--config", str(config), "--sweep", "c=0.5,1"),
+        ("eig", "--config", str(config), "--k", "2"),
+        ("solve", *_SURFACE_FLAGS, "--N", "7"),
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_exit_and_output(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_USAGE,
+                                              EXIT_OK, EXIT_OK, EXIT_OK]
+    assert json.loads(fresh[1][1])["dimension"]["M"] == 5
+    assert "unrecognized arguments: --conf" in fresh[2][2]
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    shared = []
+    for argv in calls:
+        shared.append(_exit_and_output(capsys, *argv))
+        assert cli.build_parser() is parser
+    assert shared == fresh
 
 
 @pytest.mark.parametrize("argv", [

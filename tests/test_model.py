@@ -152,6 +152,29 @@ def test_laurent_scalar_evaluation():
     assert isinstance(form(1.0), float)
 
 
+def test_laurent_evaluation_is_the_term_by_term_sum():
+    # the in-place accumulation gives the bits of out = out + v * r**p, term
+    # by term in the stored order, for every power -2..2, on arrays and on
+    # scalars, which still evaluate to a float
+    rng = np.random.default_rng(7)
+    radii = np.concatenate((np.geomspace(1e-3, 40.0, 1001), [0.5, 1.0, 2.0]))
+    for _ in range(20):
+        coeffs = {p: rng.uniform(-3.0, 3.0) for p in rng.permutation(range(-2, 3)).tolist()}
+        form = LaurentForm(coeffs)
+        for r in (radii, 0.7, 3.0):
+            expected = np.zeros_like(np.asarray(r, dtype=float))
+            for p, v in coeffs.items():
+                expected = expected + v * np.asarray(r, dtype=float) ** float(p)
+            got = form(r)
+            assert np.asarray(got).tobytes() == expected.tobytes()
+            if np.ndim(r) == 0:
+                assert type(got) is float
+    for p in range(-2, 3):
+        single = LaurentForm({p: 1.5})
+        assert single(radii).tobytes() == (1.5 * radii ** float(p)).tobytes()
+        assert type(single(2.0)) is float
+
+
 def test_laurent_immutable():
     form = LaurentForm({0: 1.0})
     with pytest.raises(AttributeError):

@@ -978,6 +978,159 @@ def test_surface_points_do_not_fall_back(monkeypatch):
                     eigen_lowest(v_eff, grid, PHYS, first=n, richardson=richardson)
 
 
+# -- one sampling per chain, per-call work arrays, the shift's own count --------
+
+def _links(grid, richardson):
+    """The grids ``eigen_lowest`` solves level 0 on, coarsest first."""
+    return [*numerics._coarse_grids(grid, 1), grid, *([grid.halved()] if richardson else [])]
+
+
+@pytest.mark.parametrize("r_max, h", [(None, None), (19.992, 0.001)])
+@pytest.mark.parametrize("richardson", [False, True])
+def test_chain_diagonals_are_each_grids_own(r_max, h, richardson):
+    # the potential sampled once on the finest grid gives every grid's
+    # matrix bit for bit.  At r_max 19.992, h 0.001 the 16h grid ends at
+    # 20.0, past the finest grid, so the samples reach beyond it
+    dim = dimension_reduce(5, 0)  # a barrier term: every power -2..2
+    pot = PotentialParams(a=1.1, b=constraint_b(1.1, 0.6, dim, PHYS), c=0.6)
+    v_eff = effective_potential(pot, dim, PHYS)
+    grid = build_grid(pot, dim, PHYS, r_max=r_max, h=h)
+    links = _links(grid, richardson)
+    assert len(links) == 3 + richardson
+    if r_max is not None:
+        assert links[0].nodes[-1] == 20.0 > links[-1].nodes[-1]
+    out = np.empty(links[-1].count)
+    matrices = numerics._chain_matrices(numerics._chain_samples(v_eff, links), links, PHYS, out)
+    for link, (diag, off) in zip(links, matrices, strict=True):
+        expected_diag, expected_off = numerics._tridiagonal(v_eff, link, PHYS)
+        assert diag.tobytes() == expected_diag.tobytes()
+        assert np.full(link.count - 1, off).tobytes() == expected_off.tobytes()
+
+
+def _owner(array):
+    """The array that owns the memory ``array`` views."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+def test_returned_vectors_do_not_share_the_work_arrays():
+    # a returned vector owns its memory alone: it neither changes with a
+    # later solve nor keeps the solve's work arrays alive
+    grid = RadialGrid(r_max=15.0, h=0.005)
+    v_eff = effective_potential(P1, DIM3, PHYS)
+    _, first = eigen_lowest(v_eff, grid, PHYS, eigenvectors=True)
+    kept = first.copy()
+    _, second = eigen_lowest(v_eff, grid, PHYS, first=1, eigenvectors=True)
+    assert first.tobytes() == kept.tobytes()
+    for vecs in (first, second):
+        assert _owner(vecs).nbytes == vecs.nbytes == 8 * grid.count
+
+
+def _two_count_proof(diag, off, level, margin, value, x):
+    """(proved, bound) of the window proof with both of its edge counts
+    (``dstebz``'s), bound = ||T x - E x|| + margin summed as ``_refine`` sums."""
+    tx = diag * x
+    tx[1:] += off * x[:-1]
+    tx[:-1] += off * x[1:]
+    defect = tx - value * x
+    bound = math.sqrt(np.add.reduce(defect * defect)) + margin
+    half = numerics.WINDOW * max(1.0, abs(value))
+    off = np.full(len(diag) - 1, off)
+    proved = (bound < half and _stebz_count(diag, off, value + half) == level + 1
+              and (level == 0 or _stebz_count(diag, off, value - half) == level))
+    return proved, bound
+
+
+#: the (a, c) surface points of perfbench/workloads.py
+SURFACE_POINTS = [(0.7, 0.8), (1.1, 0.6), (1.6, 0.4)]
+
+
+@pytest.mark.parametrize("a, c", SURFACE_POINTS)
+def test_shift_count_proves_as_the_two_counts(a, c, monkeypatch):
+    # on the benchmark's surface points, M 3..11 at levels 0..2 with
+    # Richardson, every refinement on 4h, h and h/2 is proved or not as the
+    # proof with both window counts decides
+    refine = numerics._refine
+    sides = {"top": 0, "bottom": 0, "inside": 0}
+
+    def checked(diag, off, shift, level, margin, work):
+        value, x, proved = refine(diag, off, shift, level, margin, work)
+        expected, bound = _two_count_proof(diag, off, level, margin, value, x)
+        assert proved == expected
+        side = "top" if shift >= value + bound else "bottom" if shift < value - bound else "inside"
+        sides[side] += 1
+        return value, x, proved
+
+    monkeypatch.setattr(numerics, "_refine", checked)
+    for m_index in range(3, 12):
+        dim = dimension_reduce(3 + m_index % 2, (m_index - 3) // 2)
+        pot = PotentialParams(a=a, b=constraint_b(a, c, dim, PHYS), c=c)
+        for n in range(3):
+            a_level, _ = closed_level(pot, dim, PHYS, n)
+            pot_level = PotentialParams(a=a_level, b=pot.b, c=c)
+            v_eff = effective_potential(pot_level, dim, PHYS)
+            eigen_lowest(v_eff, build_grid(pot_level, dim, PHYS), PHYS, first=n,
+                         richardson=True)
+    assert sum(sides.values()) == 9 * 3 * 3
+    assert sides["bottom"] > 0
+
+
+def _counting_factor(monkeypatch):
+    """The shifts ``_factor`` is called at, in order."""
+    factor, shifts = numerics._factor, []
+
+    def counting(diag, off, shift, work=None):
+        shifts.append(shift)
+        return factor(diag, off, shift, work)
+
+    monkeypatch.setattr(numerics, "_factor", counting)
+    return shifts
+
+
+def test_shift_inside_the_residual_interval_counts_both_edges(monkeypatch):
+    # a refinement shifted to a refined value: its own value lies within
+    # roundoff of the shift, inside E -+ bound, so the factorization at the
+    # shift is no edge and both window edges are counted
+    grid = RadialGrid(r_max=12.0, h=12.0 / 2000)
+    diag, off = _matrix(effective_potential(P1, DIM3, PHYS), grid)
+    margin = numerics._margin(diag, off)
+    work = np.empty((4, len(diag)))
+    shifts = _counting_factor(monkeypatch)
+    for level in range(3):
+        seed = _stebz_levels(diag, off, level, 1)[0]
+        shift, _, _ = numerics._refine(diag, off, seed, level, margin, work)
+        shifts.clear()
+        value, x, proved = numerics._refine(diag, off, shift, level, margin, work)
+        expected, bound = _two_count_proof(diag, off, level, margin, value, x)
+        assert abs(shift - value) < bound
+        assert proved and expected
+        half = numerics.WINDOW * max(1.0, abs(value))
+        assert shifts == [shift, value + half] + ([value - half] if level else [])
+
+
+def test_level_zero_shift_above_factors_once(monkeypatch):
+    # pure Coulomb: each coarser grid's E0 lies above the finer grid's, by
+    # more than the residual bound, and N(shift) = 1, so the factorization
+    # at the shift is the whole proof: one _factor call per 4h and h link
+    pot = PotentialParams(a=1.0, b=0.0, c=0.0)
+    v_eff = effective_potential(pot, DIM3, PHYS)
+    grid = build_grid(pot, DIM3, PHYS)
+    refine = numerics._refine
+    shifts, links = _counting_factor(monkeypatch), []
+
+    def recording(diag, off, shift, level, margin, work):
+        before = len(shifts)
+        value, x, proved = refine(diag, off, shift, level, margin, work)
+        _, bound = _two_count_proof(diag, off, level, margin, value, x)
+        links.append((len(shifts) - before, shift >= value + bound, proved))
+        return value, x, proved
+
+    monkeypatch.setattr(numerics, "_refine", recording)
+    eigen_lowest(v_eff, grid, PHYS)
+    assert links == [(1, True, True), (1, True, True)]
+
+
 def test_sturm_count_consistency_with_eigenvalues():
     # my count of eigenvalues below random shifts must match the solver's
     grid = RadialGrid(r_max=12.0, h=12.0 / 400)

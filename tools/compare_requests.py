@@ -37,7 +37,8 @@ SEEDS = range(1, 11)
 
 #: requests outside the benchmark: the README command lines; coarse user
 #: grids where some levels fall back to their own bisection; k sweeps whose
-#: E0 must not depend on k; and an h grid with no coarse grid to seed it
+#: E0 must not depend on k; an h grid with no coarse grid to seed it; and
+#: grids whose 16h grid ends past the h and h/2 grids
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
@@ -54,6 +55,8 @@ EXTRA = [argv.split() for argv in (
     "eig --a 1 --b 1 --c 0.5 --rmax 16 --h 0.01 --k 1",
     "eig --a 1 --b 1 --c 0.5 --rmax 16 --h 0.01 --k 10",
     "eig --a 1 --b 1 --c 0.5 --k 2 --rmax 20 --h 0.1 --richardson",
+    "eig --a 1 --b 1 --c 0.5 --k 3 --rmax 19.992 --h 0.001 --richardson",
+    "sweep --sweep a=0.5,1 --c 0.5 --derive b --n 2 --rmax 19.992 --h 0.001 --richardson",
 )]
 
 # runs the argvs of stdin under ROOT's package and prints
