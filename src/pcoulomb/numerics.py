@@ -34,11 +34,12 @@ the constructions it checks.
 
 The chain's steps are powers of two times its finest step, so the
 potential is sampled once, on the finest grid, and each coarser diagonal is
-a strided view of the samples, bit for bit the grid's own.  A chain's
-diagonals, factors, iterates and T x share work arrays allocated once per
-``eigen_lowest`` call, sized for its finest grid and freed when it returns;
-they are written by in-place ufuncs in the order of the plain expressions,
-so the bits do not depend on them.
+a strided view of the samples, bit for bit the grid's own (the finest
+grid's is written over them).  The factors, iterates and T x of every
+refinement share work arrays allocated once per ``eigen_lowest`` call,
+sized for its finest grid and freed when it returns; they are written by
+in-place ufuncs in the order of the plain expressions, so the bits do not
+depend on them.
 
 LAPACK comes from scipy's extension module ``scipy/linalg/_flapack``, which
 ``_lapack`` loads on its own (see there): the solver calls only ``dstebz``
@@ -290,16 +291,19 @@ def _chain_samples(v_eff: LaurentForm, links: list[RadialGrid]) -> np.ndarray:
     return v_eff(fine * np.arange(1, extent + 1))
 
 
-def _chain_matrices(samples: np.ndarray, links: list[RadialGrid], phys: PhysicalParams,
-                    out: np.ndarray):
+def _chain_matrices(samples: np.ndarray, links: list[RadialGrid], phys: PhysicalParams):
     """Yields (diag, off) of each grid of ``links`` in turn: the diagonal,
-    2T/h^2 plus a strided view of ``_chain_samples`` written into ``out``,
-    and the one off-diagonal value -T/h^2."""
+    2T/h^2 plus a strided view of ``_chain_samples``, and the one
+    off-diagonal value -T/h^2.  The coarser grids' diagonals share one
+    array; the last grid's is written over its own samples, which no grid
+    needs after it."""
     t, fine = phys.kinetic, links[-1].h
+    coarse = np.empty(max((link.count for link in links[:-1]), default=0))
     for link in links:
         stride = round(link.h / fine)
+        target = samples if link is links[-1] else coarse
         diag = np.add(samples[stride - 1:stride * link.count:stride], 2.0 * t / link.h**2,
-                      out=out[:link.count])
+                      out=target[:link.count])
         off = -t / link.h**2
         if not (np.all(np.isfinite(diag)) and math.isfinite(off)):
             raise ValueError("the grid Hamiltonian overflows: a matrix entry is not finite")
@@ -533,9 +537,9 @@ def eigen_lowest(
     solved on each grid alone, so a level's value does not depend on k or
     first while the same coarse grids resolve every requested level at ten
     nodes per level: on default grids (16h grids of 1,250 nodes or more),
-    up to 125 levels.  The factors, iterates and diagonals live in work
-    arrays allocated once per call, sized for its finest grid and freed
-    with it; a returned vector is a copy.
+    up to 125 levels.  The factors, iterates and T x live in work arrays
+    allocated once per call, sized for its finest grid and freed with it;
+    a returned vector is a copy.
 
     The values are not limited by the bisection tolerance ULP * ||T||_1
     (about 4 eps T / h^2): at h = 1e-3 on the reference problem they are
@@ -568,11 +572,11 @@ def eigen_lowest(
     coarse = _coarse_grids(grid, first + k)
     links = [*coarse, grid, *([grid.halved()] if richardson else [])]
     samples = _chain_samples(v_eff, links)
-    # rows: the diagonal, then d, l, x and T x of _refine, as long as the
-    # last grid's, which has the most nodes; made after the sampling has
-    # freed its temporaries, and the samples are freed with the generator
-    work = np.empty((5, links[-1].count))
-    matrices = _chain_matrices(samples, links, phys, work[0])
+    # rows d, l, x and T x of _refine, as long as the last grid's, which has
+    # the most nodes; made after the sampling has freed its temporaries,
+    # and the samples are freed with the generator
+    work = np.empty((4, links[-1].count))
+    matrices = _chain_matrices(samples, links, phys)
     del samples
     values = [None] * k
     if coarse:
@@ -580,7 +584,7 @@ def eigen_lowest(
         values = [_index_solve(*coarsest, level) for level in levels]
     for diag, off in matrices:
         margin = _margin(diag, off)
-        solved = [_seeded_lowest(diag, off, seed, level, margin, work[1:])
+        solved = [_seeded_lowest(diag, off, seed, level, margin, work)
                   for seed, level in zip(values, levels)]
         seeds, values = values, [value for value, _ in solved]
     if eigenvectors:
@@ -588,7 +592,7 @@ def eigen_lowest(
         if vector is None:
             raise np.linalg.LinAlgError("inverse iteration found no finite iterate at any shift")
         # the iterate is a row of the work array: a new array either way,
-        # and the spent diagonal row holds |x|
+        # and the spent factor row d holds |x|
         largest = np.argmax(np.abs(vector, out=work[0, :len(vector)]))
         vector = -vector if vector[largest] < 0.0 else vector.copy()
         return [float(values[0])], vector[:, np.newaxis]

@@ -999,8 +999,7 @@ def test_chain_diagonals_are_each_grids_own(r_max, h, richardson):
     assert len(links) == 3 + richardson
     if r_max is not None:
         assert links[0].nodes[-1] == 20.0 > links[-1].nodes[-1]
-    out = np.empty(links[-1].count)
-    matrices = numerics._chain_matrices(numerics._chain_samples(v_eff, links), links, PHYS, out)
+    matrices = numerics._chain_matrices(numerics._chain_samples(v_eff, links), links, PHYS)
     for link, (diag, off) in zip(links, matrices, strict=True):
         expected_diag, expected_off = numerics._tridiagonal(v_eff, link, PHYS)
         assert diag.tobytes() == expected_diag.tobytes()
