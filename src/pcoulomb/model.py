@@ -199,9 +199,10 @@ class LaurentForm:
         r = np.asarray(r, dtype=float)
         out = np.zeros_like(r)
         for p, v in self._coeffs.items():
-            # out = out + v * r**p in place, in the term's buffer (numpy's
-            # temporary elision did the same for large arrays): the same bits,
-            # and the sum lives in the last buffer made, as it did
+            # out = out + v * r**p in place, in the term's buffer: the same
+            # bits, and the sum moves to the newest buffer as numpy's
+            # temporary elision moved it, which keeps the peak RSS (summing
+            # into one buffer made first raised it by 1.4 MB)
             term = r ** float(p)
             term *= v
             term += out
