@@ -11,26 +11,28 @@ is available where O(h^4) is wanted.  ``sturm_count`` exposes the raw
 eigenvalue-counting recurrence so the solver can be cross-checked
 independently.
 
-Every grid solve runs one seeding chain of grids, coarsest first: 16h ->
-4h -> h, extended to h/2 for a Richardson pair (steps COARSEN**2 * h and
-COARSEN * h).  Every step handles one level.  On the coarsest grid that
-resolves the levels asked for (at least 100 nodes, ten per level), a
-sixteenth of the nodes on default grids, each level is bisected (Sturm
-sequence).  Its value is the shift of two steps of inverse iteration on the
-next finer grid, both solved with one unpivoted LDL^T factorization of the
-shifted matrix, and the Rayleigh quotient E of the unit iterate x is that
-grid's value (Parlett, The Symmetric Eigenvalue Problem, ch. 4-5).  The
-residual ||T x - E x|| puts an eigenvalue within it of E, and two Sturm
-counts that bracket that interval prove that it is this level (Barth,
-Martin & Wilkinson, Numer. Math. 9, 386 (1967)); the factorization at the
-shift is one of them when the shift lies beyond the interval with the
-right count, and otherwise the edges of a window around E are counted; see
-``_refine``.  A value that fails the proof, or a level on an h grid with no
-coarser grid to seed it, is refined from that level's own bisection on its
-grid instead, so a bad seed costs time, never correctness.  An eigenvector
-is found for one level: the iterate itself.  Seeds come from the coarser
-grids only, never from a closed form, so this oracle stays independent of
-the constructions it checks.
+Every grid solve runs one seeding chain of grids, coarsest first: 64h ->
+16h -> 4h -> h, extended to h/2 for a Richardson pair (steps COARSEN**k * h,
+k = 3, 2, 1).  A coarse grid joins the chain when it resolves the levels
+asked for (at least 100 nodes, ten per level), and the 64h grid only up to
+COARSEST_LEVELS levels.  On the coarsest grid of the chain, a 64th of the
+nodes on default grids, each level is bisected (Sturm sequence).  Its value
+is the shift of three steps of inverse iteration on the next finer grid,
+all solved with one unpivoted LDL^T factorization of the shifted matrix,
+and the Rayleigh quotient E of the unit iterate x is that grid's value
+(Parlett, The Symmetric Eigenvalue Problem, ch. 4-5); each later grid
+takes two steps shifted to the refined value before it.  The residual
+||T x - E x|| puts an eigenvalue within it of E, and two Sturm counts that
+bracket that interval prove that it is this level (Barth, Martin &
+Wilkinson, Numer. Math. 9, 386 (1967)); the factorization at the shift is
+one of them when the shift lies beyond the interval with the right count,
+and otherwise the edges of a window around E are counted; see ``_refine``.
+A value that fails the proof, or a level on an h grid with no coarser grid
+to seed it, is refined from that level's own bisection on its grid
+instead, so a bad seed costs time, never correctness.  An eigenvector is
+found for one level: the iterate itself.  Seeds come from the coarser grids
+only, never from a closed form, so this oracle stays independent of the
+constructions it checks.
 
 The chain's steps are powers of two times its finest step, so the
 potential is sampled once, on the finest grid, and each coarser diagonal is
@@ -48,7 +50,11 @@ a Sturm count) and ``dpttrs`` (the shifted solves with its factors), so no
 command imports the ``scipy.linalg`` package; one imported later binds
 ``_flapack``.
 
-Quadrature is composite trapezoid throughout.
+Quadrature is composite trapezoid throughout.  The grid functions (a
+closed-form state's samples, H f, the defect of a residual, the pair sums
+of a quadrature) are written into arrays of their own by in-place ufuncs in
+the order of the plain expressions, so their bits are those expressions',
+and a grid computes its nodes once and keeps them read-only.
 
 Validity note for half-integer Lambda (even M): the leading r^(Lambda+1)
 behavior is non-smooth at the origin, so pointwise residual diagnostics
@@ -88,8 +94,18 @@ STEPS_PER_LENGTH = 1200
 #: stay under 2e6 nodes
 MAX_NODES = 2**24
 
-#: step ratio between neighbouring grids of the seeding chain 16h -> 4h -> h
+#: step ratio between neighbouring grids of the seeding chain 64h -> 16h ->
+#: 4h -> h
 COARSEN = 4
+
+#: most levels the 64h grid seeds: higher levels move too far from 64h to
+#: 16h for their windows, and each would be bisected on both grids
+COARSEST_LEVELS = 11
+
+#: inverse-iteration steps of the first grid refined from a bisected value,
+#: whose shift is farther from the level than a refined one (two steps left
+#: some windows unproved on coarse grids); every later grid takes two
+BISECTED_STEPS = 3
 
 #: half-width, relative to max(1, |E|), of the window centred on each refined
 #: eigenvalue that must hold its residual (near 1e-9 on default grids)
@@ -125,9 +141,14 @@ class RadialGrid:
     def r_min(self) -> float:
         return self.h
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return self.h * np.arange(1, self.count + 1)
+        """h * arange(1, count + 1), bit for bit: computed once per grid and
+        read-only."""
+        nodes = np.arange(1, self.count + 1, dtype=float)
+        nodes *= self.h
+        nodes.setflags(write=False)
+        return nodes
 
     def halved(self) -> "RadialGrid":
         return RadialGrid(r_max=self.r_max, h=self.h / 2.0)
@@ -158,9 +179,17 @@ class GridFunction:
 
 
 def _quad_with_ends(samples: np.ndarray, h: float) -> float:
-    """Trapezoid over [0, r_max + h] with implied zero end values."""
-    padded = np.concatenate(([0.0], samples, [0.0]))
-    return float(np.trapezoid(padded, dx=h))
+    """Trapezoid over [0, r_max + h] with implied zero end values: the bits
+    of ``np.trapezoid`` of the samples padded with the zeros, whose n + 1
+    neighbour sums are formed in one array, scaled and summed in its
+    order."""
+    pairs = np.empty(len(samples) + 1)
+    pairs[0] = samples[0] + 0.0
+    np.add(samples[1:], samples[:-1], out=pairs[1:-1])
+    pairs[-1] = 0.0 + samples[-1]
+    pairs *= h
+    pairs /= 2.0
+    return float(pairs.sum())
 
 
 def build_grid(
@@ -251,17 +280,27 @@ def normalize(f: GridFunction) -> tuple[GridFunction, float]:
 def hamiltonian_apply(
     v_eff: LaurentForm, f: GridFunction, phys: PhysicalParams
 ) -> GridFunction:
-    """-T (f_{i-1} - 2 f_i + f_{i+1}) / h^2 + V(r_i) f_i with Dirichlet ends."""
+    """-T (f_{i-1} - 2 f_i + f_{i+1}) / h^2 + V(r_i) f_i with Dirichlet ends.
+
+    The second difference, then (-T lap) / h^2 + V f, is written into the
+    result's own array by in-place ufuncs in the order of those
+    expressions, so the bits are theirs; V comes as ``v_eff`` gives it.
+    """
     t = phys.kinetic
     h = f.grid.h
     vals = f.values
-    lap = np.empty_like(vals)
-    lap[1:-1] = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
-    lap[0] = -2.0 * vals[0] + vals[1]
-    lap[-1] = vals[-2] - 2.0 * vals[-1]
-    return GridFunction(
-        grid=f.grid, values=-t * lap / h**2 + v_eff(f.grid.nodes) * vals
-    )
+    out = np.empty_like(vals)
+    lap = out[1:-1]
+    np.subtract(vals[:-2], np.multiply(vals[1:-1], 2.0, out=lap), out=lap)
+    lap += vals[2:]
+    out[0] = -2.0 * vals[0] + vals[1]
+    out[-1] = vals[-2] - 2.0 * vals[-1]
+    out *= -t
+    out /= h**2
+    potential = v_eff(f.grid.nodes)
+    potential *= vals
+    out += potential
+    return GridFunction(grid=f.grid, values=out)
 
 
 def _tridiagonal(
@@ -431,9 +470,10 @@ def _count_at_or_below(diag: np.ndarray, off, top: float, work: np.ndarray | Non
     return _factor(diag, off, top, work)[2]
 
 
-def _refine(diag: np.ndarray, off, shift: float, level: int, margin: float, work: np.ndarray):
-    """(value, vector, proved): two steps of inverse iteration shifted to
-    ``shift`` from a ones vector, each a ``dpttrs`` solve with the one
+def _refine(diag: np.ndarray, off, shift: float, level: int, margin: float, work: np.ndarray,
+            steps: int = 2):
+    """(value, vector, proved): ``steps`` steps of inverse iteration shifted
+    to ``shift`` from a ones vector, each a ``dpttrs`` solve with the one
     factorization ``_factor`` gives, then the Rayleigh quotient E of the unit
     iterate x; None when x is not finite or its norm overflows (a shift on
     an eigenvalue of a diagonal matrix meets a zero pivot).
@@ -461,7 +501,7 @@ def _refine(diag: np.ndarray, off, shift: float, level: int, margin: float, work
     x, tx = work[2, :n], work[3, :n]
     x.fill(1.0)
     d, l, count = _factor(diag, off, shift, work)
-    for _ in range(2):
+    for _ in range(steps):
         x, info = _lapack().dpttrs(d, l, x, overwrite_b=1)
         _check(info, "dpttrs")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -489,22 +529,24 @@ def _refine(diag: np.ndarray, off, shift: float, level: int, margin: float, work
 
 
 def _seeded_lowest(diag: np.ndarray, off, seed, level: int,
-                   margin: float | None = None, work: np.ndarray | None = None):
-    """(value, vector) of eigenvalue ``level``, refined from ``seed``.
+                   margin: float | None = None, work: np.ndarray | None = None,
+                   steps: int = 2):
+    """(value, vector) of eigenvalue ``level``, refined from ``seed`` by
+    ``steps`` steps of inverse iteration.
 
     A value that ``_refine`` cannot prove, or no seed (None), is refined
-    from this level's unseeded bisection instead.  If that fails its proof
-    too, the bisected value is returned (its index proves it) with the
-    iterate, or None when inverse iteration gave no finite iterate.
-    ``margin`` is ``_margin(diag, off)`` and ``work`` the rows ``_refine``
-    writes into; each is made here when None.  The vector is a row of
-    ``work``.
+    from this level's unseeded bisection instead, by two steps.  If that
+    fails its proof too, the bisected value is returned (its index proves
+    it) with the iterate, or None when inverse iteration gave no finite
+    iterate.  ``margin`` is ``_margin(diag, off)`` and ``work`` the rows
+    ``_refine`` writes into; each is made here when None.  The vector is a
+    row of ``work``.
     """
     if margin is None:
         margin = _margin(diag, off)
     if work is None:
         work = np.empty((4, len(diag)))
-    refined = None if seed is None else _refine(diag, off, seed, level, margin, work)
+    refined = None if seed is None else _refine(diag, off, seed, level, margin, work, steps)
     if refined is None or not refined[2]:
         value = _index_solve(diag, off, level)
         # a bisected value can be an exact eigenvalue of the computed matrix
@@ -529,15 +571,16 @@ def eigen_lowest(
     """Eigenvalues first .. first+k-1 of the discretized problem, ascending.
 
     ``first`` = 0 (the default) gives the lowest k.  Every call runs the
-    seeding chain of the module docstring, 16h -> 4h -> h; with
+    seeding chain of the module docstring, 64h -> 16h -> 4h -> h; with
     ``richardson`` also h -> h/2, and the pair is extrapolated over (h, h/2),
     pushing the discretization error from O(h^2) to O(h^4).  The potential
     is sampled once, on the finest grid of the chain, and each grid's
     diagonal is a strided view of it (``_chain_samples``).  Each level is
     solved on each grid alone, so a level's value does not depend on k or
-    first while the same coarse grids resolve every requested level at ten
-    nodes per level: on default grids (16h grids of 1,250 nodes or more),
-    up to 125 levels.  The factors, iterates and T x live in work arrays
+    first while the same coarse grids serve every requested level: on
+    default grids (64h grids of 312 nodes or more) up to COARSEST_LEVELS
+    levels, and from there on 16h grids of 1,250 nodes or more up to 125
+    levels.  The factors, iterates and T x live in work arrays
     allocated once per call, sized for its finest grid and freed with it;
     a returned vector is a copy.
 
@@ -582,11 +625,13 @@ def eigen_lowest(
     if coarse:
         coarsest = next(matrices)  # one bisection per level
         values = [_index_solve(*coarsest, level) for level in levels]
+    steps = BISECTED_STEPS if coarse else 2
     for diag, off in matrices:
         margin = _margin(diag, off)
-        solved = [_seeded_lowest(diag, off, seed, level, margin, work)
+        solved = [_seeded_lowest(diag, off, seed, level, margin, work, steps)
                   for seed, level in zip(values, levels)]
         seeds, values = values, [value for value, _ in solved]
+        steps = 2
     if eigenvectors:
         vector = solved[0][1]
         if vector is None:
@@ -602,11 +647,13 @@ def eigen_lowest(
 
 
 def _coarse_grids(grid: RadialGrid, levels: int) -> list[RadialGrid]:
-    """The grids of step COARSEN**2 * h and COARSEN * h, coarsest first, that
-    resolve the lowest ``levels`` levels as ``eigen_lowest`` asks of any grid:
-    at least 100 nodes and ten per level."""
+    """The grids of step COARSEN**3 * h, COARSEN**2 * h and COARSEN * h,
+    coarsest first, that resolve the lowest ``levels`` levels as
+    ``eigen_lowest`` asks of any grid: at least 100 nodes and ten per level.
+    The grid of step COARSEN**3 * h is offered only up to COARSEST_LEVELS
+    levels."""
     coarse = []
-    for power in (2, 1):
+    for power in (3, 2, 1) if levels <= COARSEST_LEVELS else (2, 1):
         try:
             candidate = RadialGrid(r_max=grid.r_max, h=COARSEN**power * grid.h)
         except ValueError:
@@ -648,7 +695,8 @@ def h_residual(
     are excluded so Dirichlet truncation does not pollute the measurement.
     """
     hf = hamiltonian_apply(v_eff, f, phys)
-    defect = hf.values - energy * f.values
+    defect = np.multiply(f.values, energy)
+    np.subtract(hf.values, defect, out=defect)
     sl = slice(RESIDUAL_TRIM, -RESIDUAL_TRIM)
     num = float(np.linalg.norm(defect[sl]))
     den = float(np.linalg.norm(f.values[sl]))

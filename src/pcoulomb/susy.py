@@ -108,10 +108,29 @@ class ClosedFormState:
         )
 
     def evaluate(self, r):
-        """Pointwise values with the exponent computed in log space."""
+        """Pointwise values with the exponent computed in log space.
+
+        The exponent q log r - lam r - kap r r and P (Horner's rule in
+        ``polyval``'s order: c_deg + r * 0, then c * r + c_i) are written
+        into two arrays of r's shape by in-place ufuncs in the order of
+        those expressions, so the bits are theirs; a scalar r is a 0-d array
+        on the same path.
+        """
         r = np.asarray(r, dtype=float)
-        pref = np.polynomial.polynomial.polyval(r, np.asarray(self.poly))
-        vals = pref * np.exp(self.q * np.log(r) - self.lam * r - self.kap * r * r)
+        vals, scratch = np.empty_like(r), np.empty_like(r)
+        np.log(r, out=vals)
+        vals *= self.q
+        vals -= np.multiply(r, self.lam, out=scratch)
+        np.multiply(r, self.kap, out=scratch)
+        scratch *= r
+        vals -= scratch
+        np.exp(vals, out=vals)
+        pref = np.multiply(r, 0.0, out=scratch)
+        pref += self.poly[-1]
+        for c in reversed(self.poly[:-1]):
+            pref *= r
+            pref += c
+        vals *= pref
         if vals.ndim == 0:
             return float(vals)
         return vals

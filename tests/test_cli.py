@@ -579,14 +579,17 @@ def test_level_bits_do_not_depend_on_k(capsys):
     (["verify", "--a", "1", "--c", "0.5", "--derive", "b", "--rmax", "20", "--h", "0.01"], 500),
 ])
 def test_coarse_user_grids_do_not_fall_back(argv, coarse_nodes, capsys, monkeypatch):
-    # each level's window on the h grid (3000 and 2000 nodes) proves itself
-    # even where a level moves by 2.2e-4 relative from 4h to h: only the
-    # chain's coarse grids, 16h and 4h (coarse_nodes), are bisected, never h
+    # each level's window on the 4h and h grids (coarse_nodes, and 3000 and
+    # 2000 nodes) proves itself even where a level moves by 2.2e-4 relative
+    # from 4h to h: the 4h grid takes three steps from the bisected value,
+    # so only the chain's coarsest grid (16h; 64h has under 100 nodes) is
+    # bisected, never 4h or h
     from pcoulomb import numerics
 
     flags = dict(zip(argv[1::2], argv[2::2]))
-    coarsest = numerics.RadialGrid(
-        r_max=float(flags["--rmax"]), h=numerics.COARSEN**2 * float(flags["--h"])).count
+    grid = numerics.RadialGrid(r_max=float(flags["--rmax"]), h=float(flags["--h"]))
+    coarsest, coarse = numerics._coarse_grids(grid, 4)
+    assert (coarsest.h, coarse.count) == (numerics.COARSEN**2 * grid.h, coarse_nodes)
     sizes = []
     index_solve = numerics._index_solve
 
@@ -597,7 +600,7 @@ def test_coarse_user_grids_do_not_fall_back(argv, coarse_nodes, capsys, monkeypa
     monkeypatch.setattr(numerics, "_index_solve", recording)
     code, _, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
-    assert sizes and set(sizes) <= {coarsest, coarse_nodes}
+    assert sizes and set(sizes) == {coarsest.count}
 
 
 def _benchmark_requests(workload, seeds):

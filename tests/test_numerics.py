@@ -430,15 +430,20 @@ def test_seeded_windows_fall_back_to_unseeded():
         assert vector is not None
 
 
-def _chain(v_eff, grid, level):
-    """(value, vector) of one level by the 16h -> 4h -> h chain composed from
-    its parts: the level's index bisection on the 16h grid, then the
-    refinement of that seed on the 4h grid and of its value on the h grid."""
-    coarsest = _matrix(v_eff, RadialGrid(r_max=grid.r_max, h=COARSEN**2 * grid.h))
-    seed = _stebz_levels(*coarsest, level, 1)[0]
-    coarse = _matrix(v_eff, RadialGrid(r_max=grid.r_max, h=COARSEN * grid.h))
-    seed, _ = _seeded_lowest(*coarse, seed, level)
-    return _seeded_lowest(*_matrix(v_eff, grid), seed, level)
+def _chain(v_eff, grid, level, levels=None):
+    """(value, vector) of one level by the seeding chain composed from its
+    parts: the level's index bisection on the coarsest grid that
+    ``_coarse_grids`` gives for ``levels`` levels (level + 1 when None),
+    then the refinement of that seed on the next grid, by BISECTED_STEPS
+    steps, and of each value on the grid after it, by two, up to h."""
+    coarse = numerics._coarse_grids(grid, levels or level + 1)
+    assert coarse, "a grid with no coarse grid is not a chain"
+    seed = _stebz_levels(*_matrix(v_eff, coarse[0]), level, 1)[0]
+    steps = numerics.BISECTED_STEPS
+    for link in [*coarse[1:], grid]:
+        seed, vector = _seeded_lowest(*_matrix(v_eff, link), seed, level, steps=steps)
+        steps = 2
+    return seed, vector
 
 
 def _assert_chain_vector(vecs, chain_vector):
@@ -455,7 +460,7 @@ def test_eigen_lowest_is_the_stebz_index_solve():
     grid = RadialGrid(r_max=15.0, h=0.005)
     v_eff = effective_potential(P1, DIM3, PHYS)
     diag, off = _matrix(v_eff, grid)
-    expected = [_chain(v_eff, grid, level)[0] for level in range(4)]
+    expected = [_chain(v_eff, grid, level, levels=4)[0] for level in range(4)]
     assert eigen_lowest(v_eff, grid, PHYS, k=4) == expected
     pair_values, vecs = eigen_lowest(v_eff, grid, PHYS, k=1, first=3, eigenvectors=True)
     chain_value, chain_vector = _chain(v_eff, grid, 3)
@@ -596,19 +601,21 @@ def test_single_level_is_the_stebz_index_solve(n):
 
 @pytest.mark.parametrize("a, c, n_dim, ell", SWEEP_LIKE)
 def test_eigen_lowest_windows_prove_themselves(a, c, n_dim, ell, monkeypatch):
-    # only the coarsest grid (16h) is bisected: no fallback at 4h, h or h/2
+    # only the coarsest grid of the chain is bisected: no fallback on the
+    # finer coarse grids, h or h/2
     v_eff, grid = _sweep_like(a, c, n_dim, ell)
-    coarsest = RadialGrid(r_max=grid.r_max, h=COARSEN**2 * grid.h).count
+    coarsest = [0]
     index_solve = numerics._index_solve
 
     def coarsest_only(diag, off, level):
-        if len(diag) != coarsest:
+        if len(diag) != coarsest[0]:
             raise AssertionError(f"the grid of {len(diag)} nodes fell back to the unseeded solve")
         return index_solve(diag, off, level)
 
     monkeypatch.setattr(numerics, "_index_solve", coarsest_only)
     for first in range(3):
         for k in range(1, 4):
+            coarsest[0] = numerics._coarse_grids(grid, first + k)[0].count
             values = eigen_lowest(v_eff, grid, PHYS, k=k, first=first)
             eigen_lowest(v_eff, grid, PHYS, k=k, first=first, richardson=True)
             if k == 1:
@@ -952,9 +959,10 @@ def test_factor_on_an_entry_of_a_diagonal_matrix():
 
 def test_surface_points_do_not_fall_back(monkeypatch):
     # the benchmark's surface points (perfbench/workloads.py), M 3..11 at
-    # levels 0..2 as sweep solves them: every window on 4h, h and h/2
-    # proves itself, so only the coarsest grid is bisected.  The radial
-    # problem depends on M = N + 2l alone, so one (N, l) stands for each M
+    # levels 0..2 as sweep solves them: every window on the finer coarse
+    # grids, h and h/2 proves itself, so only the coarsest grid is
+    # bisected.  The radial problem depends on M = N + 2l alone, so one
+    # (N, l) stands for each M
     index_solve = numerics._index_solve
     coarsest = [0]
 
@@ -972,7 +980,7 @@ def test_surface_points_do_not_fall_back(monkeypatch):
                 a_level, _ = closed_level(pot, dim, PHYS, n)
                 pot_level = PotentialParams(a=a_level, b=pot.b, c=c)
                 grid = build_grid(pot_level, dim, PHYS)
-                coarsest[0] = RadialGrid(r_max=grid.r_max, h=COARSEN**2 * grid.h).count
+                coarsest[0] = numerics._coarse_grids(grid, n + 1)[0].count
                 v_eff = effective_potential(pot_level, dim, PHYS)
                 for richardson in (False, True):
                     eigen_lowest(v_eff, grid, PHYS, first=n, richardson=richardson)
@@ -989,16 +997,16 @@ def _links(grid, richardson):
 @pytest.mark.parametrize("richardson", [False, True])
 def test_chain_diagonals_are_each_grids_own(r_max, h, richardson):
     # the potential sampled once on the finest grid gives every grid's
-    # matrix bit for bit.  At r_max 19.992, h 0.001 the 16h grid ends at
-    # 20.0, past the finest grid, so the samples reach beyond it
+    # matrix bit for bit.  At r_max 19.992, h 0.001 a coarse grid (16h)
+    # ends at 20.0, past the finest grid, so the samples reach beyond it
     dim = dimension_reduce(5, 0)  # a barrier term: every power -2..2
     pot = PotentialParams(a=1.1, b=constraint_b(1.1, 0.6, dim, PHYS), c=0.6)
     v_eff = effective_potential(pot, dim, PHYS)
     grid = build_grid(pot, dim, PHYS, r_max=r_max, h=h)
     links = _links(grid, richardson)
-    assert len(links) == 3 + richardson
+    assert len(links) == len(numerics._coarse_grids(grid, 1)) + 1 + richardson >= 3 + richardson
     if r_max is not None:
-        assert links[0].nodes[-1] == 20.0 > links[-1].nodes[-1]
+        assert max(link.nodes[-1] for link in links) == 20.0 > links[-1].nodes[-1]
     matrices = numerics._chain_matrices(numerics._chain_samples(v_eff, links), links, PHYS)
     for link, (diag, off) in zip(links, matrices, strict=True):
         expected_diag, expected_off = numerics._tridiagonal(v_eff, link, PHYS)
@@ -1048,13 +1056,14 @@ SURFACE_POINTS = [(0.7, 0.8), (1.1, 0.6), (1.6, 0.4)]
 @pytest.mark.parametrize("a, c", SURFACE_POINTS)
 def test_shift_count_proves_as_the_two_counts(a, c, monkeypatch):
     # on the benchmark's surface points, M 3..11 at levels 0..2 with
-    # Richardson, every refinement on 4h, h and h/2 is proved or not as the
-    # proof with both window counts decides
+    # Richardson, every refinement on the grids after the coarsest, h and
+    # h/2 is proved or not as the proof with both window counts decides
     refine = numerics._refine
     sides = {"top": 0, "bottom": 0, "inside": 0}
+    links = 0
 
-    def checked(diag, off, shift, level, margin, work):
-        value, x, proved = refine(diag, off, shift, level, margin, work)
+    def checked(diag, off, shift, level, margin, work, steps=2):
+        value, x, proved = refine(diag, off, shift, level, margin, work, steps)
         expected, bound = _two_count_proof(diag, off, level, margin, value, x)
         assert proved == expected
         side = "top" if shift >= value + bound else "bottom" if shift < value - bound else "inside"
@@ -1069,9 +1078,10 @@ def test_shift_count_proves_as_the_two_counts(a, c, monkeypatch):
             a_level, _ = closed_level(pot, dim, PHYS, n)
             pot_level = PotentialParams(a=a_level, b=pot.b, c=c)
             v_eff = effective_potential(pot_level, dim, PHYS)
-            eigen_lowest(v_eff, build_grid(pot_level, dim, PHYS), PHYS, first=n,
-                         richardson=True)
-    assert sum(sides.values()) == 9 * 3 * 3
+            grid = build_grid(pot_level, dim, PHYS)
+            links += len(numerics._coarse_grids(grid, n + 1)) + 1
+            eigen_lowest(v_eff, grid, PHYS, first=n, richardson=True)
+    assert sum(sides.values()) == links >= 9 * 3 * 3
     assert sides["bottom"] > 0
 
 
@@ -1111,23 +1121,24 @@ def test_shift_inside_the_residual_interval_counts_both_edges(monkeypatch):
 def test_level_zero_shift_above_factors_once(monkeypatch):
     # pure Coulomb: each coarser grid's E0 lies above the finer grid's, by
     # more than the residual bound, and N(shift) = 1, so the factorization
-    # at the shift is the whole proof: one _factor call per 4h and h link
+    # at the shift is the whole proof: one _factor call per refined link
     pot = PotentialParams(a=1.0, b=0.0, c=0.0)
     v_eff = effective_potential(pot, DIM3, PHYS)
     grid = build_grid(pot, DIM3, PHYS)
     refine = numerics._refine
     shifts, links = _counting_factor(monkeypatch), []
 
-    def recording(diag, off, shift, level, margin, work):
+    def recording(diag, off, shift, level, margin, work, steps=2):
         before = len(shifts)
-        value, x, proved = refine(diag, off, shift, level, margin, work)
+        value, x, proved = refine(diag, off, shift, level, margin, work, steps)
         _, bound = _two_count_proof(diag, off, level, margin, value, x)
         links.append((len(shifts) - before, shift >= value + bound, proved))
         return value, x, proved
 
     monkeypatch.setattr(numerics, "_refine", recording)
     eigen_lowest(v_eff, grid, PHYS)
-    assert links == [(1, True, True), (1, True, True)]
+    assert len(links) == len(numerics._coarse_grids(grid, 1)) >= 2
+    assert links == [(1, True, True)] * len(links)
 
 
 def test_sturm_count_consistency_with_eigenvalues():
@@ -1179,3 +1190,169 @@ def test_overlap_grid_mismatch_rejected():
     g = GridFunction(grid=RadialGrid(r_max=5.0, h=0.05), values=np.ones(100))
     with pytest.raises(ValueError, match="same grid"):
         overlap(f, g)
+
+
+# -- grid kernels in their own arrays, bit for bit -------------------------------
+
+def _plain_evaluate(state, r):
+    """The expression ``ClosedFormState.evaluate`` replaces."""
+    r = np.asarray(r, dtype=float)
+    pref = np.polynomial.polynomial.polyval(r, np.asarray(state.poly))
+    return pref * np.exp(state.q * np.log(r) - state.lam * r - state.kap * r * r)
+
+
+def _plain_apply(v_eff, f, phys):
+    """The expression ``hamiltonian_apply`` replaces, on freshly made nodes."""
+    t, h, vals = phys.kinetic, f.grid.h, f.values
+    lap = np.empty_like(vals)
+    lap[1:-1] = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
+    lap[0] = -2.0 * vals[0] + vals[1]
+    lap[-1] = vals[-2] - 2.0 * vals[-1]
+    return -t * lap / h**2 + v_eff(h * np.arange(1, f.grid.count + 1)) * vals
+
+
+def _plain_residual(v_eff, f, energy, phys):
+    """The expression ``h_residual`` replaces."""
+    defect = _plain_apply(v_eff, f, phys) - energy * f.values
+    sl = slice(numerics.RESIDUAL_TRIM, -numerics.RESIDUAL_TRIM)
+    return float(np.linalg.norm(defect[sl])) / float(np.linalg.norm(f.values[sl]))
+
+
+def _plain_quad(samples, h):
+    """The expression ``_quad_with_ends`` replaces."""
+    return float(np.trapezoid(np.concatenate(([0.0], samples, [0.0])), dx=h))
+
+
+def _kernel_cases():
+    """(name, v_eff, grid, states, energy): the reference problem's states on
+    its default grid, and the rank-7 and rank-8 states of ``oracle --b 2.2
+    --c 0.2 --N 6 --l 0 --n 8``, as the benchmark asks, on their own grids
+    of more than 2e5 nodes."""
+    ground = ground_state(P1, DIM3, PHYS)
+    states = [ground.psi, *(hierarchy_states(1.0, 0.5, DIM3, PHYS, n) for n in (1, 2))]
+    yield ("default", effective_potential(P1, DIM3, PHYS), build_grid(P1, DIM3, PHYS),
+           states, ground.energy.total)
+    dim = dimension_reduce(6, 0)
+    for sol in qes_solve(2.2, 0.2, dim, PHYS, 8)[-2:]:
+        pot = PotentialParams(a=sol.a_root, b=2.2, c=0.2)
+        grid = build_grid(pot, dim, PHYS)
+        assert grid.count > 2e5
+        yield (f"oracle rank {sol.node_count}", effective_potential(pot, dim, PHYS), grid,
+               [oracle_state(sol, dim, PHYS, 2.2, 0.2)], sol.energy)
+
+
+def test_nodes_are_computed_once_and_read_only():
+    for _, _, grid, _, _ in _kernel_cases():
+        nodes = grid.nodes
+        assert nodes is grid.nodes
+        assert nodes.tobytes() == (grid.h * np.arange(1, grid.count + 1)).tobytes()
+        assert not nodes.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            nodes[0] = 0.0
+    # the cache is no field: equal grids stay equal and hash alike
+    grid = RadialGrid(r_max=10.0, h=0.01)
+    grid.nodes
+    assert grid == RadialGrid(r_max=10.0, h=0.01)
+    assert hash(grid) == hash(RadialGrid(r_max=10.0, h=0.01))
+
+
+def test_grid_kernels_are_the_plain_expressions_bit_for_bit():
+    for name, v_eff, grid, states, energy in _kernel_cases():
+        for state in states:
+            values = state.evaluate(grid.nodes)
+            assert values.tobytes() == _plain_evaluate(state, grid.nodes).tobytes(), name
+            f = evaluate_state(state, grid)
+            assert f.values.tobytes() == values.tobytes(), name
+            applied = hamiltonian_apply(v_eff, f, PHYS).values
+            assert applied.tobytes() == _plain_apply(v_eff, f, PHYS).tobytes(), name
+            assert h_residual(f, energy, v_eff, PHYS) == _plain_residual(v_eff, f, energy, PHYS)
+            assert f.norm() == math.sqrt(_plain_quad(f.values**2, grid.h)), name
+            other = evaluate_state(states[0], grid)
+            expected = _plain_quad(f.values * other.values, grid.h) / (f.norm() * other.norm())
+            assert overlap(f, other) == expected, name
+
+
+@pytest.mark.parametrize("samples", [[0.0], [-0.0], [2.5], [-0.0, 1.0, -0.0], [1e308, 1e308]])
+def test_quadrature_with_ends_of_short_and_signed_samples(samples):
+    # the padded zeros meet the end samples as in np.trapezoid: -0.0 + 0.0
+    # is 0.0, and an overflow is the same inf
+    samples = np.array(samples)
+    with np.errstate(over="ignore"):
+        assert (np.float64(numerics._quad_with_ends(samples, 0.1)).tobytes()
+                == np.float64(_plain_quad(samples, 0.1)).tobytes())
+
+
+def test_state_evaluate_on_scalars_is_the_plain_expression():
+    # a float, a numpy scalar and a 0-d array take the array path and give
+    # a float; so do the degree-0 and zero polynomials
+    states = [ClosedFormState(poly=(1.0,), q=1.0, lam=1.0),
+              ClosedFormState(poly=(0.3, -1.7, 0.25, 2.0), q=2.5, lam=0.4, kap=0.3),
+              ClosedFormState(poly=(0.0,), q=0.5, kap=1.0)]
+    for state in states:
+        for r in (0.37, np.float64(2.0), np.asarray(11.5), 1e-300):
+            value = state.evaluate(r)
+            assert type(value) is float
+            assert value == float(_plain_evaluate(state, r))
+    assert states[0].evaluate(np.asarray(1.0)) == math.exp(-1.0)
+
+
+# -- the 64h link and its cap ----------------------------------------------------
+
+def _bisections_by_grid(monkeypatch, solve):
+    """{grid nodes: bisections} of the eigensolves ``solve`` runs."""
+    index_solve, counts = numerics._index_solve, {}
+
+    def counting(diag, off, level):
+        counts[len(diag)] = counts.get(len(diag), 0) + 1
+        return index_solve(diag, off, level)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(numerics, "_index_solve", counting)
+        solve()
+    return counts
+
+
+@pytest.mark.parametrize("k", [16, 30])
+def test_levels_above_the_cap_bisect_no_more_than_without_the_64h_link(k, monkeypatch):
+    # above COARSEST_LEVELS levels the 64h grid is not offered: no grid
+    # bisects more than the 16h -> 4h -> h chain with two steps does.  Had
+    # 64h seeded them, levels 11 and up would fall back on 16h
+    assert k > numerics.COARSEST_LEVELS
+    for a, c in SURFACE_POINTS:
+        for m_index in (3, 11):
+            dim = dimension_reduce(3 + m_index % 2, (m_index - 3) // 2)
+            pot = PotentialParams(a=a, b=constraint_b(a, c, dim, PHYS), c=c)
+            v_eff, grid = effective_potential(pot, dim, PHYS), build_grid(pot, dim, PHYS)
+            solve = functools.partial(eigen_lowest, v_eff, grid, PHYS, k=k)
+            counts = _bisections_by_grid(monkeypatch, solve)
+            with monkeypatch.context() as patch:
+                # the chain 16h -> 4h -> h with two steps on every grid
+                patch.setattr(numerics, "COARSEST_LEVELS", 0)
+                patch.setattr(numerics, "BISECTED_STEPS", 2)
+                before = _bisections_by_grid(monkeypatch, solve)
+            assert all(counts[nodes] <= before.get(nodes, 0) for nodes in counts), (a, c, m_index)
+
+
+def test_levels_up_to_the_cap_are_bisected_on_64h_only(monkeypatch):
+    # the highest levels the 64h grid seeds prove themselves on every finer grid
+    k = numerics.COARSEST_LEVELS
+    for a, c in SURFACE_POINTS:
+        v_eff, grid = _sweep_like(a, c, 7, 2)
+        coarse = numerics._coarse_grids(grid, k)
+        assert coarse[0].h == COARSEN**3 * grid.h
+        counts = _bisections_by_grid(
+            monkeypatch, lambda: eigen_lowest(v_eff, grid, PHYS, k=k))
+        assert counts == {coarse[0].count: k}
+
+
+def test_first_refined_link_takes_three_steps(monkeypatch):
+    # verify's level-1 vector at M = 4 on a point of the benchmark's surface:
+    # two steps from the 64h bisection left the 16h window unproved
+    dim = dimension_reduce(4, 0)
+    pot = PotentialParams(a=1.64046, b=constraint_b(1.64046, 0.40084, dim, PHYS), c=0.40084)
+    pot_up = PotentialParams(a=closed_level(pot, dim, PHYS, 1)[0], b=pot.b, c=pot.c)
+    v_eff, grid = effective_potential(pot_up, dim, PHYS), build_grid(pot, dim, PHYS)
+    coarsest = numerics._coarse_grids(grid, 2)[0]
+    assert coarsest.h == COARSEN**3 * grid.h
+    solve = functools.partial(eigen_lowest, v_eff, grid, PHYS, first=1, eigenvectors=True)
+    assert _bisections_by_grid(monkeypatch, solve) == {coarsest.count: 1}

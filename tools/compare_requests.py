@@ -36,9 +36,11 @@ REPO = Path(__file__).resolve().parents[1]
 SEEDS = range(1, 11)
 
 #: requests outside the benchmark: the README command lines; coarse user
-#: grids where some levels fall back to their own bisection; k sweeps whose
-#: E0 must not depend on k; an h grid with no coarse grid to seed it; and
-#: grids whose 16h grid ends past the h and h/2 grids
+#: grids where some levels fell back to their own bisection; k sweeps whose
+#: E0 must not depend on k; an h grid with no coarse grid to seed it; grids
+#: whose 16h grid ends past the h and h/2 grids; a verify whose level-1
+#: vector needs three steps on 16h; a grid whose 64h grid has under 100
+#: nodes; and more levels than the 64h grid seeds
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
@@ -57,6 +59,9 @@ EXTRA = [argv.split() for argv in (
     "eig --a 1 --b 1 --c 0.5 --k 2 --rmax 20 --h 0.1 --richardson",
     "eig --a 1 --b 1 --c 0.5 --k 3 --rmax 19.992 --h 0.001 --richardson",
     "sweep --sweep a=0.5,1 --c 0.5 --derive b --n 2 --rmax 19.992 --h 0.001 --richardson",
+    "verify --a 1.64046 --c 0.40084 --N 4 --l 0 --derive b --out json",
+    "eig --a 1 --b 1 --c 0.5 --k 3 --rmax 20 --h 0.004",
+    "eig --a 1 --b 1 --c 0.5 --k 16",
 )]
 
 # runs the argvs of stdin under ROOT's package and prints
