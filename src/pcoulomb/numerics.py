@@ -13,15 +13,17 @@ independently.
 
 Every grid solve runs one seeding chain of grids, coarsest first: 64h ->
 16h -> 4h -> h, extended to h/2 for a Richardson pair (steps COARSEN**k * h,
-k = 3, 2, 1).  A coarse grid joins the chain when it resolves the levels
-asked for (at least 100 nodes, ten per level), and the 64h grid only up to
-COARSEST_LEVELS levels.  On the coarsest grid of the chain, a 64th of the
-nodes on default grids, each level is bisected (Sturm sequence).  Its value
-is the shift of three steps of inverse iteration on the next finer grid,
-all solved with one unpivoted LDL^T factorization of the shifted matrix,
-and the Rayleigh quotient E of the unit iterate x is that grid's value
-(Parlett, The Symmetric Eigenvalue Problem, ch. 4-5); each later grid
-takes two steps shifted to the refined value before it.  The residual
+k = 3, 2, 1).  Each level n is seeded along the coarse grids that resolve
+it: at least 100 nodes and ten per level up to n, and the 64h grid only
+for the lowest COARSEST_LEVELS levels; so a level's grids, and its value,
+do not depend on the other levels solved with it.  On the coarsest grid of
+a level's chain, a 64th of the nodes on default grids, it is bisected
+(Sturm sequence).  Its value is the shift of three steps of inverse
+iteration on the next finer grid, all solved with one unpivoted LDL^T
+factorization of the shifted matrix, and the Rayleigh quotient E of the
+unit iterate x is that grid's value (Parlett, The Symmetric Eigenvalue
+Problem, ch. 4-5); each later grid takes two steps shifted to the refined
+value before it.  The residual
 ||T x - E x|| puts an eigenvalue within it of E, and two Sturm counts that
 bracket that interval prove that it is this level (Barth, Martin &
 Wilkinson, Numer. Math. 9, 386 (1967)); the factorization at the shift is
@@ -98,8 +100,9 @@ MAX_NODES = 2**24
 #: 4h -> h
 COARSEN = 4
 
-#: most levels the 64h grid seeds: higher levels move too far from 64h to
-#: 16h for their windows, and each would be bisected on both grids
+#: the levels 0 .. COARSEST_LEVELS - 1 are seeded from the 64h grid; higher
+#: levels move too far from 64h to 16h for their windows and are bisected on
+#: 16h instead (seeded from 64h, most would be bisected on both grids)
 COARSEST_LEVELS = 11
 
 #: inverse-iteration steps of the first grid refined from a bisected value,
@@ -576,13 +579,11 @@ def eigen_lowest(
     pushing the discretization error from O(h^2) to O(h^4).  The potential
     is sampled once, on the finest grid of the chain, and each grid's
     diagonal is a strided view of it (``_chain_samples``).  Each level is
-    solved on each grid alone, so a level's value does not depend on k or
-    first while the same coarse grids serve every requested level: on
-    default grids (64h grids of 312 nodes or more) up to COARSEST_LEVELS
-    levels, and from there on 16h grids of 1,250 nodes or more up to 125
-    levels.  The factors, iterates and T x live in work arrays
-    allocated once per call, sized for its finest grid and freed with it;
-    a returned vector is a copy.
+    solved on each grid alone, along the coarse grids ``_coarse_grids``
+    gives for it alone (a tail of the lowest level's chain), so a level's
+    value does not depend on k or first.  The factors, iterates and T x
+    live in work arrays allocated once per call, sized for its finest grid
+    and freed with it; a returned vector is a copy.
 
     The values are not limited by the bisection tolerance ULP * ||T||_1
     (about 4 eps T / h^2): at h = 1e-3 on the reference problem they are
@@ -612,8 +613,11 @@ def eigen_lowest(
         raise ValueError("eigenvectors are not defined for extrapolated values")
 
     levels = range(first, first + k)
-    coarse = _coarse_grids(grid, first + k)
+    coarse = _coarse_grids(grid, first + 1)
     links = [*coarse, grid, *([grid.halved()] if richardson else [])]
+    # the link where each level's own chain starts, the coarsest grid that
+    # resolves it; len(coarse), the h grid, when none does
+    starts = [len(coarse) - len(_coarse_grids(grid, level + 1)) for level in levels]
     samples = _chain_samples(v_eff, links)
     # rows d, l, x and T x of _refine, as long as the last grid's, which has
     # the most nodes; made after the sampling has freed its temporaries,
@@ -622,16 +626,18 @@ def eigen_lowest(
     matrices = _chain_matrices(samples, links, phys)
     del samples
     values = [None] * k
-    if coarse:
-        coarsest = next(matrices)  # one bisection per level
-        values = [_index_solve(*coarsest, level) for level in levels]
-    steps = BISECTED_STEPS if coarse else 2
-    for diag, off in matrices:
+    for link, (diag, off) in enumerate(matrices):
         margin = _margin(diag, off)
-        solved = [_seeded_lowest(diag, off, seed, level, margin, work, steps)
-                  for seed, level in zip(values, levels)]
+        solved = []
+        for seed, level, start in zip(values, levels, starts):
+            if link < start:  # a coarser grid than this level's chain
+                solved.append((None, None))
+            elif link == start < len(coarse):  # its coarsest grid
+                solved.append((_index_solve(diag, off, level), None))
+            else:
+                steps = BISECTED_STEPS if link == start + 1 <= len(coarse) else 2
+                solved.append(_seeded_lowest(diag, off, seed, level, margin, work, steps))
         seeds, values = values, [value for value, _ in solved]
-        steps = 2
     if eigenvectors:
         vector = solved[0][1]
         if vector is None:
@@ -651,7 +657,8 @@ def _coarse_grids(grid: RadialGrid, levels: int) -> list[RadialGrid]:
     coarsest first, that resolve the lowest ``levels`` levels as
     ``eigen_lowest`` asks of any grid: at least 100 nodes and ten per level.
     The grid of step COARSEN**3 * h is offered only up to COARSEST_LEVELS
-    levels."""
+    levels.  A coarser grid drops out first, so the grids for more levels
+    are a tail of those for fewer."""
     coarse = []
     for power in (3, 2, 1) if levels <= COARSEST_LEVELS else (2, 1):
         try:

@@ -557,20 +557,24 @@ def test_sweep_row_is_the_single_level_solve(capsys):
 
 
 def test_level_bits_do_not_depend_on_k(capsys):
-    # each level is solved on its own on every grid of the chain, so E0 is
-    # the same double whichever k asks for it, also where the higher levels
-    # fall back to their own bisection on coarse grids (--h 0.05: levels
-    # 1..4 on the 400-node h grid; --h 0.01 --k 10: levels 5..9 on 1600)
-    grids = {("40", "0.002"): ("1", "2", "3"), ("20", "0.05"): ("1", "3", "5"),
-             ("16", "0.01"): ("1", "10")}
-    for (r_max, h), ks in grids.items():
-        e0 = set()
+    # each level is solved on its own on every grid of its own chain, so a
+    # level is the same double whichever k asks for it: also where the
+    # higher levels fall back to their own bisection on coarse grids (--h
+    # 0.05: levels 1..4 on the 400-node h grid; --h 0.01 --k 10: levels
+    # 5..9 on 1600), and on the default grid, where levels 0..10 are
+    # bisected on 64h and levels 11 and up on 16h
+    grids = {("--rmax", "40", "--h", "0.002"): ("1", "2", "3"),
+             ("--rmax", "20", "--h", "0.05"): ("1", "3", "5"),
+             ("--rmax", "16", "--h", "0.01"): ("1", "10"),
+             (): ("1", "12", "16")}
+    for flags, ks in grids.items():
+        runs = []
         for k in ks:
             code, out, _ = run_cli(capsys, "eig", "--a", "1", "--b", "1", "--c", "0.5",
-                                   "--rmax", r_max, "--h", h, "--k", k)
+                                   *flags, "--k", k)
             assert code == EXIT_OK
-            e0.add(json.loads(out)["eigenvalues"][0])
-        assert len(e0) == 1, (r_max, h)
+            runs.append(json.loads(out)["eigenvalues"])
+        assert all(run == runs[-1][:len(run)] for run in runs), flags
 
 
 @pytest.mark.parametrize("argv, coarse_nodes", [

@@ -601,21 +601,19 @@ def test_single_level_is_the_stebz_index_solve(n):
 
 @pytest.mark.parametrize("a, c, n_dim, ell", SWEEP_LIKE)
 def test_eigen_lowest_windows_prove_themselves(a, c, n_dim, ell, monkeypatch):
-    # only the coarsest grid of the chain is bisected: no fallback on the
-    # finer coarse grids, h or h/2
+    # each level is bisected only on the coarsest grid of its chain: no
+    # fallback on the finer coarse grids, h or h/2
     v_eff, grid = _sweep_like(a, c, n_dim, ell)
-    coarsest = [0]
     index_solve = numerics._index_solve
 
     def coarsest_only(diag, off, level):
-        if len(diag) != coarsest[0]:
+        if len(diag) != numerics._coarse_grids(grid, level + 1)[0].count:
             raise AssertionError(f"the grid of {len(diag)} nodes fell back to the unseeded solve")
         return index_solve(diag, off, level)
 
     monkeypatch.setattr(numerics, "_index_solve", coarsest_only)
     for first in range(3):
         for k in range(1, 4):
-            coarsest[0] = numerics._coarse_grids(grid, first + k)[0].count
             values = eigen_lowest(v_eff, grid, PHYS, k=k, first=first)
             eigen_lowest(v_eff, grid, PHYS, k=k, first=first, richardson=True)
             if k == 1:
@@ -1296,7 +1294,7 @@ def test_state_evaluate_on_scalars_is_the_plain_expression():
     assert states[0].evaluate(np.asarray(1.0)) == math.exp(-1.0)
 
 
-# -- the 64h link and its cap ----------------------------------------------------
+# -- the 64h link and its level cap ---------------------------------------------
 
 def _bisections_by_grid(monkeypatch, solve):
     """{grid nodes: bisections} of the eigensolves ``solve`` runs."""
@@ -1312,25 +1310,38 @@ def _bisections_by_grid(monkeypatch, solve):
     return counts
 
 
+def _nodes(bisections):
+    """Nodes bisected in all, from ``_bisections_by_grid``."""
+    return sum(nodes * count for nodes, count in bisections.items())
+
+
 @pytest.mark.parametrize("k", [16, 30])
-def test_levels_above_the_cap_bisect_no_more_than_without_the_64h_link(k, monkeypatch):
-    # above COARSEST_LEVELS levels the 64h grid is not offered: no grid
-    # bisects more than the 16h -> 4h -> h chain with two steps does.  Had
-    # 64h seeded them, levels 11 and up would fall back on 16h
+def test_levels_above_the_cap_are_bisected_on_16h_once(k, monkeypatch):
+    # levels 0 .. COARSEST_LEVELS - 1 are bisected on 64h and the levels
+    # above on 16h, each once and on no other grid, which bisects fewer
+    # nodes than the 16h -> 4h -> h chain with two steps; and each level
+    # is the double k = 1 gives it
     assert k > numerics.COARSEST_LEVELS
     for a, c in SURFACE_POINTS:
         for m_index in (3, 11):
             dim = dimension_reduce(3 + m_index % 2, (m_index - 3) // 2)
             pot = PotentialParams(a=a, b=constraint_b(a, c, dim, PHYS), c=c)
             v_eff, grid = effective_potential(pot, dim, PHYS), build_grid(pot, dim, PHYS)
+            coarsest, sixteen, _ = numerics._coarse_grids(grid, 1)
+            assert numerics._coarse_grids(grid, k)[0] == sixteen
             solve = functools.partial(eigen_lowest, v_eff, grid, PHYS, k=k)
             counts = _bisections_by_grid(monkeypatch, solve)
+            assert counts == {coarsest.count: numerics.COARSEST_LEVELS,
+                              sixteen.count: k - numerics.COARSEST_LEVELS}, (a, c, m_index)
             with monkeypatch.context() as patch:
                 # the chain 16h -> 4h -> h with two steps on every grid
                 patch.setattr(numerics, "COARSEST_LEVELS", 0)
                 patch.setattr(numerics, "BISECTED_STEPS", 2)
                 before = _bisections_by_grid(monkeypatch, solve)
-            assert all(counts[nodes] <= before.get(nodes, 0) for nodes in counts), (a, c, m_index)
+            assert _nodes(counts) < _nodes(before), (a, c, m_index)
+            values = solve()
+            for level in (0, numerics.COARSEST_LEVELS - 1, numerics.COARSEST_LEVELS, k - 1):
+                assert eigen_lowest(v_eff, grid, PHYS, first=level) == [values[level]]
 
 
 def test_levels_up_to_the_cap_are_bisected_on_64h_only(monkeypatch):

@@ -40,7 +40,8 @@ SEEDS = range(1, 11)
 #: E0 must not depend on k; an h grid with no coarse grid to seed it; grids
 #: whose 16h grid ends past the h and h/2 grids; a verify whose level-1
 #: vector needs three steps on 16h; a grid whose 64h grid has under 100
-#: nodes; and more levels than the 64h grid seeds
+#: nodes; and more levels than the 64h grid seeds (levels 11 and up start
+#: on 16h)
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
