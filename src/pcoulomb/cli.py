@@ -32,7 +32,7 @@ from .model import (
 )
 from .numerics import build_grid, eigen_lowest, evaluate_state, h_residual
 from .qes import oracle_state, qes_solve
-from .report import inputs_block, meta_block, solve_document, verify_document
+from .report import grid_block, inputs_block, meta_block, solve_document, verify_document
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -368,7 +368,7 @@ def cmd_eig(args) -> int:
     )
     print(dump_json({
         "inputs": inputs_block(pot, dim, phys),
-        "grid": {"r_max": grid.r_max, "h": grid.h, "richardson": bool(args.richardson)},
+        "grid": grid_block(grid, args.richardson),
         "eigenvalues": values,
         "meta": meta_block(),
     }))
@@ -407,18 +407,12 @@ def _parse_sweeps(ranges: list[str] | None, derive: str | None) -> list[tuple[st
 
 def cmd_sweep(args) -> int:
     sweeps = _parse_sweeps(args.sweep, args.derive)
-    phys = PhysicalParams(mass=args.mass, hbar=args.hbar)
     # every row is solved before any is printed, so a rejected row leaves
     # stdout empty instead of a truncated scan
     lines = ["a,b,c,N,l,n,E_closed,E_numeric,abs_err,constraint_residual"]
     names = [name for name, _ in sweeps]
     for combo in product(*(values for _, values in sweeps)):
-        row = {"a": args.a, "b": args.b, "c": args.c, "N": args.N, "l": args.l}
-        row.update(dict(zip(names, combo)))
-        dim = dimension_reduce(int(row["N"]), int(row["l"]))
-        pot = derive_couplings(
-            float(row["a"]), float(row["b"]), float(row["c"]), args.derive, dim, phys
-        )
+        pot, dim, phys = _problem(argparse.Namespace(**(vars(args) | dict(zip(names, combo)))))
         a_level, e_closed = closed_level(pot, dim, phys, args.n)
         pot_level = PotentialParams(a=a_level, b=pot.b, c=pot.c)
         grid = build_grid(pot_level, dim, phys, r_max=args.rmax, h=args.h)
@@ -428,7 +422,7 @@ def cmd_sweep(args) -> int:
         )[0]
         cells = [
             _csv_cell(pot.a), _csv_cell(pot.b), _csv_cell(pot.c),
-            _csv_cell(int(row["N"])), _csv_cell(int(row["l"])), _csv_cell(args.n),
+            _csv_cell(dim.n_dim), _csv_cell(dim.ell), _csv_cell(args.n),
             _csv_cell(e_closed), _csv_cell(numeric),
             _csv_cell(abs(e_closed - numeric)),
             _csv_cell(constraint_residual(pot, dim, phys)),

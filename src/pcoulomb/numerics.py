@@ -306,19 +306,6 @@ def hamiltonian_apply(
     return GridFunction(grid=f.grid, values=out)
 
 
-def _tridiagonal(
-    v_eff: LaurentForm, grid: RadialGrid, phys: PhysicalParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """(diag, off) of one grid on its own; ``_chain_matrices`` gives the
-    same diagonals, bit for bit, from ``_chain_samples``."""
-    t = phys.kinetic
-    diag = 2.0 * t / grid.h**2 + v_eff(grid.nodes)
-    off = np.full(grid.count - 1, -t / grid.h**2)
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
-        raise ValueError("the grid Hamiltonian overflows: a matrix entry is not finite")
-    return diag, off
-
-
 def _chain_samples(v_eff: LaurentForm, links: list[RadialGrid]) -> np.ndarray:
     """``v_eff`` at the nodes of the last grid of ``links``, out to the
     furthest node of any grid of ``links`` (a coarse grid can end past the
@@ -397,9 +384,9 @@ def _check(info: int, routine: str) -> None:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed (info = {info})")
 
 
-def _index_solve(diag: np.ndarray, off, level: int) -> float:
-    """Eigenvalue ``level`` (0-based) by the unseeded index bisection;
-    ``off`` is the n - 1 off-diagonal entries or, on a grid, their one value."""
+def _index_solve(diag: np.ndarray, off: float, level: int) -> float:
+    """Eigenvalue ``level`` (0-based) by the unseeded index bisection of the
+    matrix whose n - 1 off-diagonal entries are all ``off``."""
     # range=2 is RANGE='I' with 1-based indices, tolerance 0 is stebz's default
     _, w, _, _, info = _lapack().dstebz(
         diag, np.broadcast_to(off, len(diag) - 1), 2, 0.0, 0.0, level + 1, level + 1, 0.0, "E")
@@ -407,27 +394,18 @@ def _index_solve(diag: np.ndarray, off, level: int) -> float:
     return w[0]
 
 
-def _largest(off) -> float:
-    """max |b_i| of the off-diagonal, without a temporary array, which
-    would raise the peak memory; O(1) for a grid's one value."""
-    if np.ndim(off) == 0:
-        return abs(float(off))
-    return max(float(np.max(off, initial=0.0)), -float(np.min(off, initial=0.0)))
-
-
-def _margin(diag: np.ndarray, off) -> float:
+def _margin(diag: np.ndarray, off: float) -> float:
     """8 eps ||T||_1: it bounds the roundoff of a residual and of a Sturm count."""
-    norm = max(float(np.max(diag)), -float(np.min(diag))) + 2.0 * _largest(off)
+    norm = max(float(np.max(diag)), -float(np.min(diag))) + 2.0 * abs(off)
     return 8.0 * sys.float_info.epsilon * norm
 
 
-def _factor(diag: np.ndarray, off, shift: float, work: np.ndarray | None = None):
+def _factor(diag: np.ndarray, off: float, shift: float, work: np.ndarray):
     """(d, l, count): T - shift I = L D L^T with D = diag(d) and L unit lower
     bidiagonal with subdiagonal l, and ``count`` the nonpositive pivots d_i,
     which is the Sturm count N(shift) of eigenvalues at or below ``shift``.
-    ``off`` is the n - 1 off-diagonal entries b_i or, on a grid, their one
-    value.  d and l are written into the first two rows of ``work`` (rows
-    of at least n entries; new arrays when None).
+    Every off-diagonal entry b_i of T is ``off``.  d and l are written into
+    the first two rows of ``work`` (rows of at least n entries).
 
     ``dpttrf`` factors until the first nonpositive pivot d_i.  That pivot is
     kept, lowered to -pivmin when above it (pivmin as in ``dstebz``), so a
@@ -441,11 +419,9 @@ def _factor(diag: np.ndarray, off, shift: float, work: np.ndarray | None = None)
     """
     lapack = _lapack()
     n = len(diag)
-    if work is None:
-        work = np.empty((2, n))
     d, l = np.subtract(diag, shift, out=work[0, :n]), work[1, :n - 1]
-    np.copyto(l, off)
-    pivmin = sys.float_info.min * max(1.0, _largest(off)) ** 2
+    l.fill(off)
+    pivmin = sys.float_info.min * max(1.0, abs(off)) ** 2
     count, start = 0, 0
     while start < n - 1:
         # overwrite_d and overwrite_e: the slices are factored in place
@@ -468,13 +444,8 @@ def _factor(diag: np.ndarray, off, shift: float, work: np.ndarray | None = None)
     return d, l, count
 
 
-def _count_at_or_below(diag: np.ndarray, off, top: float, work: np.ndarray | None = None) -> int:
-    """Sturm count N(top): the nonpositive pivots of ``_factor`` at ``top``."""
-    return _factor(diag, off, top, work)[2]
-
-
-def _refine(diag: np.ndarray, off, shift: float, level: int, margin: float, work: np.ndarray,
-            steps: int = 2):
+def _refine(diag: np.ndarray, off: float, shift: float, level: int, margin: float,
+            work: np.ndarray, steps: int = 2):
     """(value, vector, proved): ``steps`` steps of inverse iteration shifted
     to ``shift`` from a ones vector, each a ``dpttrs`` solve with the one
     factorization ``_factor`` gives, then the Rayleigh quotient E of the unit
@@ -524,16 +495,14 @@ def _refine(diag: np.ndarray, off, shift: float, level: int, margin: float, work
     bottom = shift < value - bound and count == level
     proved = (
         bound < half
-        and (top or _count_at_or_below(diag, off, value + half, work) == level + 1)
-        and (level == 0 or bottom
-             or _count_at_or_below(diag, off, value - half, work) == level)
+        and (top or _factor(diag, off, value + half, work)[2] == level + 1)
+        and (level == 0 or bottom or _factor(diag, off, value - half, work)[2] == level)
     )
     return value, x, proved
 
 
-def _seeded_lowest(diag: np.ndarray, off, seed, level: int,
-                   margin: float | None = None, work: np.ndarray | None = None,
-                   steps: int = 2):
+def _seeded_lowest(diag: np.ndarray, off: float, seed, level: int, margin: float,
+                   work: np.ndarray, steps: int = 2):
     """(value, vector) of eigenvalue ``level``, refined from ``seed`` by
     ``steps`` steps of inverse iteration.
 
@@ -542,13 +511,8 @@ def _seeded_lowest(diag: np.ndarray, off, seed, level: int,
     fails its proof too, the bisected value is returned (its index proves
     it) with the iterate, or None when inverse iteration gave no finite
     iterate.  ``margin`` is ``_margin(diag, off)`` and ``work`` the rows
-    ``_refine`` writes into; each is made here when None.  The vector is a
-    row of ``work``.
+    ``_refine`` writes into.  The vector is a row of ``work``.
     """
-    if margin is None:
-        margin = _margin(diag, off)
-    if work is None:
-        work = np.empty((4, len(diag)))
     refined = None if seed is None else _refine(diag, off, seed, level, margin, work, steps)
     if refined is None or not refined[2]:
         value = _index_solve(diag, off, level)

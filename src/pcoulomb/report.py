@@ -17,8 +17,11 @@ they are rounded to ``GRID_INFO_DIGITS`` (10) significant digits.  With that,
 ``verify`` documents are the same at every numpy SIMD dispatch level and
 OpenBLAS kernel the tests try; glibc's libm FMA variants cannot be switched
 off from inside the process and stay untested.  The ``h_residual`` values of
-``oracle --check`` keep 17 digits and are byte-identical only on one host
-(they move by about 3e-8 relative between dispatch levels).
+``oracle --check`` keep 17 digits and are byte-identical only on one host:
+numpy's exp/log move the state's samples between dispatch levels (5.5e-8
+relative at ``--b 1 --c 0.5 --n 2`` with X86_V4 disabled), and the BLAS
+``ddot`` behind ``np.linalg.norm`` moves the last digits between OpenBLAS
+kernels.
 """
 
 from __future__ import annotations
@@ -80,6 +83,10 @@ def inputs_block(pot, dim, phys) -> dict:
 
 def meta_block() -> dict:
     return {"package": "pcoulomb", "version": __version__}
+
+
+def grid_block(grid, richardson: bool) -> dict:
+    return {"r_max": grid.r_max, "h": grid.h, "richardson": bool(richardson)}
 
 
 #: most spectrum levels a document lists (a few hundred bytes each)
@@ -150,9 +157,7 @@ def verify_document(
     coul, osc, grid, ground_f, n0 = _ground_on_grid(pot, dim, phys, nmax, r_max, h)
     checks = _battery(pot, dim, phys, grid, richardson, coul, osc, ground_f)
     doc = _document(pot, dim, phys, coul, osc, n0, nmax)
-    doc["inputs"]["grid"] = {
-        "r_max": grid.r_max, "h": grid.h, "richardson": bool(richardson),
-    }
+    doc["inputs"]["grid"] = grid_block(grid, richardson)
     doc["checks"] = checks
     return doc
 

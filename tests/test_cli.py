@@ -17,7 +17,7 @@ from pcoulomb import cli, report
 from pcoulomb.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_USAGE, dump_json, main
 from pcoulomb.exact import constraint_a, constraint_b, derive_couplings, ground_state
 from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
-from pcoulomb.numerics import build_grid, eigen_lowest
+from pcoulomb.numerics import RadialGrid, build_grid, eigen_lowest
 from pcoulomb.qes import qes_solve
 from pcoulomb.susy import ClosedFormState
 
@@ -288,6 +288,22 @@ def test_eig_flags_honored(capsys):
     assert doc["grid"] == {"r_max": 40.0, "h": 0.002, "richardson": True}
     assert len(doc["eigenvalues"]) == 3
     assert doc["eigenvalues"][0] == pytest.approx(1.0, abs=1e-4)
+
+
+def test_eig_of_a_diagonal_grid_matrix(capsys):
+    # T = hbar^2/2m underflows to 0 at hbar = 1e-200: the grid matrix is
+    # diagonal, so its lowest levels are the lowest potential samples, bit
+    # for bit
+    code, out, _ = run_cli(
+        capsys, "eig", "--a", "1", "--b", "1", "--c", "0.5", "--hbar", "1e-200",
+        "--rmax", "20", "--h", "0.01", "--k", "3",
+    )
+    assert code == EXIT_OK
+    phys = PhysicalParams(hbar=1e-200)
+    assert phys.kinetic == 0.0
+    v_eff = effective_potential(PotentialParams(a=1.0, b=1.0, c=0.5), dimension_reduce(3, 0), phys)
+    samples = np.sort(v_eff(RadialGrid(r_max=20.0, h=0.01).nodes))
+    assert json.loads(out)["eigenvalues"] == samples[:3].tolist()
 
 
 # -- sweep -----------------------------------------------------------------------

@@ -23,7 +23,6 @@ from pcoulomb.numerics import (
     MAX_NODES,
     GridFunction,
     RadialGrid,
-    _seeded_lowest,
     build_grid,
     eigen_lowest,
     evaluate_state,
@@ -339,12 +338,18 @@ def test_eigen_k_validation():
         eigen_lowest(v_eff, grid, PHYS, k=grid.count)
 
 
+def _entries(diag, off):
+    """The n - 1 off-diagonal entries, each ``off``, as the references
+    (``eigh_tridiagonal``, ``dstebz``, ``sturm_count``) take them."""
+    return np.full(len(diag) - 1, off)
+
+
 def _stebz_levels(diag, off, first, k):
     from scipy.linalg import eigh_tridiagonal
 
     return eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(first, first + k - 1),
-        lapack_driver="stebz",
+        diag, _entries(diag, off), eigvals_only=True, select="i",
+        select_range=(first, first + k - 1), lapack_driver="stebz",
     )
 
 
@@ -352,19 +357,33 @@ def _stebz_vector(diag, off, level):
     """dstein's vector of the bisected level, as ``eigh_tridiagonal`` finds it."""
     from scipy.linalg import eigh_tridiagonal
 
-    return eigh_tridiagonal(
-        diag, off, select="i", select_range=(level, level), lapack_driver="stebz")[1][:, 0]
+    return eigh_tridiagonal(diag, _entries(diag, off), select="i", select_range=(level, level),
+                            lapack_driver="stebz")[1][:, 0]
 
 
 def _matrix(v_eff, grid):
+    """(diag, off) of a grid on its own: ``_chain_matrices`` gives the same
+    bits from the chain's samples."""
     t = PHYS.kinetic
-    return 2.0 * t / grid.h**2 + v_eff(grid.nodes), np.full(grid.count - 1, -t / grid.h**2)
+    return 2.0 * t / grid.h**2 + v_eff(grid.nodes), -t / grid.h**2
 
 
 def _bisection_tol(diag, off):
     """stebz's default tolerance, ULP * ||T||_1."""
-    col = np.abs(diag) + np.concatenate(([0.0], np.abs(off))) + np.concatenate((np.abs(off), [0.0]))
+    off = np.abs(_entries(diag, off))
+    col = np.abs(diag) + np.concatenate(([0.0], off)) + np.concatenate((off, [0.0]))
     return np.finfo(float).eps * float(np.max(col))
+
+
+def _seeded(diag, off, seed, level, steps=2):
+    """``_seeded_lowest`` with the margin of the matrix and work rows of its own."""
+    return numerics._seeded_lowest(diag, off, seed, level, numerics._margin(diag, off),
+                                   np.empty((4, len(diag))), steps)
+
+
+def _count(diag, off, top):
+    """Sturm count N(top): the nonpositive pivots of ``_factor`` at ``top``."""
+    return numerics._factor(diag, off, top, np.empty((2, len(diag))))[2]
 
 
 #: sweep-like problems: (a, c) on the coupling surface, N, l
@@ -380,7 +399,7 @@ def _sweep_like(a, c, n_dim, ell):
 
 def _unseeded(diag, off, level):
     """(value, vector) of the unseeded path: the level's bisected value, refined."""
-    return _seeded_lowest(diag, off, None, level)
+    return _seeded(diag, off, None, level)
 
 
 @pytest.mark.parametrize("a, c, n_dim, ell", SWEEP_LIKE)
@@ -389,7 +408,7 @@ def test_seeded_half_step_matches_unseeded(a, c, n_dim, ell):
     seeds = eigen_lowest(v_eff, grid, PHYS, k=6)
     diag, off = _matrix(v_eff, grid.halved())
     tol = _bisection_tol(diag, off)
-    seeded = [_seeded_lowest(diag, off, seed, level)[0] for level, seed in enumerate(seeds)]
+    seeded = [_seeded(diag, off, seed, level)[0] for level, seed in enumerate(seeds)]
     np.testing.assert_allclose(seeded, _stebz_levels(diag, off, 0, 6), rtol=0, atol=tol)
 
 
@@ -400,9 +419,9 @@ def test_seeded_values_bracketed_by_sturm_counts():
     diag, off = _matrix(v_eff, grid.halved())
     step = 4.0 * _bisection_tol(diag, off)
     for j, seed in enumerate(seeds):
-        value, _ = _seeded_lowest(diag, off, seed, j)
-        assert sturm_count(diag, off, value - step) == j
-        assert sturm_count(diag, off, value + step) == j + 1
+        value, _ = _seeded(diag, off, seed, j)
+        assert sturm_count(diag, _entries(diag, off), value - step) == j
+        assert sturm_count(diag, _entries(diag, off), value + step) == j + 1
 
 
 def _assert_same_pairs(pairs, expected, name):
@@ -422,7 +441,7 @@ def test_seeded_windows_fall_back_to_unseeded():
             "shifted": levels[level + 1],  # N(top) is level + 2
         }
         for name, seed in bad_seeds.items():
-            _assert_same_pairs(_seeded_lowest(diag, off, seed, level),
+            _assert_same_pairs(_seeded(diag, off, seed, level),
                                _unseeded(diag, off, level), name)
         # the fallback's value is refined and proves itself
         value, vector = _unseeded(diag, off, level)
@@ -441,7 +460,7 @@ def _chain(v_eff, grid, level, levels=None):
     seed = _stebz_levels(*_matrix(v_eff, coarse[0]), level, 1)[0]
     steps = numerics.BISECTED_STEPS
     for link in [*coarse[1:], grid]:
-        seed, vector = _seeded_lowest(*_matrix(v_eff, link), seed, level, steps=steps)
+        seed, vector = _seeded(*_matrix(v_eff, link), seed, level, steps=steps)
         steps = 2
     return seed, vector
 
@@ -487,7 +506,7 @@ def test_coarse_seeded_values_match_unseeded(a, c, n_dim, ell, monkeypatch):
             with monkeypatch.context() as patch:
                 # the windows must prove themselves here, not fall back
                 patch.setattr(numerics, "_index_solve", _no_fallback)
-                seeded = [_seeded_lowest(diag, off, seed, level)[0]
+                seeded = [_seeded(diag, off, seed, level)[0]
                           for level, seed in enumerate(seeds, first)]
             np.testing.assert_allclose(seeded, expected, rtol=0, atol=tol)
 
@@ -520,38 +539,19 @@ def test_seeded_windows_with_first_fall_back_to_unseeded():
             "miss": levels[level] + 0.5,
         }
         for name, seed in bad_seeds.items():
-            _assert_same_pairs(_seeded_lowest(diag, off, seed, level),
+            _assert_same_pairs(_seeded(diag, off, seed, level),
                                _unseeded(diag, off, level), name)
 
 
-def test_seeded_vectors_of_a_split_matrix(monkeypatch):
-    # a zero off-diagonal splits the matrix into two blocks whose levels
-    # interleave; each level's vector lies in its own block
-    diag = np.concatenate((np.linspace(1.0, 2.0, 100), np.linspace(1.03, 2.03, 100)))
-    off = np.full(199, -0.3)
-    off[99] = 0.0
-    values = _stebz_levels(diag, off, 0, 5)
-    tol = _bisection_tol(diag, off)
-    monkeypatch.setattr(numerics, "_index_solve", _no_fallback)
-    for level, in_second in enumerate([0.0, 1.0, 0.0, 1.0]):
-        seeded, vector = _seeded_lowest(diag, off, values[level], level)
-        vector = vector * np.sign(vector[np.argmax(np.abs(vector))])
-        np.testing.assert_allclose(np.sum(vector[100:] ** 2), in_second, atol=1e-12)
-        np.testing.assert_allclose(seeded, values[level], rtol=0, atol=tol)
-        # dstein's vector, within ULP * ||T||_1 over the gap to the next level
-        gap = np.min(np.abs(np.delete(values, level) - values[level]))
-        assert np.linalg.norm(vector - _stebz_vector(diag, off, level)) <= tol / gap
-
-
 def test_diagonal_matrix_falls_back_past_singular_pivots():
-    # with T = hbar^2/2m underflowing to zero the matrix is diagonal: a seed
-    # equal to an entry is an exactly zero pivot, lowered to -pivmin, whose
-    # iterate overflows the norm and falls back, and the fallback shifts the
-    # bisected values off the entries
+    # with T = hbar^2/2m underflowing to zero the matrix is diagonal, its
+    # off-diagonal -T/h^2 = -0.0: a seed equal to an entry is an exactly zero
+    # pivot, lowered to -pivmin, whose iterate overflows the norm and falls
+    # back, and the fallback shifts the bisected values off the entries
     diag = np.linspace(1.0, 2.0, 200)
-    off = np.zeros(199)
+    off = -0.0
     for level in (0, 1, 3, 4):
-        value, vector = _seeded_lowest(diag, off, diag[level], level)
+        value, vector = _seeded(diag, off, diag[level], level)
         assert value == diag[level]
         np.testing.assert_allclose(np.abs(vector), np.eye(200)[level], rtol=0, atol=1e-20)
     # entries so small that the shift off them is subnormal: the pivot is
@@ -559,7 +559,7 @@ def test_diagonal_matrix_falls_back_past_singular_pivots():
     # the bisected value is returned with no vector
     tiny = 1e-300 * diag
     for level in (0, 1):
-        value, vector = _seeded_lowest(tiny, off, None, level)
+        value, vector = _seeded(tiny, off, None, level)
         assert value == _stebz_levels(tiny, off, level, 1)[0]
         assert vector is None
 
@@ -575,7 +575,7 @@ def test_richardson_without_coarse_grid_is_unseeded_at_h():
         coarse_vals = [_unseeded(diag, off, level)[0] for level in levels]
         np.testing.assert_allclose(coarse_vals, _stebz_levels(diag, off, first, 2),
                                    rtol=0, atol=_bisection_tol(diag, off))
-        fine_vals = [_seeded_lowest(*fine, c, level)[0] for c, level in zip(coarse_vals, levels)]
+        fine_vals = [_seeded(*fine, c, level)[0] for c, level in zip(coarse_vals, levels)]
         expected = [float((4.0 * f - c) / 3.0) for c, f in zip(coarse_vals, fine_vals)]
         assert eigen_lowest(v_eff, grid, PHYS, k=2, richardson=True, first=first) == expected
 
@@ -662,14 +662,14 @@ def test_values_below_the_bisection_floor():
     diag, off = _matrix(v_eff, grid)
     floor = _bisection_tol(diag, off)
     values = np.array(eigen_lowest(v_eff, grid, PHYS, k=3))
-    m, tight, _, _, info = dstebz(diag, off, 2, 0.0, 0.0, 1, 3, 1e-300, "E")
+    m, tight, _, _, info = dstebz(diag, _entries(diag, off), 2, 0.0, 0.0, 1, 3, 1e-300, "E")
     assert (m, info) == (3, 0)
     assert np.max(np.abs(values - tight[:3])) <= floor / 10.0
     if np.finfo(np.longdouble).eps > 1e-18:
         return
     refined, vectors = zip(*(_chain(v_eff, grid, level) for level in range(3)))
     assert list(refined) == values.tolist()
-    wide = diag.astype(np.longdouble), off.astype(np.longdouble)
+    wide = diag.astype(np.longdouble), np.longdouble(off)
     for value, vector in zip(values, vectors):
         x = vector.astype(np.longdouble)
         tx = wide[0] * x
@@ -703,13 +703,15 @@ assert ("scipy.linalg" in sys.modules) == (mode == "fallback")
 phys = PhysicalParams()
 v_eff = effective_potential(PotentialParams(a=1.0, b=1.0, c=0.5), dimension_reduce(3, 0), phys)
 grid = numerics.RadialGrid(r_max=15.0, h=0.005)
-diag, off = numerics._tridiagonal(v_eff, grid, phys)
+diag, off = 2.0 * phys.kinetic / grid.h**2 + v_eff(grid.nodes), -phys.kinetic / grid.h**2
+margin = numerics._margin(diag, off)
 cases = [(0, 1), (1, 1), (0, 3), (1, 2)]
 solved = []
 for first, k in cases:
     values = numerics.eigen_lowest(v_eff, grid, phys, k=k, first=first)
     extrapolated = numerics.eigen_lowest(v_eff, grid, phys, k=k, first=first, richardson=True)
-    unseeded = np.array([numerics._seeded_lowest(diag, off, None, level)[0]
+    unseeded = np.array([numerics._seeded_lowest(diag, off, None, level, margin,
+                                                 np.empty((4, grid.count)))[0]
                          for level in range(first, first + k)])
     vecs = None
     if k == 1:  # vectors are found for one level
@@ -718,6 +720,8 @@ for first, k in cases:
 
 import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
+
+off = np.full(grid.count - 1, off)
 
 assert scipy.linalg.lapack.dstebz is numerics._lapack().dstebz
 assert scipy.linalg.lapack.dpttrs is numerics._lapack().dpttrs
@@ -769,7 +773,7 @@ def test_lapack_paths_match_eigh_tridiagonal(mode):
 
 
 def test_lapack_failure_raises_linalg_error(capfd):
-    diag, off = np.linspace(1.0, 2.0, 200), np.full(199, -0.3)
+    diag, off = np.linspace(1.0, 2.0, 200), -0.3
     with pytest.raises(np.linalg.LinAlgError, match="dstebz"):
         numerics._index_solve(diag, off, 200)  # level 200 of a 200 x 200 matrix
     capfd.readouterr()  # LAPACK's own message on the illegal argument
@@ -817,12 +821,13 @@ def _stebz_count(diag, off, top):
     """dstebz's Sturm count N(top), RANGE='V' over (-inf, top]."""
     from scipy.linalg.lapack import dstebz
 
-    m, _, _, _, info = dstebz(diag, off, 1, -np.inf, top, 0, 0, np.inf, "E")
+    m, _, _, _, info = dstebz(diag, _entries(diag, off), 1, -np.inf, top, 0, 0, np.inf, "E")
     assert info == 0
     return m
 
 
 def _dense_levels(diag, off):
+    off = _entries(diag, off)
     return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
@@ -830,14 +835,15 @@ def _assert_counts_agree(diag, off, shifts):
     """The pivot count against sturm_count and dstebz at every shift at
     least ``_seeded_lowest``'s margin, 8 eps ||T||_1, from every eigenvalue."""
     levels = _dense_levels(diag, off)
-    margin = 8.0 * np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off)))
+    margin = 8.0 * np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * abs(off))
     checked = 0
     for top in shifts:
         if np.min(np.abs(levels - top)) < margin:
             continue
         expected = int(np.sum(levels < top))
-        assert numerics._count_at_or_below(diag, off, top) == expected, top
-        assert sturm_count(diag, off, top) == expected == _stebz_count(diag, off, top), top
+        assert _count(diag, off, top) == expected, top
+        assert sturm_count(diag, _entries(diag, off), top) == expected == _stebz_count(
+            diag, off, top), top
         checked += 1
     assert checked > len(shifts) // 2
 
@@ -857,23 +863,14 @@ def test_pivot_count_of_the_reference_problem():
     _assert_counts_agree(diag, off, shifts)
 
 
-def test_pivot_count_of_a_split_matrix():
-    # a zero off-diagonal: the factorization runs on through the split
-    diag = np.concatenate((np.linspace(1.0, 2.0, 100), np.linspace(1.03, 2.03, 100)))
-    off = np.full(199, -0.3)
-    off[99] = 0.0
-    _assert_counts_agree(diag, off, _midpoints(diag, off))
-
-
 def test_pivot_count_at_a_zero_pivot():
     # a shift exactly on an entry of a diagonal matrix is an exactly zero
     # pivot: it counts as negative, as in dstebz, so N(top) counts the
     # eigenvalues at or below top
     diag = np.linspace(1.0, 2.0, 200)
-    off = np.zeros(199)
+    off = 0.0
     for j in (0, 57, 198, 199):
-        assert numerics._count_at_or_below(diag, off, diag[j]) == j + 1 == _stebz_count(
-            diag, off, diag[j])
+        assert _count(diag, off, diag[j]) == j + 1 == _stebz_count(diag, off, diag[j])
     _assert_counts_agree(diag, off, _midpoints(diag, off))
     # with a coupled next row, the restart divides by -pivmin, not by zero
     v_eff = effective_potential(P1, DIM3, PHYS)
@@ -888,12 +885,11 @@ def test_pivot_count_after_a_tiny_positive_pivot():
     # plain diagonal
     diag = np.full(50, 3.0)
     diag[:2] = 1e-310, 1.0
-    off = np.full(49, 0.5)
-    off[0] = 1.0
+    off = 1.0
     with np.errstate(over="ignore"):  # sturm_count overflows the same way
-        assert diag[1] - off[0] ** 2 / diag[0] == -np.inf
+        assert diag[1] - off**2 / diag[0] == -np.inf
         _assert_counts_agree(diag, off, [0.0])
-    assert numerics._count_at_or_below(diag, off, 0.0) == 1
+    assert _count(diag, off, 0.0) == 1
 
 
 @pytest.mark.parametrize("last, count", [(3.0, 1), (-5.0, 2)])
@@ -902,16 +898,16 @@ def test_pivot_count_with_a_one_row_tail(last, count):
     # dpttrf, positive or negative
     diag = np.full(20, 3.0)
     diag[-2:] = -5.0, last
-    off = np.full(19, 0.5)
+    off = 0.5
     _assert_counts_agree(diag, off, [0.0])
-    assert numerics._count_at_or_below(diag, off, 0.0) == count
+    assert _count(diag, off, 0.0) == count
 
 
 def _assert_factors_reproduce(diag, off, shift):
     """L D L^T of ``_factor`` is T - shift I within 3 eps |L| |D| |L^T|,
     entry by entry (the backward error of an LDL^T factorization; pivots
     grow between levels, to 325 eps ||T||_1 on the reference matrix)."""
-    d, l, count = numerics._factor(diag, off, shift)
+    d, l, count = numerics._factor(diag, off, shift, np.empty((2, len(diag))))
     eps = np.finfo(float).eps
     rebuilt, bound = d.copy(), np.abs(d)
     rebuilt[1:] += l * l * d[:-1]
@@ -931,23 +927,17 @@ def test_factor_reproduces_the_shifted_matrix():
     for shift in shifts:
         d, count = _assert_factors_reproduce(diag, off, shift)
         assert count == int(np.sum(d <= 0.0)) == int(np.sum(levels < shift))
-        assert count == sturm_count(diag, off, shift) == _stebz_count(diag, off, shift)
-    # a split matrix factors on through its zero off-diagonal
-    diag = np.concatenate((np.linspace(1.0, 2.0, 100), np.linspace(1.03, 2.03, 100)))
-    off = np.full(199, -0.3)
-    off[99] = 0.0
-    for shift in _midpoints(diag, off)[::20]:
-        _assert_factors_reproduce(diag, off, shift)
+        assert count == sturm_count(diag, _entries(diag, off), shift) == _stebz_count(
+            diag, off, shift)
 
 
 def test_factor_on_an_entry_of_a_diagonal_matrix():
     # the zero pivot is lowered to -pivmin: the solve is finite and points
     # at that entry alone
     diag = np.linspace(1.0, 2.0, 200)
-    off = np.zeros(199)
     lapack = numerics._lapack()
     for j in (0, 57, 199):
-        d, l, count = numerics._factor(diag, off, diag[j])
+        d, l, count = numerics._factor(diag, 0.0, diag[j], np.empty((2, 200)))
         assert count == j + 1
         x, info = lapack.dpttrs(d, l, np.ones(200))
         assert info == 0 and np.all(np.isfinite(x))
@@ -1007,9 +997,9 @@ def test_chain_diagonals_are_each_grids_own(r_max, h, richardson):
         assert max(link.nodes[-1] for link in links) == 20.0 > links[-1].nodes[-1]
     matrices = numerics._chain_matrices(numerics._chain_samples(v_eff, links), links, PHYS)
     for link, (diag, off) in zip(links, matrices, strict=True):
-        expected_diag, expected_off = numerics._tridiagonal(v_eff, link, PHYS)
+        expected_diag, expected_off = _matrix(v_eff, link)
         assert diag.tobytes() == expected_diag.tobytes()
-        assert np.full(link.count - 1, off).tobytes() == expected_off.tobytes()
+        assert np.float64(off).tobytes() == np.float64(expected_off).tobytes()
 
 
 def _owner(array):
@@ -1041,7 +1031,6 @@ def _two_count_proof(diag, off, level, margin, value, x):
     defect = tx - value * x
     bound = math.sqrt(np.add.reduce(defect * defect)) + margin
     half = numerics.WINDOW * max(1.0, abs(value))
-    off = np.full(len(diag) - 1, off)
     proved = (bound < half and _stebz_count(diag, off, value + half) == level + 1
               and (level == 0 or _stebz_count(diag, off, value - half) == level))
     return proved, bound
@@ -1087,7 +1076,7 @@ def _counting_factor(monkeypatch):
     """The shifts ``_factor`` is called at, in order."""
     factor, shifts = numerics._factor, []
 
-    def counting(diag, off, shift, work=None):
+    def counting(diag, off, shift, work):
         shifts.append(shift)
         return factor(diag, off, shift, work)
 

@@ -40,8 +40,9 @@ SEEDS = range(1, 11)
 #: E0 must not depend on k; an h grid with no coarse grid to seed it; grids
 #: whose 16h grid ends past the h and h/2 grids; a verify whose level-1
 #: vector needs three steps on 16h; a grid whose 64h grid has under 100
-#: nodes; and more levels than the 64h grid seeds (levels 11 and up start
-#: on 16h)
+#: nodes; more levels than the 64h grid seeds (levels 11 and up start on
+#: 16h); and two off-diagonals -T/h^2 no benchmark grid has: -0.0, where
+#: T = hbar^2/2m underflows and the matrix is diagonal, and a subnormal
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
@@ -63,6 +64,8 @@ EXTRA = [argv.split() for argv in (
     "verify --a 1.64046 --c 0.40084 --N 4 --l 0 --derive b --out json",
     "eig --a 1 --b 1 --c 0.5 --k 3 --rmax 20 --h 0.004",
     "eig --a 1 --b 1 --c 0.5 --k 16",
+    "eig --a 1 --b 1 --c 0.5 --hbar 1e-200 --rmax 20 --h 0.01 --k 3",
+    "eig --a 1 --b 1 --c 0.5 --hbar 1e-160 --rmax 20 --h 0.01 --k 3 --richardson",
 )]
 
 # runs the argvs of stdin under ROOT's package and prints
