@@ -362,10 +362,15 @@ def cmd_oracle(args) -> int:
 def cmd_eig(args) -> int:
     pot, dim, phys = _problem(args)
     grid = build_grid(pot, dim, phys, r_max=args.rmax, h=args.h)
-    values = eigen_lowest(
-        effective_potential(pot, dim, phys), grid, phys,
-        k=args.k, richardson=args.richardson,
-    )
+    v_eff = effective_potential(pot, dim, phys)
+    # checked before any solve: one level per solve would meet the first
+    # unresolved level only after solving every level below it
+    if args.k < 1:
+        raise ValueError(f"need k >= 1, got {args.k}")
+    if args.k > grid.levels:
+        raise ValueError(f"levels 0..{args.k - 1} out of range for {grid.count} nodes")
+    values = [eigen_lowest(v_eff, grid, phys, level, richardson=args.richardson)
+              for level in range(args.k)]
     print(dump_json({
         "inputs": inputs_block(pot, dim, phys),
         "grid": grid_block(grid, args.richardson),
@@ -417,9 +422,9 @@ def cmd_sweep(args) -> int:
         pot_level = PotentialParams(a=a_level, b=pot.b, c=pot.c)
         grid = build_grid(pot_level, dim, phys, r_max=args.rmax, h=args.h)
         numeric = eigen_lowest(
-            effective_potential(pot_level, dim, phys), grid, phys,
-            k=1, richardson=args.richardson, first=args.n,
-        )[0]
+            effective_potential(pot_level, dim, phys), grid, phys, args.n,
+            richardson=args.richardson,
+        )
         cells = [
             _csv_cell(pot.a), _csv_cell(pot.b), _csv_cell(pot.c),
             _csv_cell(dim.n_dim), _csv_cell(dim.ell), _csv_cell(args.n),

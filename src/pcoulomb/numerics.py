@@ -11,13 +11,15 @@ is available where O(h^4) is wanted.  ``sturm_count`` exposes the raw
 eigenvalue-counting recurrence so the solver can be cross-checked
 independently.
 
-Every grid solve runs one seeding chain of grids, coarsest first: 64h ->
-16h -> 4h -> h, extended to h/2 for a Richardson pair (steps COARSEN**k * h,
-k = 3, 2, 1).  Each level n is seeded along the coarse grids that resolve
-it: at least 100 nodes and ten per level up to n, and the 64h grid only
-for the lowest COARSEST_LEVELS levels; so a level's grids, and its value,
-do not depend on the other levels solved with it.  On the coarsest grid of
-a level's chain, a 64th of the nodes on default grids, it is bisected
+Every grid solve is of one level n and runs one seeding chain of grids,
+coarsest first: 64h -> 16h -> 4h -> h, extended to h/2 for a Richardson
+pair (steps COARSEN**k * h, k = 3, 2, 1).  The chain takes the coarse grids
+that resolve level n: at least 100 nodes and ten per level up to n
+(``RadialGrid.levels``), and the 64h grid only for the lowest
+COARSEST_LEVELS levels; so a level's grids, and its value, depend on no
+other level.  Several levels are several solves, each sampling the
+potential and allocating its work arrays anew.  On the coarsest grid of
+the chain, a 64th of the nodes on default grids, the level is bisected
 (Sturm sequence).  Its value is the shift of three steps of inverse
 iteration on the next finer grid, all solved with one unpivoted LDL^T
 factorization of the shifted matrix, and the Rayleigh quotient E of the
@@ -30,11 +32,11 @@ Wilkinson, Numer. Math. 9, 386 (1967)); the factorization at the shift is
 one of them when the shift lies beyond the interval with the right count,
 and otherwise the edges of a window around E are counted; see ``_refine``.
 A value that fails the proof, or a level on an h grid with no coarser grid
-to seed it, is refined from that level's own bisection on its grid
+to seed it, is refined from the level's own bisection on its grid
 instead, so a bad seed costs time, never correctness.  An eigenvector is
-found for one level: the iterate itself.  Seeds come from the coarser grids
-only, never from a closed form, so this oracle stays independent of the
-constructions it checks.
+the iterate itself.  Seeds come from the coarser grids only, never from a
+closed form, so this oracle stays independent of the constructions it
+checks.
 
 The chain's steps are powers of two times its finest step, so the
 potential is sampled once, on the finest grid, and each coarser diagonal is
@@ -143,6 +145,12 @@ class RadialGrid:
     @property
     def r_min(self) -> float:
         return self.h
+
+    @property
+    def levels(self) -> int:
+        """How many of the lowest levels the eigensolver resolves on this
+        grid: ten nodes per level."""
+        return self.count // 10
 
     @functools.cached_property
     def nodes(self) -> np.ndarray:
@@ -529,25 +537,22 @@ def eigen_lowest(
     v_eff: LaurentForm,
     grid: RadialGrid,
     phys: PhysicalParams,
-    k: int = 1,
+    level: int = 0,
     eigenvectors: bool = False,
     richardson: bool = False,
-    *,
-    first: int = 0,
-):
-    """Eigenvalues first .. first+k-1 of the discretized problem, ascending.
+) -> float | tuple[float, np.ndarray]:
+    """Eigenvalue ``level`` (0-based) of the discretized problem.
 
-    ``first`` = 0 (the default) gives the lowest k.  Every call runs the
-    seeding chain of the module docstring, 64h -> 16h -> 4h -> h; with
+    Every call solves one level along its own seeding chain of the module
+    docstring, the coarse grids ``_coarse_grids`` gives for it, then h; with
     ``richardson`` also h -> h/2, and the pair is extrapolated over (h, h/2),
     pushing the discretization error from O(h^2) to O(h^4).  The potential
     is sampled once, on the finest grid of the chain, and each grid's
-    diagonal is a strided view of it (``_chain_samples``).  Each level is
-    solved on each grid alone, along the coarse grids ``_coarse_grids``
-    gives for it alone (a tail of the lowest level's chain), so a level's
-    value does not depend on k or first.  The factors, iterates and T x
-    live in work arrays allocated once per call, sized for its finest grid
-    and freed with it; a returned vector is a copy.
+    diagonal is a strided view of it (``_chain_samples``).  The factors,
+    iterates and T x live in work arrays allocated once per call, sized for
+    its finest grid and freed with it; a returned vector is a copy.  Several
+    levels (``eig --k``) are one call each, each sampling the potential
+    anew: about 0.2 ms per level on a default grid.
 
     The values are not limited by the bisection tolerance ULP * ||T||_1
     (about 4 eps T / h^2): at h = 1e-3 on the reference problem they are
@@ -555,33 +560,20 @@ def eigen_lowest(
     On n = 0, odd-M sweep rows of the benchmark (seeds 1-10) the
     extrapolation is within 7.3e-11 of the closed form (median 8.5e-12).
 
-    Returns a list of eigenvalues, or, when ``eigenvectors`` is set,
-    ([eigenvalue], vector in a column) for the one level ``first`` (k = 1):
-    the unit iterate, signed so that its largest-magnitude component is
-    positive (dstein's convention).  Its angle to the eigenvector is at most
-    the residual over the gap to the next level: about 1e-10 on default
-    grids, 1e-6 at h = 0.01.  Eigenvectors are not available with
-    ``richardson``.
+    Returns the eigenvalue, or, when ``eigenvectors`` is set, (eigenvalue,
+    vector): the unit iterate, signed so that its largest-magnitude
+    component is positive (dstein's convention).  Its angle to the
+    eigenvector is at most the residual over the gap to the next level:
+    about 1e-10 on default grids, 1e-6 at h = 0.01.  Eigenvectors are not
+    available with ``richardson``.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if eigenvectors and k != 1:
-        raise ValueError(f"eigenvectors are found for one level (k = 1), got k = {k}")
-    if first < 0:
-        raise ValueError(f"need level first >= 0, got {first}")
-    if first + k > grid.count // 10:
-        raise ValueError(
-            f"levels {first}..{first + k - 1} out of range for {grid.count} nodes"
-        )
+    if not 0 <= level < grid.levels:
+        raise ValueError(f"level {level} out of range for {grid.count} nodes")
     if richardson and eigenvectors:
         raise ValueError("eigenvectors are not defined for extrapolated values")
 
-    levels = range(first, first + k)
-    coarse = _coarse_grids(grid, first + 1)
+    coarse = _coarse_grids(grid, level + 1)
     links = [*coarse, grid, *([grid.halved()] if richardson else [])]
-    # the link where each level's own chain starts, the coarsest grid that
-    # resolves it; len(coarse), the h grid, when none does
-    starts = [len(coarse) - len(_coarse_grids(grid, level + 1)) for level in levels]
     samples = _chain_samples(v_eff, links)
     # rows d, l, x and T x of _refine, as long as the last grid's, which has
     # the most nodes; made after the sampling has freed its temporaries,
@@ -589,39 +581,32 @@ def eigen_lowest(
     work = np.empty((4, links[-1].count))
     matrices = _chain_matrices(samples, links, phys)
     del samples
-    values = [None] * k
+    value = None
     for link, (diag, off) in enumerate(matrices):
-        margin = _margin(diag, off)
-        solved = []
-        for seed, level, start in zip(values, levels, starts):
-            if link < start:  # a coarser grid than this level's chain
-                solved.append((None, None))
-            elif link == start < len(coarse):  # its coarsest grid
-                solved.append((_index_solve(diag, off, level), None))
-            else:
-                steps = BISECTED_STEPS if link == start + 1 <= len(coarse) else 2
-                solved.append(_seeded_lowest(diag, off, seed, level, margin, work, steps))
-        seeds, values = values, [value for value, _ in solved]
-    if eigenvectors:
-        vector = solved[0][1]
-        if vector is None:
-            raise np.linalg.LinAlgError("inverse iteration found no finite iterate at any shift")
-        # the iterate is a row of the work array: a new array either way,
-        # and the spent factor row d holds |x|
-        largest = np.argmax(np.abs(vector, out=work[0, :len(vector)]))
-        vector = -vector if vector[largest] < 0.0 else vector.copy()
-        return [float(values[0])], vector[:, np.newaxis]
-    if not richardson:
-        return [float(v) for v in values]
-    return [float((4.0 * ef - ec) / 3.0) for ec, ef in zip(seeds, values)]
+        seed = value
+        if link == 0 < len(coarse):  # the coarsest grid of the chain
+            value = _index_solve(diag, off, level)
+        else:
+            steps = BISECTED_STEPS if link == 1 <= len(coarse) else 2
+            value, vector = _seeded_lowest(diag, off, seed, level, _margin(diag, off), work, steps)
+    if richardson:
+        return float((4.0 * value - seed) / 3.0)
+    if not eigenvectors:
+        return float(value)
+    if vector is None:
+        raise np.linalg.LinAlgError("inverse iteration found no finite iterate at any shift")
+    # the iterate is a row of the work array: a new array either way, and
+    # the spent factor row d holds |x|
+    largest = np.argmax(np.abs(vector, out=work[0, :len(vector)]))
+    return float(value), -vector if vector[largest] < 0.0 else vector.copy()
 
 
 def _coarse_grids(grid: RadialGrid, levels: int) -> list[RadialGrid]:
     """The grids of step COARSEN**3 * h, COARSEN**2 * h and COARSEN * h,
     coarsest first, that resolve the lowest ``levels`` levels as
-    ``eigen_lowest`` asks of any grid: at least 100 nodes and ten per level.
-    The grid of step COARSEN**3 * h is offered only up to COARSEST_LEVELS
-    levels.  A coarser grid drops out first, so the grids for more levels
+    ``eigen_lowest`` asks of any grid: at least 100 nodes, and
+    ``RadialGrid.levels`` of at least ``levels``.  The grid of step
+    COARSEN**3 * h is offered only up to COARSEST_LEVELS levels.  A coarser grid drops out first, so the grids for more levels
     are a tail of those for fewer."""
     coarse = []
     for power in (3, 2, 1) if levels <= COARSEST_LEVELS else (2, 1):
@@ -629,7 +614,7 @@ def _coarse_grids(grid: RadialGrid, levels: int) -> list[RadialGrid]:
             candidate = RadialGrid(r_max=grid.r_max, h=COARSEN**power * grid.h)
         except ValueError:
             continue
-        if levels <= candidate.count // 10:
+        if levels <= candidate.levels:
             coarse.append(candidate)
     return coarse
 

@@ -203,7 +203,7 @@ def _battery(pot, dim, phys, grid, richardson, coul, osc, ground_f) -> list[dict
         )
 
     closed_e = (coul or osc).energy.total
-    numeric = eigen_lowest(v_eff, grid, phys, k=1, richardson=richardson)[0]
+    numeric = eigen_lowest(v_eff, grid, phys, richardson=richardson)
     if dim.m_index == 2:
         # Lambda = -1/2 sits on the critical attractive-barrier edge where
         # the Dirichlet three-point scheme does not converge to the same
@@ -291,8 +291,8 @@ def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, ground_f) -> list[dict
         )
     )
 
-    _, vecs = eigen_lowest(v_up, grid, phys, k=1, eigenvectors=True, first=1)
-    numeric_excited = GridFunction(grid=grid, values=vecs[:, 0])
+    _, vector = eigen_lowest(v_up, grid, phys, 1, eigenvectors=True)
+    numeric_excited = GridFunction(grid=grid, values=vector)
     checks.append(
         _grid_info_check(
             "ladder_vs_numeric_overlap", abs(overlap(ladder_f, numeric_excited))

@@ -67,9 +67,7 @@ def test_c02_hydrogen_limit():
     pot = PotentialParams(a=1.0)
     closed = ground_state(pot, DIM3, PHYS).energy.total
     grid = RadialGrid(r_max=40.0, h=0.002)
-    numeric = eigen_lowest(
-        effective_potential(pot, DIM3, PHYS), grid, PHYS, k=1, richardson=True
-    )[0]
+    numeric = eigen_lowest(effective_potential(pot, DIM3, PHYS), grid, PHYS, richardson=True)
     ok = closed == -0.5 and _close(numeric, -0.5, 5e-5)
     _report(2, "hydrogen limit: E0 = -0.5, numeric within 5e-5", ok,
             f"numeric={numeric:.8f}")
@@ -85,9 +83,7 @@ def test_c03_oscillator_limit():
     numerics = []
     for lv in levels:
         dim = dimension_reduce(3, lv.n)
-        numeric = eigen_lowest(
-            effective_potential(pot, dim, PHYS), grid, PHYS, k=1, richardson=True
-        )[0]
+        numeric = eigen_lowest(effective_potential(pot, dim, PHYS), grid, PHYS, richardson=True)
         numerics.append(numeric)
         ok = ok and _close(numeric, lv.e_n, 5e-5)
     _report(3, "oscillator limit: E = {1.5, 2.5, 3.5}, numeric within 5e-5", ok,
@@ -99,7 +95,7 @@ def _ground_case(dim, expected_b, expected_e, expected_psi):
     pot = PotentialParams(a=1.0, b=b, c=0.5)
     sol = ground_state(pot, dim, PHYS)
     grid = build_grid(pot, dim, PHYS)
-    numeric = eigen_lowest(effective_potential(pot, dim, PHYS), grid, PHYS, k=1)[0]
+    numeric = eigen_lowest(effective_potential(pot, dim, PHYS), grid, PHYS)
     dual = dual_view_check(pot, dim, PHYS)
     ok = (
         _close(b, expected_b, 1e-14)
@@ -188,7 +184,8 @@ def test_c09_oracle_exactness():
     ok = ok and _close(roots[1], golden, 1e-10)
     pot = PotentialParams(a=golden, b=1.0, c=0.5)
     grid = build_grid(pot, DIM3, PHYS)
-    vals = eigen_lowest(effective_potential(pot, DIM3, PHYS), grid, PHYS, k=3)
+    v_eff = effective_potential(pot, DIM3, PHYS)
+    vals = [eigen_lowest(v_eff, grid, PHYS, level) for level in range(3)]
     ok = ok and min(abs(v - 2.0) for v in vals) <= 1e-4
     _report(9, "oracle states exact on the grid; level-1 roots (3+-sqrt5)/2; E=2 in spectrum",
             ok, f"worst residual={worst:.2e}")

@@ -565,11 +565,11 @@ def test_sweep_row_is_the_single_level_solve(capsys):
     pot = PotentialParams(a=1.0, b=constraint_b(1.0, 0.5, dim, phys), c=0.5)
     grid = build_grid(pot, dim, phys)
     v_eff = effective_potential(pot, dim, phys)
-    assert _sweep_level(capsys, 0) == eigen_lowest(v_eff, grid, phys, k=1)[0]
+    assert _sweep_level(capsys, 0) == eigen_lowest(v_eff, grid, phys)
     pot1 = PotentialParams(a=constraint_a(pot.b, pot.c, dim, phys, n=1), b=pot.b, c=pot.c)
     grid1 = build_grid(pot1, dim, phys)
     v_eff1 = effective_potential(pot1, dim, phys)
-    assert _sweep_level(capsys, 1) == eigen_lowest(v_eff1, grid1, phys, k=1, first=1)[0]
+    assert _sweep_level(capsys, 1) == eigen_lowest(v_eff1, grid1, phys, 1)
 
 
 def test_level_bits_do_not_depend_on_k(capsys):
@@ -591,6 +591,24 @@ def test_level_bits_do_not_depend_on_k(capsys):
             assert code == EXIT_OK
             runs.append(json.loads(out)["eigenvalues"])
         assert all(run == runs[-1][:len(run)] for run in runs), flags
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "0"], "need k >= 1, got 0"),
+    (["--rmax", "1", "--h", "0.01", "--k", "11"], "levels 0..10 out of range for 100 nodes"),
+])
+def test_eig_k_is_checked_before_any_solve(flags, message, capsys, monkeypatch):
+    # a k the grid cannot resolve fails at once, not after solving the
+    # levels below it one by one
+    from pcoulomb import numerics
+
+    def no_solve(*_args):
+        raise AssertionError("an eigensolve ran")
+
+    monkeypatch.setattr(numerics, "_chain_samples", no_solve)
+    monkeypatch.setattr(numerics, "_index_solve", no_solve)
+    code, out, err = run_cli(capsys, "eig", "--a", "1", "--c", "0.5", "--derive", "b", *flags)
+    assert (code, out, err) == (EXIT_USAGE, "", f"pcoulomb: error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, coarse_nodes", [
@@ -959,7 +977,7 @@ def test_verification_checks_round_only_grid_info_values(monkeypatch):
 
     # the eigensolver and oracle values stay at full precision
     by_name = {c["name"]: c["value"] for c in reported}
-    numeric = eigen_lowest(effective_potential(pot, dim, phys), grid, phys, k=1)[0]
+    numeric = eigen_lowest(effective_potential(pot, dim, phys), grid, phys)
     closed = ground_state(pot, dim, phys).energy.total
     roots = [s.a_root for s in qes_solve(pot.b, pot.c, dim, phys, n=1)]
     assert by_name["eigen_lowest"] == numeric

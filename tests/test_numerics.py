@@ -236,11 +236,9 @@ def test_oracle_node_count_matches_eigenvalue_index():
         for sol in qes_solve(1.0, 0.5, DIM3, PHYS, n):
             pot = PotentialParams(a=sol.a_root, b=1.0, c=0.5)
             grid = build_grid(pot, DIM3, PHYS)
-            vals = eigen_lowest(
-                effective_potential(pot, DIM3, PHYS), grid, PHYS,
-                k=sol.node_count + 1,
-            )
-            assert abs(vals[sol.node_count] - sol.energy) <= 1e-4
+            value = eigen_lowest(
+                effective_potential(pot, DIM3, PHYS), grid, PHYS, sol.node_count)
+            assert abs(value - sol.energy) <= 1e-4
 
 
 def test_h_residual_ladder_state_reproducible():
@@ -259,11 +257,16 @@ def test_h_residual_ladder_state_reproducible():
 
 # -- eigensolver ------------------------------------------------------------------
 
+def _levels(v_eff, grid, k, first=0, **kwargs):
+    """Levels first .. first + k - 1, one ``eigen_lowest`` call each."""
+    return [eigen_lowest(v_eff, grid, PHYS, level, **kwargs) for level in range(first, first + k)]
+
+
 def test_eigen_hydrogen():
     pot = PotentialParams(a=1.0)
     grid = RadialGrid(r_max=40.0, h=0.002)
     v_eff = effective_potential(pot, DIM3, PHYS)
-    e0 = eigen_lowest(v_eff, grid, PHYS, k=1, richardson=True)[0]
+    e0 = eigen_lowest(v_eff, grid, PHYS, richardson=True)
     assert abs(e0 + 0.5) <= 5e-5
 
 
@@ -272,7 +275,7 @@ def test_eigen_pure_oscillator_single_potential_levels():
     pot = PotentialParams(c=0.5)
     grid = RadialGrid(r_max=20.0, h=0.001)
     v_eff = effective_potential(pot, DIM3, PHYS)
-    vals = eigen_lowest(v_eff, grid, PHYS, k=3, richardson=True)
+    vals = _levels(v_eff, grid, 3, richardson=True)
     np.testing.assert_allclose(vals, [1.5, 3.5, 5.5], atol=5e-5)
 
 
@@ -285,21 +288,21 @@ def test_eigen_pure_oscillator_hierarchy_levels():
     for n, expected in enumerate([1.5, 2.5, 3.5]):
         dim = dimension_reduce(3, n)
         v_eff = effective_potential(pot, dim, PHYS)
-        e0 = eigen_lowest(v_eff, grid, PHYS, k=1, richardson=True)[0]
+        e0 = eigen_lowest(v_eff, grid, PHYS, richardson=True)
         assert abs(e0 - expected) <= 5e-5
 
 
 def test_eigen_reference_problem():
     grid = build_grid(P1, DIM3, PHYS)
     v_eff = effective_potential(P1, DIM3, PHYS)
-    e0 = eigen_lowest(v_eff, grid, PHYS, k=1)[0]
+    e0 = eigen_lowest(v_eff, grid, PHYS)
     assert abs(e0 - 1.0) <= 1e-4
 
 
 def test_eigen_values_nondecreasing():
     grid = RadialGrid(r_max=15.0, h=0.005)
     v_eff = effective_potential(P1, DIM3, PHYS)
-    vals = eigen_lowest(v_eff, grid, PHYS, k=6)
+    vals = _levels(v_eff, grid, 6)
     assert all(lo <= hi for lo, hi in zip(vals[:-1], vals[1:]))
 
 
@@ -309,33 +312,27 @@ def test_eigen_convergence_order():
     err = []
     for h in (0.004, 0.002):
         grid = RadialGrid(r_max=40.0, h=h)
-        err.append(abs(eigen_lowest(v_eff, grid, PHYS, k=1)[0] + 0.5))
+        err.append(abs(eigen_lowest(v_eff, grid, PHYS) + 0.5))
     assert 3.6 <= err[0] / err[1] <= 4.4
 
 
 def test_eigen_eigenvector_ground_matches_closed_form():
     grid = RadialGrid(r_max=15.0, h=0.005)
     v_eff = effective_potential(P1, DIM3, PHYS)
-    vals, vecs = eigen_lowest(v_eff, grid, PHYS, k=1, eigenvectors=True)
-    numeric, _ = normalize(GridFunction(grid=grid, values=vecs[:, 0]))
+    _, vector = eigen_lowest(v_eff, grid, PHYS, eigenvectors=True)
+    numeric, _ = normalize(GridFunction(grid=grid, values=vector))
     closed, _ = normalize(evaluate_state(ground_state(P1, DIM3, PHYS).psi, grid))
     assert abs(overlap(numeric, closed)) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_eigenvectors_are_for_one_level():
-    grid = RadialGrid(r_max=10.0, h=0.01)
+def test_eigen_level_validation():
+    grid = RadialGrid(r_max=10.0, h=0.01)  # 1000 nodes: levels 0..99
     v_eff = effective_potential(P1, DIM3, PHYS)
-    with pytest.raises(ValueError, match="k = 2"):
-        eigen_lowest(v_eff, grid, PHYS, k=2, eigenvectors=True)
-
-
-def test_eigen_k_validation():
-    grid = RadialGrid(r_max=10.0, h=0.01)
-    v_eff = effective_potential(P1, DIM3, PHYS)
-    with pytest.raises(ValueError):
-        eigen_lowest(v_eff, grid, PHYS, k=0)
-    with pytest.raises(ValueError):
-        eigen_lowest(v_eff, grid, PHYS, k=grid.count)
+    assert grid.levels == grid.count // 10 == 100
+    for level in (-1, grid.levels):
+        with pytest.raises(ValueError, match=f"level {level} out of range for 1000 nodes"):
+            eigen_lowest(v_eff, grid, PHYS, level)
+    assert math.isfinite(eigen_lowest(v_eff, grid, PHYS, grid.levels - 1))
 
 
 def _entries(diag, off):
@@ -405,7 +402,7 @@ def _unseeded(diag, off, level):
 @pytest.mark.parametrize("a, c, n_dim, ell", SWEEP_LIKE)
 def test_seeded_half_step_matches_unseeded(a, c, n_dim, ell):
     v_eff, grid = _sweep_like(a, c, n_dim, ell)
-    seeds = eigen_lowest(v_eff, grid, PHYS, k=6)
+    seeds = _levels(v_eff, grid, 6)
     diag, off = _matrix(v_eff, grid.halved())
     tol = _bisection_tol(diag, off)
     seeded = [_seeded(diag, off, seed, level)[0] for level, seed in enumerate(seeds)]
@@ -415,7 +412,7 @@ def test_seeded_half_step_matches_unseeded(a, c, n_dim, ell):
 def test_seeded_values_bracketed_by_sturm_counts():
     grid = RadialGrid(r_max=12.0, h=12.0 / 1000)  # the h/2 grid has 2000 nodes
     v_eff = effective_potential(P1, DIM3, PHYS)
-    seeds = eigen_lowest(v_eff, grid, PHYS, k=6)
+    seeds = _levels(v_eff, grid, 6)
     diag, off = _matrix(v_eff, grid.halved())
     step = 4.0 * _bisection_tol(diag, off)
     for j, seed in enumerate(seeds):
@@ -465,11 +462,11 @@ def _chain(v_eff, grid, level, levels=None):
     return seed, vector
 
 
-def _assert_chain_vector(vecs, chain_vector):
+def _assert_chain_vector(vector, chain_vector):
     # eigen_lowest signs the chain's iterate: the largest component positive
-    assert vecs.shape == (len(chain_vector), 1)
-    assert np.abs(vecs[:, 0]).tobytes() == np.abs(chain_vector).tobytes()
-    assert vecs[np.argmax(np.abs(vecs[:, 0])), 0] > 0.0
+    assert vector.shape == (len(chain_vector),)
+    assert np.abs(vector).tobytes() == np.abs(chain_vector).tobytes()
+    assert vector[np.argmax(np.abs(vector))] > 0.0
 
 
 def test_eigen_lowest_is_the_stebz_index_solve():
@@ -480,11 +477,11 @@ def test_eigen_lowest_is_the_stebz_index_solve():
     v_eff = effective_potential(P1, DIM3, PHYS)
     diag, off = _matrix(v_eff, grid)
     expected = [_chain(v_eff, grid, level, levels=4)[0] for level in range(4)]
-    assert eigen_lowest(v_eff, grid, PHYS, k=4) == expected
-    pair_values, vecs = eigen_lowest(v_eff, grid, PHYS, k=1, first=3, eigenvectors=True)
+    assert _levels(v_eff, grid, 4) == expected
+    value, vector = eigen_lowest(v_eff, grid, PHYS, 3, eigenvectors=True)
     chain_value, chain_vector = _chain(v_eff, grid, 3)
-    assert pair_values == [chain_value]
-    _assert_chain_vector(vecs, chain_vector)
+    assert value == chain_value
+    _assert_chain_vector(vector, chain_vector)
     np.testing.assert_allclose(
         expected, _stebz_levels(diag, off, 0, 4), rtol=0, atol=_bisection_tol(diag, off))
 
@@ -523,7 +520,7 @@ def test_richardson_levels_match_unseeded_extrapolation():
     for first, k in ((0, 1), (1, 1), (2, 1), (1, 2)):
         h_vals, half_vals = _stebz_levels(*coarse, first, k), _stebz_levels(*fine, first, k)
         expected = (4.0 * half_vals - h_vals) / 3.0
-        values = eigen_lowest(v_eff, grid, PHYS, k=k, richardson=True, first=first)
+        values = _levels(v_eff, grid, k, first, richardson=True)
         np.testing.assert_allclose(values, expected, rtol=0, atol=tol)
 
 
@@ -577,7 +574,7 @@ def test_richardson_without_coarse_grid_is_unseeded_at_h():
                                    rtol=0, atol=_bisection_tol(diag, off))
         fine_vals = [_seeded(*fine, c, level)[0] for c, level in zip(coarse_vals, levels)]
         expected = [float((4.0 * f - c) / 3.0) for c, f in zip(coarse_vals, fine_vals)]
-        assert eigen_lowest(v_eff, grid, PHYS, k=2, richardson=True, first=first) == expected
+        assert _levels(v_eff, grid, 2, first, richardson=True) == expected
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -588,13 +585,13 @@ def test_single_level_is_the_stebz_index_solve(n):
     v_eff = effective_potential(P1, DIM3, PHYS)
     diag, off = _matrix(v_eff, grid)
     expected, chain_vector = _chain(v_eff, grid, n)
-    assert eigen_lowest(v_eff, grid, PHYS, k=1, first=n) == [expected]
-    # each level is solved on its own: the level solved with others is the
-    # same double
-    assert eigen_lowest(v_eff, grid, PHYS, k=4)[n] == expected
-    pair_values, vecs = eigen_lowest(v_eff, grid, PHYS, k=1, first=n, eigenvectors=True)
-    assert pair_values == [expected]
-    _assert_chain_vector(vecs, chain_vector)
+    assert eigen_lowest(v_eff, grid, PHYS, n) == expected
+    # each level is solved on its own: the level among the lowest four is
+    # the same double
+    assert _levels(v_eff, grid, 4)[n] == expected
+    value, vector = eigen_lowest(v_eff, grid, PHYS, n, eigenvectors=True)
+    assert value == expected
+    _assert_chain_vector(vector, chain_vector)
     np.testing.assert_allclose(
         expected, _stebz_levels(diag, off, n, 1), rtol=0, atol=_bisection_tol(diag, off))
 
@@ -614,13 +611,12 @@ def test_eigen_lowest_windows_prove_themselves(a, c, n_dim, ell, monkeypatch):
     monkeypatch.setattr(numerics, "_index_solve", coarsest_only)
     for first in range(3):
         for k in range(1, 4):
-            values = eigen_lowest(v_eff, grid, PHYS, k=k, first=first)
-            eigen_lowest(v_eff, grid, PHYS, k=k, first=first, richardson=True)
+            values = _levels(v_eff, grid, k, first)
+            _levels(v_eff, grid, k, first, richardson=True)
             if k == 1:
-                pair_values, vecs = eigen_lowest(
-                    v_eff, grid, PHYS, k=k, first=first, eigenvectors=True)
-                assert pair_values == values
-                assert vecs.shape == (grid.count, k)
+                value, vector = eigen_lowest(v_eff, grid, PHYS, first, eigenvectors=True)
+                assert [value] == values
+                assert vector.shape == (grid.count,)
 
 
 def _vector_bound(diag, off, level, value, vector):
@@ -644,10 +640,10 @@ def test_seeded_level_one_vector_matches_index_solve(a, c, n_dim, ell):
     # up to 0.11 of it; the bound is 5e-10 to 2e-9 here)
     v_eff, grid = _sweep_like(a, c, n_dim, ell)
     diag, off = _matrix(v_eff, grid)
-    (value,), vecs = eigen_lowest(v_eff, grid, PHYS, k=1, first=1, eigenvectors=True)
+    value, vector = eigen_lowest(v_eff, grid, PHYS, 1, eigenvectors=True)
     expected = _stebz_vector(diag, off, 1)
-    assert abs(float(vecs[:, 0] @ expected)) >= 1.0 - 1e-12
-    assert np.linalg.norm(vecs[:, 0] - expected) <= _vector_bound(diag, off, 1, value, vecs[:, 0])
+    assert abs(float(vector @ expected)) >= 1.0 - 1e-12
+    assert np.linalg.norm(vector - expected) <= _vector_bound(diag, off, 1, value, vector)
 
 
 def test_values_below_the_bisection_floor():
@@ -661,7 +657,7 @@ def test_values_below_the_bisection_floor():
     v_eff = effective_potential(P1, DIM3, PHYS)
     diag, off = _matrix(v_eff, grid)
     floor = _bisection_tol(diag, off)
-    values = np.array(eigen_lowest(v_eff, grid, PHYS, k=3))
+    values = np.array(_levels(v_eff, grid, 3))
     m, tight, _, _, info = dstebz(diag, _entries(diag, off), 2, 0.0, 0.0, 1, 3, 1e-300, "E")
     assert (m, info) == (3, 0)
     assert np.max(np.abs(values - tight[:3])) <= floor / 10.0
@@ -708,15 +704,17 @@ margin = numerics._margin(diag, off)
 cases = [(0, 1), (1, 1), (0, 3), (1, 2)]
 solved = []
 for first, k in cases:
-    values = numerics.eigen_lowest(v_eff, grid, phys, k=k, first=first)
-    extrapolated = numerics.eigen_lowest(v_eff, grid, phys, k=k, first=first, richardson=True)
+    levels = range(first, first + k)
+    values = [numerics.eigen_lowest(v_eff, grid, phys, level) for level in levels]
+    extrapolated = [numerics.eigen_lowest(v_eff, grid, phys, level, richardson=True)
+                    for level in levels]
     unseeded = np.array([numerics._seeded_lowest(diag, off, None, level, margin,
                                                  np.empty((4, grid.count)))[0]
-                         for level in range(first, first + k)])
-    vecs = None
-    if k == 1:  # vectors are found for one level
-        vecs = numerics.eigen_lowest(v_eff, grid, phys, k=k, first=first, eigenvectors=True)[1]
-    solved.append((values, extrapolated, unseeded, vecs))
+                         for level in levels])
+    vector = None
+    if k == 1:
+        vector = numerics.eigen_lowest(v_eff, grid, phys, first, eigenvectors=True)[1]
+    solved.append((values, extrapolated, unseeded, vector))
 
 import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
@@ -732,22 +730,22 @@ levels = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range
 col = np.abs(diag) + np.concatenate(([0.0], np.abs(off))) + np.concatenate((np.abs(off), [0.0]))
 tol = np.finfo(float).eps * float(np.max(col))
 digest = hashlib.sha256()
-for (first, k), (values, extrapolated, unseeded, vecs) in zip(cases, solved):
+for (first, k), (values, extrapolated, unseeded, vector) in zip(cases, solved):
     ref_vals, ref_vecs = eigh_tridiagonal(
         diag, off, select="i", select_range=(first, first + k - 1), lapack_driver="stebz")
     assert np.max(np.abs(np.array(values) - ref_vals)) <= tol
     assert np.max(np.abs(unseeded - ref_vals)) <= tol
-    if vecs is not None:
+    if vector is not None:
         # the iterate is within r / gap of the eigenvector (Davis & Kahan),
         # dstein's vector within about tol / gap
-        x = vecs[:, 0]
+        x = vector
         tx = diag * x
         tx[1:] += off * x[:-1]
         tx[:-1] += off * x[1:]
         residual = np.linalg.norm(tx - values[0] * x)
         gap = np.min(np.abs(np.delete(levels, first) - values[0]))
         assert np.linalg.norm(x - ref_vecs[:, 0]) <= (residual + tol) / gap
-    for result in (values, extrapolated, unseeded, vecs):
+    for result in (values, extrapolated, unseeded, vector):
         digest.update(np.asarray(result, dtype=float).tobytes())
 print(digest.hexdigest())
 """
@@ -787,18 +785,8 @@ def test_non_finite_matrix_is_refused():
         eigen_lowest(v_eff, RadialGrid(r_max=20.0, h=0.01), PHYS)
 
 
-def test_eigen_first_validation():
-    grid = RadialGrid(r_max=10.0, h=0.01)  # 1000 nodes: levels 0..99
-    v_eff = effective_potential(P1, DIM3, PHYS)
-    with pytest.raises(ValueError, match="first >= 0"):
-        eigen_lowest(v_eff, grid, PHYS, k=1, first=-1)
-    with pytest.raises(ValueError, match="out of range"):
-        eigen_lowest(v_eff, grid, PHYS, k=2, first=99)
-    assert len(eigen_lowest(v_eff, grid, PHYS, k=2, first=98)) == 2
-
-
-@pytest.mark.parametrize("first, coarsest", [(9, 100), (10, 400)])
-def test_levels_the_16h_grid_cannot_resolve_are_seeded_at_4h(first, coarsest, monkeypatch):
+@pytest.mark.parametrize("level, coarsest", [(9, 100), (10, 400)])
+def test_levels_the_16h_grid_cannot_resolve_are_seeded_at_4h(level, coarsest, monkeypatch):
     # 1600 nodes: the 16h grid (100 nodes) resolves levels 0..9 and the 4h
     # grid (400 nodes) levels 0..39; the coarsest grid that resolves the
     # level is bisected first.  Levels this high move too far between grids
@@ -813,7 +801,7 @@ def test_levels_the_16h_grid_cannot_resolve_are_seeded_at_4h(first, coarsest, mo
         return index_solve(diag, off, level)
 
     monkeypatch.setattr(numerics, "_index_solve", recording)
-    eigen_lowest(v_eff, grid, PHYS, k=1, first=first)
+    eigen_lowest(v_eff, grid, PHYS, level)
     assert sizes[0] == coarsest
 
 
@@ -971,7 +959,7 @@ def test_surface_points_do_not_fall_back(monkeypatch):
                 coarsest[0] = numerics._coarse_grids(grid, n + 1)[0].count
                 v_eff = effective_potential(pot_level, dim, PHYS)
                 for richardson in (False, True):
-                    eigen_lowest(v_eff, grid, PHYS, first=n, richardson=richardson)
+                    eigen_lowest(v_eff, grid, PHYS, n, richardson=richardson)
 
 
 # -- one sampling per chain, per-call work arrays, the shift's own count --------
@@ -1016,10 +1004,10 @@ def test_returned_vectors_do_not_share_the_work_arrays():
     v_eff = effective_potential(P1, DIM3, PHYS)
     _, first = eigen_lowest(v_eff, grid, PHYS, eigenvectors=True)
     kept = first.copy()
-    _, second = eigen_lowest(v_eff, grid, PHYS, first=1, eigenvectors=True)
+    _, second = eigen_lowest(v_eff, grid, PHYS, 1, eigenvectors=True)
     assert first.tobytes() == kept.tobytes()
-    for vecs in (first, second):
-        assert _owner(vecs).nbytes == vecs.nbytes == 8 * grid.count
+    for vector in (first, second):
+        assert _owner(vector).nbytes == vector.nbytes == 8 * grid.count
 
 
 def _two_count_proof(diag, off, level, margin, value, x):
@@ -1067,7 +1055,7 @@ def test_shift_count_proves_as_the_two_counts(a, c, monkeypatch):
             v_eff = effective_potential(pot_level, dim, PHYS)
             grid = build_grid(pot_level, dim, PHYS)
             links += len(numerics._coarse_grids(grid, n + 1)) + 1
-            eigen_lowest(v_eff, grid, PHYS, first=n, richardson=True)
+            eigen_lowest(v_eff, grid, PHYS, n, richardson=True)
     assert sum(sides.values()) == links >= 9 * 3 * 3
     assert sides["bottom"] > 0
 
@@ -1318,7 +1306,7 @@ def test_levels_above_the_cap_are_bisected_on_16h_once(k, monkeypatch):
             v_eff, grid = effective_potential(pot, dim, PHYS), build_grid(pot, dim, PHYS)
             coarsest, sixteen, _ = numerics._coarse_grids(grid, 1)
             assert numerics._coarse_grids(grid, k)[0] == sixteen
-            solve = functools.partial(eigen_lowest, v_eff, grid, PHYS, k=k)
+            solve = functools.partial(_levels, v_eff, grid, k)
             counts = _bisections_by_grid(monkeypatch, solve)
             assert counts == {coarsest.count: numerics.COARSEST_LEVELS,
                               sixteen.count: k - numerics.COARSEST_LEVELS}, (a, c, m_index)
@@ -1330,7 +1318,7 @@ def test_levels_above_the_cap_are_bisected_on_16h_once(k, monkeypatch):
             assert _nodes(counts) < _nodes(before), (a, c, m_index)
             values = solve()
             for level in (0, numerics.COARSEST_LEVELS - 1, numerics.COARSEST_LEVELS, k - 1):
-                assert eigen_lowest(v_eff, grid, PHYS, first=level) == [values[level]]
+                assert eigen_lowest(v_eff, grid, PHYS, level) == values[level]
 
 
 def test_levels_up_to_the_cap_are_bisected_on_64h_only(monkeypatch):
@@ -1341,7 +1329,7 @@ def test_levels_up_to_the_cap_are_bisected_on_64h_only(monkeypatch):
         coarse = numerics._coarse_grids(grid, k)
         assert coarse[0].h == COARSEN**3 * grid.h
         counts = _bisections_by_grid(
-            monkeypatch, lambda: eigen_lowest(v_eff, grid, PHYS, k=k))
+            monkeypatch, lambda: _levels(v_eff, grid, k))
         assert counts == {coarse[0].count: k}
 
 
@@ -1354,5 +1342,5 @@ def test_first_refined_link_takes_three_steps(monkeypatch):
     v_eff, grid = effective_potential(pot_up, dim, PHYS), build_grid(pot, dim, PHYS)
     coarsest = numerics._coarse_grids(grid, 2)[0]
     assert coarsest.h == COARSEN**3 * grid.h
-    solve = functools.partial(eigen_lowest, v_eff, grid, PHYS, first=1, eigenvectors=True)
+    solve = functools.partial(eigen_lowest, v_eff, grid, PHYS, 1, eigenvectors=True)
     assert _bisections_by_grid(monkeypatch, solve) == {coarsest.count: 1}

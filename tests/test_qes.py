@@ -222,7 +222,8 @@ def test_reference_potential_has_second_exact_level():
 
     pot = PotentialParams(a=1.0, b=1.0, c=0.5)
     grid = build_grid(pot, DIM3, PHYS)
-    vals = eigen_lowest(effective_potential(pot, DIM3, PHYS), grid, PHYS, k=2)
+    v_eff = effective_potential(pot, DIM3, PHYS)
+    vals = [eigen_lowest(v_eff, grid, PHYS, level) for level in range(2)]
     assert vals[0] == pytest.approx(1.0, abs=1e-4)
     assert vals[1] == pytest.approx(4.0, abs=1e-4)
 

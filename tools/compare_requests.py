@@ -41,8 +41,10 @@ SEEDS = range(1, 11)
 #: whose 16h grid ends past the h and h/2 grids; a verify whose level-1
 #: vector needs three steps on 16h; a grid whose 64h grid has under 100
 #: nodes; more levels than the 64h grid seeds (levels 11 and up start on
-#: 16h); and two off-diagonals -T/h^2 no benchmark grid has: -0.0, where
-#: T = hbar^2/2m underflows and the matrix is diagonal, and a subnormal
+#: 16h); two off-diagonals -T/h^2 no benchmark grid has: -0.0, where
+#: T = hbar^2/2m underflows and the matrix is diagonal, and a subnormal;
+#: levels 11-29 on a default grid and a level-12 sweep row with h/2, both
+#: starting on 16h; and the two range errors of eig --k
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
@@ -66,6 +68,10 @@ EXTRA = [argv.split() for argv in (
     "eig --a 1 --b 1 --c 0.5 --k 16",
     "eig --a 1 --b 1 --c 0.5 --hbar 1e-200 --rmax 20 --h 0.01 --k 3",
     "eig --a 1 --b 1 --c 0.5 --hbar 1e-160 --rmax 20 --h 0.01 --k 3 --richardson",
+    "eig --a 1 --b 1 --c 0.5 --k 30",
+    "sweep --sweep a=0.8,1.6 --c 0.5 --derive b --n 12 --richardson",
+    "eig --a 1 --c 0.5 --derive b --k 0",
+    "eig --a 1 --c 0.5 --derive b --rmax 1 --h 0.01 --k 11",
 )]
 
 # runs the argvs of stdin under ROOT's package and prints
