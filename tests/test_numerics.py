@@ -325,14 +325,22 @@ def test_eigen_eigenvector_ground_matches_closed_form():
     assert abs(overlap(numeric, closed)) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_eigen_level_validation():
+def test_eigen_first_validation():
     grid = RadialGrid(r_max=10.0, h=0.01)  # 1000 nodes: levels 0..99
     v_eff = effective_potential(P1, DIM3, PHYS)
+    with pytest.raises(ValueError, match="level -1 out of range for 1000 nodes"):
+        eigen_lowest(v_eff, grid, PHYS, -1)
+    assert math.isfinite(eigen_lowest(v_eff, grid, PHYS, grid.levels - 1))
+
+
+def test_eigen_k_validation():
+    # ten nodes per level bound the levels a grid solves, as `eig --k` checks
+    grid = RadialGrid(r_max=10.0, h=0.01)
+    v_eff = effective_potential(P1, DIM3, PHYS)
     assert grid.levels == grid.count // 10 == 100
-    for level in (-1, grid.levels):
+    for level in (grid.levels, grid.count):
         with pytest.raises(ValueError, match=f"level {level} out of range for 1000 nodes"):
             eigen_lowest(v_eff, grid, PHYS, level)
-    assert math.isfinite(eigen_lowest(v_eff, grid, PHYS, grid.levels - 1))
 
 
 def _entries(diag, off):
