@@ -4,9 +4,9 @@ The library constructs the closed-form ground solutions of the radial
 problem on its coupling-constraint surface, generates the excited-level
 hierarchy, and checks every claim against two independent oracles: a
 polynomial-ansatz reduction (``qes``) and a finite-difference eigensolver
-(``numerics``).  The ``pcoulomb`` command line exposes solve / verify /
-oracle / eig / sweep; ``report`` builds its documents and runs the
-verification battery without it.
+(``numerics``).  ``report`` builds what each command of the ``pcoulomb``
+command line prints (the solve / verify / oracle / eig documents and the
+sweep rows) and runs the verification battery, all without argparse.
 """
 
 # bound before the submodules import: ``report`` stamps it on its documents
@@ -74,7 +74,7 @@ from .numerics import (
     overlap,
     sturm_count,
 )
-from .report import solve_document, verify_document
+from .report import eig_document, oracle_document, solve_document, sweep_row, verify_document
 
 __all__ = [
     "DimensionSpec",
@@ -131,5 +131,8 @@ __all__ = [
     "sturm_count",
     "solve_document",
     "verify_document",
+    "eig_document",
+    "oracle_document",
+    "sweep_row",
     "__version__",
 ]

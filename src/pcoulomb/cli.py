@@ -11,8 +11,12 @@ Exit codes: 0 ok, 1 usage error, 2 constraint violation, 3 verification
 assert failure.  Output is byte-identical for identical inputs and flags;
 floats are emitted with 17 significant digits.  A plain ``key = value``
 config file (``--config PATH``) supplies flags that explicit flags
-override; environment variables are never consulted.  The documents and the
-verification battery are built by ``pcoulomb.report``.
+override; environment variables are never consulted.
+
+This module parses flags and formats what ``pcoulomb.report`` builds as
+JSON, a table or CSV.  ``main`` writes stdout once, after the command has
+finished: a rejected input leaves it empty, and a stdout closed before the
+write exits with code 1 and a message.
 """
 
 from __future__ import annotations
@@ -20,19 +24,16 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from itertools import product
 
 import numpy as np
 
 from . import __version__
-from .exact import ConstraintViolation, closed_level, constraint_residual, derive_couplings
-from .model import (
-    DimensionSpec, PhysicalParams, PotentialParams, dimension_reduce, effective_potential,
-)
-from .numerics import build_grid, eigen_lowest, evaluate_state, h_residual
-from .qes import oracle_state, qes_solve
-from .report import grid_block, inputs_block, meta_block, solve_document, verify_document
+from .exact import ConstraintViolation, derive_couplings
+from .model import DimensionSpec, PhysicalParams, PotentialParams, dimension_reduce
+from .report import eig_document, oracle_document, solve_document, sweep_row, verify_document
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -258,45 +259,39 @@ def _problem(args) -> tuple[PotentialParams, DimensionSpec, PhysicalParams]:
 # ---------------------------------------------------------------------------
 # solve
 
-def _print_solve_table(doc) -> None:
+def _solve_table(doc):
+    """The lines of the ``solve`` table."""
     dim = doc["dimension"]
-    print(f"dimension: N={dim['N']} l={dim['l']}  ->  M={dim['M']} Lambda={dim['Lambda']:g}")
-    print(f"regime:    {doc['regime']}")
+    yield f"dimension: N={dim['N']} l={dim['l']}  ->  M={dim['M']} Lambda={dim['Lambda']:g}"
+    yield f"regime:    {doc['regime']}"
     for name in ("coulomb", "oscillator"):
         view = doc["views"][name]
         if view is None:
-            print(f"{name:<11}view: (not defined for these couplings)")
+            yield f"{name:<11}view: (not defined for these couplings)"
         else:
-            print(
-                f"{name:<11}view: epsilon={view['epsilon']:.12g}  "
-                f"delta={view['delta_epsilon']:.12g}  E={view['E']:.12g}"
-            )
+            yield (f"{name:<11}view: epsilon={view['epsilon']:.12g}  "
+                   f"delta={view['delta_epsilon']:.12g}  E={view['E']:.12g}")
     psi = doc["psi"]
-    print(
-        f"psi:       q={psi['q']:g}  lambda={psi['lambda']:.12g}  "
-        f"kappa={psi['kappa']:.12g}  N0={psi['N0']:.12g}"
-    )
+    yield (f"psi:       q={psi['q']:g}  lambda={psi['lambda']:.12g}  "
+           f"kappa={psi['kappa']:.12g}  N0={psi['N0']:.12g}")
     if doc["spectrum"]:
-        print("spectrum:")
+        yield "spectrum:"
         for level in doc["spectrum"]:
-            print(f"  n={level['n']}  a_n={level['a_n']:.12g}  E_n={level['E_n']:.12g}")
+            yield f"  n={level['n']}  a_n={level['a_n']:.12g}  E_n={level['E_n']:.12g}"
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, str]:
     pot, dim, phys = _problem(args)
     doc = solve_document(pot, dim, phys, args.nmax, r_max=args.rmax, h=args.h)
-    if args.out == "json":
-        print(dump_json(doc))
-    else:
-        _print_solve_table(doc)
-    return EXIT_OK
+    return EXIT_OK, dump_json(doc) if args.out == "json" else "\n".join(_solve_table(doc))
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def _print_verify_table(doc) -> None:
-    print(f"{'check':<44}{'kind':<8}{'value':<26}{'tol':<12}status")
+def _verify_table(doc):
+    """The lines of the ``verify`` table."""
+    yield f"{'check':<44}{'kind':<8}{'value':<26}{'tol':<12}status"
     for check in doc["checks"]:
         value = check["value"]
         if isinstance(value, list):
@@ -307,77 +302,31 @@ def _print_verify_table(doc) -> None:
             text = str(value)
         tol = f"{check['tol']:.3g}" if check["tol"] is not None else "-"
         status = "-" if check["pass"] is None else ("pass" if check["pass"] else "FAIL")
-        print(f"{check['name']:<44}{check['kind']:<8}{text:<26}{tol:<12}{status}")
+        yield f"{check['name']:<44}{check['kind']:<8}{text:<26}{tol:<12}{status}"
     failed = sum(1 for c in doc["checks"] if c["pass"] is False)
     total = sum(1 for c in doc["checks"] if c["kind"] == "assert")
-    print(f"asserts: {total - failed}/{total} passed")
+    yield f"asserts: {total - failed}/{total} passed"
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     pot, dim, phys = _problem(args)
-    doc = verify_document(
-        pot, dim, phys, args.nmax, args.richardson, r_max=args.rmax, h=args.h
-    )
-    if args.out == "json":
-        print(dump_json(doc))
-    else:
-        _print_verify_table(doc)
-    if any(check["pass"] is False for check in doc["checks"]):
-        return EXIT_VERIFY
-    return EXIT_OK
+    doc = verify_document(pot, dim, phys, args.nmax, args.richardson, r_max=args.rmax, h=args.h)
+    text = dump_json(doc) if args.out == "json" else "\n".join(_verify_table(doc))
+    return EXIT_VERIFY if any(c["pass"] is False for c in doc["checks"]) else EXIT_OK, text
 
 
 # ---------------------------------------------------------------------------
-# oracle
+# oracle and eig
 
-def cmd_oracle(args) -> int:
-    """Emit the level-n solutions as a JSON list, ascending in the root."""
-    pot, dim, phys = _problem(args)
-    solutions = qes_solve(pot.b, pot.c, dim, phys, args.n)
-    entries = []
-    for sol in solutions:
-        entry = {
-            "n": sol.n,
-            "a_root": sol.a_root,
-            "poly": list(sol.poly),
-            "E": sol.energy,
-            "node_count": sol.node_count,
-        }
-        if args.check:
-            state = oracle_state(sol, dim, phys, pot.b, pot.c)
-            pot_root = PotentialParams(a=sol.a_root, b=pot.b, c=pot.c)
-            grid = build_grid(pot_root, dim, phys, r_max=args.rmax, h=args.h)
-            entry["h_residual"] = h_residual(
-                evaluate_state(state, grid), sol.energy,
-                effective_potential(pot_root, dim, phys), phys,
-            )
-        entries.append(entry)
-    print(dump_json(entries))
-    return EXIT_OK
+def cmd_oracle(args) -> tuple[int, str]:
+    """The level-n solutions as a JSON list, ascending in the root."""
+    doc = oracle_document(*_problem(args), args.n, args.check, r_max=args.rmax, h=args.h)
+    return EXIT_OK, dump_json(doc)
 
 
-# ---------------------------------------------------------------------------
-# eig
-
-def cmd_eig(args) -> int:
-    pot, dim, phys = _problem(args)
-    grid = build_grid(pot, dim, phys, r_max=args.rmax, h=args.h)
-    v_eff = effective_potential(pot, dim, phys)
-    # checked before any solve: one level per solve would meet the first
-    # unresolved level only after solving every level below it
-    if args.k < 1:
-        raise ValueError(f"need k >= 1, got {args.k}")
-    if args.k > grid.levels:
-        raise ValueError(f"levels 0..{args.k - 1} out of range for {grid.count} nodes")
-    values = [eigen_lowest(v_eff, grid, phys, level, richardson=args.richardson)
-              for level in range(args.k)]
-    print(dump_json({
-        "inputs": inputs_block(pot, dim, phys),
-        "grid": grid_block(grid, args.richardson),
-        "eigenvalues": values,
-        "meta": meta_block(),
-    }))
-    return EXIT_OK
+def cmd_eig(args) -> tuple[int, str]:
+    doc = eig_document(*_problem(args), args.k, args.richardson, r_max=args.rmax, h=args.h)
+    return EXIT_OK, dump_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -410,34 +359,24 @@ def _parse_sweeps(ranges: list[str] | None, derive: str | None) -> list[tuple[st
     return sweeps
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[int, str]:
     sweeps = _parse_sweeps(args.sweep, args.derive)
-    # every row is solved before any is printed, so a rejected row leaves
-    # stdout empty instead of a truncated scan
     lines = ["a,b,c,N,l,n,E_closed,E_numeric,abs_err,constraint_residual"]
     names = [name for name, _ in sweeps]
     for combo in product(*(values for _, values in sweeps)):
         pot, dim, phys = _problem(argparse.Namespace(**(vars(args) | dict(zip(names, combo)))))
-        a_level, e_closed = closed_level(pot, dim, phys, args.n)
-        pot_level = PotentialParams(a=a_level, b=pot.b, c=pot.c)
-        grid = build_grid(pot_level, dim, phys, r_max=args.rmax, h=args.h)
-        numeric = eigen_lowest(
-            effective_potential(pot_level, dim, phys), grid, phys, args.n,
-            richardson=args.richardson,
-        )
-        cells = [
-            _csv_cell(pot.a), _csv_cell(pot.b), _csv_cell(pot.c),
-            _csv_cell(dim.n_dim), _csv_cell(dim.ell), _csv_cell(args.n),
-            _csv_cell(e_closed), _csv_cell(numeric),
-            _csv_cell(abs(e_closed - numeric)),
-            _csv_cell(constraint_residual(pot, dim, phys)),
-        ]
-        lines.append(",".join(cells))
-    print("\n".join(lines))
-    return EXIT_OK
+        row = sweep_row(pot, dim, phys, args.n, args.richardson, r_max=args.rmax, h=args.h)
+        cells = (pot.a, pot.b, pot.c, dim.n_dim, dim.ell, args.n, *row)
+        lines.append(",".join(map(_csv_cell, cells)))
+    return EXIT_OK, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
+
+def _fail(code: int, message: str) -> int:
+    print(f"pcoulomb: {message}", file=sys.stderr)
+    return code
+
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -445,29 +384,35 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _with_config(commands, argv)
     except (OSError, ValueError) as exc:
-        print(f"pcoulomb: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail(EXIT_USAGE, f"error: {exc}")
     args = parser.parse_args(argv)
     if getattr(args, "func", None) is None:
-        parser.print_help()
-        return EXIT_USAGE
+        code, text = EXIT_USAGE, parser.format_help().rstrip("\n")
+    else:
+        try:
+            code, text = args.func(args)
+        except ConstraintViolation as exc:
+            return _fail(EXIT_CONSTRAINT, f"constraint violation: {exc}")
+        except ValueError as exc:
+            return _fail(EXIT_USAGE, f"error: {exc}")
+        except OverflowError:
+            # Python float ** raises where numpy would return inf: an input
+            # whose closed forms leave the double range
+            return _fail(EXIT_USAGE, "error: a result overflows the float range")
+        except ZeroDivisionError:
+            # likewise Python float / raises where numpy would return inf or nan
+            return _fail(EXIT_USAGE, "error: a denominator underflows to zero")
     try:
-        return args.func(args)
-    except ConstraintViolation as exc:
-        print(f"pcoulomb: constraint violation: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
-    except ValueError as exc:
-        print(f"pcoulomb: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OverflowError:
-        # Python float ** raises where numpy would return inf: an input
-        # whose closed forms leave the double range
-        print("pcoulomb: error: a result overflows the float range", file=sys.stderr)
-        return EXIT_USAGE
-    except ZeroDivisionError:
-        # likewise Python float / raises where numpy would return inf or nan
-        print("pcoulomb: error: a denominator underflows to zero", file=sys.stderr)
-        return EXIT_USAGE
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the unwritten bytes stay buffered; sent to devnull, the
+        # interpreter's flush at exit finds no closed pipe to raise on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _fail(EXIT_USAGE, "error: stdout was closed before the output was written")
+    return code
 
 
 if __name__ == "__main__":

@@ -190,17 +190,8 @@ class GridFunction:
 
 
 def _quad_with_ends(samples: np.ndarray, h: float) -> float:
-    """Trapezoid over [0, r_max + h] with implied zero end values: the bits
-    of ``np.trapezoid`` of the samples padded with the zeros, whose n + 1
-    neighbour sums are formed in one array, scaled and summed in its
-    order."""
-    pairs = np.empty(len(samples) + 1)
-    pairs[0] = samples[0] + 0.0
-    np.add(samples[1:], samples[:-1], out=pairs[1:-1])
-    pairs[-1] = 0.0 + samples[-1]
-    pairs *= h
-    pairs /= 2.0
-    return float(pairs.sum())
+    """Trapezoid over [0, r_max + h] with implied zero end values."""
+    return float(np.trapezoid(np.pad(samples, 1), dx=h))
 
 
 def build_grid(

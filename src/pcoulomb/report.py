@@ -1,9 +1,12 @@
-"""The ``solve`` and ``verify`` documents and the verification battery.
+"""What every command prints, built without argparse.
 
-A document is built from a problem (couplings, dimension, units), the grid
-overrides, the number of spectrum levels and, for ``verify``, whether grid
-eigenvalues are Richardson-extrapolated; ``schema/report.schema.json``
-describes it.  Each check is a plain dict ``{name, kind, value, tol, pass}``:
+``solve_document`` and ``verify_document`` (with the verification battery)
+take a problem (couplings, dimension, units), the grid overrides, the
+number of spectrum levels and, for ``verify``, whether grid eigenvalues are
+Richardson-extrapolated; ``schema/report.schema.json`` describes them.
+``eig_document`` holds the lowest grid eigenvalues, ``oracle_document`` the
+ansatz solutions of one level and ``sweep_row`` one level's closed-form and
+grid values.  Each check is a plain dict ``{name, kind, value, tol, pass}``:
 an ``assert`` check carries its tolerance and verdict, an ``info`` check
 only its value.
 
@@ -30,7 +33,9 @@ import numpy as np
 
 from . import __version__
 from .exact import (
+    closed_level,
     constraint_a,
+    constraint_residual,
     dual_view_check,
     ground_state,
     hierarchy_states,
@@ -73,19 +78,16 @@ from .tolerances import (
 # ---------------------------------------------------------------------------
 # documents
 
-def inputs_block(pot, dim, phys) -> dict:
-    return {
-        "a": pot.a, "b": pot.b, "c": pot.c,
-        "N": dim.n_dim, "l": dim.ell,
-        "hbar": phys.hbar, "mass": phys.mass,
-    }
+def _inputs_block(pot, dim, phys) -> dict:
+    return {"a": pot.a, "b": pot.b, "c": pot.c, "N": dim.n_dim, "l": dim.ell,
+            "hbar": phys.hbar, "mass": phys.mass}
 
 
-def meta_block() -> dict:
+def _meta_block() -> dict:
     return {"package": "pcoulomb", "version": __version__}
 
 
-def grid_block(grid, richardson: bool) -> dict:
+def _grid_block(grid, richardson: bool) -> dict:
     return {"r_max": grid.r_max, "h": grid.h, "richardson": bool(richardson)}
 
 
@@ -124,7 +126,7 @@ def _view_block(sol) -> dict | None:
 def _document(pot, dim, phys, coul, osc, n0: float, nmax: int) -> dict:
     psi = (coul or osc).psi
     return {
-        "inputs": inputs_block(pot, dim, phys),
+        "inputs": _inputs_block(pot, dim, phys),
         "regime": classify_regime(pot),
         "dimension": {"N": dim.n_dim, "l": dim.ell, "M": dim.m_index, "Lambda": dim.lam},
         "views": {"coulomb": _view_block(coul), "oscillator": _view_block(osc)},
@@ -133,7 +135,7 @@ def _document(pot, dim, phys, coul, osc, n0: float, nmax: int) -> dict:
             {"n": lv.n, "a_n": lv.a_n, "E_n": lv.e_n}
             for lv in spectrum(pot.b, pot.c, dim, phys, nmax)
         ] if pot.c > 0 else [],
-        "meta": meta_block(),
+        "meta": _meta_block(),
     }
 
 
@@ -157,9 +159,67 @@ def verify_document(
     coul, osc, grid, ground_f, n0 = _ground_on_grid(pot, dim, phys, nmax, r_max, h)
     checks = _battery(pot, dim, phys, grid, richardson, coul, osc, ground_f)
     doc = _document(pot, dim, phys, coul, osc, n0, nmax)
-    doc["inputs"]["grid"] = grid_block(grid, richardson)
+    doc["inputs"]["grid"] = _grid_block(grid, richardson)
     doc["checks"] = checks
     return doc
+
+
+def eig_document(
+    pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams, k: int,
+    richardson: bool, r_max: float | None = None, h: float | None = None,
+) -> dict:
+    """The ``eig`` document: the lowest ``k`` grid eigenvalues, one solve per
+    level.  ``k`` is checked against the grid first, so an unresolved level
+    fails before the levels below it are solved."""
+    grid = build_grid(pot, dim, phys, r_max=r_max, h=h)
+    v_eff = effective_potential(pot, dim, phys)
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    if k > grid.levels:
+        raise ValueError(f"levels 0..{k - 1} out of range for {grid.count} nodes")
+    values = [eigen_lowest(v_eff, grid, phys, level, richardson=richardson)
+              for level in range(k)]
+    return {"inputs": _inputs_block(pot, dim, phys), "grid": _grid_block(grid, richardson),
+            "eigenvalues": values, "meta": _meta_block()}
+
+
+def oracle_document(
+    pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams, n: int,
+    check: bool, r_max: float | None = None, h: float | None = None,
+) -> list[dict]:
+    """The ``oracle`` document: the level-``n`` solutions of the ansatz at
+    (b, c), ascending in the root.  With ``check`` each carries the grid
+    residual of its state in the potential with a set to its root."""
+    entries = []
+    for sol in qes_solve(pot.b, pot.c, dim, phys, n):
+        entry = {"n": sol.n, "a_root": sol.a_root, "poly": list(sol.poly),
+                 "E": sol.energy, "node_count": sol.node_count}
+        if check:
+            state = oracle_state(sol, dim, phys, pot.b, pot.c)
+            pot_root = PotentialParams(a=sol.a_root, b=pot.b, c=pot.c)
+            grid = build_grid(pot_root, dim, phys, r_max=r_max, h=h)
+            entry["h_residual"] = h_residual(
+                evaluate_state(state, grid), sol.energy,
+                effective_potential(pot_root, dim, phys), phys,
+            )
+        entries.append(entry)
+    return entries
+
+
+def sweep_row(
+    pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams, n: int,
+    richardson: bool, r_max: float | None = None, h: float | None = None,
+) -> tuple[float, float, float, float]:
+    """One ``sweep`` row: (E_closed, E_numeric, abs_err, constraint_residual).
+    Level ``n``'s closed form (``closed_level``), grid eigenvalue ``n`` at its
+    a, and the input's relative distance from the coupling surface."""
+    a_level, e_closed = closed_level(pot, dim, phys, n)
+    pot_level = PotentialParams(a=a_level, b=pot.b, c=pot.c)
+    grid = build_grid(pot_level, dim, phys, r_max=r_max, h=h)
+    numeric = eigen_lowest(
+        effective_potential(pot_level, dim, phys), grid, phys, n, richardson=richardson,
+    )
+    return e_closed, numeric, abs(e_closed - numeric), constraint_residual(pot, dim, phys)
 
 
 # ---------------------------------------------------------------------------

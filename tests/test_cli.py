@@ -943,6 +943,50 @@ def test_library_verify_document_matches_cli(capsys, c, derive):
     assert doc == json.loads(out)
 
 
+def _reference_problem():
+    phys = PhysicalParams()
+    dim = dimension_reduce(3, 0)
+    return derive_couplings(1.0, 0.0, 0.5, "b", dim, phys), dim, phys
+
+
+def test_library_eig_document_is_the_cli_output(capsys):
+    _, out, _ = run_cli(capsys, "eig", "--a", "1", "--b", "1", "--c", "0.5", "--k", "3",
+                        "--rmax", "40", "--h", "0.002", "--richardson")
+    _, dim, phys = _reference_problem()
+    pot = PotentialParams(a=1.0, b=1.0, c=0.5)
+    doc = report.eig_document(pot, dim, phys, 3, True, r_max=40.0, h=0.002)
+    assert dump_json(doc) + "\n" == out
+
+
+def test_library_oracle_document_is_the_cli_output(capsys):
+    _, out, _ = run_cli(capsys, "oracle", "--b", "1", "--c", "0.5", "--N", "3", "--l", "0",
+                        "--n", "1", "--check")
+    _, dim, phys = _reference_problem()
+    doc = report.oracle_document(PotentialParams(b=1.0, c=0.5), dim, phys, 1, check=True)
+    assert dump_json(doc) + "\n" == out
+
+
+def test_library_sweep_row_is_the_cli_row(capsys):
+    _, out, _ = run_cli(capsys, "sweep", "--sweep", "a=1", "--c", "0.5", "--derive", "b",
+                        "--n", "1", "--richardson")
+    pot, dim, phys = _reference_problem()
+    row = report.sweep_row(pot, dim, phys, 1, True)
+    cells = [cli._csv_cell(value) for value in (1.0, 1.0, 0.5, 3, 0, 1, *row)]
+    assert out.splitlines()[1] == ",".join(cells)
+
+
+def test_cli_computes_nothing_itself():
+    # the grid and ansatz oracles are reached through report only
+    import ast
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    assert not {m for m in modules if m and m.split(".")[-1] in ("numerics", "qes")}
+    assert {"report", "exact", "model"} <= modules
+
+
 GRID_INFO_CHECKS = (
     "ladder_level1_residual_advanced_a",
     "ladder_level1_residual_fixed_a",
@@ -1127,6 +1171,29 @@ def test_import_scipy_linalg_after_an_eigensolve_binds_flapack():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "ok\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--b", "1", "--c", "0.5", "--N", "3", "--l", "0", "--n", "1", "--check",
+     "--rmax", "1", "--h", "0.01"],
+    ["verify", "--a", "1", "--c", "0.5", "--derive", "b"],
+    ["sweep", "--sweep", "a=0.5,1", "--c", "0.5", "--derive", "b"],
+], ids=["json", "table", "csv"])
+def test_closed_stdout_exits_one_with_a_message(argv):
+    # the read end is closed before the command starts: the one write of
+    # the output meets a closed pipe, whatever its size
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pcoulomb.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_child_env({}),
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == EXIT_USAGE
+    assert result.stderr == "pcoulomb: error: stdout was closed before the output was written\n"
+    assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
 
 
 def test_console_entry_point_runs():

@@ -44,7 +44,10 @@ SEEDS = range(1, 11)
 #: 16h); two off-diagonals -T/h^2 no benchmark grid has: -0.0, where
 #: T = hbar^2/2m underflows and the matrix is diagonal, and a subnormal;
 #: levels 11-29 on a default grid and a level-12 sweep row with h/2, both
-#: starting on 16h; and the two range errors of eig --k
+#: starting on 16h; the two range errors of eig --k; and output paths of the
+#: formatting layer: the solve table, oracle without --check, a verify
+#: table with a FAIL (exit 3), and two sweeps whose second row is rejected
+#: (a non-finite cell, and no closed form at c = 0) with stdout left empty
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
@@ -72,6 +75,11 @@ EXTRA = [argv.split() for argv in (
     "sweep --sweep a=0.8,1.6 --c 0.5 --derive b --n 12 --richardson",
     "eig --a 1 --c 0.5 --derive b --k 0",
     "eig --a 1 --c 0.5 --derive b --rmax 1 --h 0.01 --k 11",
+    "solve --a 1 --c 0.5 --derive b --out table",
+    "oracle --b 1 --c 0.5 --n 2",
+    "verify --a 1 --c 0.5 --derive b --rmax 20 --h 0.1",
+    "sweep --sweep b=1,3e4 --c 1e-300 --rmax 20 --h 0.01",
+    "sweep --sweep c=0.5,0 --a 1 --derive b",
 )]
 
 # runs the argvs of stdin under ROOT's package and prints
