@@ -27,7 +27,7 @@ from .susy import (
     Superpotential,
     ladder_apply,
     lowering_apply,
-    partner_potentials,
+    partner_potential,
     perturbation_residual,
     riccati_image,
     riccati_residual,
@@ -89,7 +89,7 @@ __all__ = [
     "Superpotential",
     "ladder_apply",
     "lowering_apply",
-    "partner_potentials",
+    "partner_potential",
     "perturbation_residual",
     "riccati_image",
     "riccati_residual",

@@ -29,9 +29,9 @@ true level constraint.
 
 Off the constraint surface the closed forms are meaningless, so every
 solution operation validates the surface first and raises
-``ConstraintViolation`` carrying the relative violation.  ``closed_level``
-alone skips the check: a scan reports it to show how far off the surface
-the formulas fail.
+``ConstraintViolation`` carrying the relative violation when it exceeds
+``CONSTRAINT_RTOL``.  ``closed_level`` alone skips the check: a scan reports
+it to show how far off the surface the formulas fail.
 """
 
 from __future__ import annotations
@@ -43,7 +43,9 @@ from .model import (
     DimensionSpec, LaurentForm, PhysicalParams, PotentialParams, require_finite,
 )
 from .susy import ClosedFormState, Superpotential, ladder_apply
-from .tolerances import CONSTRAINT_RTOL
+
+#: relative distance from the coupling surface accepted as "on it"
+CONSTRAINT_RTOL = 1e-10
 
 
 class ConstraintViolation(ValueError):
@@ -317,17 +319,11 @@ def oscillator_view_ground(
     )
 
 
-def dual_view_check(
-    pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams
-) -> dict[str, float]:
-    """Compare both views' energies and wave-function parameters.
-
-    Requires a genuinely mixed problem (a > 0 and c > 0) on the constraint
-    surface; both views are computed and the absolute energy difference plus
-    the maximum relative parameter difference over (q, lam, kap) is returned.
+def dual_view_check(coul: GroundSolution, osc: GroundSolution) -> dict[str, float]:
+    """The absolute energy difference of ``ground_state``'s and
+    ``oscillator_view_ground``'s solutions of one problem (which refuse one
+    off the surface), and their largest relative difference in (q, lam, kap).
     """
-    coul = ground_state(pot, dim, phys)
-    osc = oscillator_view_ground(pot, dim, phys)
     energy_diff = abs(coul.energy.total - osc.energy.total)
     param_diff = 0.0
     for name in ("q", "lam", "kap"):

@@ -119,7 +119,7 @@ WINDOW = 1e-5
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform interior nodes r_i = r_min + i h with r_min = h.
+    """Uniform interior nodes r_i = i h, i = 1..count.
 
     The boundary zeros at r = 0 and r = r_max + h are implied, never stored.
     """
@@ -141,10 +141,6 @@ class RadialGrid:
         if count < 100:
             raise ValueError(f"grid needs at least 100 nodes, got {count}")
         object.__setattr__(self, "count", count)
-
-    @property
-    def r_min(self) -> float:
-        return self.h
 
     @property
     def levels(self) -> int:
@@ -640,13 +636,16 @@ def h_residual(
     not depend on its scale, so a caller can sample a state once and use the
     samples for residuals and overlaps alike.  Three nodes at each boundary
     are excluded so Dirichlet truncation does not pollute the measurement.
+    Both norms are pairwise ``np.add.reduce`` sums of squares, as in
+    ``_refine``, so no BLAS kernel moves their bits; an overflow is an inf.
     """
     hf = hamiltonian_apply(v_eff, f, phys)
     defect = np.multiply(f.values, energy)
     np.subtract(hf.values, defect, out=defect)
     sl = slice(RESIDUAL_TRIM, -RESIDUAL_TRIM)
-    num = float(np.linalg.norm(defect[sl]))
-    den = float(np.linalg.norm(f.values[sl]))
+    with np.errstate(over="ignore"):
+        num = math.sqrt(np.add.reduce(np.multiply(defect, defect, out=defect)[sl]))
+        den = math.sqrt(np.add.reduce(np.multiply(f.values, f.values, out=defect)[sl]))
     if den == 0.0:
         raise ValueError("state vanishes on the interior nodes")
     return num / den

@@ -43,7 +43,7 @@ and multiplies by -A, so D has the leading coefficient
 
     D(A) = prod_k (A - root_k) / prod_{j=0..n-1} step[j].
 
-The roots are real and simple and accurate to ``ROOT_RTOL`` of
+The roots are real and simple and accurate to ``ROOT_RTOL`` (1e-13) of
 the level's largest |root|.  The p_k keep their accuracy where
 back-substitution at a rounded root does not: at b = 5, c = 0.05, M = 11,
 n = 8 that loses every digit of p_0.  A root near A = 0 carries the level's
@@ -66,7 +66,11 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .model import DimensionSpec, PhysicalParams
-from .tolerances import ROOT_RTOL  # the stated root accuracy, see above
+from .susy import ClosedFormState
+
+#: stated accuracy of the qes constraint roots, relative to the largest
+#: |root| of the level (a root near zero is not relatively this accurate)
+ROOT_RTOL = 1e-13
 
 #: maximum supported polynomial degree of the ansatz
 MAX_LEVEL = 8
@@ -238,10 +242,8 @@ def qes_solve(
 def oracle_state(
     solution: OracleSolution, dim: DimensionSpec, phys: PhysicalParams,
     b: float, c: float,
-):
+) -> ClosedFormState:
     """Closed-form state assembled from an oracle solution."""
-    from .susy import ClosedFormState
-
     lam, kap = _exponent_rates(b, c, phys)
     return ClosedFormState(
         poly=solution.poly, q=dim.lam + 1.0, lam=lam, kap=kap

@@ -55,10 +55,6 @@ class Superpotential:
     def __call__(self, r):
         return self.form(r)
 
-    @staticmethod
-    def zero() -> "Superpotential":
-        return Superpotential(LaurentForm({}))
-
 
 @dataclass(frozen=True)
 class ClosedFormState:
@@ -94,10 +90,6 @@ class ClosedFormState:
     @property
     def is_zero(self) -> bool:
         return all(c == 0.0 for c in self.poly)
-
-    @property
-    def normalizable(self) -> bool:
-        return not self.is_zero and self.q > -0.5 and (self.lam > 0 or self.kap > 0)
 
     def __mul__(self, other: "ClosedFormState") -> "ClosedFormState":
         """Pointwise product: polynomials convolve, exponent parameters add."""
@@ -212,13 +204,6 @@ def perturbation_residual(
     return lhs - rhs
 
 
-def partner_potentials(
-    sup: Superpotential, phys: PhysicalParams
-) -> tuple[LaurentForm, LaurentForm]:
-    """Both Riccati images (sign -, sign +); add E0 to recover V-+ proper."""
-    return riccati_image(sup, "-", phys), riccati_image(sup, "+", phys)
-
-
 def ground_energy_of(sup: Superpotential, phys: PhysicalParams) -> float:
     """Energy implied by S for a potential with no constant term.
 
@@ -226,6 +211,14 @@ def ground_energy_of(sup: Superpotential, phys: PhysicalParams) -> float:
     r^0 coefficient, so E0 is minus the constant of the image.
     """
     return -riccati_image(sup, "-", phys).coeff(0)
+
+
+def partner_potential(
+    sup: Superpotential, sign: str, phys: PhysicalParams
+) -> LaurentForm:
+    """V- (sign "-") or V+ (sign "+") proper: the Riccati image with the
+    ground energy E0 = ``ground_energy_of(sup)`` restored."""
+    return riccati_image(sup, sign, phys) + LaurentForm({0: ground_energy_of(sup, phys)})
 
 
 def shape_invariance_compare(
@@ -246,13 +239,7 @@ def shape_invariance_compare(
     """
     if sup0.coeff(1) != sup1.coeff(1):
         raise ValueError("b,c not held fixed")
-    v_plus_0 = riccati_image(sup0, "+", phys) + LaurentForm(
-        {0: ground_energy_of(sup0, phys)}
-    )
-    v_minus_1 = riccati_image(sup1, "-", phys) + LaurentForm(
-        {0: ground_energy_of(sup1, phys)}
-    )
-    diff = v_plus_0 - v_minus_1
+    diff = partner_potential(sup0, "+", phys) - partner_potential(sup1, "-", phys)
     return ShapeInvarianceComparison(
         r_const=diff.coeff(0), mismatch=(-diff).constant_removed()
     )

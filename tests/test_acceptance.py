@@ -96,7 +96,7 @@ def _ground_case(dim, expected_b, expected_e, expected_psi):
     sol = ground_state(pot, dim, PHYS)
     grid = build_grid(pot, dim, PHYS)
     numeric = eigen_lowest(effective_potential(pot, dim, PHYS), grid, PHYS)
-    dual = dual_view_check(pot, dim, PHYS)
+    dual = dual_view_check(sol, oscillator_view_ground(pot, dim, PHYS))
     ok = (
         _close(b, expected_b, 1e-14)
         and _close(sol.energy.total, expected_e, 1e-14)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import pcoulomb
-from pcoulomb import cli, report
+from pcoulomb import cli, exact, report
 from pcoulomb.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_USAGE, dump_json, main
 from pcoulomb.exact import constraint_a, constraint_b, derive_couplings, ground_state
 from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
@@ -474,6 +474,23 @@ def test_verify_samples_each_state_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "--a", "1", "--c", "0.5", "--derive", "b")
     assert code == EXIT_OK
     assert len(sampled) == len({id(state) for state in sampled}) == 3
+
+
+def test_verify_builds_each_view_once(capsys, monkeypatch):
+    # the dual-view checks compare the views the document prints
+    built = {"ground_state": 0, "oscillator_view_ground": 0}
+    for name in built:
+        view = getattr(exact, name)
+
+        def counting(*args, _name=name, _view=view):
+            built[_name] += 1
+            return _view(*args)
+
+        for module in (exact, report):
+            monkeypatch.setattr(module, name, counting)
+    code, _, _ = run_cli(capsys, "verify", "--a", "1", "--c", "0.5", "--derive", "b")
+    assert code == EXIT_OK
+    assert built == {"ground_state": 1, "oscillator_view_ground": 1}
 
 
 @pytest.mark.parametrize(
@@ -1115,6 +1132,25 @@ def test_goldens_under_dispatch_settings(extra_env):
         assert result == default, f"{argv[0]} output moved with dispatch"
 
 
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE=Prescott names an x86_64 kernel")
+def test_oracle_check_does_not_move_with_the_openblas_kernel():
+    # the residual norms are numpy's pairwise sums, not BLAS dot; numpy's
+    # exp/log still move them between SIMD levels, so this run stays out of
+    # the dispatch settings' ungolden runs
+    argv = ["oracle", "--b", "1", "--c", "0.5", "--n", "2", "--check"]
+    outputs = []
+    for extra_env in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        result = subprocess.run(
+            [sys.executable, "-m", "pcoulomb.cli", *argv],
+            capture_output=True, text=True, env=_child_env(extra_env),
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        outputs.append(result.stdout)
+    assert "h_residual" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
 # prints, after each argv, whether the scipy.linalg package and the LAPACK
 # routines of pcoulomb.numerics have been loaded so far
 _LAPACK_CHILD = """
@@ -1203,3 +1239,17 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["views"]["coulomb"]["E"] == 1.0
+
+
+def test_version_lives_in_the_package_only():
+    # the metadata reads pcoulomb.__version__; pyproject.toml spells no copy
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools calls [tool.setuptools] beta
+        raw = read_configuration(pyproject, expand=False)
+        resolved = read_configuration(pyproject)
+    assert "version" not in raw["project"]
+    assert raw["project"]["dynamic"] == ["version"]
+    assert resolved["project"]["version"] == pcoulomb.__version__

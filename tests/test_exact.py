@@ -227,7 +227,9 @@ def test_dual_view_check_reference_cases():
         (PotentialParams(a=1.0, b=1.0, c=0.5), DIM3),
         (PotentialParams(a=1.0, b=0.5, c=0.5), DIM5),
     ):
-        report = dual_view_check(pot, dim, PHYS)
+        report = dual_view_check(
+            ground_state(pot, dim, PHYS), oscillator_view_ground(pot, dim, PHYS)
+        )
         assert report["energy_diff"] <= 1e-12
         assert report["psi_param_diff"] <= 1e-12
 
@@ -270,9 +272,11 @@ def test_dual_view_equality_with_random_units():
 
 
 def test_dual_view_check_refuses_off_surface():
+    # dual_view_check compares built views; both constructors refuse
     pot = PotentialParams(a=1.0, b=2.0, c=0.5)
-    with pytest.raises(ConstraintViolation):
-        dual_view_check(pot, DIM3, PHYS)
+    for view in (ground_state, oscillator_view_ground):
+        with pytest.raises(ConstraintViolation):
+            view(pot, DIM3, PHYS)
 
 
 def test_psi_parameter_identities():

@@ -11,7 +11,7 @@ from pcoulomb.susy import (
     ground_energy_of,
     ladder_apply,
     lowering_apply,
-    partner_potentials,
+    partner_potential,
     perturbation_residual,
     riccati_image,
     riccati_residual,
@@ -97,7 +97,7 @@ def test_riccati_image_sign_difference_is_derivative_term():
 
 def test_riccati_image_bad_sign():
     with pytest.raises(ValueError):
-        riccati_image(Superpotential.zero(), "x", PHYS)
+        riccati_image(Superpotential(LaurentForm({})), "x", PHYS)
 
 
 def test_riccati_image_matches_grid_curvature():
@@ -163,17 +163,22 @@ def test_perturbation_residual_detects_off_surface_b():
 
 def test_perturbation_residual_identity_case():
     res = perturbation_residual(
-        Superpotential.zero(), Superpotential.zero(), LaurentForm({}), 0.0, PHYS
+        Superpotential(LaurentForm({})), Superpotential(LaurentForm({})), LaurentForm({}),
+        0.0, PHYS,
     )
     assert res.is_zero
 
 
 # -- partner potentials -------------------------------------------------------
 
+def _images(sup):
+    return riccati_image(sup, "-", PHYS), riccati_image(sup, "+", PHYS)
+
+
 def test_partner_potentials_full_problem():
     pot = PotentialParams(a=1.0, b=1.0, c=0.5)
     sol = ground_state(pot, DIM3, PHYS)
-    minus, plus = partner_potentials(sol.w + sol.dw, PHYS)
+    minus, plus = _images(sol.w + sol.dw)
     assert minus.coeff(-1) == pytest.approx(-1.0)
     assert minus.coeff(1) == pytest.approx(1.0)
     assert minus.coeff(2) == pytest.approx(0.5)
@@ -189,7 +194,7 @@ def test_partner_potentials_pure_oscillator_barrier_shift():
     sup = Superpotential(
         LaurentForm({1: math.sqrt(0.5), -1: -(lam + 1) / SQ2})
     )
-    minus, plus = partner_potentials(sup, PHYS)
+    minus, plus = _images(sup)
     diff = plus - minus
     # barrier advances by 2(Lambda+1) units of hbar^2/2m
     assert diff.coeff(-2) == pytest.approx(2.0 * (lam + 1) * PHYS.kinetic)
@@ -198,9 +203,26 @@ def test_partner_potentials_pure_oscillator_barrier_shift():
 
 def test_partner_potentials_constant_superpotential():
     sup = Superpotential(LaurentForm({0: 0.7}))
-    minus, plus = partner_potentials(sup, PHYS)
+    minus, plus = _images(sup)
     assert minus.as_dict() == pytest.approx({0: 0.49})
     assert plus.as_dict() == pytest.approx({0: 0.49})
+
+
+def test_partner_potential_restores_the_ground_energy():
+    # V- proper is the potential itself; V+ is its image plus the same E0
+    pot = PotentialParams(a=1.0, b=1.0, c=0.5)
+    sol = ground_state(pot, DIM3, PHYS)
+    sup = sol.w + sol.dw
+    v_minus = partner_potential(sup, "-", PHYS)
+    assert (v_minus - effective_potential(pot, DIM3, PHYS)).max_abs_coeff() <= 1e-14
+    assert ground_energy_of(sup, PHYS) == pytest.approx(sol.energy.total, abs=1e-14)
+    v_plus, image = partner_potential(sup, "+", PHYS), riccati_image(sup, "+", PHYS)
+    assert v_plus.powers() == image.powers()
+    for p in image.powers():
+        expected = image.coeff(p) + (sol.energy.total if p == 0 else 0.0)
+        assert v_plus.coeff(p) == pytest.approx(expected, abs=1e-14)
+    with pytest.raises(ValueError):
+        partner_potential(sup, "x", PHYS)
 
 
 # -- shape invariance ---------------------------------------------------------
@@ -271,7 +293,7 @@ def test_ladder_apply_degree_and_power_bookkeeping():
 
 def test_ladder_apply_zero_superpotential_is_pure_derivative():
     seed = ClosedFormState(poly=(1.0,), q=2.0, lam=1.0, kap=0.5)
-    out = ladder_apply(Superpotential.zero(), seed, PHYS)
+    out = ladder_apply(Superpotential(LaurentForm({})), seed, PHYS)
     radii = np.linspace(0.4, 3.0, 13)
     expected = -PHYS.deriv_scale * fd_derivative(seed.evaluate, radii)
     np.testing.assert_allclose(out.evaluate(radii), expected, rtol=1e-8)
@@ -290,7 +312,7 @@ def test_ladder_apply_matches_grid_application():
 def test_ladder_apply_requires_regular_state():
     state = ClosedFormState(poly=(1.0,), q=0.0, lam=1.0, kap=0.0)
     with pytest.raises(ValueError, match="regular at the origin"):
-        ladder_apply(Superpotential.zero(), state, PHYS)
+        ladder_apply(Superpotential(LaurentForm({})), state, PHYS)
 
 
 def test_lowering_annihilates_ground_state():

@@ -16,10 +16,11 @@ process each.
 Prints, per command, how many benchmark requests gave identical (exit code,
 stdout, stderr), the same tally for the ``EXTRA`` group, then the first
 differing line of each differing request, then, per numeric field, how many
-differing requests moved it and its largest absolute move over them.  The
-fields are the check values of ``verify --out json`` (by check name), the
-``eig`` eigenvalues and the ``sweep`` CSV columns.  Exits 0 when every
-request of both groups is identical and 1 otherwise.
+differing requests moved it and its largest absolute and relative moves over
+them.  The fields are the check values of ``verify --out json`` (by check
+name), the ``eig`` eigenvalues, each ``oracle`` entry's ``a_root``, ``E`` and
+``h_residual``, and the ``sweep`` CSV columns.  Exits 0 when every request
+of both groups is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -170,6 +171,10 @@ def _fields(command: str, stdout: str) -> dict[str, list[float]]:
             return {c["name"]: _numbers(c["value"]) for c in json.loads(stdout)["checks"]}
         if command == "eig":
             return {"eigenvalues": _numbers(json.loads(stdout)["eigenvalues"])}
+        if command == "oracle":
+            entries = json.loads(stdout)
+            return {name: _numbers([entry.get(name) for entry in entries])
+                    for name in ("a_root", "E", "h_residual")}
         if command == "sweep":
             header, *rows = csv.reader(stdout.splitlines())
             return {name: [float(row[i]) for row in rows] for i, name in enumerate(header)}
@@ -179,8 +184,8 @@ def _fields(command: str, stdout: str) -> dict[str, list[float]]:
 
 
 def _moves(command: str, old, new, moves: dict) -> None:
-    """Adds to ``moves`` (field -> [requests moved, largest move]) the
-    fields of one differing request whose values moved."""
+    """Adds to ``moves`` (field -> [requests moved, largest move, largest
+    relative move]) the fields of one differing request whose values moved."""
     old_fields, new_fields = _fields(command, old[1]), _fields(command, new[1])
     for name, a in old_fields.items():
         b = new_fields.get(name)
@@ -188,9 +193,11 @@ def _moves(command: str, old, new, moves: dict) -> None:
             continue
         move = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
         if move > 0.0:
-            entry = moves.setdefault(f"{command} {name}", [0, 0.0])
+            relative = max(abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y)
+            entry = moves.setdefault(f"{command} {name}", [0, 0.0, 0.0])
             entry[0] += 1
             entry[1] = max(entry[1], move)
+            entry[2] = max(entry[2], relative)
 
 
 def main(argv: list[str]) -> int:
@@ -219,9 +226,9 @@ def main(argv: list[str]) -> int:
     for line in diffs:
         print(line)
     if diffs:
-        print("fields moved (requests, largest absolute move):")
-        for name, (count, move) in sorted(moves.items()):
-            print(f"    {name:<48}{count:>5}  {move:.3g}")
+        print("fields moved (requests, largest absolute and relative moves):")
+        for name, (count, move, relative) in sorted(moves.items()):
+            print(f"    {name:<48}{count:>5}  {move:.3g}  {relative:.3g}")
     return 1 if diffs else 0
 
 
