@@ -74,11 +74,13 @@ class GroundSolution:
 
     psi is the product of the solvable factor chi and the moderating factor
     phi; the factors' polynomial and exponent parameters combine exactly.
+    dv is the correction: the potential minus the view's solvable part.
     """
 
     view: str
     w: Superpotential
     dw: Superpotential
+    dv: LaurentForm
     chi: ClosedFormState
     phi: ClosedFormState
     psi: ClosedFormState
@@ -277,6 +279,7 @@ def ground_state(
         view="coulomb",
         w=w,
         dw=dw,
+        dv=LaurentForm({1: pot.b, 2: pot.c}),
         chi=chi,
         phi=phi,
         psi=chi * phi,
@@ -312,6 +315,7 @@ def oscillator_view_ground(
         view="oscillator",
         w=w,
         dw=dw,
+        dv=LaurentForm({-1: -pot.a, 1: pot.b}),
         chi=chi,
         phi=phi,
         psi=chi * phi,

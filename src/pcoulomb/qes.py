@@ -77,31 +77,6 @@ MAX_LEVEL = 8
 
 
 @dataclass(frozen=True)
-class RecursionSystem:
-    """Banded linear system in (p_k) parameterized by the Coulomb strength A.
-
-    Row j (j = -1 .. n-1) reads
-        curvature[j] * p_{j+2} + (A + shift[j]) * p_{j+1} + step[j] * p_j = 0
-    with curvature[j] = T[(j+2)(j+1) + 2(Lambda+1)(j+2)],
-    shift[j] = -a0 - 2 T lam (j+1) and step[j] = 4 T kap (n-j).
-    """
-
-    n: int
-    lam_exp: float
-    kap_exp: float
-    kinetic: float
-    a0: float
-    curvature: tuple[float, ...]
-    shift: tuple[float, ...]
-    step: tuple[float, ...]
-
-    def row(self, j: int) -> tuple[float, float, float]:
-        """Coefficients (of p_{j+2}, constant part on p_{j+1}, of p_j) for row j."""
-        i = j + 1
-        return self.curvature[i], self.shift[i], self.step[i]
-
-
-@dataclass(frozen=True)
 class OracleSolution:
     """One admissible Coulomb strength with its exact level-n state."""
 
@@ -130,8 +105,11 @@ def level_energy(
 
 def oracle_reduce(
     b: float, c: float, dim: DimensionSpec, phys: PhysicalParams, n: int
-) -> RecursionSystem:
-    """Reduce the radial equation to the banded system described above."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The recursion of the module docstring as three float arrays
+    (curvature, shift, step) of length n + 1: entry j + 1 holds row j's
+    coefficient of p_{j+2}, the constant part (A + shift) of its coefficient
+    of p_{j+1}, and its coefficient of p_j."""
     if c <= 0:
         raise ValueError("oracle requires a confining quadratic term (c > 0)")
     if b < 0:
@@ -140,24 +118,11 @@ def oracle_reduce(
         raise ValueError(f"level must be in 0..{MAX_LEVEL}, got {n}")
     t = phys.kinetic
     lam, kap = _exponent_rates(b, c, phys)
-    a0 = 2.0 * t * lam * (dim.lam + 1.0)
-    curvature = []
-    shift = []
-    step = []
-    for j in range(-1, n):
-        curvature.append(t * ((j + 2) * (j + 1) + 2.0 * (dim.lam + 1.0) * (j + 2)))
-        shift.append(-a0 - 2.0 * t * lam * (j + 1))
-        step.append(4.0 * t * kap * (n - j))
-    return RecursionSystem(
-        n=n,
-        lam_exp=lam,
-        kap_exp=kap,
-        kinetic=t,
-        a0=a0,
-        curvature=tuple(curvature),
-        shift=tuple(shift),
-        step=tuple(step),
-    )
+    j = np.arange(-1, n)
+    curvature = t * ((j + 2) * (j + 1) + 2.0 * (dim.lam + 1.0) * (j + 2))
+    shift = -(2.0 * t * lam * (dim.lam + 1.0)) - 2.0 * t * lam * (j + 1)
+    step = 4.0 * t * kap * (n - j)
+    return curvature, shift, step
 
 
 def qes_constraint_polynomial(
@@ -171,10 +136,10 @@ def qes_constraint_polynomial(
     coefficient is positive.  A D that is not finite (the product of steps
     underflows at tiny couplings) is a ValueError, not a RuntimeWarning.
     """
-    system = oracle_reduce(b, c, dim, phys, n)
-    roots, _ = _eigenpairs(system)
+    curvature, shift, step = oracle_reduce(b, c, dim, phys, n)
+    roots, _ = _eigenpairs(curvature, shift, step, n)
     with np.errstate(all="ignore"):
-        coefficients = npoly.polyfromroots(roots) / math.prod(system.step[1:])
+        coefficients = npoly.polyfromroots(roots) / math.prod(step[1:])
     if not np.all(np.isfinite(coefficients)):
         raise ValueError(
             f"level n = {n}: a coefficient of the constraint polynomial D"
@@ -182,10 +147,12 @@ def qes_constraint_polynomial(
     return coefficients
 
 
-def _eigenpairs(system: RecursionSystem) -> tuple[np.ndarray, np.ndarray]:
+def _eigenpairs(
+    curvature: np.ndarray, shift: np.ndarray, step: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Roots of D, ascending, and the monic coefficient columns p_0 .. p_n.
 
-    Row i = j+1 of the recursion reads
+    Takes ``oracle_reduce``'s arrays and the level n.  Row i = j+1 reads
         A p_i = -shift[i] p_i - curvature[i] p_{i+1} - step[i] p_{i-1},
     so the admissible A are the eigenvalues of the tridiagonal matrix M with
     diagonal -shift and off-diagonals -curvature[i], -step[i+1], and p is
@@ -196,10 +163,9 @@ def _eigenpairs(system: RecursionSystem) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors divided by scale are those of M.  A scale that overflows
     (tiny couplings, or a tiny hbar) is a ValueError, not a RuntimeWarning.
     """
-    curvature = np.array(system.curvature[:-1])
-    step = np.array(system.step[1:])
+    curvature, step = curvature[:-1], step[1:]
     off = -np.sqrt(curvature * step)
-    jacobi = np.diag(np.negative(system.shift)) + np.diag(off, 1) + np.diag(off, -1)
+    jacobi = np.diag(np.negative(shift)) + np.diag(off, 1) + np.diag(off, -1)
     roots, vectors = np.linalg.eigh(jacobi)
     with np.errstate(all="ignore"):
         scale = np.concatenate(([1.0], np.cumprod(np.sqrt(curvature / step))))
@@ -207,7 +173,7 @@ def _eigenpairs(system: RecursionSystem) -> tuple[np.ndarray, np.ndarray]:
         polys /= polys[-1]
     if not np.all(np.isfinite(polys)):
         raise ValueError(
-            f"level n = {system.n}: a polynomial coefficient p_0 .. p_{system.n}"
+            f"level n = {n}: a polynomial coefficient p_0 .. p_{n}"
             " is not finite in double precision")
     return roots, polys
 
@@ -227,9 +193,9 @@ def qes_solve(
     distinct eigenfunctions with at most n zeros have 0, 1, .., n zeros in
     ascending order of A.
     """
-    system = oracle_reduce(b, c, dim, phys, n)
+    curvature, shift, step = oracle_reduce(b, c, dim, phys, n)
     energy = level_energy(b, c, dim, phys, n)
-    roots, polys = _eigenpairs(system)
+    roots, polys = _eigenpairs(curvature, shift, step, n)
     return [
         OracleSolution(
             n=n, a_root=float(roots[k]), poly=tuple(float(p) for p in polys[:, k]),

@@ -131,6 +131,7 @@ def test_c06_riccati_exactness_both_views():
             (coul, LaurentForm({1: pot.b, 2: pot.c})),
             (osc, LaurentForm({-1: -pot.a, 1: pot.b})),
         ):
+            assert sol.dv == dv
             r1 = riccati_residual(sol.w + sol.dw, v_eff, sol.energy.total, PHYS)
             r2 = perturbation_residual(sol.w, sol.dw, dv, sol.energy.delta_epsilon, PHYS)
             ok = ok and r1.max_abs_coeff() <= 1e-12 and r2.max_abs_coeff() <= 1e-12

@@ -1004,6 +1004,28 @@ def test_cli_computes_nothing_itself():
     assert {"report", "exact", "model"} <= modules
 
 
+def test_oracles_import_nothing_of_the_construction():
+    # qes and numerics take from the package only the model and the state
+    # type, so neither sees how a closed-form claim was built
+    import ast
+
+    import pcoulomb
+
+    package = Path(pcoulomb.__file__).parent
+    for module in ("qes", "numerics"):
+        tree = ast.parse((package / f"{module}.py").read_text())
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        local = {node.module: {alias.name for alias in node.names}
+                 for node in imports if isinstance(node, ast.ImportFrom) and node.level}
+        assert set(local) <= {"model", "susy"}, module
+        assert local.get("susy", {"ClosedFormState"}) == {"ClosedFormState"}, module
+        names = {alias.name for node in imports for alias in node.names}
+        names |= {node.module for node in imports
+                  if isinstance(node, ast.ImportFrom) and node.module}
+        assert not {n for n in names if n.split(".")[-1] in ("exact", "report", "cli")}, module
+
+
 GRID_INFO_CHECKS = (
     "ladder_level1_residual_advanced_a",
     "ladder_level1_residual_fixed_a",

@@ -26,32 +26,43 @@ ANTI_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
 # -- reduction ------------------------------------------------------------------
 
+def _rates(b, c, dim):
+    """The exponent rates (lam, kap) of the ansatz, read off an oracle state."""
+    state = oracle_state(qes_solve(b, c, dim, PHYS, 0)[0], dim, PHYS, b, c)
+    return state.lam, state.kap
+
+
 def test_oracle_reduce_exponent_rates():
-    system = oracle_reduce(1.0, 0.5, DIM3, PHYS, 1)
-    assert system.lam_exp == pytest.approx(1.0)
-    assert system.kap_exp == pytest.approx(0.5)
-    assert system.a0 == pytest.approx(1.0)
+    lam, kap = _rates(1.0, 0.5, DIM3)
+    _, shift, _ = oracle_reduce(1.0, 0.5, DIM3, PHYS, 1)
+    assert lam == pytest.approx(1.0)
+    assert kap == pytest.approx(0.5)
+    # row j = -1 (entry 0) has shift -a0
+    assert -shift[0] == pytest.approx(1.0)
 
 
 def test_oracle_reduce_level0_single_condition():
-    system = oracle_reduce(1.0, 0.5, DIM3, PHYS, 0)
-    curv, shift, step = system.row(-1)
-    # row reads: curv * p_1 + (A + shift) * p_0 + step * p_{-1} = 0 with
+    curvature, shift, step = oracle_reduce(1.0, 0.5, DIM3, PHYS, 0)
+    for row in (curvature, shift, step):
+        assert row.dtype == np.float64 and row.shape == (1,)
+    # row -1 reads: curv * p_1 + (A + shift) * p_0 + step * p_{-1} = 0 with
     # p_1 = p_{-1} = 0, so the condition is A = a0
-    assert shift == pytest.approx(-system.a0)
-    assert curv == pytest.approx(2.0 * PHYS.kinetic * (DIM3.lam + 1.0))
+    lam, _ = _rates(1.0, 0.5, DIM3)
+    a0 = 2.0 * PHYS.kinetic * lam * (DIM3.lam + 1.0)
+    assert shift[0] == pytest.approx(-a0)
+    assert curvature[0] == pytest.approx(2.0 * PHYS.kinetic * (DIM3.lam + 1.0))
 
 
 def test_oracle_reduce_level1_conditions():
-    system = oracle_reduce(1.0, 0.5, DIM3, PHYS, 1)
-    # top interior row j=0: [A - a0 - 2T lam] p_1 + 4T kap p_0 = 0
-    _, shift0, step0 = system.row(0)
-    assert shift0 == pytest.approx(-(system.a0 + 2.0 * system.kinetic * system.lam_exp))
-    assert step0 == pytest.approx(1.0)
-    # bottom row j=-1: 2T(Lambda+1) p_1 + (A - a0) p_0 = 0
-    curv1, shift1, _ = system.row(-1)
-    assert curv1 == pytest.approx(1.0)
-    assert shift1 == pytest.approx(-system.a0)
+    curvature, shift, step = oracle_reduce(1.0, 0.5, DIM3, PHYS, 1)
+    t, (lam, _) = PHYS.kinetic, _rates(1.0, 0.5, DIM3)
+    a0 = 2.0 * t * lam * (DIM3.lam + 1.0)
+    # top interior row j=0 (entry 1): [A - a0 - 2T lam] p_1 + 4T kap p_0 = 0
+    assert shift[1] == pytest.approx(-(a0 + 2.0 * t * lam))
+    assert step[1] == pytest.approx(1.0)
+    # bottom row j=-1 (entry 0): 2T(Lambda+1) p_1 + (A - a0) p_0 = 0
+    assert curvature[0] == pytest.approx(1.0)
+    assert shift[0] == pytest.approx(-a0)
 
 
 def test_oracle_reduce_validates_inputs():
@@ -61,6 +72,13 @@ def test_oracle_reduce_validates_inputs():
         oracle_reduce(-1.0, 0.5, DIM3, PHYS, 1)
     with pytest.raises(ValueError):
         oracle_reduce(1.0, 0.5, DIM3, PHYS, MAX_LEVEL + 1)
+
+
+@pytest.mark.parametrize("solver", [qes_solve, qes_constraint_polynomial])
+def test_solvers_validate_before_computing(solver):
+    # c = 0 is refused as an input, not hit as a division by zero
+    with pytest.raises(ValueError, match="confining"):
+        solver(1.0, 0.0, DIM3, PHYS, 1)
 
 
 # -- constraint polynomial --------------------------------------------------------
@@ -89,8 +107,7 @@ def test_constraint_polynomial_level1_vieta():
         c = rng.uniform(0.2, 4.0)
         m = int(rng.integers(2, 11))
         dim = dimension_reduce(m, 0)
-        system = oracle_reduce(b, c, dim, PHYS, 1)
-        t, lam, kap = system.kinetic, system.lam_exp, system.kap_exp
+        t, (lam, kap) = PHYS.kinetic, _rates(b, c, dim)
         expected = 4.0 * t**2 * (
             lam**2 * (dim.lam + 1.0) * (dim.lam + 2.0) - 2.0 * kap * (dim.lam + 1.0)
         )
@@ -230,11 +247,17 @@ def test_reference_potential_has_second_exact_level():
 
 def test_qes_null_vector_satisfies_all_rows():
     # back-substituted coefficients must satisfy the skipped row too
-    system = oracle_reduce(0.8, 1.7, DIM3, PHYS, 3)
-    for sol in qes_solve(0.8, 1.7, DIM3, PHYS, 3):
+    # rows j = -1 .. n-1 from the module docstring's formulas
+    b, c, n = 0.8, 1.7, 3
+    t, big_lam = PHYS.kinetic, DIM3.lam
+    lam, kap = _rates(b, c, DIM3)
+    a0 = 2.0 * t * lam * (big_lam + 1.0)
+    for sol in qes_solve(b, c, DIM3, PHYS, n):
         p = list(sol.poly) + [0.0, 0.0]
-        for j in range(-1, 3):
-            curv, shift, step = system.row(j)
+        for j in range(-1, n):
+            curv = t * ((j + 2) * (j + 1) + 2.0 * (big_lam + 1.0) * (j + 2))
+            shift = -a0 - 2.0 * t * lam * (j + 1)
+            step = 4.0 * t * kap * (n - j)
             pj = p[j] if j >= 0 else 0.0
             residual = curv * p[j + 2] + (sol.a_root + shift) * p[j + 1] + step * pj
             assert abs(residual) <= 1e-9 * max(1.0, max(abs(x) for x in p))
@@ -267,7 +290,7 @@ def test_node_counts_match_grid_sign_changes(b, c, n_dim, ell):
     # P is sampled densely over 12 oscillator lengths, then geometrically out
     # to its Cauchy bound, beyond which P has no zeros
     dim = dimension_reduce(n_dim, ell)
-    kap = oracle_reduce(b, c, dim, PHYS, 0).kap_exp
+    _, kap = _rates(b, c, dim)
     extent = 12.0 / math.sqrt(kap)
     near = np.linspace(0.0, extent, 200_001)[1:]
     for n in range(MAX_LEVEL + 1):

@@ -48,7 +48,9 @@ SEEDS = range(1, 11)
 #: starting on 16h; the two range errors of eig --k; and output paths of the
 #: formatting layer: the solve table, oracle without --check, a verify
 #: table with a FAIL (exit 3), and two sweeps whose second row is rejected
-#: (a non-finite cell, and no closed form at c = 0) with stdout left empty
+#: (a non-finite cell, and no closed form at c = 0) with stdout left empty;
+#: ansatz paths: the b = 0 family, level 0, MAX_LEVEL without --check, a
+#: level above it, a level whose p_k overflow at tiny couplings, and c = 0
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
@@ -81,6 +83,12 @@ EXTRA = [argv.split() for argv in (
     "verify --a 1 --c 0.5 --derive b --rmax 20 --h 0.1",
     "sweep --sweep b=1,3e4 --c 1e-300 --rmax 20 --h 0.01",
     "sweep --sweep c=0.5,0 --a 1 --derive b",
+    "oracle --b 0 --c 0.5 --N 3 --l 0 --n 3",
+    "oracle --b 1 --c 0.5 --N 3 --l 0 --n 0",
+    "oracle --b 5 --c 0.05 --N 7 --l 2 --n 8",
+    "oracle --b 1 --c 0.5 --n 9",
+    "oracle --b 1e-300 --c 1e-300 --n 8",
+    "oracle --b 1 --c 0 --n 1",
 )]
 
 # runs the argvs of stdin under ROOT's package and prints
