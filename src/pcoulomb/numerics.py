@@ -38,14 +38,16 @@ the iterate itself.  Seeds come from the coarser grids only, never from a
 closed form, so this oracle stays independent of the constructions it
 checks.
 
-The chain's steps are powers of two times its finest step, so the
-potential is sampled once, on the finest grid, and each coarser diagonal is
-a strided view of the samples, bit for bit the grid's own (the finest
-grid's is written over them).  The factors, iterates and T x of every
-refinement share work arrays allocated once per ``eigen_lowest`` call,
-sized for its finest grid and freed when it returns; they are written by
-in-place ufuncs in the order of the plain expressions, so the bits do not
-depend on them.
+Every grid of the chain is every s-th node of its finest grid, s a power
+of two: for an h grid of count nodes, the grid of step s h has count // s
+nodes, and the h/2 grid has 2 count + 1, so the Richardson pair shares its
+far zero (count + 1) h.  The potential is sampled once, at the finest
+grid's nodes, and each coarser diagonal is a strided view of the samples,
+bit for bit the grid's own (the finest grid's is written over them).  The
+factors, iterates and T x of every refinement share work arrays allocated
+once per ``eigen_lowest`` call, sized for its finest grid and freed when
+it returns; they are written by in-place ufuncs in the order of the plain
+expressions, so the bits do not depend on them.
 
 LAPACK comes from scipy's extension module ``scipy/linalg/_flapack``, which
 ``_lapack`` loads on its own (see there): the solver calls only ``dstebz``
@@ -55,10 +57,10 @@ command imports the ``scipy.linalg`` package; one imported later binds
 ``_flapack``.
 
 Quadrature is composite trapezoid throughout.  The grid functions (a
-closed-form state's samples, H f, the defect of a residual, the pair sums
-of a quadrature) are written into arrays of their own by in-place ufuncs in
-the order of the plain expressions, so their bits are those expressions',
-and a grid computes its nodes once and keeps them read-only.
+closed-form state's samples, H f, the defect of a residual) are written
+into arrays of their own by in-place ufuncs in the order of the plain
+expressions, so their bits are those expressions', and a grid computes its
+nodes once and keeps them read-only.
 
 Validity note for half-integer Lambda (even M): the leading r^(Lambda+1)
 behavior is non-smooth at the origin, so pointwise residual diagnostics
@@ -158,7 +160,9 @@ class RadialGrid:
         return nodes
 
     def halved(self) -> "RadialGrid":
-        return RadialGrid(r_max=self.r_max, h=self.h / 2.0)
+        """The grid of step h/2 with 2 count + 1 nodes: its node 2i is node i
+        of this grid, and both end at the far zero (count + 1) h."""
+        return RadialGrid(r_max=self.h * (self.count + 0.5), h=self.h / 2.0)
 
 
 @dataclass(frozen=True)
@@ -301,26 +305,13 @@ def hamiltonian_apply(
     return GridFunction(grid=f.grid, values=out)
 
 
-def _chain_samples(v_eff: LaurentForm, links: list[RadialGrid]) -> np.ndarray:
-    """``v_eff`` at the nodes of the last grid of ``links``, out to the
-    furthest node of any grid of ``links`` (a coarse grid can end past the
-    last one).
-
-    Every step of ``links`` is a power of two times the last grid's, so node
-    i of a grid of step s h is node s i of the last grid, the same double,
-    and the samples hold every grid's potential (``_chain_matrices``).
-    """
-    fine = links[-1].h
-    extent = max(round(link.h / fine) * link.count for link in links)
-    return v_eff(fine * np.arange(1, extent + 1))
-
-
 def _chain_matrices(samples: np.ndarray, links: list[RadialGrid], phys: PhysicalParams):
     """Yields (diag, off) of each grid of ``links`` in turn: the diagonal,
-    2T/h^2 plus a strided view of ``_chain_samples``, and the one
-    off-diagonal value -T/h^2.  The coarser grids' diagonals share one
-    array; the last grid's is written over its own samples, which no grid
-    needs after it."""
+    2T/h^2 plus a strided view of ``samples``, the potential at the last
+    grid's nodes (each grid is every s-th node of it, the same doubles),
+    and the one off-diagonal value -T/h^2.  The coarser grids' diagonals
+    share one array; the last grid's is written over its own samples,
+    which no grid needs after it."""
     t, fine = phys.kinetic, links[-1].h
     coarse = np.empty(max((link.count for link in links[:-1]), default=0))
     for link in links:
@@ -534,8 +525,8 @@ def eigen_lowest(
     docstring, the coarse grids ``_coarse_grids`` gives for it, then h; with
     ``richardson`` also h -> h/2, and the pair is extrapolated over (h, h/2),
     pushing the discretization error from O(h^2) to O(h^4).  The potential
-    is sampled once, on the finest grid of the chain, and each grid's
-    diagonal is a strided view of it (``_chain_samples``).  The factors,
+    is sampled once, at the finest grid's own nodes, and each grid's
+    diagonal is a strided view of it (``_chain_matrices``).  The factors,
     iterates and T x live in work arrays allocated once per call, sized for
     its finest grid and freed with it; a returned vector is a copy.  Several
     levels (``eig --k``) are one call each, each sampling the potential
@@ -561,7 +552,7 @@ def eigen_lowest(
 
     coarse = _coarse_grids(grid, level + 1)
     links = [*coarse, grid, *([grid.halved()] if richardson else [])]
-    samples = _chain_samples(v_eff, links)
+    samples = v_eff(links[-1].nodes)
     # rows d, l, x and T x of _refine, as long as the last grid's, which has
     # the most nodes; made after the sampling has freed its temporaries,
     # and the samples are freed with the generator
@@ -589,16 +580,18 @@ def eigen_lowest(
 
 
 def _coarse_grids(grid: RadialGrid, levels: int) -> list[RadialGrid]:
-    """The grids of step COARSEN**3 * h, COARSEN**2 * h and COARSEN * h,
+    """The grids of step s h, s = COARSEN**3, COARSEN**2 and COARSEN,
     coarsest first, that resolve the lowest ``levels`` levels as
     ``eigen_lowest`` asks of any grid: at least 100 nodes, and
-    ``RadialGrid.levels`` of at least ``levels``.  The grid of step
-    COARSEN**3 * h is offered only up to COARSEST_LEVELS levels.  A coarser grid drops out first, so the grids for more levels
-    are a tail of those for fewer."""
+    ``RadialGrid.levels`` of at least ``levels``.  Each is every s-th node
+    of ``grid``: ``grid.count // s`` nodes.  The grid of step COARSEN**3 * h
+    is offered only up to COARSEST_LEVELS levels.  A coarser grid drops out
+    first, so the grids for more levels are a tail of those for fewer."""
     coarse = []
     for power in (3, 2, 1) if levels <= COARSEST_LEVELS else (2, 1):
+        stride = COARSEN**power
         try:
-            candidate = RadialGrid(r_max=grid.r_max, h=COARSEN**power * grid.h)
+            candidate = RadialGrid(r_max=grid.count // stride * stride * grid.h, h=stride * grid.h)
         except ValueError:
             continue
         if levels <= candidate.levels:

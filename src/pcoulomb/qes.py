@@ -95,14 +95,6 @@ def _exponent_rates(
     return lam, kap
 
 
-def level_energy(
-    b: float, c: float, dim: DimensionSpec, phys: PhysicalParams, n: int
-) -> float:
-    """Energy forced by the top power of the reduced equation."""
-    scale = phys.hbar * math.sqrt(c) / math.sqrt(2.0 * phys.mass)
-    return -b**2 / (4.0 * c) + scale * (2.0 * (n + dim.lam) + 3.0)
-
-
 def oracle_reduce(
     b: float, c: float, dim: DimensionSpec, phys: PhysicalParams, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,7 +186,10 @@ def qes_solve(
     ascending order of A.
     """
     curvature, shift, step = oracle_reduce(b, c, dim, phys, n)
-    energy = level_energy(b, c, dim, phys, n)
+    # the top power of the reduced equation forces the energy; oracle_reduce
+    # has checked c > 0
+    scale = phys.hbar * math.sqrt(c) / math.sqrt(2.0 * phys.mass)
+    energy = -b**2 / (4.0 * c) + scale * (2.0 * (n + dim.lam) + 3.0)
     roots, polys = _eigenpairs(curvature, shift, step, n)
     return [
         OracleSolution(

@@ -16,6 +16,7 @@ from pcoulomb.exact import (
     dual_view_check,
     ground_state,
     hierarchy_states,
+    level_energy,
     level_spacing,
     level_superpotential,
     oscillator_view_ground,
@@ -29,7 +30,7 @@ from pcoulomb.model import (
     effective_potential,
 )
 from pcoulomb.numerics import RadialGrid, build_grid, eigen_lowest, evaluate_state, h_residual
-from pcoulomb.qes import level_energy, oracle_state, qes_solve
+from pcoulomb.qes import oracle_state, qes_solve
 from pcoulomb.susy import perturbation_residual, riccati_residual, shape_invariance_compare
 
 PHYS = PhysicalParams()

@@ -622,7 +622,7 @@ def test_eig_k_is_checked_before_any_solve(flags, message, capsys, monkeypatch):
     def no_solve(*_args):
         raise AssertionError("an eigensolve ran")
 
-    monkeypatch.setattr(numerics, "_chain_samples", no_solve)
+    monkeypatch.setattr(numerics, "_chain_matrices", no_solve)
     monkeypatch.setattr(numerics, "_index_solve", no_solve)
     code, out, err = run_cli(capsys, "eig", "--a", "1", "--c", "0.5", "--derive", "b", *flags)
     assert (code, out, err) == (EXIT_USAGE, "", f"pcoulomb: error: {message}\n")

@@ -979,18 +979,20 @@ def _links(grid, richardson):
 @pytest.mark.parametrize("r_max, h", [(None, None), (19.992, 0.001)])
 @pytest.mark.parametrize("richardson", [False, True])
 def test_chain_diagonals_are_each_grids_own(r_max, h, richardson):
-    # the potential sampled once on the finest grid gives every grid's
-    # matrix bit for bit.  At r_max 19.992, h 0.001 a coarse grid (16h)
-    # ends at 20.0, past the finest grid, so the samples reach beyond it
+    # the potential sampled once at the finest grid's nodes gives every
+    # grid's matrix bit for bit: each grid is every s-th node of the finest,
+    # also at r_max 19.992, h 0.001, where r_max / h is no multiple of 64
     dim = dimension_reduce(5, 0)  # a barrier term: every power -2..2
     pot = PotentialParams(a=1.1, b=constraint_b(1.1, 0.6, dim, PHYS), c=0.6)
     v_eff = effective_potential(pot, dim, PHYS)
     grid = build_grid(pot, dim, PHYS, r_max=r_max, h=h)
     links = _links(grid, richardson)
     assert len(links) == len(numerics._coarse_grids(grid, 1)) + 1 + richardson >= 3 + richardson
-    if r_max is not None:
-        assert max(link.nodes[-1] for link in links) == 20.0 > links[-1].nodes[-1]
-    matrices = numerics._chain_matrices(numerics._chain_samples(v_eff, links), links, PHYS)
+    fine = links[-1]
+    assert all(link.count == fine.count // round(link.h / fine.h) for link in links)
+    if richardson:
+        assert fine.count == 2 * grid.count + 1
+    matrices = numerics._chain_matrices(v_eff(fine.nodes), links, PHYS)
     for link, (diag, off) in zip(links, matrices, strict=True):
         expected_diag, expected_off = _matrix(v_eff, link)
         assert diag.tobytes() == expected_diag.tobytes()

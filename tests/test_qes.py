@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from pcoulomb.exact import constraint_a, ground_state
+from pcoulomb.exact import constraint_a, ground_state, level_energy
 from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce
 from pcoulomb.qes import (
     MAX_LEVEL,
     ROOT_RTOL,
-    level_energy,
     oracle_reduce,
     oracle_state,
     qes_constraint_polynomial,
@@ -199,6 +198,7 @@ def test_qes_solve_root_count_and_ordering():
 
 
 def test_qes_energy_matches_formula():
+    # the oracle's own formula against the closed-form construction's
     rng = np.random.default_rng(29)
     for _ in range(30):
         b = rng.uniform(0.1, 4.0)

@@ -39,7 +39,7 @@ SEEDS = range(1, 11)
 #: requests outside the benchmark: the README command lines; coarse user
 #: grids where some levels fell back to their own bisection; k sweeps whose
 #: E0 must not depend on k; an h grid with no coarse grid to seed it; grids
-#: whose 16h grid ends past the h and h/2 grids; a verify whose level-1
+#: where r_max / h is no multiple of 64; a verify whose level-1
 #: vector needs three steps on 16h; a grid whose 64h grid has under 100
 #: nodes; more levels than the 64h grid seeds (levels 11 and up start on
 #: 16h); two off-diagonals -T/h^2 no benchmark grid has: -0.0, where
@@ -50,7 +50,10 @@ SEEDS = range(1, 11)
 #: table with a FAIL (exit 3), and two sweeps whose second row is rejected
 #: (a non-finite cell, and no closed form at c = 0) with stdout left empty;
 #: ansatz paths: the b = 0 family, level 0, MAX_LEVEL without --check, a
-#: level above it, a level whose p_k overflow at tiny couplings, and c = 0
+#: level above it, a level whose p_k overflow at tiny couplings, and c = 0;
+#: battery paths: verify --richardson, and M = 2, whose eigen_vs_closed
+#: checks are info only (every benchmark stratum has M >= 3), with an M = 2
+#: Richardson eig
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
@@ -89,6 +92,9 @@ EXTRA = [argv.split() for argv in (
     "oracle --b 1 --c 0.5 --n 9",
     "oracle --b 1e-300 --c 1e-300 --n 8",
     "oracle --b 1 --c 0 --n 1",
+    "verify --a 1 --c 0.5 --derive b --richardson --out json",
+    "verify --a 1 --c 0.5 --N 2 --derive b --out json",
+    "eig --a 1 --c 0.5 --N 2 --derive b --k 3 --richardson",
 )]
 
 # runs the argvs of stdin under ROOT's package and prints
