@@ -56,11 +56,11 @@ a Sturm count) and ``dpttrs`` (the shifted solves with its factors), so no
 command imports the ``scipy.linalg`` package; one imported later binds
 ``_flapack``.
 
-Quadrature is composite trapezoid throughout.  The grid functions (a
-closed-form state's samples, H f, the defect of a residual) are written
-into arrays of their own by in-place ufuncs in the order of the plain
-expressions, so their bits are those expressions', and a grid computes its
-nodes once and keeps them read-only.
+The solver and ``hamiltonian_apply`` (so ``h_residual``) share one
+three-point matrix, ``_matrix``, and one product, ``_product``.  Quadrature
+is the trapezoid rule with the boundary zeros, h times the samples' pairwise
+``np.add.reduce`` sum, as is every sum here.  A grid computes its nodes
+once and keeps them read-only.
 
 Validity note for half-integer Lambda (even M): the leading r^(Lambda+1)
 behavior is non-smooth at the origin, so pointwise residual diagnostics
@@ -185,13 +185,9 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
     def norm(self) -> float:
-        """L2 norm via composite trapezoid, including the boundary zeros."""
-        return math.sqrt(_quad_with_ends(self.values**2, self.grid.h))
-
-
-def _quad_with_ends(samples: np.ndarray, h: float) -> float:
-    """Trapezoid over [0, r_max + h] with implied zero end values."""
-    return float(np.trapezoid(np.pad(samples, 1), dx=h))
+        """L2 norm sqrt(h sum f_i^2), trapezoid with the boundary zeros; overflow is inf."""
+        with np.errstate(over="ignore"):
+            return math.sqrt(self.grid.h * np.add.reduce(np.multiply(self.values, self.values)))
 
 
 def build_grid(
@@ -282,47 +278,48 @@ def normalize(f: GridFunction) -> tuple[GridFunction, float]:
 def hamiltonian_apply(
     v_eff: LaurentForm, f: GridFunction, phys: PhysicalParams
 ) -> GridFunction:
-    """-T (f_{i-1} - 2 f_i + f_{i+1}) / h^2 + V(r_i) f_i with Dirichlet ends.
+    """H f: the eigensolver's own matrix times f, bit for bit, with
+    Dirichlet zeros at both ends; V comes as ``v_eff`` gives it."""
+    with np.errstate(over="ignore", invalid="ignore"):  # _matrix refuses an inf or nan
+        diag, off = _matrix(v_eff(f.grid.nodes), f.grid.h, phys)
+    values = _product(diag, off, f.values, np.empty_like(f.values), diag)
+    return GridFunction(grid=f.grid, values=values)
 
-    The second difference, then (-T lap) / h^2 + V f, is written into the
-    result's own array by in-place ufuncs in the order of those
-    expressions, so the bits are theirs; V comes as ``v_eff`` gives it.
-    """
+
+def _matrix(samples: np.ndarray, h: float, phys: PhysicalParams, out: np.ndarray | None = None):
+    """(diag, off) of the three-point Hamiltonian of step h and potential
+    ``samples``: V + 2T/h^2 written into ``out`` (default: over ``samples``)
+    and the one off-diagonal value -T/h^2; ValueError if one is not finite."""
     t = phys.kinetic
-    h = f.grid.h
-    vals = f.values
-    out = np.empty_like(vals)
-    lap = out[1:-1]
-    np.subtract(vals[:-2], np.multiply(vals[1:-1], 2.0, out=lap), out=lap)
-    lap += vals[2:]
-    out[0] = -2.0 * vals[0] + vals[1]
-    out[-1] = vals[-2] - 2.0 * vals[-1]
-    out *= -t
-    out /= h**2
-    potential = v_eff(f.grid.nodes)
-    potential *= vals
-    out += potential
-    return GridFunction(grid=f.grid, values=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = np.add(samples, 2.0 * t / h**2, out=samples if out is None else out)
+    off = -t / h**2
+    if not (np.all(np.isfinite(diag)) and math.isfinite(off)):
+        raise ValueError("the grid Hamiltonian overflows: a matrix entry is not finite")
+    return diag, off
+
+
+def _product(diag: np.ndarray, off: float, x: np.ndarray, out: np.ndarray, scratch: np.ndarray):
+    """T x written into ``out``: diag x, plus off x_{i-1}, plus off x_{i+1};
+    the off-diagonal products are formed in ``scratch``, n entries, which
+    may be ``diag`` (read first)."""
+    np.multiply(diag, x, out=out)
+    np.add(out[1:], np.multiply(off, x[:-1], out=scratch[:-1]), out=out[1:])
+    np.add(out[:-1], np.multiply(off, x[1:], out=scratch[:-1]), out=out[:-1])
+    return out
 
 
 def _chain_matrices(samples: np.ndarray, links: list[RadialGrid], phys: PhysicalParams):
-    """Yields (diag, off) of each grid of ``links`` in turn: the diagonal,
-    2T/h^2 plus a strided view of ``samples``, the potential at the last
-    grid's nodes (each grid is every s-th node of it, the same doubles),
-    and the one off-diagonal value -T/h^2.  The coarser grids' diagonals
-    share one array; the last grid's is written over its own samples,
-    which no grid needs after it."""
-    t, fine = phys.kinetic, links[-1].h
+    """Yields ``_matrix`` of each grid of ``links`` in turn from a strided
+    view of ``samples``, the potential at the last grid's nodes (each grid
+    is every s-th node of it).  The coarser grids' diagonals share one
+    array; the last grid's is written over its own samples."""
     coarse = np.empty(max((link.count for link in links[:-1]), default=0))
     for link in links:
-        stride = round(link.h / fine)
+        stride = round(link.h / links[-1].h)
         target = samples if link is links[-1] else coarse
-        diag = np.add(samples[stride - 1:stride * link.count:stride], 2.0 * t / link.h**2,
-                      out=target[:link.count])
-        off = -t / link.h**2
-        if not (np.all(np.isfinite(diag)) and math.isfinite(off)):
-            raise ValueError("the grid Hamiltonian overflows: a matrix entry is not finite")
-        yield diag, off
+        yield _matrix(samples[stride - 1:stride * link.count:stride], link.h, phys,
+                      target[:link.count])
 
 
 @functools.cache
@@ -470,9 +467,7 @@ def _refine(diag: np.ndarray, off: float, shift: float, level: int, margin: floa
             return None
         x /= norm
     # T x, then the defect T x - E x, with the spent factors' row d as scratch
-    np.multiply(diag, x, out=tx)
-    np.add(tx[1:], np.multiply(off, x[:-1], out=d[:-1]), out=tx[1:])
-    np.add(tx[:-1], np.multiply(off, x[1:], out=d[:-1]), out=tx[:-1])
+    _product(diag, off, x, tx, d)
     value = float(np.add.reduce(np.multiply(x, tx, out=d)))
     defect = np.subtract(tx, np.multiply(value, x, out=d), out=d)
     bound = math.sqrt(np.add.reduce(np.multiply(defect, defect, out=d))) + margin
@@ -552,7 +547,8 @@ def eigen_lowest(
 
     coarse = _coarse_grids(grid, level + 1)
     links = [*coarse, grid, *([grid.halved()] if richardson else [])]
-    samples = v_eff(links[-1].nodes)
+    with np.errstate(over="ignore", invalid="ignore"):  # _matrix refuses an inf or nan
+        samples = v_eff(links[-1].nodes)
     # rows d, l, x and T x of _refine, as long as the last grid's, which has
     # the most nodes; made after the sampling has freed its temporaries,
     # and the samples are freed with the generator
@@ -629,8 +625,7 @@ def h_residual(
     not depend on its scale, so a caller can sample a state once and use the
     samples for residuals and overlaps alike.  Three nodes at each boundary
     are excluded so Dirichlet truncation does not pollute the measurement.
-    Both norms are pairwise ``np.add.reduce`` sums of squares, as in
-    ``_refine``, so no BLAS kernel moves their bits; an overflow is an inf.
+    Its norms are sums of squares as in ``norm``; an overflow is an inf.
     """
     hf = hamiltonian_apply(v_eff, f, phys)
     defect = np.multiply(f.values, energy)
@@ -645,8 +640,8 @@ def h_residual(
 
 
 def overlap(f: GridFunction, g: GridFunction) -> float:
-    """Normalized trapezoid inner product of two functions on one grid."""
+    """Normalized inner product h sum f_i g_i of two functions on one grid."""
     if f.grid != g.grid:
         raise ValueError("overlap requires both functions on the same grid")
-    inner = _quad_with_ends(f.values * g.values, f.grid.h)
+    inner = f.grid.h * float(np.add.reduce(np.multiply(f.values, g.values)))
     return inner / (f.norm() * g.norm())

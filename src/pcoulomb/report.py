@@ -13,16 +13,18 @@ only its value; each tolerance is a ``TOL_*`` constant below.
 Four ``verify`` info checks sample closed-form states on the grid:
 ``ladder_level1_residual_advanced_a``, ``ladder_level1_residual_fixed_a``,
 ``ladder_vs_numeric_overlap`` and ``ground_vs_oracle_nodeless_overlap``.
-numpy's vectorised exp/log, the 1/h^2 of the second difference and the
-reduction order of norms and trapezoid sums move their last digits with the
-host CPU (up to about 1e-13 relative), and they are only O(h^2) accurate, so
-they are rounded to ``GRID_INFO_DIGITS`` (10) significant digits.  With that,
-``verify`` documents are the same at every numpy SIMD dispatch level and
-OpenBLAS kernel the tests try; glibc's libm FMA variants cannot be switched
-off from inside the process and stay untested.  The ``h_residual`` values of
-``oracle --check`` keep 17 digits and are byte-identical only on one host:
-numpy's exp/log move the state's samples between dispatch levels (5.5e-8
-relative at ``--b 1 --c 0.5 --n 2`` with X86_V4 disabled).
+numpy's vectorised exp/log move the states' samples with the host CPU, and
+the eigensolver's three-point matrix, which the residuals apply, amplifies
+that by 1/h^2 (up to about 2e-12 relative; the sums are pairwise
+``np.add.reduce`` and add no host dependence).  The values are only O(h^2)
+accurate, so they are rounded to ``GRID_INFO_DIGITS`` (10) significant
+digits.  With that, ``verify`` documents are the same at every numpy SIMD
+dispatch level and OpenBLAS kernel the tests try; glibc's libm FMA variants
+cannot be switched off from inside the process and stay untested.  The
+``h_residual`` values of ``oracle --check`` keep 17 digits and are
+byte-identical only on one host: numpy's exp/log move the state's samples
+between dispatch levels (2.2e-6 relative at ``--b 1 --c 0.5 --n 2`` with
+X86_V4 disabled).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .exact import (
     dual_view_check,
     ground_state,
     hierarchy_states,
-    level_energy,
     level_superpotential,
     oscillator_view_ground,
     require_view,
@@ -74,9 +75,8 @@ TOL_EIGEN = 1e-4
 TOL_ORACLE_ROOT = 1e-13
 #: significant digits reported for info values sampled from closed-form
 #: states on the grid.  They are only O(h^2) accurate, and their last few
-#: digits move with the exp/log and reduction kernels numpy and OpenBLAS pick
-#: for the host CPU (about 1e-13 relative), so 17 digits would not be the
-#: same on every host.
+#: digits move with the exp/log kernels numpy picks for the host CPU (about
+#: 2e-12 relative), so 17 digits would not be the same on every host.
 GRID_INFO_DIGITS = 10
 
 
@@ -280,19 +280,21 @@ def _battery(pot, dim, phys, grid, richardson, coul, osc, ground_f) -> list[dict
 
     if pot.b > 0 and pot.c > 0:
         sols1 = qes_solve(pot.b, pot.c, dim, phys, n=1)
-        checks.extend(_oracle_checks(pot, dim, phys, sols1))
-        checks.extend(_hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, ground_f))
+        a1, e1 = closed_level(pot, dim, phys, 1)
+        checks.extend(_oracle_checks(pot, dim, phys, sols1, a1))
+        checks.extend(_hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, ground_f, a1, e1))
     return checks
 
 
-def _oracle_checks(pot, dim, phys, sols1) -> list[dict]:
+def _oracle_checks(pot, dim, phys, sols1, a1_linear) -> list[dict]:
+    """The level-0 root against the formula, and the level-1 roots against
+    ``a1_linear``, the linear rule's a_1."""
     checks = []
     a_formula = constraint_a(pot.b, pot.c, dim, phys, n=0)
     root0 = qes_solve(pot.b, pot.c, dim, phys, n=0)[0].a_root
     rel = abs(root0 - a_formula) / abs(a_formula)
     checks.append(_assert_check("oracle_level0_vs_formula", rel, TOL_ORACLE_ROOT))
 
-    a1_linear = constraint_a(pot.b, pot.c, dim, phys, n=1)
     d1 = qes_constraint_polynomial(pot.b, pot.c, dim, phys, n=1)
     checks.append(_check("oracle_level1_roots", "info", [s.a_root for s in sols1]))
     checks.append(
@@ -309,8 +311,10 @@ def _oracle_checks(pot, dim, phys, sols1) -> list[dict]:
     return checks
 
 
-def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, ground_f) -> list[dict]:
+def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, ground_f, a1, e1) -> list[dict]:
     """Shape-invariance, ladder-state, and non-orthogonality diagnostics.
+
+    (``a1``, ``e1``) is level 1 under the linear rule (``closed_level``).
 
     ``ground_f`` is the exact ground state normalized on the grid: the
     coulomb view's, or the oscillator view's when a <= 0 (both views give
@@ -337,8 +341,6 @@ def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, ground_f) -> list[dict
         )
     )
 
-    a1 = constraint_a(pot.b, pot.c, dim, phys, n=1)
-    e1 = level_energy(pot.b, pot.c, dim, phys, n=1)
     ladder = hierarchy_states(pot.b, pot.c, dim, phys, n=1)
     pot_up = PotentialParams(a=a1, b=pot.b, c=pot.c)
     v_up = effective_potential(pot_up, dim, phys)

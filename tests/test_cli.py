@@ -561,6 +561,22 @@ def test_oracle_non_finite_result_exits_one(capsys):
         assert len(err.splitlines()) == 1
 
 
+def test_overflowing_grid_hamiltonian_exits_one(capsys):
+    # c r^2 overflows at the far nodes: eig, sweep and the residual of
+    # oracle --check refuse the one matrix with one message, and no numpy
+    # RuntimeWarning on the way
+    grid = ["--rmax", "20", "--h", "0.01"]
+    for argv in (["eig", "--a", "1", "--c", "1e307", *grid],
+                 ["sweep", "--sweep", "a=1", "--c", "1e307", *grid],
+                 ["oracle", "--b", "1", "--c", "1e307", "--n", "0", "--check", *grid]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err == ("pcoulomb: error: the grid Hamiltonian overflows:"
+                       " a matrix entry is not finite\n"), argv
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
 def test_dump_json_rejects_non_finite(value):
     with pytest.raises(ValueError, match="not finite"):

@@ -157,9 +157,10 @@ def test_normalize_idempotent():
 
 def test_normalize_rejects_zero():
     grid = RadialGrid(r_max=2.0, h=0.01)
-    zero = GridFunction(grid=grid, values=np.zeros(grid.count))
-    with pytest.raises(ValueError):
-        normalize(zero)
+    for values in (np.zeros(grid.count), np.full(grid.count, 1e308)):
+        # zero, and a norm whose sum of squares overflows
+        with pytest.raises(ValueError, match="zero or non-finite"):
+            normalize(GridFunction(grid=grid, values=values))
 
 
 def test_normalization_factor_against_quadrature():
@@ -1185,27 +1186,29 @@ def _plain_evaluate(state, r):
     return pref * np.exp(state.q * np.log(r) - state.lam * r - state.kap * r * r)
 
 
-def _plain_apply(v_eff, f, phys):
-    """The expression ``hamiltonian_apply`` replaces, on freshly made nodes."""
-    t, h, vals = phys.kinetic, f.grid.h, f.values
-    lap = np.empty_like(vals)
-    lap[1:-1] = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
-    lap[0] = -2.0 * vals[0] + vals[1]
-    lap[-1] = vals[-2] - 2.0 * vals[-1]
-    return -t * lap / h**2 + v_eff(h * np.arange(1, f.grid.count + 1)) * vals
+def _solver_apply(v_eff, f, phys):
+    """The eigensolver's own matrix of f's grid, as ``_chain_matrices`` gives
+    it, times f in the plain expressions of the product: diag f, plus
+    off f_{i-1}, plus off f_{i+1}."""
+    (diag, off), = numerics._chain_matrices(v_eff(f.grid.nodes), [f.grid], phys)
+    vals = f.values
+    tx = diag * vals
+    tx[1:] = tx[1:] + off * vals[:-1]
+    tx[:-1] = tx[:-1] + off * vals[1:]
+    return tx
 
 
 def _plain_residual(v_eff, f, energy, phys):
     """The expression ``h_residual`` replaces: pairwise sums of squares."""
-    defect = _plain_apply(v_eff, f, phys) - energy * f.values
+    defect = _solver_apply(v_eff, f, phys) - energy * f.values
     sl = slice(numerics.RESIDUAL_TRIM, -numerics.RESIDUAL_TRIM)
     return (math.sqrt(np.add.reduce(defect[sl] * defect[sl]))
             / math.sqrt(np.add.reduce(f.values[sl] * f.values[sl])))
 
 
 def _plain_quad(samples, h):
-    """The expression ``_quad_with_ends`` replaces."""
-    return float(np.trapezoid(np.concatenate(([0.0], samples, [0.0])), dx=h))
+    """The trapezoid rule with zero end values: h times the pairwise sum."""
+    return h * np.add.reduce(samples)
 
 
 def _kernel_cases():
@@ -1249,7 +1252,7 @@ def test_grid_kernels_are_the_plain_expressions_bit_for_bit():
             f = evaluate_state(state, grid)
             assert f.values.tobytes() == values.tobytes(), name
             applied = hamiltonian_apply(v_eff, f, PHYS).values
-            assert applied.tobytes() == _plain_apply(v_eff, f, PHYS).tobytes(), name
+            assert applied.tobytes() == _solver_apply(v_eff, f, PHYS).tobytes(), name
             assert h_residual(f, energy, v_eff, PHYS) == _plain_residual(v_eff, f, energy, PHYS)
             assert f.norm() == math.sqrt(_plain_quad(f.values**2, grid.h)), name
             other = evaluate_state(states[0], grid)
@@ -1257,14 +1260,20 @@ def test_grid_kernels_are_the_plain_expressions_bit_for_bit():
             assert overlap(f, other) == expected, name
 
 
-@pytest.mark.parametrize("samples", [[0.0], [-0.0], [2.5], [-0.0, 1.0, -0.0], [1e308, 1e308]])
-def test_quadrature_with_ends_of_short_and_signed_samples(samples):
-    # the padded zeros meet the end samples as in np.trapezoid: -0.0 + 0.0
-    # is 0.0, and an overflow is the same inf
-    samples = np.array(samples)
-    with np.errstate(over="ignore"):
-        assert (np.float64(numerics._quad_with_ends(samples, 0.1)).tobytes()
-                == np.float64(_plain_quad(samples, 0.1)).tobytes())
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+@pytest.mark.parametrize("off", [-0.75, 0.0])
+def test_product_is_the_dense_tridiagonal_product(n, off):
+    # T x of the one off-diagonal value, against the dense matrix
+    rng = np.random.default_rng(n)
+    diag, x = rng.normal(size=n), rng.normal(size=n)
+    dense = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+    out = numerics._product(diag, off, x, np.empty(n), np.empty(n))
+    np.testing.assert_allclose(out, dense @ x, rtol=1e-14, atol=1e-14)
+    if off == 0.0:
+        assert out.tobytes() == (diag * x).tobytes()
+    # the diagonal itself as the scratch, as ``hamiltonian_apply`` passes it
+    own = diag.copy()
+    assert numerics._product(own, off, x, np.empty(n), own).tobytes() == out.tobytes()
 
 
 def test_state_evaluate_on_scalars_is_the_plain_expression():

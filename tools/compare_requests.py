@@ -17,8 +17,10 @@ Prints, per command, how many benchmark requests gave identical (exit code,
 stdout, stderr), the same tally for the ``EXTRA`` group, then the first
 differing line of each differing request, then, per numeric field, how many
 differing requests moved it and its largest absolute and relative moves over
-them.  The fields are the check values of ``verify --out json`` (by check
-name), the ``eig`` eigenvalues, each ``oracle`` entry's ``a_root``, ``E`` and
+them.  The fields are the numbers of the ``solve`` and ``verify --out json``
+documents (``psi.*``, ``views.*`` and the ``spectrum``'s ``a_n`` and
+``E_n`` by dotted name, and the ``verify`` check values by check name), the
+``eig`` eigenvalues, each ``oracle`` entry's ``a_root``, ``E`` and
 ``h_residual``, and the ``sweep`` CSV columns.  Exits 0 when every request
 of both groups is identical and 1 otherwise.
 """
@@ -178,11 +180,27 @@ def _numbers(value) -> list[float]:
     return [float(v) for v in values if isinstance(v, (int, float))]
 
 
+def _document_fields(doc: dict) -> dict[str, list[float]]:
+    """The numbers a ``solve`` document holds, which ``verify`` shares: psi,
+    each view's energies and the spectrum's a_n and E_n, by dotted name."""
+    fields = {f"psi.{name}": _numbers(value) for name, value in doc["psi"].items()}
+    for view, block in doc["views"].items():
+        for name, value in (block or {}).items():
+            fields[f"views.{view}.{name}"] = _numbers(value)
+    for name in ("a_n", "E_n"):
+        fields[f"spectrum.{name}"] = _numbers([level[name] for level in doc["spectrum"]])
+    return fields
+
+
 def _fields(command: str, stdout: str) -> dict[str, list[float]]:
     """Numeric fields of one output, by name; {} for any other output."""
     try:
+        if command == "solve":
+            return _document_fields(json.loads(stdout))
         if command == "verify":
-            return {c["name"]: _numbers(c["value"]) for c in json.loads(stdout)["checks"]}
+            doc = json.loads(stdout)
+            return {**_document_fields(doc),
+                    **{c["name"]: _numbers(c["value"]) for c in doc["checks"]}}
         if command == "eig":
             return {"eigenvalues": _numbers(json.loads(stdout)["eigenvalues"])}
         if command == "oracle":
