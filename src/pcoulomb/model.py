@@ -197,16 +197,27 @@ class LaurentForm:
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
+        out = None
         for p, v in self._coeffs.items():
-            # out = out + v * r**p in place, in the term's buffer: the same
-            # bits, and the sum moves to the newest buffer as numpy's
-            # temporary elision moved it, which keeps the peak RSS (summing
-            # into one buffer made first raised it by 1.4 MB)
-            term = r ** float(p)
-            term *= v
-            term += out
+            # out = v * r**p + out, term by term in the stored order, summed
+            # in the term's buffer, so one grid-size temporary lives beside
+            # the sum.  Every power is a correctly rounded product or
+            # quotient, r**-2 the square of 1/r, never numpy's pow: its
+            # result moves by an ulp with the CPU's SIMD dispatch level
+            if p == 0:
+                term = np.full_like(r, v)
+            elif p == 1:
+                term = np.multiply(r, v)
+            else:
+                term = np.multiply(r, r) if p == 2 else np.reciprocal(r, out=np.empty_like(r))
+                if p == -2:
+                    np.multiply(term, term, out=term)
+                term *= v
+            if out is not None:
+                term += out
             out = term
+        if out is None:
+            out = np.zeros_like(r)
         if out.ndim == 0:
             return float(out)
         return out

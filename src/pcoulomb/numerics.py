@@ -21,11 +21,17 @@ other level.  Several levels are several solves, each sampling the
 potential and allocating its work arrays anew.  On the coarsest grid of
 the chain, a 64th of the nodes on default grids, the level is bisected
 (Sturm sequence).  Its value is the shift of three steps of inverse
-iteration on the next finer grid, all solved with one unpivoted LDL^T
-factorization of the shifted matrix, and the Rayleigh quotient E of the
-unit iterate x is that grid's value (Parlett, The Symmetric Eigenvalue
-Problem, ch. 4-5); each later grid takes two steps shifted to the refined
-value before it.  The residual
+iteration from a ones vector on the next finer grid, all solved with one
+unpivoted LDL^T factorization of the shifted matrix, and the Rayleigh
+quotient E of the unit iterate x is that grid's value (Parlett, The
+Symmetric Eigenvalue Problem, ch. 4-5).  Every later grid starts from the
+iterate of the grid before it, linearly interpolated (``_interpolate``),
+which lies within O(h^2) of its eigenvector, and takes one step.  Its
+shift is the value that the O(h^2) trend of the two values before
+predicts, E_c + m with m = (E_c - E_cc)(1 - 1/q^2)/(q'^2 - 1) for step
+ratios q' and q, plus the larger of |m| and twice the proof's margin: a
+shift above the level, so that at level 0 the factorization at the shift
+is the whole proof.  The residual
 ||T x - E x|| puts an eigenvalue within it of E, and two Sturm counts that
 bracket that interval prove that it is this level (Barth, Martin &
 Wilkinson, Numer. Math. 9, 386 (1967)); the factorization at the shift is
@@ -33,10 +39,11 @@ one of them when the shift lies beyond the interval with the right count,
 and otherwise the edges of a window around E are counted; see ``_refine``.
 A value that fails the proof, or a level on an h grid with no coarser grid
 to seed it, is refined from the level's own bisection on its grid
-instead, so a bad seed costs time, never correctness.  An eigenvector is
-the iterate itself.  Seeds come from the coarser grids only, never from a
-closed form, so this oracle stays independent of the constructions it
-checks.
+instead, by two steps from a ones vector, so a bad seed costs time, never
+correctness; the grid after it starts from that iterate, shifted to its
+value.  An eigenvector is the iterate itself.  Seeds come from the coarser
+grids only, never from a closed form, so this oracle stays independent of
+the constructions it checks.
 
 Every grid of the chain is every s-th node of its finest grid, s a power
 of two: for an h grid of count nodes, the grid of step s h has count // s
@@ -45,9 +52,10 @@ far zero (count + 1) h.  The potential is sampled once, at the finest
 grid's nodes, and each coarser diagonal is a strided view of the samples,
 bit for bit the grid's own (the finest grid's is written over them).  The
 factors, iterates and T x of every refinement share work arrays allocated
-once per ``eigen_lowest`` call, sized for its finest grid and freed when
-it returns; they are written by in-place ufuncs in the order of the plain
-expressions, so the bits do not depend on them.
+once per ``eigen_lowest`` call, sized for its finest grid, with the
+COARSEN - 1 entries more that an interpolation from its 4h grid writes,
+and freed when it returns; they are written by in-place ufuncs in the
+order of the plain expressions, so the bits do not depend on them.
 
 LAPACK comes from scipy's extension module ``scipy/linalg/_flapack``, which
 ``_lapack`` loads on its own (see there): the solver calls only ``dstebz``
@@ -110,8 +118,9 @@ COARSEN = 4
 COARSEST_LEVELS = 11
 
 #: inverse-iteration steps of the first grid refined from a bisected value,
-#: whose shift is farther from the level than a refined one (two steps left
-#: some windows unproved on coarse grids); every later grid takes two
+#: from a ones vector, whose shift is farther from the level than a refined
+#: one (two steps left some windows unproved on coarse grids); every later
+#: grid takes one from the interpolated iterate of the grid before
 BISECTED_STEPS = 3
 
 #: half-width, relative to max(1, |E|), of the window centred on each refined
@@ -289,13 +298,18 @@ def hamiltonian_apply(
 def _matrix(samples: np.ndarray, h: float, phys: PhysicalParams, out: np.ndarray | None = None):
     """(diag, off) of the three-point Hamiltonian of step h and potential
     ``samples``: V + 2T/h^2 written into ``out`` (default: over ``samples``)
-    and the one off-diagonal value -T/h^2; ValueError if one is not finite."""
+    and the one off-diagonal value -T/h^2.  ValueError if one is not finite,
+    or if off^2 is not: the Sturm counts of ``_factor`` and ``dstebz``
+    square it."""
     t = phys.kinetic
     with np.errstate(over="ignore", invalid="ignore"):
         diag = np.add(samples, 2.0 * t / h**2, out=samples if out is None else out)
     off = -t / h**2
     if not (np.all(np.isfinite(diag)) and math.isfinite(off)):
         raise ValueError("the grid Hamiltonian overflows: a matrix entry is not finite")
+    if not math.isfinite(off * off):
+        raise ValueError(f"the grid Hamiltonian overflows: T/h^2 = {-off:.3g} at h = {h:.3g}"
+                         " squares beyond the float range")
     return diag, off
 
 
@@ -428,12 +442,14 @@ def _factor(diag: np.ndarray, off: float, shift: float, work: np.ndarray):
 
 
 def _refine(diag: np.ndarray, off: float, shift: float, level: int, margin: float,
-            work: np.ndarray, steps: int = 2):
+            work: np.ndarray, steps: int = 2, start: bool = False):
     """(value, vector, proved): ``steps`` steps of inverse iteration shifted
-    to ``shift`` from a ones vector, each a ``dpttrs`` solve with the one
-    factorization ``_factor`` gives, then the Rayleigh quotient E of the unit
-    iterate x; None when x is not finite or its norm overflows (a shift on
-    an eigenvalue of a diagonal matrix meets a zero pivot).
+    to ``shift``, each a ``dpttrs`` solve with the one factorization
+    ``_factor`` gives, then the Rayleigh quotient E of the unit iterate x;
+    None when x is not finite or its norm overflows (a shift on an
+    eigenvalue of a diagonal matrix meets a zero pivot).  The iteration
+    starts from row x of ``work`` as it stands with ``start`` (a coarser
+    grid's iterate, ``_interpolate``), else from a ones vector.
 
     Everything is written into ``work``, rows d, l, x and T x of at least n
     entries, by in-place ufuncs in the order of the plain expressions, so
@@ -456,7 +472,8 @@ def _refine(diag: np.ndarray, off: float, shift: float, level: int, margin: floa
     """
     n = len(diag)
     x, tx = work[2, :n], work[3, :n]
-    x.fill(1.0)
+    if not start:
+        x.fill(1.0)
     d, l, count = _factor(diag, off, shift, work)
     for _ in range(steps):
         x, info = _lapack().dpttrs(d, l, x, overwrite_b=1)
@@ -483,18 +500,21 @@ def _refine(diag: np.ndarray, off: float, shift: float, level: int, margin: floa
 
 
 def _seeded_lowest(diag: np.ndarray, off: float, seed, level: int, margin: float,
-                   work: np.ndarray, steps: int = 2):
+                   work: np.ndarray, steps: int = 2, start: bool = False):
     """(value, vector) of eigenvalue ``level``, refined from ``seed`` by
-    ``steps`` steps of inverse iteration.
+    ``steps`` steps of inverse iteration, from row x of ``work`` with
+    ``start`` (see ``_refine``).
 
     A value that ``_refine`` cannot prove, or no seed (None), is refined
-    from this level's unseeded bisection instead, by two steps.  If that
-    fails its proof too, the bisected value is returned (its index proves
-    it) with the iterate, or None when inverse iteration gave no finite
-    iterate.  ``margin`` is ``_margin(diag, off)`` and ``work`` the rows
-    ``_refine`` writes into.  The vector is a row of ``work``.
+    from this level's unseeded bisection instead, by two steps from a ones
+    vector.  If that fails its proof too, the bisected value is returned
+    (its index proves it) with the iterate, or None when inverse iteration
+    gave no finite iterate.  ``margin`` is ``_margin(diag, off)`` and
+    ``work`` the rows ``_refine`` writes into.  The vector is a row of
+    ``work``.
     """
-    refined = None if seed is None else _refine(diag, off, seed, level, margin, work, steps)
+    refined = None if seed is None else _refine(diag, off, seed, level, margin, work, steps,
+                                                start)
     if refined is None or not refined[2]:
         value = _index_solve(diag, off, level)
         # a bisected value can be an exact eigenvalue of the computed matrix
@@ -504,6 +524,32 @@ def _seeded_lowest(diag: np.ndarray, off: float, seed, level: int, margin: float
         if refined is None or not refined[2]:
             return value, None if refined is None else refined[1]
     return refined[:2]
+
+
+def _interpolate(work: np.ndarray, count: int, stride: int) -> None:
+    """Row x of ``work``, whose first ``count`` entries are a grid's
+    iterate, becomes that iterate linearly interpolated onto the grid of
+    1/``stride`` its step (2 or COARSEN), with the zeros at both ends.
+
+    Each halving of the step writes 2 m + 1 entries from m: entry 2i + 1
+    is x_i, and every other entry the mean of its two neighbours, a zero
+    beyond each end.  The halvings alternate between rows x and T x and end
+    in row x, so stride 2 writes 2 count + 1 entries and stride 4 writes
+    4 count + 3, up to COARSEN - 1 beyond a finer grid of stride * count
+    nodes."""
+    rows = [work[2], work[3]]
+    halvings = stride.bit_length() - 1
+    if halvings % 2:  # start from row T x, so that the last halving writes row x
+        np.copyto(rows[1][:count], rows[0][:count])
+        rows.reverse()
+    for _ in range(halvings):
+        x, y = rows[0][:count], rows[1][:2 * count + 1]
+        np.copyto(y[1::2], x)
+        np.add(x[:-1], x[1:], out=y[2:-1:2])
+        y[0], y[-1] = x[0], x[-1]
+        np.multiply(y[::2], 0.5, out=y[::2])
+        rows.reverse()
+        count = len(y)
 
 
 def eigen_lowest(
@@ -519,26 +565,32 @@ def eigen_lowest(
     Every call solves one level along its own seeding chain of the module
     docstring, the coarse grids ``_coarse_grids`` gives for it, then h; with
     ``richardson`` also h -> h/2, and the pair is extrapolated over (h, h/2),
-    pushing the discretization error from O(h^2) to O(h^4).  The potential
-    is sampled once, at the finest grid's own nodes, and each grid's
-    diagonal is a strided view of it (``_chain_matrices``).  The factors,
-    iterates and T x live in work arrays allocated once per call, sized for
-    its finest grid and freed with it; a returned vector is a copy.  Several
-    levels (``eig --k``) are one call each, each sampling the potential
-    anew: about 0.2 ms per level on a default grid.
+    pushing the discretization error from O(h^2) to O(h^4).  The grid after
+    the coarsest takes BISECTED_STEPS steps of inverse iteration from a
+    ones vector, shifted to the bisected value; every grid after it one
+    step from the interpolated iterate of the grid before, shifted above
+    the level along the trend of the two values before.  A default chain
+    64h -> 16h -> 4h -> h -> h/2 thus solves with dpttrs 3 + 1 + 1 + 1
+    times.  The potential is sampled once, at the finest grid's own nodes,
+    and each grid's diagonal is a strided view of it (``_chain_matrices``).
+    The factors, iterates and T x live in work arrays allocated once per
+    call, sized for its finest grid and freed with it; a returned vector is
+    a copy.  Several levels (``eig --k``) are one call each, each sampling
+    the potential anew: about 0.2 ms per level on a default grid.
 
     The values are not limited by the bisection tolerance ULP * ||T||_1
     (about 4 eps T / h^2): at h = 1e-3 on the reference problem they are
-    within 1.5e-11 of a tight-tolerance dstebz solve, where it is 4.4e-10.
+    within 1.3e-11 of a tight-tolerance dstebz solve, where it is 4.4e-10.
     On n = 0, odd-M sweep rows of the benchmark (seeds 1-10) the
-    extrapolation is within 7.3e-11 of the closed form (median 8.5e-12).
+    extrapolation is within 6.1e-11 of the closed form (median 9.7e-12).
 
     Returns the eigenvalue, or, when ``eigenvectors`` is set, (eigenvalue,
     vector): the unit iterate, signed so that its largest-magnitude
     component is positive (dstein's convention).  Its angle to the
     eigenvector is at most the residual over the gap to the next level:
-    about 1e-10 on default grids, 1e-6 at h = 0.01.  Eigenvectors are not
-    available with ``richardson``.
+    about 1e-10 on default grids of the reference problem, 2e-8 (level 0)
+    to 7e-7 (level 1) at h = 0.01.  Eigenvectors are not available with
+    ``richardson``.
     """
     if not 0 <= level < grid.levels:
         raise ValueError(f"level {level} out of range for {grid.count} nodes")
@@ -550,21 +602,39 @@ def eigen_lowest(
     with np.errstate(over="ignore", invalid="ignore"):  # _matrix refuses an inf or nan
         samples = v_eff(links[-1].nodes)
     # rows d, l, x and T x of _refine, as long as the last grid's, which has
-    # the most nodes; made after the sampling has freed its temporaries,
-    # and the samples are freed with the generator
-    work = np.empty((4, links[-1].count))
+    # the most nodes, and COARSEN - 1 more for _interpolate; made after the
+    # sampling has freed its temporaries, and the samples are freed with
+    # the generator
+    work = np.empty((4, links[-1].count + COARSEN - 1))
     matrices = _chain_matrices(samples, links, phys)
     del samples
-    value = None
+    values, vector = [], None
     for link, (diag, off) in enumerate(matrices):
-        seed = value
         if link == 0 < len(coarse):  # the coarsest grid of the chain
-            value = _index_solve(diag, off, level)
-        else:
-            steps = BISECTED_STEPS if link == 1 <= len(coarse) else 2
-            value, vector = _seeded_lowest(diag, off, seed, level, _margin(diag, off), work, steps)
+            values.append(_index_solve(diag, off, level))
+            continue
+        shift = values[-1] if values else None
+        steps, margin = 2, _margin(diag, off)
+        if link == 1 <= len(coarse):
+            steps = BISECTED_STEPS
+        elif vector is not None:
+            # the coarser grid's iterate is within O(h^2) of this grid's
+            # eigenvector: one step from it.  With two values before, the
+            # shift is the value their O(h^2) trend predicts plus the larger
+            # of its move and twice the margin: above the level, so that
+            # the factorization at the shift counts the top edge
+            q = round(links[link - 1].h / links[link].h)
+            _interpolate(work, len(vector), q)
+            if len(values) > 1:
+                q_prev = round(links[link - 2].h / links[link - 1].h)
+                e_cc, e_c = values[-2:]
+                move = (e_c - e_cc) * (1.0 - 1.0 / q**2) / (q_prev**2 - 1.0)
+                shift = e_c + move + max(abs(move), 2.0 * margin)
+            steps = 1
+        value, vector = _seeded_lowest(diag, off, shift, level, margin, work, steps, steps == 1)
+        values.append(value)
     if richardson:
-        return float((4.0 * value - seed) / 3.0)
+        return float((4.0 * values[-1] - values[-2]) / 3.0)
     if not eigenvectors:
         return float(value)
     if vector is None:

@@ -14,7 +14,7 @@ import pytest
 
 import pcoulomb
 from pcoulomb import cli, exact, report
-from pcoulomb.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_USAGE, dump_json, main
+from pcoulomb.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, dump_json, main
 from pcoulomb.exact import constraint_a, constraint_b, derive_couplings, ground_state
 from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
 from pcoulomb.numerics import RadialGrid, build_grid, eigen_lowest
@@ -575,6 +575,29 @@ def test_overflowing_grid_hamiltonian_exits_one(capsys):
         assert (code, out) == (EXIT_USAGE, ""), argv
         assert err == ("pcoulomb: error: the grid Hamiltonian overflows:"
                        " a matrix entry is not finite\n"), argv
+
+
+def test_off_diagonal_whose_square_overflows_exits_one(capsys):
+    # at --rmax 20 --h 0.01, T/h^2 squares beyond the float range below a
+    # mass of about 3.5e-151: eig, sweep and verify refuse the matrix with
+    # one message naming T/h^2, where mass 1e-151 overflowed in a Sturm
+    # count and 1e-300 failed in dstebz; mass 1e-150 still solves (verify's
+    # grid cannot resolve the problem, so its eigen_vs_closed FAILs)
+    grid = ["--rmax", "20", "--h", "0.01"]
+    commands = (["eig", "--a", "1", "--b", "1", "--c", "0.5"],
+                ["sweep", "--sweep", "a=1,2", "--c", "0.5", "--derive", "b"],
+                ["verify", "--a", "1", "--c", "0.5", "--derive", "b"])
+    for argv in commands:
+        for mass in ("1e-151", "1e-300"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, *argv, "--mass", mass, *grid)
+            assert (code, out) == (EXIT_USAGE, ""), (argv, mass)
+            assert err.startswith("pcoulomb: error: the grid Hamiltonian overflows: T/h^2 = ")
+            assert err.endswith(" squares beyond the float range\n"), (argv, mass)
+        code, out, err = run_cli(capsys, *argv, "--mass", "1e-150", *grid)
+        assert (code, err) == (EXIT_VERIFY if argv[0] == "verify" else EXIT_OK, ""), argv
+        assert out
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
@@ -1168,6 +1191,42 @@ def test_goldens_under_dispatch_settings(extra_env):
     for argv, result, default in zip(_UNGOLDEN_RUNS, results[len(_GOLDEN_RUNS):], defaults):
         assert result[0] == EXIT_OK, argv[0]
         assert result == default, f"{argv[0]} output moved with dispatch"
+
+
+# prints a digest of the potential samples of M = 4 and M = 6 problems,
+# whose barrier terms r^-2 differ from M = 3's, on 300,000 nodes
+_POTENTIAL_CHILD = """
+import hashlib
+from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
+from pcoulomb.numerics import RadialGrid
+phys = PhysicalParams()
+nodes = RadialGrid(r_max=40.0, h=40.0 / 300000).nodes
+digest = hashlib.sha256()
+for n_dim in (4, 6):
+    pot = PotentialParams(a=1.1, b=0.9, c=0.6)
+    digest.update(effective_potential(pot, dimension_reduce(n_dim, 0), phys)(nodes).tobytes())
+print(digest.hexdigest())
+"""
+
+
+@functools.cache
+def _potential_digest(extra_env: tuple) -> str:
+    result = subprocess.run(
+        [sys.executable, "-c", _POTENTIAL_CHILD],
+        capture_output=True, text=True, env=_child_env(dict(extra_env)),
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.parametrize(
+    "extra_env", [pytest.param(env, id=name) for name, env in _dispatch_settings()]
+)
+def test_potential_samples_do_not_move_with_dispatch(extra_env):
+    # every power is a correctly rounded product or quotient, so the samples
+    # keep their bits at every SIMD dispatch level (numpy's pow for r^-2
+    # moved 1 ulp in about 5% of them)
+    assert _potential_digest(tuple(sorted(extra_env.items()))) == _potential_digest(())
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),

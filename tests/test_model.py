@@ -152,27 +152,37 @@ def test_laurent_scalar_evaluation():
     assert isinstance(form(1.0), float)
 
 
+def _power(r, p):
+    """r**p as a correctly rounded product or quotient: r**-2 is the square
+    of 1/r, never numpy's pow, whose bits move with the SIMD dispatch level."""
+    inv = 1.0 / r
+    return {-2: inv * inv, -1: inv, 0: np.ones_like(r), 1: r, 2: r * r}[p]
+
+
 def test_laurent_evaluation_is_the_term_by_term_sum():
-    # the in-place accumulation gives the bits of out = out + v * r**p, term
-    # by term in the stored order, for every power -2..2, on arrays and on
-    # scalars, which still evaluate to a float
+    # the in-place accumulation gives the bits of out = v * r**p + out,
+    # term by term in the stored order from the first term, for every power
+    # -2..2, on arrays and on scalars, which still evaluate to a float
     rng = np.random.default_rng(7)
     radii = np.concatenate((np.geomspace(1e-3, 40.0, 1001), [0.5, 1.0, 2.0]))
     for _ in range(20):
         coeffs = {p: rng.uniform(-3.0, 3.0) for p in rng.permutation(range(-2, 3)).tolist()}
         form = LaurentForm(coeffs)
         for r in (radii, 0.7, 3.0):
-            expected = np.zeros_like(np.asarray(r, dtype=float))
+            expected = None
             for p, v in coeffs.items():
-                expected = expected + v * np.asarray(r, dtype=float) ** float(p)
+                term = v * _power(np.asarray(r, dtype=float), p)
+                expected = term if expected is None else term + expected
             got = form(r)
-            assert np.asarray(got).tobytes() == expected.tobytes()
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
             if np.ndim(r) == 0:
                 assert type(got) is float
     for p in range(-2, 3):
         single = LaurentForm({p: 1.5})
-        assert single(radii).tobytes() == (1.5 * radii ** float(p)).tobytes()
+        assert single(radii).tobytes() == (1.5 * _power(radii, p)).tobytes()
         assert type(single(2.0)) is float
+    assert LaurentForm({})(radii).tobytes() == np.zeros_like(radii).tobytes()
+    assert LaurentForm({})(2.0) == 0.0
 
 
 def test_laurent_immutable():

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import os
 import subprocess
@@ -33,6 +34,7 @@ from pcoulomb.numerics import (
     sturm_count,
 )
 from pcoulomb.qes import oracle_state, qes_solve
+from pcoulomb.report import sweep_row
 from pcoulomb.susy import ClosedFormState
 
 PHYS = PhysicalParams()
@@ -380,10 +382,41 @@ def _bisection_tol(diag, off):
     return np.finfo(float).eps * float(np.max(col))
 
 
-def _seeded(diag, off, seed, level, steps=2):
-    """``_seeded_lowest`` with the margin of the matrix and work rows of its own."""
-    return numerics._seeded_lowest(diag, off, seed, level, numerics._margin(diag, off),
-                                   np.empty((4, len(diag))), steps)
+def _seeded(diag, off, seed, level, steps=2, start=None):
+    """``_seeded_lowest`` with the margin of the matrix and work rows of its
+    own, from the iterate ``start`` (default: a ones vector)."""
+    work = np.empty((4, len(diag)))
+    if start is not None:
+        work[2] = start
+    return numerics._seeded_lowest(diag, off, seed, level, numerics._margin(diag, off), work,
+                                   steps, start is not None)
+
+
+def _halved(x):
+    """x linearly interpolated onto the grid of half its step, with a zero
+    beyond each end: the plain expressions of ``_interpolate``'s halving."""
+    padded = np.concatenate(([0.0], x, [0.0]))
+    y = np.empty(2 * len(x) + 1)
+    y[1::2] = x
+    y[::2] = 0.5 * (padded[:-1] + padded[1:])
+    return y
+
+
+def _interpolated(x, stride, count):
+    """A coarser grid's iterate on the grid of 1/``stride`` its step and
+    ``count`` nodes: one halving per factor 2, cut at ``count``."""
+    for _ in range(stride.bit_length() - 1):
+        x = _halved(x)
+    return x[:count]
+
+
+def _trend_shift(values, q_prev, q, margin):
+    """The shift of a refinement after two values E_cc, E_c, on grids of
+    step ratios q_prev and q: the value their O(h^2) trend predicts plus the
+    larger of its move and twice the margin."""
+    e_cc, e_c = values[-2:]
+    move = (e_c - e_cc) * (1.0 - 1.0 / q**2) / (q_prev**2 - 1.0)
+    return e_c + move + max(abs(move), 2.0 * margin)
 
 
 def _count(diag, off, top):
@@ -457,17 +490,24 @@ def test_seeded_windows_fall_back_to_unseeded():
 def _chain(v_eff, grid, level, levels=None):
     """(value, vector) of one level by the seeding chain composed from its
     parts: the level's index bisection on the coarsest grid that
-    ``_coarse_grids`` gives for ``levels`` levels (level + 1 when None),
+    ``_coarse_grids`` gives for ``levels`` levels (level + 1 when None);
     then the refinement of that seed on the next grid, by BISECTED_STEPS
-    steps, and of each value on the grid after it, by two, up to h."""
-    coarse = numerics._coarse_grids(grid, levels or level + 1)
-    assert coarse, "a grid with no coarse grid is not a chain"
-    seed = _stebz_levels(*_matrix(v_eff, coarse[0]), level, 1)[0]
-    steps = numerics.BISECTED_STEPS
-    for link in [*coarse[1:], grid]:
-        seed, vector = _seeded(*_matrix(v_eff, link), seed, level, steps=steps)
-        steps = 2
-    return seed, vector
+    steps from ones; then on each grid after it, up to h, one step from the
+    iterate of the grid before, interpolated, shifted by the trend of the
+    two values before (``_trend_shift``)."""
+    links = [*numerics._coarse_grids(grid, levels or level + 1), grid]
+    assert len(links) > 1, "a grid with no coarse grid is not a chain"
+    values = [_stebz_levels(*_matrix(v_eff, links[0]), level, 1)[0]]
+    value, vector = _seeded(*_matrix(v_eff, links[1]), values[0], level,
+                            steps=numerics.BISECTED_STEPS)
+    values.append(value)
+    for link in links[2:]:
+        diag, off = _matrix(v_eff, link)
+        shift = _trend_shift(values, COARSEN, COARSEN, numerics._margin(diag, off))
+        value, vector = _seeded(diag, off, shift, level, steps=1,
+                                start=_interpolated(vector, COARSEN, link.count))
+        values.append(value)
+    return value, vector
 
 
 def _assert_chain_vector(vector, chain_vector):
@@ -577,10 +617,13 @@ def test_richardson_without_coarse_grid_is_unseeded_at_h():
     fine = _matrix(v_eff, grid.halved())
     for first in (0, 1):
         levels = (first, first + 1)
-        coarse_vals = [_unseeded(diag, off, level)[0] for level in levels]
+        coarse = [_unseeded(diag, off, level) for level in levels]
+        coarse_vals = [value for value, _ in coarse]
         np.testing.assert_allclose(coarse_vals, _stebz_levels(diag, off, first, 2),
                                    rtol=0, atol=_bisection_tol(diag, off))
-        fine_vals = [_seeded(*fine, c, level)[0] for c, level in zip(coarse_vals, levels)]
+        # the h/2 values: one step from the h iterate, shifted to the h value
+        fine_vals = [_seeded(*fine, c, level, steps=1, start=_interpolated(x, 2, len(fine[0])))[0]
+                     for (c, x), level in zip(coarse, levels)]
         expected = [float((4.0 * f - c) / 3.0) for c, f in zip(coarse_vals, fine_vals)]
         assert _levels(v_eff, grid, 2, first, richardson=True) == expected
 
@@ -1047,8 +1090,8 @@ def test_shift_count_proves_as_the_two_counts(a, c, monkeypatch):
     sides = {"top": 0, "bottom": 0, "inside": 0}
     links = 0
 
-    def checked(diag, off, shift, level, margin, work, steps=2):
-        value, x, proved = refine(diag, off, shift, level, margin, work, steps)
+    def checked(diag, off, shift, level, margin, work, steps=2, start=False):
+        value, x, proved = refine(diag, off, shift, level, margin, work, steps, start)
         expected, bound = _two_count_proof(diag, off, level, margin, value, x)
         assert proved == expected
         side = "top" if shift >= value + bound else "bottom" if shift < value - bound else "inside"
@@ -1103,27 +1146,105 @@ def test_shift_inside_the_residual_interval_counts_both_edges(monkeypatch):
         assert shifts == [shift, value + half] + ([value - half] if level else [])
 
 
-def test_level_zero_shift_above_factors_once(monkeypatch):
-    # pure Coulomb: each coarser grid's E0 lies above the finer grid's, by
-    # more than the residual bound, and N(shift) = 1, so the factorization
-    # at the shift is the whole proof: one _factor call per refined link
+def _level_zero_problems():
+    """(name, v_eff, grid): pure Coulomb, and the benchmark's surface points
+    at M 3..11."""
     pot = PotentialParams(a=1.0, b=0.0, c=0.0)
-    v_eff = effective_potential(pot, DIM3, PHYS)
-    grid = build_grid(pot, DIM3, PHYS)
+    yield "coulomb", effective_potential(pot, DIM3, PHYS), build_grid(pot, DIM3, PHYS)
+    for a, c in SURFACE_POINTS:
+        for m_index in range(3, 12):
+            dim = dimension_reduce(3 + m_index % 2, (m_index - 3) // 2)
+            pot = PotentialParams(a=a, b=constraint_b(a, c, dim, PHYS), c=c)
+            yield (a, c, m_index), effective_potential(pot, dim, PHYS), build_grid(pot, dim, PHYS)
+
+
+def test_level_zero_shift_above_factors_once(monkeypatch):
+    # every grid refined from a coarser grid's iterate lies below its shift
+    # by more than the residual bound, and N(shift) = 1, so the
+    # factorization at the shift is the whole proof: one _factor call per
+    # such link, h/2 included.  Pure Coulomb's values fall towards h and its
+    # shifts stay above them; the surface points' values rise, and the
+    # shift moves past the level along their trend.  The first refined link
+    # is shifted to the bisected value, above the level for Coulomb only
     refine = numerics._refine
     shifts, links = _counting_factor(monkeypatch), []
 
-    def recording(diag, off, shift, level, margin, work, steps=2):
+    def recording(diag, off, shift, level, margin, work, steps=2, start=False):
         before = len(shifts)
-        value, x, proved = refine(diag, off, shift, level, margin, work, steps)
+        value, x, proved = refine(diag, off, shift, level, margin, work, steps, start)
         _, bound = _two_count_proof(diag, off, level, margin, value, x)
-        links.append((len(shifts) - before, shift >= value + bound, proved))
+        links.append((start, (len(shifts) - before, shift >= value + bound, proved)))
         return value, x, proved
 
     monkeypatch.setattr(numerics, "_refine", recording)
-    eigen_lowest(v_eff, grid, PHYS)
-    assert len(links) == len(numerics._coarse_grids(grid, 1)) >= 2
-    assert links == [(1, True, True)] * len(links)
+    for name, v_eff, grid in _level_zero_problems():
+        for richardson in (False, True):
+            links.clear()
+            eigen_lowest(v_eff, grid, PHYS, richardson=richardson)
+            assert len(links) == len(numerics._coarse_grids(grid, 1)) + richardson >= 2
+            assert [start for start, _ in links] == [False] + [True] * (len(links) - 1)
+            expected = [(1, True, True)] * len(links)
+            if name != "coulomb":
+                links.pop(0)
+                expected.pop()
+            assert [link for _, link in links] == expected, (name, richardson)
+
+
+def test_interpolation_is_exact_on_piecewise_linear_data():
+    # integer samples on the coarse grid: every interpolated value is a
+    # multiple of 1/4, exact, at each residue of the fine count modulo 4
+    # (the last fine nodes run towards the coarse grid's far zero) and on the
+    # h/2 grid of 2 count + 1 nodes; work rows as eigen_lowest sizes them,
+    # COARSEN - 1 entries beyond the finest grid's count
+    rng = np.random.default_rng(25)
+    for coarse_count in (1, 2, 25, 100):
+        x = rng.integers(-50, 50, size=coarse_count).astype(float)
+        knots = np.arange(coarse_count + 2, dtype=float)
+        values = np.concatenate(([0.0], x, [0.0]))
+        residues = range(COARSEN * coarse_count, COARSEN * (coarse_count + 1))
+        for stride, counts in ((COARSEN, residues), (2, [2 * coarse_count + 1])):
+            for count in counts:
+                work = np.full((4, count + COARSEN - 1), np.nan)
+                work[2, :coarse_count] = x
+                numerics._interpolate(work, coarse_count, stride)
+                expected = np.interp(np.arange(1, count + 1) / stride, knots, values)
+                assert work[2, :count].tobytes() == expected.tobytes(), (coarse_count, count)
+                assert work[2, :count].tobytes() == _interpolated(x, stride, count).tobytes()
+
+
+def test_sweep_strata_do_not_fall_back(monkeypatch):
+    # the sweep-scan rows, (a, c) in {0.8, 1.6} x {0.4, 0.8} at M 3..11 and
+    # n 0..2, as sweep_row solves them, with and without Richardson: every
+    # grid seeded from a coarser grid's iterate proves its window, so only
+    # the coarsest grid of each chain is bisected
+    index_solve, coarsest, interpolated = numerics._index_solve, [0], [0]
+
+    def coarsest_only(diag, off, level):
+        if len(diag) != coarsest[0]:
+            raise AssertionError(f"the grid of {len(diag)} nodes fell back")
+        return index_solve(diag, off, level)
+
+    interpolate = numerics._interpolate
+
+    def counting(work, count, stride):
+        interpolated[0] += 1
+        interpolate(work, count, stride)
+
+    monkeypatch.setattr(numerics, "_index_solve", coarsest_only)
+    monkeypatch.setattr(numerics, "_interpolate", counting)
+    for a, c in itertools.product((0.8, 1.6), (0.4, 0.8)):
+        for m_index in range(3, 12):
+            dim = dimension_reduce(3 + m_index % 2, (m_index - 3) // 2)
+            pot = PotentialParams(a=a, b=constraint_b(a, c, dim, PHYS), c=c)
+            for n in range(3):
+                a_level, _ = closed_level(pot, dim, PHYS, n)
+                grid = build_grid(PotentialParams(a=a_level, b=pot.b, c=c), dim, PHYS)
+                coarse = numerics._coarse_grids(grid, n + 1)
+                coarsest[0] = coarse[0].count
+                for richardson in (False, True):
+                    before = interpolated[0]
+                    sweep_row(pot, dim, PHYS, n, richardson)
+                    assert interpolated[0] - before == len(coarse) - 1 + richardson >= 1
 
 
 def test_sturm_count_consistency_with_eigenvalues():

@@ -10,18 +10,21 @@ lives in, which is loaded by path and only read.  The fixed ``EXTRA``
 argvs run after them as a group of their own (paths no benchmark request
 takes).  For each root one fresh interpreter imports that root's
 ``pcoulomb.cli`` and runs every request in turn through ``main``, capturing
-the exit code, stdout and stderr.  The two roots run side by side, one
+the exit code, stdout and stderr, and counts the unseeded fallbacks of its
+eigensolves: the ``numerics._index_solve`` bisections beyond the one on the
+coarsest grid of each seeding chain.  The two roots run side by side, one
 process each.
 
 Prints, per command, how many benchmark requests gave identical (exit code,
-stdout, stderr), the same tally for the ``EXTRA`` group, then the first
-differing line of each differing request, then, per numeric field, how many
-differing requests moved it and its largest absolute and relative moves over
-them.  The fields are the numbers of the ``solve`` and ``verify --out json``
-documents (``psi.*``, ``views.*`` and the ``spectrum``'s ``a_n`` and
-``E_n`` by dotted name, and the ``verify`` check values by check name), the
-``eig`` eigenvalues, each ``oracle`` entry's ``a_root``, ``E`` and
-``h_residual``, and the ``sweep`` CSV columns.  Exits 0 when every request
+stdout, stderr), the same tally for the ``EXTRA`` group, per root the
+unseeded fallbacks of the benchmark requests and of the ``EXTRA`` group,
+then the first differing line of each differing request, then, per numeric
+field, how many differing requests moved it and its largest absolute and
+relative moves over them, the ``EXTRA`` group's fields apart.  The fields are the numbers of the ``solve`` and
+``verify --out json`` documents (``psi.*``, ``views.*`` and the
+``spectrum``'s ``a_n`` and ``E_n`` by dotted name, and the ``verify`` check
+values by check name), the ``eig`` eigenvalues, each ``oracle`` entry's
+``a_root``, ``E`` and ``h_residual``, and the ``sweep`` CSV columns.  Exits 0 when every request
 of both groups is identical and 1 otherwise.
 """
 
@@ -55,7 +58,10 @@ SEEDS = range(1, 11)
 #: level above it, a level whose p_k overflow at tiny couplings, and c = 0;
 #: battery paths: verify --richardson, and M = 2, whose eigen_vs_closed
 #: checks are info only (every benchmark stratum has M >= 3), with an M = 2
-#: Richardson eig
+#: Richardson eig; grid starts interpolated from a coarser grid's iterate:
+#: h grids of 4000..4003 nodes (each count modulo 4, the last nodes running
+#: towards the 4h grid's far zero) at level 1, levels 11 and 12 with h/2,
+#: starting on 16h, and pure Coulomb, whose coarser values lie above the level
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
@@ -97,23 +103,47 @@ EXTRA = [argv.split() for argv in (
     "verify --a 1 --c 0.5 --derive b --richardson --out json",
     "verify --a 1 --c 0.5 --N 2 --derive b --out json",
     "eig --a 1 --c 0.5 --N 2 --derive b --k 3 --richardson",
+    "eig --a 1 --b 1 --c 0.5 --k 2 --rmax 20 --h 0.005",
+    "eig --a 1 --b 1 --c 0.5 --k 2 --rmax 20.005 --h 0.005",
+    "eig --a 1 --b 1 --c 0.5 --k 2 --rmax 20.01 --h 0.005 --richardson",
+    "eig --a 1 --b 1 --c 0.5 --k 2 --rmax 20.015 --h 0.005",
+    "eig --a 1 --b 1 --c 0.5 --k 13 --richardson",
+    "eig --a 1 --k 3 --richardson",
+    "sweep --sweep a=1,2 --richardson",
+    "verify --a 1 --N 3 --l 1 --out json",
 )]
 
-# runs the argvs of stdin under ROOT's package and prints
-# [exit code, stdout, stderr] per argv as one JSON list
+# runs the argvs of stdin under ROOT's package and prints [exit code,
+# stdout, stderr, unseeded fallbacks] per argv as one JSON list; a chain
+# with coarse grids bisects its coarsest grid, and every other bisection is
+# a fallback
 _CHILD = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
+from pcoulomb import numerics
 from pcoulomb.cli import main
+index_solve, coarse_grids, tally = numerics._index_solve, numerics._coarse_grids, [0]
+
+def counting_index_solve(*args):
+    tally[0] += 1
+    return index_solve(*args)
+
+def counting_coarse_grids(*args):
+    coarse = coarse_grids(*args)
+    tally[0] -= bool(coarse)
+    return coarse
+
+numerics._index_solve, numerics._coarse_grids = counting_index_solve, counting_coarse_grids
 results = []
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
+    tally[0] = 0
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 1
-    results.append([code, out.getvalue(), err.getvalue()])
+    results.append([code, out.getvalue(), err.getvalue(), tally[0]])
 json.dump(results, sys.stdout)
 """
 
@@ -215,9 +245,10 @@ def _fields(command: str, stdout: str) -> dict[str, list[float]]:
     return {}
 
 
-def _moves(command: str, old, new, moves: dict) -> None:
+def _moves(command: str, old, new, moves: dict, prefix: str = "") -> None:
     """Adds to ``moves`` (field -> [requests moved, largest move, largest
-    relative move]) the fields of one differing request whose values moved."""
+    relative move]) the fields of one differing request whose values moved,
+    each named ``prefix``, the command and the field."""
     old_fields, new_fields = _fields(command, old[1]), _fields(command, new[1])
     for name, a in old_fields.items():
         b = new_fields.get(name)
@@ -226,7 +257,7 @@ def _moves(command: str, old, new, moves: dict) -> None:
         move = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
         if move > 0.0:
             relative = max(abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y)
-            entry = moves.setdefault(f"{command} {name}", [0, 0.0, 0.0])
+            entry = moves.setdefault(f"{prefix}{command} {name}", [0, 0.0, 0.0])
             entry[0] += 1
             entry[1] = max(entry[1], move)
             entry[2] = max(entry[2], relative)
@@ -242,19 +273,24 @@ def main(argv: list[str]) -> int:
     children = [_start(root, argvs) for root in roots]
     old, new = (_collect(child, root) for child, root in zip(children, roots))
     total, same, diffs, moves = Counter(), Counter(), [], {}
+    fallbacks = [[0, 0], [0, 0]]  # per root: benchmark, extra
     for i, (request, a, b) in enumerate(zip(argvs, old, new)):
         group = request[0] if i < len(requests) else "extra"
+        for tally, result in zip(fallbacks, (a, b)):
+            tally[group == "extra"] += result.pop()
         total[group] += 1
         if a == b:
             same[group] += 1
             continue
         diffs.append(f"{' '.join(request)}\n    {_first_difference(a, b)}")
-        _moves(request[0], a, b, moves)
+        _moves(request[0], a, b, moves, "extra " if group == "extra" else "")
     extra = same.pop("extra", 0), total.pop("extra", 0)
     for command in sorted(total):
         print(f"{command:<8}{same[command]:>5} of {total[command]:>4} identical")
     print(f"{'all':<8}{sum(same.values()):>5} of {len(requests):>4} identical")
     print(f"{'extra':<8}{extra[0]:>5} of {extra[1]:>4} identical")
+    for root, (benchmark, extras) in zip(roots, fallbacks):
+        print(f"unseeded fallbacks: {benchmark} on benchmark requests, {extras} on extra: {root}")
     for line in diffs:
         print(line)
     if diffs:
