@@ -20,12 +20,13 @@ stdout, stderr), the same tally for the ``EXTRA`` group, per root the
 unseeded fallbacks of the benchmark requests and of the ``EXTRA`` group,
 then the first differing line of each differing request, then, per numeric
 field, how many differing requests moved it and its largest absolute and
-relative moves over them, the ``EXTRA`` group's fields apart.  The fields are the numbers of the ``solve`` and
-``verify --out json`` documents (``psi.*``, ``views.*`` and the
-``spectrum``'s ``a_n`` and ``E_n`` by dotted name, and the ``verify`` check
-values by check name), the ``eig`` eigenvalues, each ``oracle`` entry's
-``a_root``, ``E`` and ``h_residual``, and the ``sweep`` CSV columns.  Exits 0 when every request
-of both groups is identical and 1 otherwise.
+relative moves over them, the ``EXTRA`` group's fields apart.  The fields
+are the numbers of the ``solve`` and ``verify --out json`` documents
+(``psi.*``, ``views.*`` and the ``spectrum``'s ``a_n`` and ``E_n`` by
+dotted name, and the ``verify`` check values by check name), the ``eig``
+eigenvalues, each ``oracle`` entry's ``a_root``, ``E`` and ``h_residual``,
+and the ``sweep`` CSV columns.  Exits 0 when every request of both groups
+is identical and 1 otherwise.
 """
 
 from __future__ import annotations
