@@ -442,8 +442,8 @@ def hierarchy_states(
     Seeds at the level-n ground state and applies the raising operator of
     levels n-1, ..., 0 in turn, so the polynomial degree of the result is 2n
     in the generic case.  The output is unnormalized, and no claim is made
-    that it solves a fixed member of the potential family exactly; the grid
-    residual diagnostics measure that.
+    that it solves a fixed member of the potential family exactly; the exact
+    residual norms of ``verify`` (``susy.hamiltonian_defect``) measure that.
     """
     if n < 0:
         raise ValueError(f"level must be >= 0, got {n}")

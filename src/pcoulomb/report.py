@@ -10,21 +10,27 @@ grid values.  Each check is a plain dict ``{name, kind, value, tol, pass}``:
 an ``assert`` check carries its tolerance and verdict, an ``info`` check
 only its value; each tolerance is a ``TOL_*`` constant below.
 
-Four ``verify`` info checks sample closed-form states on the grid:
-``ladder_level1_residual_advanced_a``, ``ladder_level1_residual_fixed_a``,
-``ladder_vs_numeric_overlap`` and ``ground_vs_oracle_nodeless_overlap``.
-numpy's vectorised exp/log move the states' samples with the host CPU, and
-the eigensolver's three-point matrix, which the residuals apply, amplifies
-that by 1/h^2 (up to about 2e-12 relative; the sums are pairwise
-``np.add.reduce`` and add no host dependence).  The values are only O(h^2)
-accurate, so they are rounded to ``GRID_INFO_DIGITS`` (10) significant
-digits.  With that, ``verify`` documents are the same at every numpy SIMD
-dispatch level and OpenBLAS kernel the tests try; glibc's libm FMA variants
-cannot be switched off from inside the process and stay untested.  The
-``h_residual`` values of ``oracle --check`` keep 17 digits and are
-byte-identical only on one host: numpy's exp/log move the state's samples
-between dispatch levels (2.2e-6 relative at ``--b 1 --c 0.5 --n 2`` with
-X86_V4 disabled).
+``psi.N0``, ``ground_vs_oracle_nodeless_overlap`` and the two
+``ladder_level1_residual_*`` checks are exact: norms, overlaps and
+||(H - E) psi|| / ||psi|| of closed-form states from their moments
+(``ClosedFormState.norm`` and ``overlap``, ``susy.hamiltonian_defect``), in plain float
+arithmetic whose bits do not depend on the host.  A residual whose
+(H - E) psi is not square integrable at the origin (the r^-1 term of the
+M = 2 ladder state) is reported as the string ``DIVERGENT``, never as a
+number.
+
+One ``verify`` info check samples a closed-form state on the grid:
+``ladder_vs_numeric_overlap``, the ladder state against the grid
+eigenvector.  numpy's vectorised exp/log move the state's samples with the
+host CPU (the sums are pairwise ``np.add.reduce`` and add no host
+dependence).  The value is only O(h^2) accurate, so it is rounded to
+``GRID_INFO_DIGITS`` (10) significant digits.  With that, ``verify``
+documents are the same at every numpy SIMD dispatch level and OpenBLAS
+kernel the tests try; glibc's libm FMA variants cannot be switched off from
+inside the process and stay untested.  The ``h_residual`` values of
+``oracle --check`` keep 17 digits and are byte-identical only on one host:
+numpy's exp/log move the state's samples between dispatch levels (2.2e-6
+relative at ``--b 1 --c 0.5 --n 2`` with X86_V4 disabled).
 """
 
 from __future__ import annotations
@@ -51,18 +57,11 @@ from .model import (
     classify_regime,
     effective_potential,
 )
-from .numerics import (
-    GridFunction,
-    build_grid,
-    eigen_lowest,
-    evaluate_state,
-    h_residual,
-    normalize,
-    overlap,
-)
+from .numerics import GridFunction, build_grid, eigen_lowest, evaluate_state, h_residual, overlap
 from .qes import oracle_state, qes_constraint_polynomial, qes_solve
 from .susy import (
-    partner_potential, perturbation_residual, riccati_residual, shape_invariance_compare,
+    hamiltonian_defect, partner_potential, perturbation_residual, riccati_residual,
+    shape_invariance_compare,
 )
 
 #: coefficient identities, scaled by max(1, |E|)
@@ -75,9 +74,11 @@ TOL_EIGEN = 1e-4
 TOL_ORACLE_ROOT = 1e-13
 #: significant digits reported for info values sampled from closed-form
 #: states on the grid.  They are only O(h^2) accurate, and their last few
-#: digits move with the exp/log kernels numpy picks for the host CPU (about
-#: 2e-12 relative), so 17 digits would not be the same on every host.
+#: digits move with the exp/log kernels numpy picks for the host CPU, so 17
+#: digits would not be the same on every host.
 GRID_INFO_DIGITS = 10
+#: the value of a residual check whose (H - E) psi has an infinite norm
+DIVERGENT = "divergent"
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +102,14 @@ MAX_NMAX = 10_000
 
 
 def _ground_on_grid(pot, dim, phys, nmax, r_max, h):
-    """Both views when defined, the grid, psi normalized on it and its scale
-    N0: (coulomb GroundSolution | None, oscillator | None, grid, psi, N0).
+    """Both views when defined, the grid and psi's exact scale
+    N0 = 1 / ||psi||: (coulomb GroundSolution | None, oscillator | None,
+    grid, N0).
 
     ``nmax`` is checked first and the grid is built after the views, so a
     ``nmax`` outside 0..``MAX_NMAX`` raises ``ValueError`` and a problem with
-    no view ``ConstraintViolation`` before any grid array exists.
+    no view ``ConstraintViolation`` before the grid's checks of ``r_max``
+    and ``h``.  Building the grid allocates no array.
     """
     if not 0 <= nmax <= MAX_NMAX:
         raise ValueError(f"nmax must be in 0..{MAX_NMAX}, got {nmax}")
@@ -114,8 +117,7 @@ def _ground_on_grid(pot, dim, phys, nmax, r_max, h):
     coul = ground_state(pot, dim, phys) if pot.a > 0 else None
     osc = oscillator_view_ground(pot, dim, phys) if pot.c > 0 else None
     grid = build_grid(pot, dim, phys, r_max=r_max, h=h)
-    ground_f, n0 = normalize(evaluate_state((coul or osc).psi, grid))
-    return coul, osc, grid, ground_f, n0
+    return coul, osc, grid, 1.0 / (coul or osc).psi.norm()
 
 
 def _view_block(sol) -> dict | None:
@@ -148,11 +150,12 @@ def solve_document(
     pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams, nmax: int,
     r_max: float | None = None, h: float | None = None,
 ) -> dict:
-    """The ``solve`` document: both views, psi with its grid norm N0, and the
-    spectrum up to level ``nmax``.  ``r_max`` and ``h`` override the grid
-    sizing as in ``build_grid``; input errors are raised before the grid is
-    built (``_ground_on_grid``)."""
-    coul, osc, _, _, n0 = _ground_on_grid(pot, dim, phys, nmax, r_max, h)
+    """The ``solve`` document: both views, psi with its exact scale N0, and
+    the spectrum up to level ``nmax``.  ``r_max`` and ``h`` override the
+    grid sizing as in ``build_grid``, and are checked as ``verify`` checks
+    them; input errors are raised before the grid is built
+    (``_ground_on_grid``)."""
+    coul, osc, _, n0 = _ground_on_grid(pot, dim, phys, nmax, r_max, h)
     return _document(pot, dim, phys, coul, osc, n0, nmax)
 
 
@@ -161,8 +164,8 @@ def verify_document(
     richardson: bool, r_max: float | None = None, h: float | None = None,
 ) -> dict:
     """The ``solve`` document plus the grid and the verification checks."""
-    coul, osc, grid, ground_f, n0 = _ground_on_grid(pot, dim, phys, nmax, r_max, h)
-    checks = _battery(pot, dim, phys, grid, richardson, coul, osc, ground_f)
+    coul, osc, grid, n0 = _ground_on_grid(pot, dim, phys, nmax, r_max, h)
+    checks = _battery(pot, dim, phys, grid, richardson, coul, osc)
     doc = _document(pot, dim, phys, coul, osc, n0, nmax)
     doc["inputs"]["grid"] = _grid_block(grid, richardson)
     doc["checks"] = checks
@@ -244,7 +247,7 @@ def _grid_info_check(name, value) -> dict:
     return _check(name, "info", float("%.*g" % (GRID_INFO_DIGITS, value)))
 
 
-def _battery(pot, dim, phys, grid, richardson, coul, osc, ground_f) -> list[dict]:
+def _battery(pot, dim, phys, grid, richardson, coul, osc) -> list[dict]:
     checks: list[dict] = []
     v_eff = effective_potential(pot, dim, phys)
 
@@ -265,7 +268,7 @@ def _battery(pot, dim, phys, grid, richardson, coul, osc, ground_f) -> list[dict
             _assert_check("dual_view_psi_params", dual["psi_param_diff"], TOL_DUAL_VIEW)
         )
 
-    closed_e = (coul or osc).energy.total
+    psi, closed_e = (coul or osc).psi, (coul or osc).energy.total
     numeric = eigen_lowest(v_eff, grid, phys, richardson=richardson)
     if dim.m_index == 2:
         # Lambda = -1/2 sits on the critical attractive-barrier edge where
@@ -282,7 +285,7 @@ def _battery(pot, dim, phys, grid, richardson, coul, osc, ground_f) -> list[dict
         sols1 = qes_solve(pot.b, pot.c, dim, phys, n=1)
         a1, e1 = closed_level(pot, dim, phys, 1)
         checks.extend(_oracle_checks(pot, dim, phys, sols1, a1))
-        checks.extend(_hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, ground_f, a1, e1))
+        checks.extend(_hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, psi, a1, e1))
     return checks
 
 
@@ -311,14 +314,23 @@ def _oracle_checks(pot, dim, phys, sols1, a1_linear) -> list[dict]:
     return checks
 
 
-def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, ground_f, a1, e1) -> list[dict]:
+def _residual_check(name, state, energy, v_eff, phys) -> dict:
+    """Info check ||(H - E) state|| / ||state|| from exact moments, or
+    ``DIVERGENT`` where (H - E) state is not square integrable."""
+    defect = hamiltonian_defect(state, energy, v_eff, phys)
+    if not defect.square_integrable:
+        return _check(name, "info", DIVERGENT)
+    return _check(name, "info", defect.norm() / state.norm())
+
+
+def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, psi, a1, e1) -> list[dict]:
     """Shape-invariance, ladder-state, and non-orthogonality diagnostics.
 
     (``a1``, ``e1``) is level 1 under the linear rule (``closed_level``).
 
-    ``ground_f`` is the exact ground state normalized on the grid: the
-    coulomb view's, or the oscillator view's when a <= 0 (both views give
-    the same state where both exist).
+    ``psi`` is the exact ground state: the coulomb view's, or the
+    oscillator view's when a <= 0 (both views give the same state where
+    both exist).
     """
     checks = []
     s0 = level_superpotential(pot.b, pot.c, dim, phys, 0)
@@ -344,33 +356,20 @@ def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, ground_f, a1, e1) -> l
     ladder = hierarchy_states(pot.b, pot.c, dim, phys, n=1)
     pot_up = PotentialParams(a=a1, b=pot.b, c=pot.c)
     v_up = effective_potential(pot_up, dim, phys)
-    ladder_f = evaluate_state(ladder, grid)
-    checks.append(
-        _grid_info_check(
-            "ladder_level1_residual_advanced_a", h_residual(ladder_f, e1, v_up, phys)
-        )
-    )
-    checks.append(
-        _grid_info_check(
-            "ladder_level1_residual_fixed_a", h_residual(ladder_f, e1, v_eff, phys)
-        )
-    )
+    checks.append(_residual_check("ladder_level1_residual_advanced_a", ladder, e1, v_up, phys))
+    checks.append(_residual_check("ladder_level1_residual_fixed_a", ladder, e1, v_eff, phys))
 
     _, vector = eigen_lowest(v_up, grid, phys, 1, eigenvectors=True)
     numeric_excited = GridFunction(grid=grid, values=vector)
     checks.append(
         _grid_info_check(
-            "ladder_vs_numeric_overlap", abs(overlap(ladder_f, numeric_excited))
+            "ladder_vs_numeric_overlap",
+            abs(overlap(evaluate_state(ladder, grid), numeric_excited)),
         )
     )
 
     nodeless = [s for s in sols1 if s.node_count == 0]
     if nodeless:
         other = oracle_state(nodeless[0], dim, phys, pot.b, pot.c)
-        other_f = evaluate_state(other, grid)
-        checks.append(
-            _grid_info_check(
-                "ground_vs_oracle_nodeless_overlap", overlap(ground_f, other_f)
-            )
-        )
+        checks.append(_check("ground_vs_oracle_nodeless_overlap", "info", psi.overlap(other)))
     return checks

@@ -63,6 +63,9 @@ def test_solve_hydrogen_limit(capsys):
     assert doc["views"]["coulomb"]["E"] == -0.5
     assert doc["views"]["oscillator"] is None
     assert doc["spectrum"] == []
+    # r e^(-r): ||psi||^2 = 2!/2^3 = 1/4 exactly, where the grid gave
+    # N0 = 2.0000000118096577
+    assert doc["psi"]["N0"] == 2.0 and '"N0": 2\n' in out
 
 
 @pytest.mark.parametrize("command", [["solve"], ["verify", "--out", "json"]])
@@ -104,15 +107,18 @@ def test_solve_derive_c(capsys):
 def test_verify_m2_demotes_eigen_check(capsys):
     # the critical-barrier case: algebra is exact, the grid oracle is not
     # applicable, so the eigen comparison is reported instead of gated
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "verify", "--a", "1", "--c", "0.5", "--N", "2", "--l", "0",
         "--derive", "b", "--out", "json",
     )
-    assert code == EXIT_OK
+    assert (code, err) == (EXIT_OK, "")
     doc = json.loads(out)
     by_name = {c["name"]: c for c in doc["checks"]}
     assert by_name["eigen_vs_closed"]["kind"] == "info"
     assert by_name["riccati_coulomb_view"]["pass"] is True
+    # the ladder state's defect has an r^(-1/2) term: its norm is infinite
+    for name in ("ladder_level1_residual_advanced_a", "ladder_level1_residual_fixed_a"):
+        assert (by_name[name]["kind"], by_name[name]["value"]) == ("info", "divergent")
 
 
 def test_solve_dimension_equivalence(capsys):
@@ -461,19 +467,45 @@ def test_nmax_out_of_range_exits_one(capsys, command, flags, nmax):
     assert peak < 2**24  # refused before any grid array or level list exists
 
 
-def test_verify_samples_each_state_once(capsys, monkeypatch):
-    # psi, the ladder state and the nodeless oracle state
-    sampled = []
-    evaluate = ClosedFormState.evaluate
+def _count_samples(monkeypatch) -> tuple[list, list]:
+    """Lists that collect each state sampled by ``ClosedFormState.evaluate``
+    and each grid whose nodes are computed, from now on."""
+    sampled, gridded = [], []
+    evaluate, nodes = ClosedFormState.evaluate, RadialGrid.nodes.func
 
-    def counting(self, r):
+    def counting_evaluate(self, r):
         sampled.append(self)
         return evaluate(self, r)
 
-    monkeypatch.setattr(ClosedFormState, "evaluate", counting)
+    def counting_nodes(self):
+        gridded.append(self)
+        return nodes(self)
+
+    monkeypatch.setattr(ClosedFormState, "evaluate", counting_evaluate)
+    monkeypatch.setattr(RadialGrid, "nodes", property(counting_nodes))
+    return sampled, gridded
+
+
+def test_verify_samples_each_state_once(capsys, monkeypatch):
+    # only the ladder state, for its overlap with the grid eigenvector; psi's
+    # norm, the nodeless overlap and the ladder residuals are exact moments
+    sampled, _ = _count_samples(monkeypatch)
     code, _, _ = run_cli(capsys, "verify", "--a", "1", "--c", "0.5", "--derive", "b")
     assert code == EXIT_OK
-    assert len(sampled) == len({id(state) for state in sampled}) == 3
+    phys, dim = PhysicalParams(), dimension_reduce(3, 0)
+    assert sampled == [exact.hierarchy_states(1.0, 0.5, dim, phys, n=1)]
+
+
+@pytest.mark.parametrize("flags", [["--a", "1", "--c", "0.5", "--derive", "b"],
+                                   ["--a", "1", "--N", "3", "--l", "0"]])
+def test_solve_samples_no_state_and_computes_no_nodes(capsys, monkeypatch, flags):
+    # N0 is exact; the grid is built only to check --rmax and --h
+    sampled, gridded = _count_samples(monkeypatch)
+    code, out, _ = run_cli(capsys, "solve", *flags)
+    assert code == EXIT_OK and json.loads(out)["psi"]["N0"] > 0.0
+    assert (sampled, gridded) == ([], [])
+    code, _, err = run_cli(capsys, "solve", *flags, "--rmax", "1e9", "--h", "1e-9")
+    assert code == EXIT_USAGE and "exceeds the budget" in err
 
 
 def test_verify_builds_each_view_once(capsys, monkeypatch):
@@ -964,6 +996,7 @@ def test_report_schema_validates_solve_and_verify(capsys):
         ["solve", "--a", "1", "--c", "0.5", "--derive", "b"],
         ["verify", "--a", "1", "--c", "0.5", "--derive", "b", "--out", "json"],
         ["verify", "--a", "1", "--out", "json"],
+        ["verify", "--a", "1", "--c", "0.5", "--N", "2", "--derive", "b", "--out", "json"],
     ):
         _, out, _ = run_cli(capsys, *args)
         jsonschema.validate(json.loads(out), schema)
@@ -1065,12 +1098,7 @@ def test_oracles_import_nothing_of_the_construction():
         assert not {n for n in names if n.split(".")[-1] in ("exact", "report", "cli")}, module
 
 
-GRID_INFO_CHECKS = (
-    "ladder_level1_residual_advanced_a",
-    "ladder_level1_residual_fixed_a",
-    "ladder_vs_numeric_overlap",
-    "ground_vs_oracle_nodeless_overlap",
-)
+GRID_INFO_CHECKS = ("ladder_vs_numeric_overlap",)
 
 
 def test_verification_checks_round_only_grid_info_values(monkeypatch):

@@ -62,7 +62,8 @@ SEEDS = range(1, 11)
 #: Richardson eig; grid starts interpolated from a coarser grid's iterate:
 #: h grids of 4000..4003 nodes (each count modulo 4, the last nodes running
 #: towards the 4h grid's far zero) at level 1, levels 11 and 12 with h/2,
-#: starting on 16h, and pure Coulomb, whose coarser values lie above the level
+#: starting on 16h, and pure Coulomb, whose coarser values lie above the level;
+#: exact moments: solve at M = 2, and at c = 0, whose moments are p!/beta^(p+1)
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
@@ -112,6 +113,8 @@ EXTRA = [argv.split() for argv in (
     "eig --a 1 --k 3 --richardson",
     "sweep --sweep a=1,2 --richardson",
     "verify --a 1 --N 3 --l 1 --out json",
+    "solve --a 1 --c 0.5 --N 2 --l 0 --derive b",
+    "solve --a 1 --N 3 --l 0",
 )]
 
 # runs the argvs of stdin under ROOT's package and prints [exit code,
