@@ -226,13 +226,13 @@ def _moments(beta: float, k: float, lo: int, hi: int) -> list[tuple[float, int]]
     2 J_1 + 2 x J_0 = 1.  J_p is the recurrence's minimal solution as p
     grows, so upward it loses up to about e^(2 sqrt(2p) x) ulps (9e-10
     relative by p = 40 at x = 1, 4e-4 at x = 1.7), and the ratios
-    r_p = J_p / J_(p-1) are taken downward
-    instead (Miller's algorithm, as a continued fraction):
-    r_p = p / (2 (x + r_(p+1))), from p = hi + MOMENT_TAIL_STEPS down to 1.
-    Its start is not 0 but the smooth solution of the recurrence to
-    MOMENT_TAIL_ORDER orders (``_tail_ratio``), so a few dozen steps damp
-    the start's error below rounding at every x >= 0, where a start at 0
-    needs about (sqrt(hi) + 13/x)^2 steps.  Then J_0 = 1 / (2 (x + r_1)) by
+    r_p = J_p / J_(p-1) are taken downward instead (Miller's algorithm, as
+    a continued fraction): r_p = p / (2 (x + r_(p+1))), from
+    p = hi + MOMENT_TAIL_STEPS down to 1.  Its start is not 0 but the
+    smooth solution of the recurrence to MOMENT_TAIL_ORDER orders
+    (``_tail_ratio``), so MOMENT_TAIL_STEPS steps damp the start's error
+    below rounding at every x >= 0, where a start at 0 needs about
+    (sqrt(hi) + 13/x)^2 steps.  Then J_0 = 1 / (2 (x + r_1)) by
     the normalization, so I_0 = 1 / (beta + 2 sqrt(k) r_1), and
     I_p = I_(p-1) r_p / sqrt(k).  Against mpmath the moments are right to
     6e-15 relative for p <= 40 at every x from 0 to 1e3 (k from 1e-6 to 1e6).
