@@ -143,13 +143,12 @@ def _add_problem_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="file of key = value flags")
 
 
-def _add_grid_options(sub: argparse.ArgumentParser, richardson: bool) -> None:
+def _add_grid_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--rmax", type=float, default=None, help="grid extent override")
     sub.add_argument("--h", type=float, default=None, help="grid step override")
-    if richardson:
-        sub.add_argument(
-            "--richardson", action="store_true", help="extrapolate eigenvalues over (h, h/2)"
-        )
+    sub.add_argument(
+        "--richardson", action="store_true", help="extrapolate eigenvalues over (h, h/2)"
+    )
 
 
 @functools.cache
@@ -162,36 +161,35 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     solve = commands.add_parser("solve", help="closed-form solution document")
     _add_problem_options(solve)
-    _add_grid_options(solve, richardson=False)
     solve.add_argument("--nmax", type=int, default=2, help="levels in the spectrum block")
     solve.add_argument("--out", choices=("json", "table"), default="json")
     solve.set_defaults(func=cmd_solve)
 
     verify = commands.add_parser("verify", help="run the verification battery")
     _add_problem_options(verify)
-    _add_grid_options(verify, richardson=True)
+    _add_grid_options(verify)
     verify.add_argument("--nmax", type=int, default=2, help="levels in the spectrum block")
     verify.add_argument("--out", choices=("json", "table"), default="table")
     verify.set_defaults(func=cmd_verify)
 
     oracle = commands.add_parser("oracle", help="polynomial-ansatz constraint roots")
     _add_problem_options(oracle)
-    _add_grid_options(oracle, richardson=False)
     oracle.add_argument("--n", type=int, required=True, help="level (polynomial degree)")
     oracle.add_argument(
-        "--check", action="store_true", help="attach grid residuals to each solution"
+        "--check", action="store_true",
+        help="attach each state's exact residual ||(H - E) psi|| / ||psi||"
     )
     oracle.set_defaults(func=cmd_oracle)
 
     eig = commands.add_parser("eig", help="lowest numeric eigenvalues")
     _add_problem_options(eig)
-    _add_grid_options(eig, richardson=True)
+    _add_grid_options(eig)
     eig.add_argument("--k", type=int, default=1, help="number of eigenvalues")
     eig.set_defaults(func=cmd_eig)
 
     sweep = commands.add_parser("sweep", help="CSV scan over one or two parameters")
     _add_problem_options(sweep)
-    _add_grid_options(sweep, richardson=True)
+    _add_grid_options(sweep)
     sweep.add_argument(
         "--sweep",
         action="append",
@@ -282,7 +280,7 @@ def _solve_table(doc):
 
 def cmd_solve(args) -> tuple[int, str]:
     pot, dim, phys = _problem(args)
-    doc = solve_document(pot, dim, phys, args.nmax, r_max=args.rmax, h=args.h)
+    doc = solve_document(pot, dim, phys, args.nmax)
     return EXIT_OK, dump_json(doc) if args.out == "json" else "\n".join(_solve_table(doc))
 
 
@@ -320,7 +318,7 @@ def cmd_verify(args) -> tuple[int, str]:
 
 def cmd_oracle(args) -> tuple[int, str]:
     """The level-n solutions as a JSON list, ascending in the root."""
-    doc = oracle_document(*_problem(args), args.n, args.check, r_max=args.rmax, h=args.h)
+    doc = oracle_document(*_problem(args), args.n, args.check)
     return EXIT_OK, dump_json(doc)
 
 

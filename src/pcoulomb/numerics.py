@@ -65,7 +65,9 @@ command imports the ``scipy.linalg`` package; one imported later binds
 ``_flapack``.
 
 The solver and ``hamiltonian_apply`` (so ``h_residual``) share one
-three-point matrix, ``_matrix``, and one product, ``_product``.  Quadrature
+three-point matrix, ``_matrix``, and one product, ``_product``.  No command
+calls ``h_residual``: ``oracle --check`` takes its residuals from exact
+moments, and the tests use it as the grid cross-check of the oracle states.  Quadrature
 is the trapezoid rule with the boundary zeros, h times the samples' pairwise
 ``np.add.reduce`` sum, as is every sum here.  A grid computes its nodes
 once and keeps them read-only.
@@ -104,8 +106,7 @@ DEFAULT_STEPS = 20000
 STEPS_PER_LENGTH = 1200
 
 #: most nodes a grid may have (128 MiB per stored array); the largest grids
-#: built by default, strong-Coulomb oracle --check and Richardson h/2 grids,
-#: stay under 2e6 nodes
+#: built by default, Richardson h/2 grids included, stay under 2e6 nodes
 MAX_NODES = 2**24
 
 #: step ratio between neighbouring grids of the seeding chain 64h -> 16h ->

@@ -152,11 +152,17 @@ def _eigenpairs(
     with scale_0 = 1, scale_{i+1} = scale_i sqrt(curvature[i] / step[i+1])
     the similarity diag(scale) M diag(scale)^-1 is the symmetric Jacobi
     matrix with off-diagonals -sqrt(curvature[i] * step[i+1]); its
-    eigenvectors divided by scale are those of M.  A scale that overflows
-    (tiny couplings, or a tiny hbar) is a ValueError, not a RuntimeWarning.
+    eigenvectors divided by scale are those of M.  An off-diagonal or a
+    scale that overflows (extreme couplings, or a tiny hbar or mass) is a
+    ValueError, not a RuntimeWarning.
     """
     curvature, step = curvature[:-1], step[1:]
-    off = -np.sqrt(curvature * step)
+    with np.errstate(over="ignore"):
+        off = -np.sqrt(curvature * step)
+    if not np.all(np.isfinite(off)):
+        raise ValueError(
+            f"level n = {n}: an off-diagonal of the Jacobi matrix"
+            " is not finite in double precision")
     jacobi = np.diag(np.negative(shift)) + np.diag(off, 1) + np.diag(off, -1)
     roots, vectors = np.linalg.eigh(jacobi)
     with np.errstate(all="ignore"):

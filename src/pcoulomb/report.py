@@ -1,23 +1,27 @@
 """What every command prints, built without argparse.
 
 ``solve_document`` and ``verify_document`` (with the verification battery)
-take a problem (couplings, dimension, units), the grid overrides, the
-number of spectrum levels and, for ``verify``, whether grid eigenvalues are
-Richardson-extrapolated; ``schema/report.schema.json`` describes them.
+take a problem (couplings, dimension, units) and the number of spectrum
+levels and, for ``verify``, the grid overrides and whether grid eigenvalues
+are Richardson-extrapolated; ``schema/report.schema.json`` describes them.
 ``eig_document`` holds the lowest grid eigenvalues, ``oracle_document`` the
 ansatz solutions of one level and ``sweep_row`` one level's closed-form and
 grid values.  Each check is a plain dict ``{name, kind, value, tol, pass}``:
 an ``assert`` check carries its tolerance and verdict, an ``info`` check
 only its value; each tolerance is a ``TOL_*`` constant below.
 
-``psi.N0``, ``ground_vs_oracle_nodeless_overlap`` and the two
-``ladder_level1_residual_*`` checks are exact: norms, overlaps and
-||(H - E) psi|| / ||psi|| of closed-form states from their moments
-(``ClosedFormState.norm`` and ``overlap``, ``susy.hamiltonian_defect``), in plain float
-arithmetic whose bits do not depend on the host.  A residual whose
-(H - E) psi is not square integrable at the origin (the r^-1 term of the
-M = 2 ladder state) is reported as the string ``DIVERGENT``, never as a
-number.
+``psi.N0``, ``ground_vs_oracle_nodeless_overlap``, the two
+``ladder_level1_residual_*`` checks and the ``h_residual`` of each
+``oracle --check`` entry are exact: norms, overlaps and
+||(H - E) psi|| / ||psi|| (``_relative_residual``) of closed-form states
+from their moments (``ClosedFormState.norm`` and ``overlap``,
+``susy.hamiltonian_defect``), in plain float arithmetic whose bits do not
+depend on the host.  A residual whose (H - E) psi is not square integrable
+at the origin is reported as the string ``DIVERGENT``, never as a number.
+That happens only at M = 2, where the defect keeps an r^-1/2 term: the
+ladder state's, and an oracle state's whose coefficient, the constraint
+D(a_root) evaluated in float, is not exactly 0.  Only ``verify``, ``eig``
+and ``sweep``, which solve a grid eigenproblem, build a grid.
 
 One ``verify`` info check samples a closed-form state on the grid:
 ``ladder_vs_numeric_overlap``, the ladder state against the grid
@@ -27,10 +31,7 @@ dependence).  The value is only O(h^2) accurate, so it is rounded to
 ``GRID_INFO_DIGITS`` (10) significant digits.  With that, ``verify``
 documents are the same at every numpy SIMD dispatch level and OpenBLAS
 kernel the tests try; glibc's libm FMA variants cannot be switched off from
-inside the process and stay untested.  The ``h_residual`` values of
-``oracle --check`` keep 17 digits and are byte-identical only on one host:
-numpy's exp/log move the state's samples between dispatch levels (2.2e-6
-relative at ``--b 1 --c 0.5 --n 2`` with X86_V4 disabled).
+inside the process and stay untested.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .model import (
     classify_regime,
     effective_potential,
 )
-from .numerics import GridFunction, build_grid, eigen_lowest, evaluate_state, h_residual, overlap
+from .numerics import GridFunction, build_grid, eigen_lowest, evaluate_state, overlap
 from .qes import oracle_state, qes_constraint_polynomial, qes_solve
 from .susy import (
     hamiltonian_defect, partner_potential, perturbation_residual, riccati_residual,
@@ -101,23 +102,19 @@ def _grid_block(grid, richardson: bool) -> dict:
 MAX_NMAX = 10_000
 
 
-def _ground_on_grid(pot, dim, phys, nmax, r_max, h):
-    """Both views when defined, the grid and psi's exact scale
-    N0 = 1 / ||psi||: (coulomb GroundSolution | None, oscillator | None,
-    grid, N0).
+def _ground(pot, dim, phys, nmax):
+    """Both views when defined and psi's exact scale N0 = 1 / ||psi||:
+    (coulomb GroundSolution | None, oscillator | None, N0).
 
-    ``nmax`` is checked first and the grid is built after the views, so a
-    ``nmax`` outside 0..``MAX_NMAX`` raises ``ValueError`` and a problem with
-    no view ``ConstraintViolation`` before the grid's checks of ``r_max``
-    and ``h``.  Building the grid allocates no array.
+    ``nmax`` is checked first, so a ``nmax`` outside 0..``MAX_NMAX`` raises
+    ``ValueError`` and then a problem with no view ``ConstraintViolation``.
     """
     if not 0 <= nmax <= MAX_NMAX:
         raise ValueError(f"nmax must be in 0..{MAX_NMAX}, got {nmax}")
     require_view(pot, dim, phys)
     coul = ground_state(pot, dim, phys) if pot.a > 0 else None
     osc = oscillator_view_ground(pot, dim, phys) if pot.c > 0 else None
-    grid = build_grid(pot, dim, phys, r_max=r_max, h=h)
-    return coul, osc, grid, 1.0 / (coul or osc).psi.norm()
+    return coul, osc, 1.0 / (coul or osc).psi.norm()
 
 
 def _view_block(sol) -> dict | None:
@@ -148,14 +145,10 @@ def _document(pot, dim, phys, coul, osc, n0: float, nmax: int) -> dict:
 
 def solve_document(
     pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams, nmax: int,
-    r_max: float | None = None, h: float | None = None,
 ) -> dict:
     """The ``solve`` document: both views, psi with its exact scale N0, and
-    the spectrum up to level ``nmax``.  ``r_max`` and ``h`` override the
-    grid sizing as in ``build_grid``, and are checked as ``verify`` checks
-    them; input errors are raised before the grid is built
-    (``_ground_on_grid``)."""
-    coul, osc, _, n0 = _ground_on_grid(pot, dim, phys, nmax, r_max, h)
+    the spectrum up to level ``nmax``; no grid is built."""
+    coul, osc, n0 = _ground(pot, dim, phys, nmax)
     return _document(pot, dim, phys, coul, osc, n0, nmax)
 
 
@@ -163,8 +156,10 @@ def verify_document(
     pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams, nmax: int,
     richardson: bool, r_max: float | None = None, h: float | None = None,
 ) -> dict:
-    """The ``solve`` document plus the grid and the verification checks."""
-    coul, osc, grid, n0 = _ground_on_grid(pot, dim, phys, nmax, r_max, h)
+    """The ``solve`` document plus the grid and the verification checks.  The
+    grid is built (allocating no array) after the views' input checks."""
+    coul, osc, n0 = _ground(pot, dim, phys, nmax)
+    grid = build_grid(pot, dim, phys, r_max=r_max, h=h)
     checks = _battery(pot, dim, phys, grid, richardson, coul, osc)
     doc = _document(pot, dim, phys, coul, osc, n0, nmax)
     doc["inputs"]["grid"] = _grid_block(grid, richardson)
@@ -192,12 +187,12 @@ def eig_document(
 
 
 def oracle_document(
-    pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams, n: int,
-    check: bool, r_max: float | None = None, h: float | None = None,
+    pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams, n: int, check: bool,
 ) -> list[dict]:
     """The ``oracle`` document: the level-``n`` solutions of the ansatz at
-    (b, c), ascending in the root.  With ``check`` each carries the grid
-    residual of its state in the potential with a set to its root."""
+    (b, c), ascending in the root.  With ``check`` each carries the exact
+    residual ||(H - E) psi|| / ||psi|| of its state in the potential with a
+    set to its root, or ``DIVERGENT``."""
     entries = []
     for sol in qes_solve(pot.b, pot.c, dim, phys, n):
         entry = {"n": sol.n, "a_root": sol.a_root, "poly": list(sol.poly),
@@ -205,10 +200,8 @@ def oracle_document(
         if check:
             state = oracle_state(sol, dim, phys, pot.b, pot.c)
             pot_root = PotentialParams(a=sol.a_root, b=pot.b, c=pot.c)
-            grid = build_grid(pot_root, dim, phys, r_max=r_max, h=h)
-            entry["h_residual"] = h_residual(
-                evaluate_state(state, grid), sol.energy,
-                effective_potential(pot_root, dim, phys), phys,
+            entry["h_residual"] = _relative_residual(
+                state, sol.energy, effective_potential(pot_root, dim, phys), phys,
             )
         entries.append(entry)
     return entries
@@ -314,13 +307,17 @@ def _oracle_checks(pot, dim, phys, sols1, a1_linear) -> list[dict]:
     return checks
 
 
-def _residual_check(name, state, energy, v_eff, phys) -> dict:
-    """Info check ||(H - E) state|| / ||state|| from exact moments, or
-    ``DIVERGENT`` where (H - E) state is not square integrable."""
+def _relative_residual(state, energy, v_eff, phys) -> float | str:
+    """||(H - E) state|| / ||state|| from exact moments, or ``DIVERGENT``
+    where (H - E) state is not square integrable."""
     defect = hamiltonian_defect(state, energy, v_eff, phys)
     if not defect.square_integrable:
-        return _check(name, "info", DIVERGENT)
-    return _check(name, "info", defect.norm() / state.norm())
+        return DIVERGENT
+    return defect.norm() / state.norm()
+
+
+def _residual_check(name, state, energy, v_eff, phys) -> dict:
+    return _check(name, "info", _relative_residual(state, energy, v_eff, phys))
 
 
 def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, psi, a1, e1) -> list[dict]:

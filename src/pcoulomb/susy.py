@@ -175,11 +175,17 @@ class ClosedFormState:
         unscaled sum, and an integral beyond the float range (a tiny mass,
         a large M) keeps its digits.
 
-        ValueError when q is not an integer, or when the integral diverges:
-        a power r^(q+j) with q + j <= -1 and c_j != 0, or no decay.
+        ValueError when q is not an integer, when the integral diverges (a
+        power r^(q+j) with q + j <= -1 and c_j != 0, or no decay), or when a
+        coefficient is not finite: a product of two states' coefficients
+        overflowed in ``__mul__``.
         """
         if not float(self.q).is_integer():
             raise ValueError(f"r-power q = {self.q} is not an integer")
+        if not all(map(math.isfinite, self.poly)):
+            raise ValueError(
+                "an integral of closed-form states is not representable:"
+                " a product of their coefficients overflows the float range")
         terms = [(int(self.q) + j, c) for j, c in enumerate(self.poly) if c != 0.0]
         if not terms:
             return 0.0, 0
@@ -198,10 +204,21 @@ class ClosedFormState:
         beyond the float range."""
         return math.ldexp(*(self * other)._integral_parts())
 
+    def _square_parts(self) -> tuple[float, int]:
+        """``_integral_parts`` of self * self.  The integral of a nonzero
+        square is positive, so a sum that is not (the squares of its
+        coefficients underflowed where cross terms did not) is a ValueError."""
+        value, e = (self * self)._integral_parts()
+        if value <= 0.0 and not self.is_zero:
+            raise ValueError(
+                "the norm of a closed-form state is not representable:"
+                " products of its coefficients underflow the float range")
+        return value, e
+
     def norm(self) -> float:
         """The exact L2 norm over r > 0, sqrt(inner(self, self)) bit for
         bit wherever that square lies in the float range."""
-        value, e = (self * self)._integral_parts()
+        value, e = self._square_parts()
         if e % 2:
             value, e = 2.0 * value, e - 1
         return math.ldexp(math.sqrt(value), e // 2)
@@ -209,8 +226,8 @@ class ClosedFormState:
     def overlap(self, other: "ClosedFormState") -> float:
         """The exact normalized inner product <self, other> / (||self|| ||other||)."""
         ab, e_ab = (self * other)._integral_parts()
-        aa, e_aa = (self * self)._integral_parts()
-        bb, e_bb = (other * other)._integral_parts()
+        aa, e_aa = self._square_parts()
+        bb, e_bb = other._square_parts()
         return ab / math.sqrt(math.ldexp(aa * bb, e_aa + e_bb - 2 * e_ab))
 
 

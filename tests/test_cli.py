@@ -261,6 +261,34 @@ def test_oracle_check_attaches_residuals(capsys):
     assert all(s["h_residual"] <= 1e-6 for s in solutions)
 
 
+def test_oracle_check_residuals_of_the_benchmark_strata(capsys):
+    # every oracle request of cli-cold and verify-battery, seeds 1-10 (M 3..11,
+    # n 0..3 and 5..8): each exact residual is a finite number >= 0
+    argvs = {tuple(argv) for workload in ("cli-cold", "verify-battery")
+             for argv in _benchmark_requests(workload, range(1, 11)) if argv[0] == "oracle"}
+    assert len(argvs) == 120
+    for argv in sorted(argvs):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (EXIT_OK, ""), argv
+        for entry in json.loads(out):
+            value = entry["h_residual"]
+            # a zero residual prints as the JSON integer 0
+            assert isinstance(value, (int, float)) and math.isfinite(value) and value >= 0, argv
+
+
+@pytest.mark.parametrize("b, c", [(1.0, 0.5), (0.0, 0.5), (2.2, 0.2), (5.0, 0.05)])
+def test_oracle_check_at_m2_is_a_number_or_divergent(capsys, b, c):
+    # the defect's r^-1/2 coefficient is D(a_root) evaluated in float: where
+    # it is not exactly zero the residual is divergent, never a garbage number
+    for n in range(9):
+        code, out, err = run_cli(capsys, "oracle", "--b", str(b), "--c", str(c),
+                                 "--N", "2", "--l", "0", "--n", str(n), "--check")
+        assert (code, err) == (EXIT_OK, "")
+        for entry in json.loads(out):
+            value = entry["h_residual"]
+            assert value == report.DIVERGENT or (isinstance(value, (int, float)) and value >= 0)
+
+
 def test_oracle_requires_n(capsys):
     with pytest.raises(SystemExit) as err:
         main(["oracle", "--b", "1", "--c", "0.5"])
@@ -442,11 +470,14 @@ def test_grid_over_budget_exits_one(capsys, argv, cause):
     "flags",
     [
         ["--a", "-1", "--b", "0", "--c", "0"],
-        # a step that would put the grid over budget: the views come first
+        # a step that would put verify's grid over budget: the views come
+        # first (solve builds no grid and takes no --h)
         ["--a", "-1", "--b", "1", "--h", "1e-9"],
     ],
 )
 def test_no_solvable_view_exits_two_before_the_grid(capsys, command, flags):
+    if command == "solve":
+        flags = [flag for flag in flags if flag not in ("--h", "1e-9")]
     code, out, err = run_cli(capsys, command, *flags)
     assert (code, out) == (EXIT_CONSTRAINT, "")
     assert "no solvable view" in err
@@ -467,11 +498,13 @@ def test_nmax_out_of_range_exits_one(capsys, command, flags, nmax):
     assert peak < 2**24  # refused before any grid array or level list exists
 
 
-def _count_samples(monkeypatch) -> tuple[list, list]:
-    """Lists that collect each state sampled by ``ClosedFormState.evaluate``
-    and each grid whose nodes are computed, from now on."""
-    sampled, gridded = [], []
+def _count_samples(monkeypatch) -> tuple[list, list, list]:
+    """Lists that collect each state sampled by ``ClosedFormState.evaluate``,
+    each grid whose nodes are computed and each ``RadialGrid`` constructed,
+    from now on."""
+    sampled, gridded, built = [], [], []
     evaluate, nodes = ClosedFormState.evaluate, RadialGrid.nodes.func
+    post_init = RadialGrid.__post_init__
 
     def counting_evaluate(self, r):
         sampled.append(self)
@@ -481,15 +514,20 @@ def _count_samples(monkeypatch) -> tuple[list, list]:
         gridded.append(self)
         return nodes(self)
 
+    def counting_post_init(self):
+        post_init(self)
+        built.append(self)
+
     monkeypatch.setattr(ClosedFormState, "evaluate", counting_evaluate)
     monkeypatch.setattr(RadialGrid, "nodes", property(counting_nodes))
-    return sampled, gridded
+    monkeypatch.setattr(RadialGrid, "__post_init__", counting_post_init)
+    return sampled, gridded, built
 
 
 def test_verify_samples_each_state_once(capsys, monkeypatch):
     # only the ladder state, for its overlap with the grid eigenvector; psi's
     # norm, the nodeless overlap and the ladder residuals are exact moments
-    sampled, _ = _count_samples(monkeypatch)
+    sampled, _, _ = _count_samples(monkeypatch)
     code, _, _ = run_cli(capsys, "verify", "--a", "1", "--c", "0.5", "--derive", "b")
     assert code == EXIT_OK
     phys, dim = PhysicalParams(), dimension_reduce(3, 0)
@@ -499,13 +537,46 @@ def test_verify_samples_each_state_once(capsys, monkeypatch):
 @pytest.mark.parametrize("flags", [["--a", "1", "--c", "0.5", "--derive", "b"],
                                    ["--a", "1", "--N", "3", "--l", "0"]])
 def test_solve_samples_no_state_and_computes_no_nodes(capsys, monkeypatch, flags):
-    # N0 is exact; the grid is built only to check --rmax and --h
-    sampled, gridded = _count_samples(monkeypatch)
+    # N0 is exact, and solve builds no grid at all
+    sampled, gridded, built = _count_samples(monkeypatch)
     code, out, _ = run_cli(capsys, "solve", *flags)
     assert code == EXIT_OK and json.loads(out)["psi"]["N0"] > 0.0
-    assert (sampled, gridded) == ([], [])
-    code, _, err = run_cli(capsys, "solve", *flags, "--rmax", "1e9", "--h", "1e-9")
-    assert code == EXIT_USAGE and "exceeds the budget" in err
+    assert (sampled, gridded, built) == ([], [], [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--b", "1", "--c", "0.5", "--N", "3", "--l", "0", "--n", "1"],
+    ["--b", "2.2", "--c", "0.2", "--N", "4", "--l", "2", "--n", "8"],
+    ["--b", "1", "--c", "0.5", "--N", "2", "--l", "0", "--n", "3"],
+])
+def test_oracle_check_samples_no_state_and_builds_no_grid(capsys, monkeypatch, argv):
+    # each residual is a sum of exact moments
+    sampled, gridded, built = _count_samples(monkeypatch)
+    code, out, _ = run_cli(capsys, "oracle", *argv, "--check")
+    assert code == EXIT_OK and all("h_residual" in entry for entry in json.loads(out))
+    assert (sampled, gridded, built) == ([], [], [])
+
+
+def test_solve_builds_no_grid_where_verify_is_over_budget(capsys):
+    # the Coulomb length is 1e8 oscillator lengths: verify's grid would
+    # exceed the node budget, but solve needs no grid
+    flags = ["--a", "1e-8", "--c", "0.5", "--derive", "b"]
+    code, out, err = run_cli(capsys, "solve", *flags)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["psi"]["N0"] > 0.0
+    code, out, err = run_cli(capsys, "verify", *flags)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "exceeds the budget" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize("flag", ["--rmax", "--h"])
+def test_grid_flags_only_on_grid_eigenvalue_commands(capsys, command, flag):
+    problem = (["--a", "1", "--c", "0.5", "--derive", "b"] if command == "solve"
+               else ["--b", "1", "--c", "0.5", "--n", "1", "--check"])
+    code, out, err = run_cli_usage(capsys, command, *problem, flag, "20")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"unrecognized arguments: {flag} 20" in err
 
 
 def test_verify_builds_each_view_once(capsys, monkeypatch):
@@ -594,19 +665,63 @@ def test_oracle_non_finite_result_exits_one(capsys):
 
 
 def test_overflowing_grid_hamiltonian_exits_one(capsys):
-    # c r^2 overflows at the far nodes: eig, sweep and the residual of
-    # oracle --check refuse the one matrix with one message, and no numpy
-    # RuntimeWarning on the way
+    # c r^2 overflows at the far nodes: eig and sweep refuse the one matrix
+    # with one message, and no numpy RuntimeWarning on the way
     grid = ["--rmax", "20", "--h", "0.01"]
     for argv in (["eig", "--a", "1", "--c", "1e307", *grid],
-                 ["sweep", "--sweep", "a=1", "--c", "1e307", *grid],
-                 ["oracle", "--b", "1", "--c", "1e307", "--n", "0", "--check", *grid]):
+                 ["sweep", "--sweep", "a=1", "--c", "1e307", *grid]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, ""), argv
         assert err == ("pcoulomb: error: the grid Hamiltonian overflows:"
                        " a matrix entry is not finite\n"), argv
+
+
+def test_oracle_check_needs_no_grid_hamiltonian(capsys):
+    # the grid Hamiltonian of c = 1e307 overflows, but the exact residual
+    # needs no grid: a finite number, relative to E = 6.7e153
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "oracle", "--b", "1", "--c", "1e307", "--n", "0",
+                                 "--check")
+    assert (code, err) == (EXIT_OK, "")
+    (entry,) = json.loads(out)
+    assert 0.0 <= entry["h_residual"] <= 1e-14 * entry["E"]
+
+
+@pytest.mark.parametrize("argv, cause", [
+    # the ladder state's squared coefficients underflow where its cross
+    # terms do not, so the sum for its norm is negative
+    (["verify", "--a", "1e-300", "--c", "1e-6", "--hbar", "1e-100", "--N", "2", "--l", "0",
+      "--derive", "b", "--rmax", "20", "--h", "0.01"],
+     "the norm of a closed-form state is not representable: products of its"
+     " coefficients underflow the float range"),
+    # T = 5e149: the squared defect's coefficients overflow
+    (["oracle", "--b", "0", "--c", "0.5", "--mass", "1e-150", "--N", "3", "--l", "0",
+      "--n", "8", "--check"],
+     "an integral of closed-form states is not representable: a product of their"
+     " coefficients overflows the float range"),
+])
+def test_unrepresentable_exact_integral_names_its_cause(capsys, argv, cause):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"pcoulomb: error: {cause}\n")
+
+
+@pytest.mark.parametrize("flags, n", [(["--N", "3"], "1"), (["--N", "2"], "8")])
+def test_oracle_jacobi_overflow_exits_one_naming_the_level(capsys, flags, n):
+    # c = 1e307 and mass = 1e-150: curvature * step overflows in the
+    # Jacobi off-diagonal, once a numpy RuntimeWarning (and at n = 8 then
+    # "Eigenvalues did not converge")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "oracle", "--b", "0", "--c", "1e307",
+                                 "--mass", "1e-150", *flags, "--l", "0", "--n", n)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (f"pcoulomb: error: level n = {n}: an off-diagonal of the Jacobi matrix"
+                   " is not finite in double precision\n")
 
 
 def test_off_diagonal_whose_square_overflows_exits_one(capsys):
@@ -877,6 +992,18 @@ def test_config_skips_keys_of_other_commands(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "solve", "--config", str(config))
     assert code == EXIT_OK
     assert json.loads(out)["inputs"]["b"] == 1.0
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["oracle", "--n", "1", "--check"]])
+def test_config_grid_keys_are_skipped_by_commands_without_a_grid(tmp_path, capsys, argv):
+    # verify's rmax and h lines still serve a config file that solve and
+    # oracle read
+    config = tmp_path / "run.conf"
+    config.write_text(_SURFACE_CONFIG + "rmax = 20\nh = 0.01\n")
+    code, out, _ = run_cli(capsys, *argv, "--config", str(config))
+    assert code == EXIT_OK
+    config.write_text(_SURFACE_CONFIG)
+    assert run_cli(capsys, *argv, "--config", str(config)) == (code, out, "")
 
 
 def test_config_sweep_line_adds_a_range_ahead_of_the_flags(tmp_path, capsys):
@@ -1178,6 +1305,7 @@ sys.stdout.write(json.dumps(results))
 #: compared with their own output at default dispatch, not with a golden file
 _UNGOLDEN_RUNS = (
     ["oracle", "--b", "2.2", "--c", "0.2", "--N", "4", "--l", "2", "--n", "8"],
+    ["oracle", "--b", "2.2", "--c", "0.2", "--N", "4", "--l", "2", "--n", "8", "--check"],
     ["eig", "--a", "1", "--b", "1", "--c", "0.5", "--k", "3", "--rmax", "40", "--h", "0.002",
      "--richardson"],
 )
@@ -1260,9 +1388,8 @@ def test_potential_samples_do_not_move_with_dispatch(extra_env):
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="OPENBLAS_CORETYPE=Prescott names an x86_64 kernel")
 def test_oracle_check_does_not_move_with_the_openblas_kernel():
-    # the residual norms are numpy's pairwise sums, not BLAS dot; numpy's
-    # exp/log still move them between SIMD levels, so this run stays out of
-    # the dispatch settings' ungolden runs
+    # the residuals are exact moments in plain float arithmetic; an oracle
+    # --check run is also among the dispatch settings' ungolden runs
     argv = ["oracle", "--b", "1", "--c", "0.5", "--n", "2", "--check"]
     outputs = []
     for extra_env in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
@@ -1335,8 +1462,7 @@ def test_import_scipy_linalg_after_an_eigensolve_binds_flapack():
 
 
 @pytest.mark.parametrize("argv", [
-    ["oracle", "--b", "1", "--c", "0.5", "--N", "3", "--l", "0", "--n", "1", "--check",
-     "--rmax", "1", "--h", "0.01"],
+    ["oracle", "--b", "1", "--c", "0.5", "--N", "3", "--l", "0", "--n", "1", "--check"],
     ["verify", "--a", "1", "--c", "0.5", "--derive", "b"],
     ["sweep", "--sweep", "a=0.5,1", "--c", "0.5", "--derive", "b"],
 ], ids=["json", "table", "csv"])

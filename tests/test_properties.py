@@ -2,12 +2,13 @@
 in an exit code 0-3 with no exception escaping; exit 0 means strict JSON, or
 for ``sweep`` a CSV whose cells are all finite.
 
-``cli.main`` runs in-process.  Every command that builds a grid gets
-``--rmax 20 --h 0.01``, so no grid exceeds 2,000 nodes (4,000 for the h/2
-grid of ``--richardson``); one example in about ten gets ``--h 1e-9``
-instead, which exceeds the 2^24-node budget and is refused before any
-array is allocated.  The grid commands draw couplings and units mostly of
-order one, so that most examples reach the eigensolves and the battery.
+``cli.main`` runs in-process.  Every command that builds a grid (``verify``,
+``eig``, ``sweep``) gets ``--rmax 20 --h 0.01``, so no grid exceeds 2,000
+nodes (4,000 for the h/2 grid of ``--richardson``); one example in about
+ten gets ``--h 1e-9`` instead, which exceeds the 2^24-node budget and is
+refused before any array is allocated.  These commands and ``oracle
+--check`` draw couplings and units mostly of order one, so that most
+examples reach the eigensolves, the battery and the exact residuals.
 """
 
 import contextlib
@@ -64,8 +65,12 @@ def _problem_flags(a, b, c, n_dim, ell, derive) -> list[str]:
     return flags + ([f"--derive={derive}"] if derive else [])
 
 
+def _unit_flags(hbar, mass) -> list[str]:
+    return [f"--hbar={hbar!r}", f"--mass={mass!r}"]
+
+
 def _unit_and_grid_flags(hbar, mass, step, richardson) -> list[str]:
-    flags = [f"--hbar={hbar!r}", f"--mass={mass!r}", "--rmax=20", f"--h={step}"]
+    flags = [*_unit_flags(hbar, mass), "--rmax=20", f"--h={step}"]
     return flags + (["--richardson"] if richardson else [])
 
 
@@ -93,8 +98,7 @@ def _sweep_ranges(draw) -> list[str]:
 @example(a=1e300, b=0.0, c=0.5, n_dim=3, ell=0, derive="b")
 @example(a=1.0, b=1.0, c=0.0, n_dim=3, ell=0, derive="c")
 def test_solve_exits_cleanly(a, b, c, n_dim, ell, derive):
-    argv = ["solve", *_problem_flags(a, b, c, n_dim, ell, derive)]
-    _check_exit(argv + ["--rmax=20", "--h=0.01"])
+    _check_exit(["solve", *_problem_flags(a, b, c, n_dim, ell, derive)])
 
 
 @PROPERTY_SETTINGS
@@ -137,12 +141,13 @@ def test_eig_exits_cleanly(a, b, c, n_dim, ell, derive, hbar, mass, step, richar
 @PROPERTY_SETTINGS
 @given(b=MODERATE, c=MODERATE, n_dim=st.integers(1, 9), ell=st.integers(0, 3),
        derive=DERIVE, n=st.integers(-1, 9), a=MODERATE, hbar=MODERATE,
-       mass=MODERATE, step=STEP)
-@example(b=1.0, c=0.5, n_dim=3, ell=0, derive=None, n=2, a=0.0, hbar=1.0, mass=1.0,
-         step="0.01")
-def test_oracle_check_exits_cleanly(b, c, n_dim, ell, derive, n, a, hbar, mass, step):
+       mass=MODERATE)
+@example(b=1.0, c=0.5, n_dim=3, ell=0, derive=None, n=2, a=0.0, hbar=1.0, mass=1.0)
+@example(b=0.0, c=0.5, n_dim=3, ell=0, derive=None, n=8, a=0.0, hbar=1.0, mass=1e-150)
+@example(b=0.0, c=1e307, n_dim=2, ell=0, derive=None, n=8, a=0.0, hbar=1.0, mass=1e-150)
+def test_oracle_check_exits_cleanly(b, c, n_dim, ell, derive, n, a, hbar, mass):
     _check_exit(["oracle", *_problem_flags(a, b, c, n_dim, ell, derive), f"--n={n}",
-                 *_unit_and_grid_flags(hbar, mass, step, False), "--check"])
+                 *_unit_flags(hbar, mass), "--check"])
 
 
 @PROPERTY_SETTINGS

@@ -25,8 +25,9 @@ are the numbers of the ``solve`` and ``verify --out json`` documents
 (``psi.*``, ``views.*`` and the ``spectrum``'s ``a_n`` and ``E_n`` by
 dotted name, and the ``verify`` check values by check name), the ``eig``
 eigenvalues, each ``oracle`` entry's ``a_root``, ``E`` and ``h_residual``,
-and the ``sweep`` CSV columns.  Exits 0 when every request of both groups
-is identical and 1 otherwise.
+and the ``sweep`` CSV columns.  A residual printed as ``"divergent"`` reads
+as infinite, so a move between it and a number is an infinite move.  Exits
+0 when every request of both groups is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import csv
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -63,7 +65,10 @@ SEEDS = range(1, 11)
 #: h grids of 4000..4003 nodes (each count modulo 4, the last nodes running
 #: towards the 4h grid's far zero) at level 1, levels 11 and 12 with h/2,
 #: starting on 16h, and pure Coulomb, whose coarser values lie above the level;
-#: exact moments: solve at M = 2, and at c = 0, whose moments are p!/beta^(p+1)
+#: exact moments: solve at M = 2, and at c = 0, whose moments are p!/beta^(p+1);
+#: inputs no grid serves: oracle --check at M = 2 (numbers and divergent
+#: residuals), at c = 1e307 (the grid Hamiltonian overflows), and solve
+#: where a grid would exceed the node budget
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
@@ -115,6 +120,9 @@ EXTRA = [argv.split() for argv in (
     "verify --a 1 --N 3 --l 1 --out json",
     "solve --a 1 --c 0.5 --N 2 --l 0 --derive b",
     "solve --a 1 --N 3 --l 0",
+    "oracle --b 1 --c 0.5 --N 2 --l 0 --n 3 --check",
+    "oracle --b 1 --c 1e307 --n 0 --check",
+    "solve --a 1e-8 --c 0.5 --derive b",
 )]
 
 # runs the argvs of stdin under ROOT's package and prints [exit code,
@@ -208,10 +216,25 @@ def _first_difference(old, new) -> str:
     return "identical"
 
 
+#: the value of a residual whose (H - E) psi has an infinite norm
+DIVERGENT = "divergent"
+
+
 def _numbers(value) -> list[float]:
-    """The numbers of one output value: a number or a list of them."""
+    """The numbers of one output value: a number or a list of them, with
+    ``DIVERGENT`` as inf."""
     values = value if isinstance(value, list) else [value]
-    return [float(v) for v in values if isinstance(v, (int, float))]
+    return [math.inf if v == DIVERGENT else float(v)
+            for v in values if isinstance(v, (int, float)) or v == DIVERGENT]
+
+
+def _move(x: float, y: float) -> tuple[float, float]:
+    """The absolute and relative move from x to y; inf when only one is."""
+    if x == y:
+        return 0.0, 0.0
+    if math.isinf(x) or math.isinf(y):
+        return math.inf, math.inf
+    return abs(x - y), abs(x - y) / max(abs(x), abs(y))
 
 
 def _document_fields(doc: dict) -> dict[str, list[float]]:
@@ -258,9 +281,10 @@ def _moves(command: str, old, new, moves: dict, prefix: str = "") -> None:
         b = new_fields.get(name)
         if b is None or len(a) != len(b):
             continue
-        move = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+        moves_ab = [_move(x, y) for x, y in zip(a, b)]
+        move = max((m for m, _ in moves_ab), default=0.0)
         if move > 0.0:
-            relative = max(abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b) if x != y)
+            relative = max(r for _, r in moves_ab)
             entry = moves.setdefault(f"{prefix}{command} {name}", [0, 0.0, 0.0])
             entry[0] += 1
             entry[1] = max(entry[1], move)
