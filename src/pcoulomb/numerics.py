@@ -67,10 +67,10 @@ command imports the ``scipy.linalg`` package; one imported later binds
 The solver and ``hamiltonian_apply`` (so ``h_residual``) share one
 three-point matrix, ``_matrix``, and one product, ``_product``.  No command
 calls ``h_residual``: ``oracle --check`` takes its residuals from exact
-moments, and the tests use it as the grid cross-check of the oracle states.  Quadrature
-is the trapezoid rule with the boundary zeros, h times the samples' pairwise
-``np.add.reduce`` sum, as is every sum here.  A grid computes its nodes
-once and keeps them read-only.
+moments, and the tests use it as the grid cross-check of the oracle
+states.  Quadrature is the trapezoid rule with the boundary zeros, h times
+the samples' pairwise ``np.add.reduce`` sum, as is every sum here.  A grid
+computes its nodes once and keeps them read-only.
 
 Validity note for half-integer Lambda (even M): the leading r^(Lambda+1)
 behavior is non-smooth at the origin, so pointwise residual diagnostics

@@ -101,7 +101,9 @@ def oracle_reduce(
     """The recursion of the module docstring as three float arrays
     (curvature, shift, step) of length n + 1: entry j + 1 holds row j's
     coefficient of p_{j+2}, the constant part (A + shift) of its coefficient
-    of p_{j+1}, and its coefficient of p_j."""
+    of p_{j+1}, and its coefficient of p_j.  A coefficient that is not
+    finite (extreme couplings or units) is a ValueError, not a
+    RuntimeWarning."""
     if c <= 0:
         raise ValueError("oracle requires a confining quadratic term (c > 0)")
     if b < 0:
@@ -111,9 +113,14 @@ def oracle_reduce(
     t = phys.kinetic
     lam, kap = _exponent_rates(b, c, phys)
     j = np.arange(-1, n)
-    curvature = t * ((j + 2) * (j + 1) + 2.0 * (dim.lam + 1.0) * (j + 2))
-    shift = -(2.0 * t * lam * (dim.lam + 1.0)) - 2.0 * t * lam * (j + 1)
-    step = 4.0 * t * kap * (n - j)
+    with np.errstate(over="ignore", invalid="ignore"):
+        curvature = t * ((j + 2) * (j + 1) + 2.0 * (dim.lam + 1.0) * (j + 2))
+        shift = -(2.0 * t * lam * (dim.lam + 1.0)) - 2.0 * t * lam * (j + 1)
+        step = 4.0 * t * kap * (n - j)
+    if not np.isfinite((curvature, shift, step)).all():
+        raise ValueError(
+            f"level n = {n}: a coefficient of the ansatz recursion"
+            " is not finite in double precision")
     return curvature, shift, step
 
 

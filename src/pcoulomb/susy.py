@@ -205,11 +205,11 @@ class ClosedFormState:
         return math.ldexp(*(self * other)._integral_parts())
 
     def _square_parts(self) -> tuple[float, int]:
-        """``_integral_parts`` of self * self.  The integral of a nonzero
-        square is positive, so a sum that is not (the squares of its
-        coefficients underflowed where cross terms did not) is a ValueError."""
+        """``_integral_parts`` of self * self.  The integral of a square is
+        not negative, so a negative sum (the squares of the coefficients
+        underflowed where cross terms did not) is a ValueError."""
         value, e = (self * self)._integral_parts()
-        if value <= 0.0 and not self.is_zero:
+        if value < 0.0:
             raise ValueError(
                 "the norm of a closed-form state is not representable:"
                 " products of its coefficients underflow the float range")

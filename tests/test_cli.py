@@ -710,18 +710,23 @@ def test_unrepresentable_exact_integral_names_its_cause(capsys, argv, cause):
     assert (code, out, err) == (EXIT_USAGE, "", f"pcoulomb: error: {cause}\n")
 
 
-@pytest.mark.parametrize("flags, n", [(["--N", "3"], "1"), (["--N", "2"], "8")])
-def test_oracle_jacobi_overflow_exits_one_naming_the_level(capsys, flags, n):
-    # c = 1e307 and mass = 1e-150: curvature * step overflows in the
-    # Jacobi off-diagonal, once a numpy RuntimeWarning (and at n = 8 then
-    # "Eigenvalues did not converge")
+@pytest.mark.parametrize("argv, message", [
+    # curvature * step overflows in the Jacobi off-diagonal: once a numpy
+    # RuntimeWarning, and at n = 8 then "Eigenvalues did not converge"
+    (["--b", "0", "--c", "1e307", "--N", "3", "--n", "1"],
+     "level n = 1: an off-diagonal of the Jacobi matrix"),
+    (["--b", "0", "--c", "1e307", "--N", "2", "--n", "8"],
+     "level n = 8: an off-diagonal of the Jacobi matrix"),
+    # T lam overflows, and times j + 1 = 0 in the shift of row -1 is nan
+    (["--b", "1e307", "--c", "1", "--N", "2", "--n", "1"],
+     "level n = 1: a coefficient of the ansatz recursion"),
+])
+def test_oracle_recursion_overflow_exits_one_naming_the_level(capsys, argv, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, "oracle", "--b", "0", "--c", "1e307",
-                                 "--mass", "1e-150", *flags, "--l", "0", "--n", n)
+        code, out, err = run_cli(capsys, "oracle", *argv, "--l", "0", "--mass", "1e-150")
     assert (code, out) == (EXIT_USAGE, "")
-    assert err == (f"pcoulomb: error: level n = {n}: an off-diagonal of the Jacobi matrix"
-                   " is not finite in double precision\n")
+    assert err == f"pcoulomb: error: {message} is not finite in double precision\n"
 
 
 def test_off_diagonal_whose_square_overflows_exits_one(capsys):
