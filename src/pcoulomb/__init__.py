@@ -2,9 +2,9 @@
 
 The library constructs the closed-form ground solutions of the radial
 problem on its coupling-constraint surface, generates the excited-level
-hierarchy, and checks every claim against two independent oracles: a
-polynomial-ansatz reduction (``qes``) and a finite-difference eigensolver
-(``numerics``).  ``report`` builds what each command of the ``pcoulomb``
+hierarchy, and checks every claim against independent oracles: a
+polynomial-ansatz reduction (``qes``), a finite-difference eigensolver
+(``numerics``) and a Laguerre-basis spectral solver (``spectral``).  ``report`` builds what each command of the ``pcoulomb``
 command line prints (the solve / verify / oracle / eig documents and the
 sweep rows) and runs the verification battery, all without argparse.
 """
@@ -74,6 +74,7 @@ from .numerics import (
     overlap,
     sturm_count,
 )
+from .spectral import SpectralLevel, spectral_lowest
 from .report import eig_document, oracle_document, solve_document, sweep_row, verify_document
 
 __all__ = [
@@ -129,6 +130,8 @@ __all__ = [
     "normalize",
     "overlap",
     "sturm_count",
+    "SpectralLevel",
+    "spectral_lowest",
     "solve_document",
     "verify_document",
     "eig_document",

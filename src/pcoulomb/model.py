@@ -251,6 +251,26 @@ def effective_potential(
     return LaurentForm({-2: barrier, -1: -pot.a, 1: pot.b, 2: pot.c})
 
 
+def length_scales(
+    pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams
+) -> dict[str, float]:
+    """The characteristic lengths of the problem's attractive and confining
+    couplings, by name: the Coulomb length (Lambda+1) hbar^2/(m a), the
+    oscillator length sqrt(hbar/sqrt(2mc)) and the linear length
+    (hbar^2/(2m b))^(1/3), each where its coupling is positive."""
+    scales = {}
+    if pot.a > 0:
+        scales["Coulomb length (Lambda+1) hbar^2/(m a)"] = (
+            (dim.lam + 1.0) * phys.hbar**2 / (phys.mass * pot.a))
+    if pot.c > 0:
+        scales["oscillator length sqrt(hbar/sqrt(2mc))"] = (
+            math.sqrt(phys.hbar / math.sqrt(2.0 * phys.mass * pot.c)))
+    if pot.b > 0:
+        scales["linear length (hbar^2/(2m b))^(1/3)"] = (
+            (phys.kinetic / pot.b) ** (1.0 / 3.0))
+    return scales
+
+
 def classify_regime(pot: PotentialParams) -> str:
     """Advisory tag: which exactly solvable part dominates the problem.
 

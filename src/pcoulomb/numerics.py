@@ -93,7 +93,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import DimensionSpec, LaurentForm, PhysicalParams, PotentialParams
+from .model import DimensionSpec, LaurentForm, PhysicalParams, PotentialParams, length_scales
 from .susy import ClosedFormState
 
 #: nodes dropped at each end when measuring interior residuals
@@ -210,24 +210,15 @@ def build_grid(
     """Grid sized from the problem's length scales; overrides win verbatim.
 
     The extent covers the classical turning radius of a rough energy guess
-    plus ten characteristic lengths, and never less than ten Coulomb lengths
-    (Lambda+1) hbar^2/(m a) or ten oscillator lengths sqrt(hbar/sqrt(2mc)).
+    plus ten characteristic lengths (``model.length_scales``), and never
+    less than ten of any of them.
     The default step is r_max / 20000, refined where needed so the shortest
     characteristic length is resolved by at least 1200 steps (strong-Coulomb
     members of a family are much stiffer near the origin than their extent
     suggests).  A grid error names what set the extent and the step: an
     override, or the longest and the shortest length.
     """
-    scales = {}
-    if pot.a > 0:
-        scales["Coulomb length (Lambda+1) hbar^2/(m a)"] = (
-            (dim.lam + 1.0) * phys.hbar**2 / (phys.mass * pot.a))
-    if pot.c > 0:
-        scales["oscillator length sqrt(hbar/sqrt(2mc))"] = (
-            math.sqrt(phys.hbar / math.sqrt(2.0 * phys.mass * pot.c)))
-    if pot.b > 0:
-        scales["linear length (hbar^2/(2m b))^(1/3)"] = (
-            (phys.kinetic / pot.b) ** (1.0 / 3.0))
+    scales = length_scales(pot, dim, phys)
     if not scales:
         raise ValueError(
             "grid sizing needs an attractive or confining coupling (a, b, or c > 0)"

@@ -21,17 +21,18 @@ at the origin is reported as the string ``DIVERGENT``, never as a number.
 That happens only at M = 2, where the defect keeps an r^-1/2 term: the
 ladder state's, and an oracle state's whose coefficient, the constraint
 D(a_root) evaluated in float, is not exactly 0.  Only ``verify``, ``eig``
-and ``sweep``, which solve a grid eigenproblem, build a grid.
+and ``sweep``, which solve a grid eigenproblem, build a grid, and
+``verify`` solves it for the level-0 value alone.
 
-One ``verify`` info check samples a closed-form state on the grid:
-``ladder_vs_numeric_overlap``, the ladder state against the grid
-eigenvector.  numpy's vectorised exp/log move the state's samples with the
-host CPU (the sums are pairwise ``np.add.reduce`` and add no host
-dependence).  The value is only O(h^2) accurate, so it is rounded to
-``GRID_INFO_DIGITS`` (10) significant digits.  With that, ``verify``
-documents are the same at every numpy SIMD dispatch level and OpenBLAS
-kernel the tests try; glibc's libm FMA variants cannot be switched off from
-inside the process and stay untested.
+``ladder_vs_numeric_overlap`` is the ladder state against the level-1
+state of the spectral oracle (``spectral_lowest``), by the Gauss rule of
+its Laguerre basis, and does not depend on the grid.  ``eigh`` moves its
+last bits with the OpenBLAS kernel and numpy's exp/log with the host CPU,
+so it is rounded to ``GRID_INFO_DIGITS`` (10) significant digits, which the
+agreement of basis sizes 30 and 45 (5e-11 or better) supports.  With that,
+``verify`` documents are the same at every numpy SIMD dispatch level and
+OpenBLAS kernel the tests try; glibc's libm FMA variants cannot be switched
+off from inside the process and stay untested.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ from .model import (
     classify_regime,
     effective_potential,
 )
-from .numerics import GridFunction, build_grid, eigen_lowest, evaluate_state, overlap
+from .numerics import build_grid, eigen_lowest
 from .qes import oracle_state, qes_constraint_polynomial, qes_solve
+from .spectral import spectral_lowest
 from .susy import (
     hamiltonian_defect, partner_potential, perturbation_residual, riccati_residual,
     shape_invariance_compare,
@@ -73,10 +75,11 @@ TOL_DUAL_VIEW = 1e-12
 TOL_EIGEN = 1e-4
 #: oracle level-0 root vs the coupling inversion, relative
 TOL_ORACLE_ROOT = 1e-13
-#: significant digits reported for info values sampled from closed-form
-#: states on the grid.  They are only O(h^2) accurate, and their last few
-#: digits move with the exp/log kernels numpy picks for the host CPU, so 17
-#: digits would not be the same on every host.
+#: significant digits of ``ladder_vs_numeric_overlap``, which takes the
+#: level-1 vector of ``spectral_lowest``: ``eigh`` moves its last bits with
+#: the OpenBLAS kernel, and numpy's exp/log with the host CPU, so 17 digits
+#: would not be the same on every host.  Basis sizes 30 and 45 agree to
+#: 5e-11 on it; the grid does not enter.
 GRID_INFO_DIGITS = 10
 #: the value of a residual check whose (H - E) psi has an infinite norm
 DIVERGENT = "divergent"
@@ -234,9 +237,9 @@ def _assert_check(name, value, tol) -> dict:
     return _check(name, "assert", value, tol, bool(value <= tol))
 
 
-def _grid_info_check(name, value) -> dict:
-    """Info check on closed-form states sampled on the grid, at the digits
-    that are the same on every host (``GRID_INFO_DIGITS``)."""
+def _rounded_info_check(name, value) -> dict:
+    """Info check at the digits that are the same on every host
+    (``GRID_INFO_DIGITS``)."""
     return _check(name, "info", float("%.*g" % (GRID_INFO_DIGITS, value)))
 
 
@@ -278,7 +281,7 @@ def _battery(pot, dim, phys, grid, richardson, coul, osc) -> list[dict]:
         sols1 = qes_solve(pot.b, pot.c, dim, phys, n=1)
         a1, e1 = closed_level(pot, dim, phys, 1)
         checks.extend(_oracle_checks(pot, dim, phys, sols1, a1))
-        checks.extend(_hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, psi, a1, e1))
+        checks.extend(_hierarchy_checks(pot, dim, phys, v_eff, sols1, psi, a1, e1))
     return checks
 
 
@@ -320,7 +323,7 @@ def _residual_check(name, state, energy, v_eff, phys) -> dict:
     return _check(name, "info", _relative_residual(state, energy, v_eff, phys))
 
 
-def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, psi, a1, e1) -> list[dict]:
+def _hierarchy_checks(pot, dim, phys, v_eff, sols1, psi, a1, e1) -> list[dict]:
     """Shape-invariance, ladder-state, and non-orthogonality diagnostics.
 
     (``a1``, ``e1``) is level 1 under the linear rule (``closed_level``).
@@ -356,13 +359,9 @@ def _hierarchy_checks(pot, dim, phys, grid, v_eff, sols1, psi, a1, e1) -> list[d
     checks.append(_residual_check("ladder_level1_residual_advanced_a", ladder, e1, v_up, phys))
     checks.append(_residual_check("ladder_level1_residual_fixed_a", ladder, e1, v_eff, phys))
 
-    _, vector = eigen_lowest(v_up, grid, phys, 1, eigenvectors=True)
-    numeric_excited = GridFunction(grid=grid, values=vector)
+    level1 = spectral_lowest(pot_up, dim, phys, 1)
     checks.append(
-        _grid_info_check(
-            "ladder_vs_numeric_overlap",
-            abs(overlap(evaluate_state(ladder, grid), numeric_excited)),
-        )
+        _rounded_info_check("ladder_vs_numeric_overlap", abs(level1.overlap(ladder)))
     )
 
     nodeless = [s for s in sols1 if s.node_count == 0]

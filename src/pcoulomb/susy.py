@@ -165,50 +165,76 @@ class ClosedFormState:
             return float(vals)
         return vals
 
-    def _integral_parts(self) -> tuple[float, int]:
-        """(value, e) with the integral over r > 0 equal to value * 2^e.
+    def _scaled(self, k: int) -> tuple["ClosedFormState", int]:
+        """(state, e): self in t = r / 2^k with its coefficients divided by
+        2^e, so that the largest has exponent 0: c_j 2^(k j - e), lam 2^k and
+        kap 2^(2k), the r^q factor left out.  Each is exact."""
+        top = max((math.frexp(c)[1] + k * j for j, c in enumerate(self.poly) if c != 0.0),
+                  default=0)
+        poly = tuple(math.ldexp(c, k * j - top) for j, c in enumerate(self.poly))
+        return ClosedFormState(poly=poly, q=self.q, lam=math.ldexp(self.lam, k),
+                               kap=math.ldexp(self.kap, 2 * k)), top
 
-        The integral is sum_j c_j I_(q+j) at beta = lam and k = kap
+    def _integral_parts(self, other: "ClosedFormState") -> tuple[float, int]:
+        """(value, e) with the integral of self * other over r > 0 equal to
+        value * 2^e.
+
+        Both factors are first written in t = r / 2^k, 2^k near the decay
+        length of the product, min(1/lam, 1/sqrt(kap)), and each is scaled
+        by one power of two (``_scaled``), so that their product
+        (``__mul__``) has coefficients of at most deg + 1 and moments near
+        p!: no product of coefficients overflows, and none that carries
+        weight underflows.  The integral is 2^(k (q + 1)) times the scaled
+        one, and every scaling is exact, so the value keeps the bits of the
+        unscaled sum unless a product that carries no weight (below 2^-1074
+        of the largest) underflows to zero: the moments' recurrence starts
+        above the highest power, so their last bits can move.  k is even, so
+        the exponent of a square keeps its parity, and with it the bits of
+        ``norm``'s square root.  The integral is sum_j c_j I_(q+j) at beta = lam and k = kap
         (``_moments``), summed by ``math.fsum`` after every term is scaled
-        by one power of two, so that the largest has exponent 0.  Scaling
-        by a power of two is exact, so the value has the bits of the
-        unscaled sum, and an integral beyond the float range (a tiny mass,
-        a large M) keeps its digits.
+        by one power of two, so that the largest has exponent 0, and an
+        integral beyond the float range (a tiny mass, a large M) keeps its
+        digits.
 
         ValueError when q is not an integer, when the integral diverges (a
         power r^(q+j) with q + j <= -1 and c_j != 0, or no decay), or when a
-        coefficient is not finite: a product of two states' coefficients
-        overflowed in ``__mul__``.
+        coefficient of a factor is not finite.
         """
-        if not float(self.q).is_integer():
-            raise ValueError(f"r-power q = {self.q} is not an integer")
-        if not all(map(math.isfinite, self.poly)):
+        if not all(map(math.isfinite, self.poly + other.poly)):
             raise ValueError(
                 "an integral of closed-form states is not representable:"
-                " a product of their coefficients overflows the float range")
-        terms = [(int(self.q) + j, c) for j, c in enumerate(self.poly) if c != 0.0]
+                " a coefficient overflows the float range")
+        rate = max(self.lam + other.lam, math.sqrt(self.kap + other.kap))
+        k = -math.frexp(rate)[1]
+        k -= k % 2
+        (left, e_left), (right, e_right) = self._scaled(k), other._scaled(k)
+        product = left * right
+        if not float(product.q).is_integer():
+            raise ValueError(f"r-power q = {product.q} is not an integer")
+        terms = [(int(product.q) + j, c) for j, c in enumerate(product.poly) if c != 0.0]
         if not terms:
             return 0.0, 0
         lo, hi = terms[0][0], terms[-1][0]
         if lo <= -1:
             raise ValueError(f"the integral of r^{lo} diverges at r = 0")
-        if self.lam == 0.0 and self.kap == 0.0:
+        if product.lam == 0.0 and product.kap == 0.0:
             raise ValueError("the integral of a state with no decay diverges")
-        moments = _moments(self.lam, self.kap, lo, hi)
+        moments = _moments(product.lam, product.kap, lo, hi)
         scaled = [(c * moments[p - lo][0], moments[p - lo][1]) for p, c in terms]
         e = max(math.frexp(v)[1] + shift for v, shift in scaled)
-        return math.fsum(math.ldexp(v, shift - e) for v, shift in scaled), e
+        value = math.fsum(math.ldexp(v, shift - e) for v, shift in scaled)
+        return value, e + e_left + e_right + k * (int(product.q) + 1)
 
     def inner(self, other: "ClosedFormState") -> float:
         """The exact integral of self * other over r > 0; OverflowError
         beyond the float range."""
-        return math.ldexp(*(self * other)._integral_parts())
+        return math.ldexp(*self._integral_parts(other))
 
     def _square_parts(self) -> tuple[float, int]:
         """``_integral_parts`` of self * self.  The integral of a square is
         not negative, so a negative sum (the squares of the coefficients
         underflowed where cross terms did not) is a ValueError."""
-        value, e = (self * self)._integral_parts()
+        value, e = self._integral_parts(self)
         if value < 0.0:
             raise ValueError(
                 "the norm of a closed-form state is not representable:"
@@ -223,9 +249,15 @@ class ClosedFormState:
             value, e = 2.0 * value, e - 1
         return math.ldexp(math.sqrt(value), e // 2)
 
+    def log_norm(self) -> float:
+        """The natural log of ``norm``, finite wherever the norm is not zero,
+        also where the norm itself leaves the float range."""
+        value, e = self._square_parts()
+        return 0.5 * (math.log(value) + e * math.log(2.0))
+
     def overlap(self, other: "ClosedFormState") -> float:
         """The exact normalized inner product <self, other> / (||self|| ||other||)."""
-        ab, e_ab = (self * other)._integral_parts()
+        ab, e_ab = self._integral_parts(other)
         aa, e_aa = self._square_parts()
         bb, e_bb = other._square_parts()
         return ab / math.sqrt(math.ldexp(aa * bb, e_aa + e_bb - 2 * e_ab))

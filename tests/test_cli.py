@@ -524,14 +524,13 @@ def _count_samples(monkeypatch) -> tuple[list, list, list]:
     return sampled, gridded, built
 
 
-def test_verify_samples_each_state_once(capsys, monkeypatch):
-    # only the ladder state, for its overlap with the grid eigenvector; psi's
-    # norm, the nodeless overlap and the ladder residuals are exact moments
+def test_verify_samples_no_state(capsys, monkeypatch):
+    # psi's norm, the nodeless overlap and the ladder residuals are exact
+    # moments, and the ladder overlap takes the spectral oracle's Gauss points
     sampled, _, _ = _count_samples(monkeypatch)
     code, _, _ = run_cli(capsys, "verify", "--a", "1", "--c", "0.5", "--derive", "b")
     assert code == EXIT_OK
-    phys, dim = PhysicalParams(), dimension_reduce(3, 0)
-    assert sampled == [exact.hierarchy_states(1.0, 0.5, dim, phys, n=1)]
+    assert sampled == []
 
 
 @pytest.mark.parametrize("flags", [["--a", "1", "--c", "0.5", "--derive", "b"],
@@ -691,23 +690,41 @@ def test_oracle_check_needs_no_grid_hamiltonian(capsys):
 
 
 @pytest.mark.parametrize("argv, cause", [
-    # the ladder state's squared coefficients underflow where its cross
-    # terms do not, so the sum for its norm is negative
-    (["verify", "--a", "1e-300", "--c", "1e-6", "--hbar", "1e-100", "--N", "2", "--l", "0",
-      "--derive", "b", "--rmax", "20", "--h", "0.01"],
-     "the norm of a closed-form state is not representable: products of its"
-     " coefficients underflow the float range"),
-    # T = 5e149: the squared defect's coefficients overflow
+    # T = 5e149: a coefficient of the defect itself overflows
     (["oracle", "--b", "0", "--c", "0.5", "--mass", "1e-150", "--N", "3", "--l", "0",
       "--n", "8", "--check"],
-     "an integral of closed-form states is not representable: a product of their"
-     " coefficients overflows the float range"),
+     "an integral of closed-form states is not representable: a coefficient"
+     " overflows the float range"),
 ])
 def test_unrepresentable_exact_integral_names_its_cause(capsys, argv, cause):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (EXIT_USAGE, "", f"pcoulomb: error: {cause}\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    # the ladder state's coefficients span 2^-1074 and more, and its squared
+    # p_0 carries the norm: written in r / 2^k, they stay in range
+    (["--a", "1e-300", "--c", "1e-6", "--hbar", "1e-100", "--N", "2", "--l", "0"], EXIT_OK),
+    # coefficient products beyond 1e308, and an integral in range; the user
+    # grid cannot resolve lengths of 1.9e35, so eigen_vs_closed fails
+    (["--a", "1", "--c", "1e8", "--N", "4", "--l", "2", "--hbar", "0.5", "--mass", "1e-150"],
+     EXIT_VERIFY),
+], ids=["hbar1e-100", "mass1e-150"])
+def test_exact_integrals_fail_only_beyond_the_float_range(capsys, argv, code):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_cli(capsys, "verify", *argv, "--derive", "b", "--rmax", "20", "--h",
+                         "0.01", "--out", "json")
+    assert (result[0], result[2]) == (code, "")
+    checks = {c["name"]: c["value"] for c in json.loads(result[1])["checks"]}
+    for name in ("ladder_level1_residual_advanced_a", "ladder_level1_residual_fixed_a",
+                 "ladder_vs_numeric_overlap", "ground_vs_oracle_nodeless_overlap"):
+        assert math.isfinite(checks[name]), name
+    assert 0.0 < checks["ladder_vs_numeric_overlap"] <= 1.0
+    if code == EXIT_VERIFY:
+        assert checks["eigen_vs_closed"] > 1e100
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1209,14 +1226,14 @@ def test_cli_computes_nothing_itself():
 
 
 def test_oracles_import_nothing_of_the_construction():
-    # qes and numerics take from the package only the model and the state
-    # type, so neither sees how a closed-form claim was built
+    # qes, numerics and spectral take from the package only the model and
+    # the state type, so none sees how a closed-form claim was built
     import ast
 
     import pcoulomb
 
     package = Path(pcoulomb.__file__).parent
-    for module in ("qes", "numerics"):
+    for module in ("qes", "numerics", "spectral"):
         tree = ast.parse((package / f"{module}.py").read_text())
         imports = [node for node in ast.walk(tree)
                    if isinstance(node, (ast.Import, ast.ImportFrom))]

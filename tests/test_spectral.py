@@ -1,0 +1,137 @@
+"""The spectral oracle: its levels, and the ladder overlap ``verify`` takes from it.
+
+The ladder state is checked against the level-1 state of the Laguerre
+pencil: at b = 0 the two are one state, across basis sizes the overlap
+holds its digits, and at odd M the grid's h -> h/2 Richardson overlap
+agrees with it.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from pcoulomb import report
+from pcoulomb.exact import closed_level, constraint_b, hierarchy_states
+from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
+from pcoulomb.numerics import GridFunction, build_grid, eigen_lowest, evaluate_state, overlap
+from pcoulomb.spectral import EVIDENCE_SIZE, SEARCH_SIZE, VALUE_SIZE, _level, spectral_lowest
+
+PHYS = PhysicalParams()
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _ladder_problem(a, c, dim, phys):
+    """(potential at the linear rule's a_1, ladder state) of the surface
+    point (a, c) in ``dim``."""
+    pot = PotentialParams(a=a, b=constraint_b(a, c, dim, phys), c=c)
+    a1, _ = closed_level(pot, dim, phys, 1)
+    return PotentialParams(a=a1, b=pot.b, c=c), hierarchy_states(pot.b, c, dim, phys, n=1)
+
+
+@pytest.mark.parametrize("m_index", [2, 3, 5])
+def test_pure_coulomb_levels(m_index):
+    # E_n = -a^2 / (4 T (Lambda + n + 1)^2)
+    dim = dimension_reduce(m_index, 0)
+    for n in range(3):
+        level = spectral_lowest(PotentialParams(a=1.0), dim, PHYS, n)
+        expected = -1.0 / (2.0 * (dim.lam + n + 1.0) ** 2)
+        assert level.energy == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m_index", [2, 3, 6, 11])
+def test_ladder_state_is_the_level_at_b_zero(m_index):
+    # the b = 0 family is the oscillator, whose level 1 the ladder builds
+    # exactly: E_1 = hbar omega (Lambda + 7/2), and hbar omega = 1 at c = 1/2
+    dim = dimension_reduce(m_index, 0)
+    pot = PotentialParams(a=0.0, b=0.0, c=0.5)
+    ladder = hierarchy_states(0.0, 0.5, dim, PHYS, n=1)
+    level = spectral_lowest(pot, dim, PHYS, 1)
+    assert level.energy == pytest.approx(dim.lam + 3.5, rel=1e-12)
+    assert abs(abs(level.overlap(ladder)) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("phys", [PhysicalParams(), PhysicalParams(hbar=0.3, mass=2.0)],
+                         ids=["default", "hbar0.3-mass2"])
+@pytest.mark.parametrize("c", [0.5, 50.0, 0.005])
+@pytest.mark.parametrize("m_index", [2, 3, 4, 8, 11, 51])
+def test_overlap_holds_across_basis_sizes(phys, c, m_index):
+    dim = dimension_reduce(m_index, 0)
+    pot_up, ladder = _ladder_problem(1.0, c, dim, phys)
+    value = spectral_lowest(pot_up, dim, phys, 1)
+    assert (value.size, value.level) == (VALUE_SIZE, 1)
+    overlaps = [abs(_level(pot_up, phys, value.alpha, 1, value.scale, size).overlap(ladder))
+                for size in (EVIDENCE_SIZE, VALUE_SIZE, 60)]
+    assert 0.0 < overlaps[1] <= 1.0 + 1e-12
+    assert max(overlaps) - min(overlaps) <= 1e-12
+
+
+@pytest.mark.parametrize("m_index", [3, 5])
+def test_overlap_is_the_grid_richardson_limit(m_index):
+    # odd M: the grid overlap converges as h^2, and h -> h/2 extrapolates it
+    dim = dimension_reduce(m_index, 0)
+    pot_up, ladder = _ladder_problem(1.0, 0.5, dim, PHYS)
+    v_up = effective_potential(pot_up, dim, PHYS)
+    grid = build_grid(pot_up, dim, PHYS)
+    grid_overlaps = []
+    for g in (grid, grid.halved()):
+        _, vector = eigen_lowest(v_up, g, PHYS, 1, eigenvectors=True)
+        grid_overlaps.append(abs(overlap(evaluate_state(ladder, g), GridFunction(g, vector))))
+    richardson = (4.0 * grid_overlaps[1] - grid_overlaps[0]) / 3.0
+    spectral = abs(spectral_lowest(pot_up, dim, PHYS, 1).overlap(ladder))
+    assert abs(spectral - richardson) <= 1e-10
+
+
+def test_verify_overlap_does_not_depend_on_the_grid():
+    dim = dimension_reduce(3, 0)
+    pot = PotentialParams(a=1.0, b=constraint_b(1.0, 0.5, dim, PHYS), c=0.5)
+    values = set()
+    for r_max, h in ((None, None), (20.0, 0.01), (12.0, 0.002)):
+        doc = report.verify_document(pot, dim, PHYS, 0, False, r_max=r_max, h=h)
+        values.add(next(c["value"] for c in doc["checks"]
+                        if c["name"] == "ladder_vs_numeric_overlap"))
+    assert values == {0.9699532827}
+
+
+def test_level_out_of_range_is_refused():
+    with pytest.raises(ValueError, match="spectral level"):
+        spectral_lowest(PotentialParams(a=1.0), dimension_reduce(3, 0), PHYS, SEARCH_SIZE)
+
+
+def test_state_arrays_are_read_only():
+    level = spectral_lowest(PotentialParams(a=1.0, c=0.5), dimension_reduce(3, 0), PHYS, 1)
+    for array in (level.nodes, level.lead, level.values):
+        assert not array.flags.writeable
+
+
+def test_problem_with_no_length_is_refused():
+    with pytest.raises(ValueError, match="attractive or confining"):
+        spectral_lowest(PotentialParams(a=-1.0), dimension_reduce(3, 0), PHYS, 0)
+
+
+def _benchmark_verify_points():
+    """(a, c, N, l) of every verify request of the benchmark, seeds 1-10."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    points = set()
+    for workload in module.WORKLOADS:
+        for seed in range(1, 11):
+            for argv in module.requests(workload, seed):
+                if argv[0] == "verify":
+                    flags = dict(zip(argv[1::2], argv[2::2]))
+                    points.add((float(flags["--a"]), float(flags["--c"]),
+                                int(flags["--N"]), int(flags["--l"])))
+    return sorted(points)
+
+
+def test_evidence_on_every_benchmark_verify_request():
+    # the 10 printed digits of ladder_vs_numeric_overlap need 5e-11
+    worst = 0.0
+    for a, c, n_dim, ell in _benchmark_verify_points():
+        dim = dimension_reduce(n_dim, ell)
+        pot_up, ladder = _ladder_problem(a, c, dim, PHYS)
+        value = spectral_lowest(pot_up, dim, PHYS, 1)
+        evidence = _level(pot_up, PHYS, value.alpha, 1, value.scale, EVIDENCE_SIZE)
+        worst = max(worst, abs(abs(value.overlap(ladder)) - abs(evidence.overlap(ladder))))
+    assert worst <= 5e-11

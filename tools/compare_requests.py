@@ -68,7 +68,9 @@ SEEDS = range(1, 11)
 #: exact moments: solve at M = 2, and at c = 0, whose moments are p!/beta^(p+1);
 #: inputs no grid serves: oracle --check at M = 2 (numbers and divergent
 #: residuals), at c = 1e307 (the grid Hamiltonian overflows), and solve
-#: where a grid would exceed the node budget
+#: where a grid would exceed the node budget; the spectral oracle's basis
+#: sizes and scale bracket: verify at M = 51, at hbar 0.3 with mass 2, and
+#: at c = 50 and c = 0.005
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
@@ -123,6 +125,10 @@ EXTRA = [argv.split() for argv in (
     "oracle --b 1 --c 0.5 --N 2 --l 0 --n 3 --check",
     "oracle --b 1 --c 1e307 --n 0 --check",
     "solve --a 1e-8 --c 0.5 --derive b",
+    "verify --a 1 --c 0.5 --N 51 --l 0 --derive b --out json",
+    "verify --a 1 --c 0.5 --hbar 0.3 --mass 2 --derive b --out json",
+    "verify --a 1 --c 50 --derive b --out json",
+    "verify --a 1 --c 0.005 --derive b --out json",
 )]
 
 # runs the argvs of stdin under ROOT's package and prints [exit code,
