@@ -78,6 +78,15 @@ BRACKET_BELOW = 1000.0
 #: minimum is flat, and the evidence run checks what the scale gives
 SEARCH_WIDTH = 0.05
 
+#: steps of inverse iteration that give the level's vector, from a ones
+#: vector, at the level's eigenvalue plus INVERSE_SHIFT ||H||_1 (so that the
+#: shifted matrix is never exactly singular).  LAPACK's ``eigh`` at N = 45
+#: is divide and conquer, whose threaded BLAS calls took 3 to 20 ms a call
+#: on a shared 2-vCPU host, against 0.05 ms for a solve and 0.15 ms for
+#: ``eigvalsh``
+INVERSE_STEPS = 2
+INVERSE_SHIFT = 64 * np.finfo(float).eps
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -215,10 +224,16 @@ def _level(pot, phys, alpha: float, level: int, scale: float, size: int) -> Spec
     m, x, lead = _pencil(pot, phys, alpha, size, scale)
     if m is None:
         raise ValueError(f"the spectral Hamiltonian at scale {scale:.3g} is not finite")
-    energies, vectors = np.linalg.eigh(m)
-    values = vectors[:, level] / np.sqrt(x)
+    energy = float(np.linalg.eigvalsh(m)[level])
+    shift = energy + INVERSE_SHIFT * np.abs(m).sum(axis=0).max()
+    shifted = m - shift * np.eye(size)
+    vector = np.ones(size)
+    for _ in range(INVERSE_STEPS):
+        vector = np.linalg.solve(shifted, vector)
+        vector /= np.sqrt(np.add.reduce(vector * vector))
+    values = vector / np.sqrt(x)
     values.setflags(write=False)
-    return SpectralLevel(level=level, scale=scale, size=size, energy=float(energies[level]),
+    return SpectralLevel(level=level, scale=scale, size=size, energy=energy,
                          alpha=alpha, nodes=x, lead=lead, values=values)
 
 
