@@ -4,7 +4,8 @@ The library constructs the closed-form ground solutions of the radial
 problem on its coupling-constraint surface, generates the excited-level
 hierarchy, and checks every claim against independent oracles: a
 polynomial-ansatz reduction (``qes``), a finite-difference eigensolver
-(``numerics``) and a Laguerre-basis spectral solver (``spectral``).  ``report`` builds what each command of the ``pcoulomb``
+(``numerics``) and a Laguerre-basis spectral solver (``spectral``, loaded
+by ``verify``'s ladder check, not by ``import pcoulomb``).  ``report`` builds what each command of the ``pcoulomb``
 command line prints (the solve / verify / oracle / eig documents and the
 sweep rows) and runs the verification battery, all without argparse.
 """
@@ -74,7 +75,6 @@ from .numerics import (
     overlap,
     sturm_count,
 )
-from .spectral import SpectralLevel, spectral_lowest
 from .report import eig_document, oracle_document, solve_document, sweep_row, verify_document
 
 __all__ = [
@@ -130,8 +130,6 @@ __all__ = [
     "normalize",
     "overlap",
     "sturm_count",
-    "SpectralLevel",
-    "spectral_lowest",
     "solve_document",
     "verify_document",
     "eig_document",

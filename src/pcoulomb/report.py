@@ -26,7 +26,7 @@ and ``sweep``, which solve a grid eigenproblem, build a grid, and
 
 ``ladder_vs_numeric_overlap`` is the ladder state against the level-1
 state of the spectral oracle (``spectral_lowest``), by the Gauss rule of
-its Laguerre basis, and does not depend on the grid.  ``eigh`` moves its
+its Laguerre basis, and does not depend on the grid.  LAPACK moves its
 last bits with the OpenBLAS kernel and numpy's exp/log with the host CPU,
 so it is rounded to ``GRID_INFO_DIGITS`` (10) significant digits, which the
 agreement of basis sizes 30 and 45 (5e-11 or better) supports.  With that,
@@ -61,7 +61,6 @@ from .model import (
 )
 from .numerics import build_grid, eigen_lowest
 from .qes import oracle_state, qes_constraint_polynomial, qes_solve
-from .spectral import spectral_lowest
 from .susy import (
     hamiltonian_defect, partner_potential, perturbation_residual, riccati_residual,
     shape_invariance_compare,
@@ -76,10 +75,10 @@ TOL_EIGEN = 1e-4
 #: oracle level-0 root vs the coupling inversion, relative
 TOL_ORACLE_ROOT = 1e-13
 #: significant digits of ``ladder_vs_numeric_overlap``, which takes the
-#: level-1 vector of ``spectral_lowest``: ``eigh`` moves its last bits with
+#: level-1 vector of ``spectral_lowest``: LAPACK moves its last bits with
 #: the OpenBLAS kernel, and numpy's exp/log with the host CPU, so 17 digits
-#: would not be the same on every host.  Basis sizes 30 and 45 agree to
-#: 5e-11 on it; the grid does not enter.
+#: would not be the same on every host.  Basis sizes 30 and 45 agree on it
+#: within 5e-11 (``tests/test_spectral.py``); the grid does not enter.
 GRID_INFO_DIGITS = 10
 #: the value of a residual check whose (H - E) psi has an infinite norm
 DIVERGENT = "divergent"
@@ -358,6 +357,10 @@ def _hierarchy_checks(pot, dim, phys, v_eff, sols1, psi, a1, e1) -> list[dict]:
     v_up = effective_potential(pot_up, dim, phys)
     checks.append(_residual_check("ladder_level1_residual_advanced_a", ladder, e1, v_up, phys))
     checks.append(_residual_check("ladder_level1_residual_fixed_a", ladder, e1, v_eff, phys))
+
+    # imported on the one path that needs it: loading the module is 4-5 ms
+    # of a cold start that solve, oracle, eig and sweep do not need to pay
+    from .spectral import spectral_lowest
 
     level1 = spectral_lowest(pot_up, dim, phys, 1)
     checks.append(

@@ -43,10 +43,12 @@ its state are taken at VALUE_SIZE functions and the evidence at
 EVIDENCE_SIZE, at the same s.  No closed form enters, so the oracle stays
 independent of the constructions it checks.
 
-``numpy.linalg.eigh`` and the products of the reduction go through numpy's
-bundled OpenBLAS, so the last bits move with its kernel (up to 1e-14 in the
-ladder overlap of ``verify``): callers print what this gives at the digits
-its evidence supports.
+The level's value is ``numpy.linalg.eigvalsh`` of the reduced pencil and its
+state two steps of inverse iteration (``np.linalg.solve``) at that value.
+They and the products of the reduction go through numpy's bundled OpenBLAS,
+so the last bits move with its kernel (by up to 1.8e-15 in the ladder
+overlap of ``verify``): callers print what this gives at the digits its
+evidence supports.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ SEARCH_WIDTH = 0.05
 #: on a shared 2-vCPU host, against 0.05 ms for a solve and 0.15 ms for
 #: ``eigvalsh``
 INVERSE_STEPS = 2
-INVERSE_SHIFT = 64 * np.finfo(float).eps
+INVERSE_SHIFT = 64.0 * math.ulp(1.0)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
