@@ -5,9 +5,10 @@ problem on its coupling-constraint surface, generates the excited-level
 hierarchy, and checks every claim against independent oracles: a
 polynomial-ansatz reduction (``qes``), a finite-difference eigensolver
 (``numerics``) and a Laguerre-basis spectral solver (``spectral``, loaded
-by ``verify``'s ladder check, not by ``import pcoulomb``).  ``report`` builds what each command of the ``pcoulomb``
-command line prints (the solve / verify / oracle / eig documents and the
-sweep rows) and runs the verification battery, all without argparse.
+by ``verify``'s ladder check, not by ``import pcoulomb``).  ``report``
+builds what each command of the ``pcoulomb`` command line prints (the
+solve / verify / oracle / eig documents and the sweep rows) and runs the
+verification battery, all without argparse.
 """
 
 # bound before the submodules import: ``report`` stamps it on its documents

@@ -704,8 +704,9 @@ def test_unrepresentable_exact_integral_names_its_cause(capsys, argv, cause):
 
 
 @pytest.mark.parametrize("argv, code", [
-    # the ladder state's coefficients span 2^-1074 and more, and its squared
-    # p_0 carries the norm: written in r / 2^k, they stay in range
+    # the ladder state's defect has coefficients 2^-1074 apart, and its
+    # squared p_0 carries the residual's norm: written in r / 2^k, they stay
+    # in range
     (["--a", "1e-300", "--c", "1e-6", "--hbar", "1e-100", "--N", "2", "--l", "0"], EXIT_OK),
     # coefficient products beyond 1e308, and an integral in range; the user
     # grid cannot resolve lengths of 1.9e35, so eigen_vs_closed fails
