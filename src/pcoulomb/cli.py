@@ -167,7 +167,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     verify = commands.add_parser("verify", help="run the verification battery")
     _add_problem_options(verify)
-    _add_grid_options(verify)
     verify.add_argument("--nmax", type=int, default=2, help="levels in the spectrum block")
     verify.add_argument("--out", choices=("json", "table"), default="table")
     verify.set_defaults(func=cmd_verify)
@@ -308,7 +307,7 @@ def _verify_table(doc):
 
 def cmd_verify(args) -> tuple[int, str]:
     pot, dim, phys = _problem(args)
-    doc = verify_document(pot, dim, phys, args.nmax, args.richardson, r_max=args.rmax, h=args.h)
+    doc = verify_document(pot, dim, phys, args.nmax)
     text = dump_json(doc) if args.out == "json" else "\n".join(_verify_table(doc))
     return EXIT_VERIFY if any(c["pass"] is False for c in doc["checks"]) else EXIT_OK, text
 

@@ -2,13 +2,12 @@
 
 ``solve_document`` and ``verify_document`` (with the verification battery)
 take a problem (couplings, dimension, units) and the number of spectrum
-levels and, for ``verify``, the grid overrides and whether grid eigenvalues
-are Richardson-extrapolated; ``schema/report.schema.json`` describes them.
-``eig_document`` holds the lowest grid eigenvalues, ``oracle_document`` the
-ansatz solutions of one level and ``sweep_row`` one level's closed-form and
-grid values.  Each check is a plain dict ``{name, kind, value, tol, pass}``:
-an ``assert`` check carries its tolerance and verdict, an ``info`` check
-only its value; each tolerance is a ``TOL_*`` constant below.
+levels; ``schema/report.schema.json`` describes them.  ``eig_document``
+holds the lowest grid eigenvalues, ``oracle_document`` the ansatz solutions
+of one level and ``sweep_row`` one level's closed-form and grid values.
+Each check is a plain dict ``{name, kind, value, tol, pass}``: an
+``assert`` check carries its tolerance and verdict, an ``info`` check only
+its value; each tolerance is a ``TOL_*`` constant below.
 
 ``psi.N0``, ``ground_vs_oracle_nodeless_overlap``, the two
 ``ladder_level1_residual_*`` checks and the ``h_residual`` of each
@@ -20,22 +19,25 @@ depend on the host.  A residual whose (H - E) psi is not square integrable
 at the origin is reported as the string ``DIVERGENT``, never as a number.
 That happens only at M = 2, where the defect keeps an r^-1/2 term: the
 ladder state's, and an oracle state's whose coefficient, the constraint
-D(a_root) evaluated in float, is not exactly 0.  Only ``verify``, ``eig``
-and ``sweep``, which solve a grid eigenproblem, build a grid, and
-``verify`` solves it for the level-0 value alone.
+D(a_root) evaluated in float, is not exactly 0.  Only ``eig`` and
+``sweep`` build a grid and solve its eigenproblem.
 
-``ladder_vs_numeric_overlap`` is the ladder state against the level-1
-state of the spectral oracle (``spectral_lowest``), by the Gauss rule of
-its Laguerre basis, and does not depend on the grid.  LAPACK moves its
-last bits with the OpenBLAS kernel and numpy's exp/log with the host CPU,
-so it is rounded to ``GRID_INFO_DIGITS`` (10) significant digits, which the
-agreement of basis sizes 30 and 45 (5e-11 or better) supports.  With that,
+``verify``'s two numeric values come from the spectral oracle
+(``spectral_lowest``), whose module is loaded on that path alone:
+``eigen_lowest`` is its level 0, and ``ladder_vs_numeric_overlap`` the
+ladder state against its level-1 state by the Gauss rule of its Laguerre
+basis.  LAPACK moves their last bits with the OpenBLAS kernel and numpy's
+exp/log with the host CPU, so each is printed at ``SPECTRAL_DIGITS`` (10)
+significant digits: the overlap of its own value, the energy of the scale
+max(|E|, T / l^2) that the inputs fix (``_energy_lattice``).  With that,
 ``verify`` documents are the same at every numpy SIMD dispatch level and
 OpenBLAS kernel the tests try; glibc's libm FMA variants cannot be switched
 off from inside the process and stay untested.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -58,6 +60,7 @@ from .model import (
     PotentialParams,
     classify_regime,
     effective_potential,
+    length_scales,
 )
 from .numerics import build_grid, eigen_lowest
 from .qes import oracle_state, qes_constraint_polynomial, qes_solve
@@ -70,16 +73,14 @@ from .susy import (
 TOL_RICCATI = 1e-12
 #: agreement between the two solution views
 TOL_DUAL_VIEW = 1e-12
-#: eigensolver vs closed-form energy
+#: spectral level 0 vs closed-form energy
 TOL_EIGEN = 1e-4
 #: oracle level-0 root vs the coupling inversion, relative
 TOL_ORACLE_ROOT = 1e-13
-#: significant digits of ``ladder_vs_numeric_overlap``, which takes the
-#: level-1 vector of ``spectral_lowest``: LAPACK moves its last bits with
-#: the OpenBLAS kernel, and numpy's exp/log with the host CPU, so 17 digits
-#: would not be the same on every host.  Basis sizes 30 and 45 agree on it
-#: within 5e-11 (``tests/test_spectral.py``); the grid does not enter.
-GRID_INFO_DIGITS = 10
+#: significant digits of verify's values from ``spectral_lowest``, whose last
+#: bits move with the host: basis sizes 30 and 45 agree on the ladder overlap
+#: within 5e-11, and level 0 is within 1e-11 max(1, |E|) of the closed form
+SPECTRAL_DIGITS = 10
 #: the value of a residual check whose (H - E) psi has an infinite norm
 DIVERGENT = "divergent"
 
@@ -94,10 +95,6 @@ def _inputs_block(pot, dim, phys) -> dict:
 
 def _meta_block() -> dict:
     return {"package": "pcoulomb", "version": __version__}
-
-
-def _grid_block(grid, richardson: bool) -> dict:
-    return {"r_max": grid.r_max, "h": grid.h, "richardson": bool(richardson)}
 
 
 #: most spectrum levels a document lists (a few hundred bytes each)
@@ -156,15 +153,11 @@ def solve_document(
 
 def verify_document(
     pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams, nmax: int,
-    richardson: bool, r_max: float | None = None, h: float | None = None,
 ) -> dict:
-    """The ``solve`` document plus the grid and the verification checks.  The
-    grid is built (allocating no array) after the views' input checks."""
+    """The ``solve`` document plus the verification checks."""
     coul, osc, n0 = _ground(pot, dim, phys, nmax)
-    grid = build_grid(pot, dim, phys, r_max=r_max, h=h)
-    checks = _battery(pot, dim, phys, grid, richardson, coul, osc)
+    checks = _battery(pot, dim, phys, coul, osc)
     doc = _document(pot, dim, phys, coul, osc, n0, nmax)
-    doc["inputs"]["grid"] = _grid_block(grid, richardson)
     doc["checks"] = checks
     return doc
 
@@ -184,7 +177,8 @@ def eig_document(
         raise ValueError(f"levels 0..{k - 1} out of range for {grid.count} nodes")
     values = [eigen_lowest(v_eff, grid, phys, level, richardson=richardson)
               for level in range(k)]
-    return {"inputs": _inputs_block(pot, dim, phys), "grid": _grid_block(grid, richardson),
+    return {"inputs": _inputs_block(pot, dim, phys),
+            "grid": {"r_max": grid.r_max, "h": grid.h, "richardson": bool(richardson)},
             "eigenvalues": values, "meta": _meta_block()}
 
 
@@ -238,11 +232,18 @@ def _assert_check(name, value, tol) -> dict:
 
 def _rounded_info_check(name, value) -> dict:
     """Info check at the digits that are the same on every host
-    (``GRID_INFO_DIGITS``)."""
-    return _check(name, "info", float("%.*g" % (GRID_INFO_DIGITS, value)))
+    (``SPECTRAL_DIGITS``)."""
+    return _check(name, "info", float("%.*g" % (SPECTRAL_DIGITS, value)))
 
 
-def _battery(pot, dim, phys, grid, richardson, coul, osc) -> list[dict]:
+def _energy_lattice(energy, closed_e, pot, dim, phys) -> float:
+    """``energy`` correctly rounded to SPECTRAL_DIGITS digits of max(|closed_e|,
+    T / l^2), l the shortest length: a lattice that the inputs alone fix."""
+    scale = max(abs(closed_e), phys.kinetic / min(length_scales(pot, dim, phys).values()) ** 2)
+    return round(energy, SPECTRAL_DIGITS - 1 - math.floor(math.log10(scale)))
+
+
+def _battery(pot, dim, phys, coul, osc) -> list[dict]:
     checks: list[dict] = []
     v_eff = effective_potential(pot, dim, phys)
 
@@ -263,24 +264,22 @@ def _battery(pot, dim, phys, grid, richardson, coul, osc) -> list[dict]:
             _assert_check("dual_view_psi_params", dual["psi_param_diff"], TOL_DUAL_VIEW)
         )
 
+    # imported on the one path that needs it: loading the module is 4-5 ms
+    # of a cold start that solve, oracle, eig and sweep do not need to pay
+    from .spectral import spectral_lowest
+
     psi, closed_e = (coul or osc).psi, (coul or osc).energy.total
-    numeric = eigen_lowest(v_eff, grid, phys, richardson=richardson)
-    if dim.m_index == 2:
-        # Lambda = -1/2 sits on the critical attractive-barrier edge where
-        # the Dirichlet three-point scheme does not converge to the same
-        # self-adjoint extension as the closed form; report, don't gate
-        checks.append(_check("eigen_vs_closed", "info", abs(numeric - closed_e)))
-    else:
-        checks.append(
-            _assert_check("eigen_vs_closed", abs(numeric - closed_e), TOL_EIGEN)
-        )
+    level0 = spectral_lowest(pot, dim, phys, 0).energy
+    numeric = _energy_lattice(level0, closed_e, pot, dim, phys)
+    checks.append(_assert_check("eigen_vs_closed", abs(numeric - closed_e), TOL_EIGEN))
     checks.append(_check("eigen_lowest", "info", numeric))
 
     if pot.b > 0 and pot.c > 0:
         sols1 = qes_solve(pot.b, pot.c, dim, phys, n=1)
         a1, e1 = closed_level(pot, dim, phys, 1)
         checks.extend(_oracle_checks(pot, dim, phys, sols1, a1))
-        checks.extend(_hierarchy_checks(pot, dim, phys, v_eff, sols1, psi, a1, e1))
+        checks.extend(_hierarchy_checks(pot, dim, phys, v_eff, sols1, psi, a1, e1,
+                                        spectral_lowest))
     return checks
 
 
@@ -322,10 +321,11 @@ def _residual_check(name, state, energy, v_eff, phys) -> dict:
     return _check(name, "info", _relative_residual(state, energy, v_eff, phys))
 
 
-def _hierarchy_checks(pot, dim, phys, v_eff, sols1, psi, a1, e1) -> list[dict]:
+def _hierarchy_checks(pot, dim, phys, v_eff, sols1, psi, a1, e1, spectral) -> list[dict]:
     """Shape-invariance, ladder-state, and non-orthogonality diagnostics.
 
-    (``a1``, ``e1``) is level 1 under the linear rule (``closed_level``).
+    (``a1``, ``e1``) is level 1 under the linear rule (``closed_level``),
+    and ``spectral`` is ``spectral.spectral_lowest``.
 
     ``psi`` is the exact ground state: the coulomb view's, or the
     oscillator view's when a <= 0 (both views give the same state where
@@ -358,11 +358,7 @@ def _hierarchy_checks(pot, dim, phys, v_eff, sols1, psi, a1, e1) -> list[dict]:
     checks.append(_residual_check("ladder_level1_residual_advanced_a", ladder, e1, v_up, phys))
     checks.append(_residual_check("ladder_level1_residual_fixed_a", ladder, e1, v_eff, phys))
 
-    # imported on the one path that needs it: loading the module is 4-5 ms
-    # of a cold start that solve, oracle, eig and sweep do not need to pay
-    from .spectral import spectral_lowest
-
-    level1 = spectral_lowest(pot_up, dim, phys, 1)
+    level1 = spectral(pot_up, dim, phys, 1)
     checks.append(
         _rounded_info_check("ladder_vs_numeric_overlap", abs(level1.overlap(ladder)))
     )

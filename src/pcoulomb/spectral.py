@@ -44,7 +44,7 @@ EVIDENCE_SIZE, at the same s.  No closed form enters, so the oracle stays
 independent of the constructions it checks.
 
 The level's value is ``numpy.linalg.eigvalsh`` of the reduced pencil and its
-state two steps of inverse iteration (``np.linalg.solve``) at that value.
+state, on first use, two steps of inverse iteration (``np.linalg.solve``).
 They and the products of the reduction go through numpy's bundled OpenBLAS,
 so the last bits move with its kernel (by up to 1.8e-15 in the ladder
 overlap of ``verify``): callers print what this gives at the digits its
@@ -98,8 +98,8 @@ class SpectralLevel:
 
     ``nodes`` are the Gauss points x_i and ``lead`` the first row Q[0, i] of
     the eigenvectors of J, so sqrt(w_i) = lead_i sqrt(Gamma(alpha + 1));
-    ``values`` are sqrt(w_i) P(x_i) of the level's state, of unit norm in x.
-    All three are read-only.
+    ``values`` are sqrt(w_i) P(x_i) of the level's state, of unit norm in x,
+    taken from the reduced ``pencil`` on first use.  All four are read-only.
     """
 
     level: int
@@ -109,7 +109,19 @@ class SpectralLevel:
     alpha: float
     nodes: np.ndarray
     lead: np.ndarray
-    values: np.ndarray
+    pencil: np.ndarray
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        shift = self.energy + INVERSE_SHIFT * np.abs(self.pencil).sum(axis=0).max()
+        shifted = self.pencil - shift * np.eye(self.size)
+        vector = np.ones(self.size)
+        for _ in range(INVERSE_STEPS):
+            vector = np.linalg.solve(shifted, vector)
+            vector /= np.sqrt(np.add.reduce(vector * vector))
+        values = vector / np.sqrt(self.nodes)
+        values.setflags(write=False)
+        return values
 
     def overlap(self, state: ClosedFormState) -> float:
         """<state, u> / (||state|| ||u||) for the level's state u, by the
@@ -222,27 +234,20 @@ def _scale(pot, phys, alpha: float, level: int, lengths) -> float:
 
 
 def _level(pot, phys, alpha: float, level: int, scale: float, size: int) -> SpectralLevel:
-    """Level ``level`` with its state at ``scale`` and ``size`` functions."""
+    """Level ``level`` at ``scale`` and ``size`` functions."""
     m, x, lead = _pencil(pot, phys, alpha, size, scale)
     if m is None:
         raise ValueError(f"the spectral Hamiltonian at scale {scale:.3g} is not finite")
-    energy = float(np.linalg.eigvalsh(m)[level])
-    shift = energy + INVERSE_SHIFT * np.abs(m).sum(axis=0).max()
-    shifted = m - shift * np.eye(size)
-    vector = np.ones(size)
-    for _ in range(INVERSE_STEPS):
-        vector = np.linalg.solve(shifted, vector)
-        vector /= np.sqrt(np.add.reduce(vector * vector))
-    values = vector / np.sqrt(x)
-    values.setflags(write=False)
-    return SpectralLevel(level=level, scale=scale, size=size, energy=energy,
-                         alpha=alpha, nodes=x, lead=lead, values=values)
+    m.setflags(write=False)
+    return SpectralLevel(level=level, scale=scale, size=size,
+                         energy=float(np.linalg.eigvalsh(m)[level]),
+                         alpha=alpha, nodes=x, lead=lead, pencil=m)
 
 
 def spectral_lowest(
     pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams, level: int = 0,
 ) -> SpectralLevel:
-    """Level ``level`` (0-based, below SEARCH_SIZE) with its state, at
+    """Level ``level`` (0-based, below SEARCH_SIZE) and its state, at
     VALUE_SIZE functions and the scale that minimizes the level at
     SEARCH_SIZE.  Its evidence is the same level at EVIDENCE_SIZE functions
     and that scale (``_level``)."""

@@ -104,9 +104,9 @@ def test_solve_derive_c(capsys):
     assert doc["inputs"]["c"] == pytest.approx(0.5, rel=1e-14)
 
 
-def test_verify_m2_demotes_eigen_check(capsys):
-    # the critical-barrier case: algebra is exact, the grid oracle is not
-    # applicable, so the eigen comparison is reported instead of gated
+def test_verify_m2_gates_eigen_check(capsys):
+    # the critical-barrier case Lambda = -1/2: the grid converged to another
+    # self-adjoint extension (0.959 off), the spectral level 0 does not
     code, out, err = run_cli(
         capsys, "verify", "--a", "1", "--c", "0.5", "--N", "2", "--l", "0",
         "--derive", "b", "--out", "json",
@@ -114,7 +114,10 @@ def test_verify_m2_demotes_eigen_check(capsys):
     assert (code, err) == (EXIT_OK, "")
     doc = json.loads(out)
     by_name = {c["name"]: c for c in doc["checks"]}
-    assert by_name["eigen_vs_closed"]["kind"] == "info"
+    assert by_name["eigen_vs_closed"]["kind"] == "assert"
+    assert by_name["eigen_vs_closed"]["pass"] is True
+    assert by_name["eigen_vs_closed"]["value"] <= 1e-10
+    assert by_name["eigen_lowest"]["value"] == -1.0
     assert by_name["riccati_coulomb_view"]["pass"] is True
     # the ladder state's defect has an r^(-1/2) term: its norm is infinite
     for name in ("ladder_level1_residual_advanced_a", "ladder_level1_residual_fixed_a"):
@@ -182,17 +185,15 @@ def test_verify_constraint_violation_exit(capsys):
 
 
 def test_verify_assert_failure_exits_three(capsys):
-    # a deliberately coarse grid pushes the eigensolver outside its assert
-    # tolerance; the report must fail with the dedicated exit code
-    code, out, _ = run_cli(
-        capsys, "verify", "--a", "1", "--c", "0.5", "--derive", "b",
-        "--rmax", "10", "--h", "0.05", "--out", "json",
-    )
+    # b = 1e-11 lies off the coupling surface of a = 0 by more than the
+    # oscillator view's Riccati tolerance: the report fails with the
+    # dedicated exit code, and the checks that hold still pass
+    code, out, _ = run_cli(capsys, "verify", "--b", "1e-11", "--c", "0.5", "--out", "json")
     assert code == 3
     doc = json.loads(out)
     by_name = {c["name"]: c for c in doc["checks"]}
-    assert by_name["eigen_vs_closed"]["pass"] is False
-    assert by_name["riccati_coulomb_view"]["pass"] is True
+    assert by_name["riccati_oscillator_view"]["pass"] is False
+    assert by_name["eigen_vs_closed"]["pass"] is True
 
 
 @pytest.mark.parametrize("b, exit_code", [("1e-13", EXIT_OK), ("1e-11", 3)])
@@ -200,10 +201,7 @@ def test_verify_oscillator_view_only_runs_the_battery(capsys, b, exit_code):
     # a = 0 on the coupling surface to within its 1e-10 gate: only the
     # oscillator view exists, and the nodeless overlap uses its ground state;
     # at b = 1e-11 the view's Riccati residual |b| exceeds its 1.5e-12 assert
-    code, out, _ = run_cli(
-        capsys, "verify", "--b", b, "--c", "0.5", "--rmax", "20", "--h", "0.01",
-        "--out", "json",
-    )
+    code, out, _ = run_cli(capsys, "verify", "--b", b, "--c", "0.5", "--out", "json")
     assert code == exit_code
     by_name = {c["name"]: c for c in json.loads(out)["checks"]}
     assert "riccati_coulomb_view" not in by_name
@@ -219,10 +217,7 @@ def test_verify_table_lists_all_checks(capsys):
 
 
 def test_verify_table_marks_failures(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "--a", "1", "--c", "0.5", "--derive", "b",
-        "--rmax", "10", "--h", "0.05",
-    )
+    code, out, _ = run_cli(capsys, "verify", "--b", "1e-11", "--c", "0.5")
     assert code == 3
     assert "FAIL" in out
 
@@ -446,7 +441,7 @@ def test_non_finite_inputs_named(capsys, flags, field):
 @pytest.mark.parametrize(
     "argv, cause",
     [
-        (["verify", "--a", "1e-8", "--c", "0.5", "--derive", "b"], "the Coulomb length"),
+        (["eig", "--a", "1e-8", "--c", "0.5", "--derive", "b"], "the Coulomb length"),
         (["eig", "--a", "1", "--c", "0.5", "--derive", "b", "--h", "1e-9"], "(--h)"),
     ],
 )
@@ -470,14 +465,12 @@ def test_grid_over_budget_exits_one(capsys, argv, cause):
     "flags",
     [
         ["--a", "-1", "--b", "0", "--c", "0"],
-        # a step that would put verify's grid over budget: the views come
-        # first (solve builds no grid and takes no --h)
-        ["--a", "-1", "--b", "1", "--h", "1e-9"],
+        # a linear coupling the spectral oracle could size its basis by:
+        # the views come first
+        ["--a", "-1", "--b", "1"],
     ],
 )
 def test_no_solvable_view_exits_two_before_the_grid(capsys, command, flags):
-    if command == "solve":
-        flags = [flag for flag in flags if flag not in ("--h", "1e-9")]
     code, out, err = run_cli(capsys, command, *flags)
     assert (code, out) == (EXIT_CONSTRAINT, "")
     assert "no solvable view" in err
@@ -556,23 +549,66 @@ def test_oracle_check_samples_no_state_and_builds_no_grid(capsys, monkeypatch, a
     assert (sampled, gridded, built) == ([], [], [])
 
 
-def test_solve_builds_no_grid_where_verify_is_over_budget(capsys):
-    # the Coulomb length is 1e8 oscillator lengths: verify's grid would
-    # exceed the node budget, but solve needs no grid
+@pytest.mark.parametrize("flags", [
+    ["--a", "1", "--c", "0.5", "--derive", "b"],
+    ["--a", "1", "--N", "3", "--l", "0"],
+    ["--a", "1", "--c", "0.5", "--N", "2", "--l", "0", "--derive", "b"],
+    ["--b", "1e-11", "--c", "0.5"],
+])
+def test_verify_builds_no_grid_and_runs_no_grid_eigensolve(capsys, monkeypatch, flags):
+    # level 0 and the ladder overlap's level 1 come from the spectral oracle:
+    # building a grid, a grid eigensolve and loading its LAPACK all raise
+    from pcoulomb import numerics
+
+    def refused(*_args, **_kwargs):
+        raise AssertionError("a grid or a grid eigensolve was asked for")
+
+    _, gridded, built = _count_samples(monkeypatch)
+    for name in ("build_grid", "eigen_lowest"):
+        monkeypatch.setattr(numerics, name, refused)
+        monkeypatch.setattr(report, name, refused)
+    monkeypatch.setattr(numerics, "_lapack", refused)
+    code, out, err = run_cli(capsys, "verify", *flags, "--out", "json")
+    assert (code, err) == (EXIT_VERIFY if "--b" in flags else EXIT_OK, "")
+    assert "grid" not in json.loads(out)["inputs"]
+    assert (gridded, built) == ([], [])
+
+
+def test_solve_and_verify_build_no_grid_where_eig_is_over_budget(capsys):
+    # the Coulomb length is 1e8 oscillator lengths: eig's grid exceeds the
+    # node budget, but solve and verify need no grid
     flags = ["--a", "1e-8", "--c", "0.5", "--derive", "b"]
     code, out, err = run_cli(capsys, "solve", *flags)
     assert (code, err) == (EXIT_OK, "")
     assert json.loads(out)["psi"]["N0"] > 0.0
-    code, out, err = run_cli(capsys, "verify", *flags)
+    code, out, err = run_cli(capsys, "verify", *flags, "--out", "json")
+    assert (code, err) == (EXIT_OK, "")
+    by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert by_name["eigen_vs_closed"]["value"] <= 1e-10
+    code, out, err = run_cli(capsys, "eig", *flags)
     assert (code, out) == (EXIT_USAGE, "")
     assert "exceeds the budget" in err
 
 
-@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_verify_strong_coulomb_point_passes(capsys):
+    # a = 50, c = 1e-3: the Coulomb length is 1/2500 of the oscillator
+    # length, and the grid's level 0 missed the closed form by 2.2e-4
+    # (exit 3); the spectral level 0 is within its printed lattice
+    code, out, err = run_cli(capsys, "verify", "--a", "50", "--c", "1e-3", "--derive", "b",
+                             "--out", "json")
+    assert (code, err) == (EXIT_OK, "")
+    doc = json.loads(out)
+    by_name = {c["name"]: c for c in doc["checks"]}
+    assert by_name["eigen_vs_closed"]["pass"] is True
+    assert by_name["eigen_vs_closed"]["value"] <= 1e-6
+    assert abs(by_name["eigen_lowest"]["value"] - doc["views"]["coulomb"]["E"]) <= 1e-6
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
 @pytest.mark.parametrize("flag", ["--rmax", "--h"])
 def test_grid_flags_only_on_grid_eigenvalue_commands(capsys, command, flag):
-    problem = (["--a", "1", "--c", "0.5", "--derive", "b"] if command == "solve"
-               else ["--b", "1", "--c", "0.5", "--n", "1", "--check"])
+    problem = (["--b", "1", "--c", "0.5", "--n", "1", "--check"] if command == "oracle"
+               else ["--a", "1", "--c", "0.5", "--derive", "b"])
     code, out, err = run_cli_usage(capsys, command, *problem, flag, "20")
     assert (code, out) == (EXIT_USAGE, "")
     assert f"unrecognized arguments: {flag} 20" in err
@@ -619,13 +655,13 @@ def test_float_overflow_exits_one(capsys, argv):
     [
         # hbar**2 underflows in the coulomb view's epsilon
         ["verify", "--a", "1e-300", "--b", "1", "--c", "1e200", "--N", "1", "--l", "3",
-         "--derive", "b", "--hbar", "1e-300", "--rmax", "20", "--h", "0.01"],
+         "--derive", "b", "--hbar", "1e-300"],
         # sqrt(2mc) underflows in the oscillator length of the grid sizing
         ["eig", "--a", "1", "--c", "1e-300", "--mass", "1e-300", "--rmax", "20", "--h", "0.01"],
         # m c overflows, so the ground state vanishes on the grid and the
         # level-0 formula a of the oracle check underflows
         ["verify", "--a", "1e8", "--b", "3.86", "--c", "1e200", "--N", "1", "--l", "3",
-         "--mass", "1e200", "--rmax", "5", "--h", "1e-3"],
+         "--mass", "1e200"],
     ],
 )
 def test_denominator_underflow_exits_one(capsys, argv):
@@ -708,16 +744,15 @@ def test_unrepresentable_exact_integral_names_its_cause(capsys, argv, cause):
     # squared p_0 carries the residual's norm: written in r / 2^k, they stay
     # in range
     (["--a", "1e-300", "--c", "1e-6", "--hbar", "1e-100", "--N", "2", "--l", "0"], EXIT_OK),
-    # coefficient products beyond 1e308, and an integral in range; the user
-    # grid cannot resolve lengths of 1.9e35, so eigen_vs_closed fails
+    # coefficient products beyond 1e308, and an integral in range; the
+    # coefficient identities fail by rounding at Lambda(Lambda+1)T = 1.1e150
     (["--a", "1", "--c", "1e8", "--N", "4", "--l", "2", "--hbar", "0.5", "--mass", "1e-150"],
      EXIT_VERIFY),
 ], ids=["hbar1e-100", "mass1e-150"])
 def test_exact_integrals_fail_only_beyond_the_float_range(capsys, argv, code):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = run_cli(capsys, "verify", *argv, "--derive", "b", "--rmax", "20", "--h",
-                         "0.01", "--out", "json")
+        result = run_cli(capsys, "verify", *argv, "--derive", "b", "--out", "json")
     assert (result[0], result[2]) == (code, "")
     checks = {c["name"]: c["value"] for c in json.loads(result[1])["checks"]}
     for name in ("ladder_level1_residual_advanced_a", "ladder_level1_residual_fixed_a",
@@ -725,7 +760,7 @@ def test_exact_integrals_fail_only_beyond_the_float_range(capsys, argv, code):
         assert math.isfinite(checks[name]), name
     assert 0.0 < checks["ladder_vs_numeric_overlap"] <= 1.0
     if code == EXIT_VERIFY:
-        assert checks["eigen_vs_closed"] > 1e100
+        assert checks["riccati_coulomb_view"] > 1e100
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -749,14 +784,12 @@ def test_oracle_recursion_overflow_exits_one_naming_the_level(capsys, argv, mess
 
 def test_off_diagonal_whose_square_overflows_exits_one(capsys):
     # at --rmax 20 --h 0.01, T/h^2 squares beyond the float range below a
-    # mass of about 3.5e-151: eig, sweep and verify refuse the matrix with
-    # one message naming T/h^2, where mass 1e-151 overflowed in a Sturm
-    # count and 1e-300 failed in dstebz; mass 1e-150 still solves (verify's
-    # grid cannot resolve the problem, so its eigen_vs_closed FAILs)
+    # mass of about 3.5e-151: eig and sweep refuse the matrix with one
+    # message naming T/h^2, where mass 1e-151 overflowed in a Sturm count
+    # and 1e-300 failed in dstebz; mass 1e-150 still solves
     grid = ["--rmax", "20", "--h", "0.01"]
     commands = (["eig", "--a", "1", "--b", "1", "--c", "0.5"],
-                ["sweep", "--sweep", "a=1,2", "--c", "0.5", "--derive", "b"],
-                ["verify", "--a", "1", "--c", "0.5", "--derive", "b"])
+                ["sweep", "--sweep", "a=1,2", "--c", "0.5", "--derive", "b"])
     for argv in commands:
         for mass in ("1e-151", "1e-300"):
             with warnings.catch_warnings():
@@ -766,7 +799,7 @@ def test_off_diagonal_whose_square_overflows_exits_one(capsys):
             assert err.startswith("pcoulomb: error: the grid Hamiltonian overflows: T/h^2 = ")
             assert err.endswith(" squares beyond the float range\n"), (argv, mass)
         code, out, err = run_cli(capsys, *argv, "--mass", "1e-150", *grid)
-        assert (code, err) == (EXIT_VERIFY if argv[0] == "verify" else EXIT_OK, ""), argv
+        assert (code, err) == (EXIT_OK, ""), argv
         assert out
 
 
@@ -840,7 +873,7 @@ def test_eig_k_is_checked_before_any_solve(flags, message, capsys, monkeypatch):
 @pytest.mark.parametrize("argv, coarse_nodes", [
     (["eig", "--a", "1", "--b", "1", "--c", "0.5", "--k", "4", "--rmax", "15", "--h", "0.005"],
      750),
-    (["verify", "--a", "1", "--c", "0.5", "--derive", "b", "--rmax", "20", "--h", "0.01"], 500),
+    (["eig", "--a", "1", "--c", "0.5", "--derive", "b", "--rmax", "20", "--h", "0.01"], 500),
 ])
 def test_coarse_user_grids_do_not_fall_back(argv, coarse_nodes, capsys, monkeypatch):
     # each level's window on the 4h and h grids (coarse_nodes, and 3000 and
@@ -996,12 +1029,12 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, command, line, m
 
 def test_config_switch_takes_true_or_false(tmp_path, capsys):
     config = tmp_path / "run.conf"
-    argv = ["verify", "--config", str(config), "--out", "json"]
+    argv = ["eig", "--config", str(config)]
     for text, expected in (("true", True), ("false", False)):
         config.write_text(_SURFACE_CONFIG + f"richardson = {text}\n")
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
-        assert json.loads(out)["inputs"]["grid"]["richardson"] is expected
+        assert json.loads(out)["grid"]["richardson"] is expected
 
     config.write_text(_SURFACE_CONFIG + "richardson = yes\n")
     code, out, err = run_cli(capsys, *argv)
@@ -1017,12 +1050,13 @@ def test_config_skips_keys_of_other_commands(tmp_path, capsys):
     assert json.loads(out)["inputs"]["b"] == 1.0
 
 
-@pytest.mark.parametrize("argv", [["solve"], ["oracle", "--n", "1", "--check"]])
+@pytest.mark.parametrize("argv", [["solve"], ["oracle", "--n", "1", "--check"],
+                                  ["verify", "--out", "json"]])
 def test_config_grid_keys_are_skipped_by_commands_without_a_grid(tmp_path, capsys, argv):
-    # verify's rmax and h lines still serve a config file that solve and
-    # oracle read
+    # eig's rmax, h and richardson lines still serve a config file that
+    # solve, oracle and verify read
     config = tmp_path / "run.conf"
-    config.write_text(_SURFACE_CONFIG + "rmax = 20\nh = 0.01\n")
+    config.write_text(_SURFACE_CONFIG + "rmax = 20\nh = 0.01\nrichardson = true\n")
     code, out, _ = run_cli(capsys, *argv, "--config", str(config))
     assert code == EXIT_OK
     config.write_text(_SURFACE_CONFIG)
@@ -1108,6 +1142,7 @@ def test_parser_is_built_once_and_shared(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["solve", "--a", "1", "--c", "0.5", "--derive", "b"],
     ["oracle", "--b", "1", "--c", "0.5", "--n", "1"],
+    ["verify", "--a", "1", "--c", "0.5", "--derive", "b"],
 ])
 def test_richardson_only_on_grid_eigenvalue_commands(capsys, argv):
     code, out, err = run_cli_usage(capsys, *argv, "--richardson")
@@ -1178,7 +1213,7 @@ def test_library_verify_document_matches_cli(capsys, c, derive):
     phys = PhysicalParams()
     dim = dimension_reduce(3, 0)
     pot = derive_couplings(1.0, 0.0, c, derive, dim, phys)
-    doc = report.verify_document(pot, dim, phys, nmax=2, richardson=False)
+    doc = report.verify_document(pot, dim, phys, nmax=2)
     assert doc == json.loads(out)
 
 
@@ -1248,48 +1283,47 @@ def test_oracles_import_nothing_of_the_construction():
         assert not {n for n in names if n.split(".")[-1] in ("exact", "report", "cli")}, module
 
 
-GRID_INFO_CHECKS = ("ladder_vs_numeric_overlap",)
+def test_verification_checks_round_only_spectral_values(monkeypatch):
+    # the level-0 energy and the ladder overlap come from the spectral oracle
+    # and are printed at SPECTRAL_DIGITS; every other value keeps 17 digits
+    from pcoulomb.spectral import spectral_lowest
 
-
-def test_verification_checks_round_only_grid_info_values(monkeypatch):
     phys = PhysicalParams()
     dim = dimension_reduce(3, 0)
     pot = PotentialParams(a=1.0, b=constraint_b(1.0, 0.5, dim, phys), c=0.5)
-    grid = build_grid(pot, dim, phys)
-
-    def battery():
-        doc = report.verify_document(pot, dim, phys, 2, False, r_max=grid.r_max, h=grid.h)
-        return doc["checks"]
-
-    reported = battery()
-    monkeypatch.setattr(report, "GRID_INFO_DIGITS", 17)
-    full = battery()
+    reported = report.verify_document(pot, dim, phys, 2)["checks"]
+    monkeypatch.setattr(report, "SPECTRAL_DIGITS", 17)
+    full = report.verify_document(pot, dim, phys, 2)["checks"]
 
     assert [c["name"] for c in reported] == [c["name"] for c in full]
     for rep, raw in zip(reported, full):
         assert (rep["kind"], rep["tol"], rep["pass"]) == (raw["kind"], raw["tol"], raw["pass"])
-        if rep["name"] in GRID_INFO_CHECKS:
+        if rep["name"] == "ladder_vs_numeric_overlap":
             assert rep["value"] == float("%.10g" % raw["value"])
             assert rep["value"] != raw["value"]
-        else:
+        elif rep["name"] not in ("eigen_lowest", "eigen_vs_closed"):
             assert rep["value"] == raw["value"]
     assert all(c["pass"] for c in reported if c["kind"] == "assert")
 
-    # the eigensolver and oracle values stay at full precision
+    # the energy scale is max(|E|, T / l^2) = 1: the lattice step is 1e-9,
+    # and the closed form E = 1 lies on it
     by_name = {c["name"]: c["value"] for c in reported}
-    numeric = eigen_lowest(effective_potential(pot, dim, phys), grid, phys)
+    level0 = spectral_lowest(pot, dim, phys, 0).energy
     closed = ground_state(pot, dim, phys).energy.total
+    assert level0 != closed and abs(level0 - closed) <= 1e-11
+    assert by_name["eigen_lowest"] == round(level0, 9) == closed
+    assert by_name["eigen_vs_closed"] == 0.0
+    # the oracle values stay at full precision
     roots = [s.a_root for s in qes_solve(pot.b, pot.c, dim, phys, n=1)]
-    assert by_name["eigen_lowest"] == numeric
-    assert by_name["eigen_vs_closed"] == abs(numeric - closed)
     assert by_name["oracle_level1_roots"] == roots
-    for value in (numeric, abs(numeric - closed), *roots):
-        assert float("%.10g" % value) != value
+    assert all(float("%.10g" % root) != root for root in roots)
 
 
 def _dispatch_settings() -> list[tuple[str, dict]]:
     """numpy's default dispatch, then each dispatched level disabled from the
-    top down, then (on x86_64) a generic OpenBLAS kernel."""
+    top down, then (on x86_64) a generic OpenBLAS kernel and Haswell's, under
+    which the spectral level 0 of a verify request moved across a 10-digit
+    rounding boundary of its own value."""
     try:
         config = np.show_config(mode="dicts")
     except TypeError:  # numpy < 1.26 prints its config and returns nothing
@@ -1301,6 +1335,7 @@ def _dispatch_settings() -> list[tuple[str, dict]]:
         settings.append((f"no-{found[-k]}", {"NPY_DISABLE_CPU_FEATURES": disabled}))
     if platform.machine().lower() in ("x86_64", "amd64"):
         settings.append(("openblas-prescott", {"OPENBLAS_CORETYPE": "Prescott"}))
+        settings.append(("openblas-haswell", {"OPENBLAS_CORETYPE": "Haswell"}))
     return settings
 
 
@@ -1325,8 +1360,10 @@ sys.stdout.write(json.dumps(results))
 """
 
 
-#: compared with their own output at default dispatch, not with a golden file
+#: compared with their own output at default dispatch, not with a golden
+#: file, with the verify requests of verify-battery's seed 1
 _UNGOLDEN_RUNS = (
+    ["verify", "--a", "1", "--c", "0.5", "--N", "2", "--l", "0", "--derive", "b", "--out", "json"],
     ["oracle", "--b", "2.2", "--c", "0.2", "--N", "4", "--l", "2", "--n", "8"],
     ["oracle", "--b", "2.2", "--c", "0.2", "--N", "4", "--l", "2", "--n", "8", "--check"],
     ["eig", "--a", "1", "--b", "1", "--c", "0.5", "--k", "3", "--rmax", "40", "--h", "0.002",
@@ -1349,13 +1386,18 @@ def _child_env(extra_env: dict) -> dict:
 def _child_results(extra_env: tuple) -> list:
     """[[code, stdout], ...] of the golden runs and the ungolden runs, in a
     fresh interpreter with ``extra_env`` (key, value pairs) set."""
-    argvs = [argv for _, argv in _GOLDEN_RUNS] + list(_UNGOLDEN_RUNS)
+    argvs = [argv for _, argv in _GOLDEN_RUNS] + _ungolden_runs()
     result = subprocess.run(
         [sys.executable, "-c", _CHILD, json.dumps(argvs)],
         capture_output=True, text=True, env=_child_env(dict(extra_env)),
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
+
+
+def _ungolden_runs() -> list[list[str]]:
+    battery = [argv for argv in _benchmark_requests("verify-battery", [1]) if argv[0] == "verify"]
+    return list(_UNGOLDEN_RUNS) + battery
 
 
 @pytest.mark.parametrize(
@@ -1367,9 +1409,11 @@ def test_goldens_under_dispatch_settings(extra_env):
         assert code == EXIT_OK
         assert out == (GOLDEN_DIR / golden).read_text(), golden
     defaults = _child_results(())[len(_GOLDEN_RUNS):]
-    for argv, result, default in zip(_UNGOLDEN_RUNS, results[len(_GOLDEN_RUNS):], defaults):
+    argvs = _ungolden_runs()
+    assert len(argvs) == len(_UNGOLDEN_RUNS) + 45
+    for argv, result, default in zip(argvs, results[len(_GOLDEN_RUNS):], defaults):
         assert result[0] == EXIT_OK, argv[0]
-        assert result == default, f"{argv[0]} output moved with dispatch"
+        assert result == default, f"{' '.join(argv)}: output moved with dispatch"
 
 
 # prints a digest of the potential samples of M = 4 and M = 6 problems,
@@ -1445,8 +1489,8 @@ def test_commands_load_lapack_without_scipy_linalg():
     argvs = [
         ["solve", "--a", "1", "--c", "0.5", "--derive", "b"],
         ["oracle", "--b", "1", "--c", "0.5", "--n", "3", "--check"],
-        ["eig", "--a", "1", "--c", "0.5", "--derive", "b"],
         ["verify", "--a", "1", "--c", "0.5", "--derive", "b"],
+        ["eig", "--a", "1", "--c", "0.5", "--derive", "b"],
         ["sweep", "--sweep", "a=1,2", "--c", "0.5", "--derive", "b", "--richardson"],
     ]
     result = subprocess.run(
@@ -1456,8 +1500,9 @@ def test_commands_load_lapack_without_scipy_linalg():
     assert result.returncode == 0, result.stderr
     linalg, flapack = zip(*json.loads(result.stdout))
     assert linalg == (False,) * 5
-    # the first grid eigensolve (eig) loads the extension on its own
-    assert flapack == (False, False, True, True, True)
+    # verify needs no LAPACK beyond numpy's; the first grid eigensolve (eig)
+    # loads the extension on its own
+    assert flapack == (False, False, False, True, True)
 
 
 # runs eig, then imports scipy.linalg as a library user would
@@ -1504,6 +1549,17 @@ def test_closed_stdout_exits_one_with_a_message(argv):
     assert result.returncode == EXIT_USAGE
     assert result.stderr == "pcoulomb: error: stdout was closed before the output was written\n"
     assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
+
+
+def test_spectral_oracle_out_of_range_prints_one_message():
+    # T = 5e199: the squared Coulomb length overflows the float range, and
+    # the spectral level 0 needs no state, so no inverse iteration warns
+    result = subprocess.run(
+        [sys.executable, "-m", "pcoulomb.cli", "verify", "--a", "1", "--mass", "1e-200"],
+        capture_output=True, text=True, env=_child_env({}),
+    )
+    assert (result.returncode, result.stdout) == (EXIT_USAGE, "")
+    assert result.stderr == "pcoulomb: error: a result overflows the float range\n"
 
 
 def test_console_entry_point_runs():

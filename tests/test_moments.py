@@ -106,7 +106,7 @@ def test_norm_and_nodeless_overlap_match_mpmath(point, m_index):
     a, c = _surface_points()[point]
     dim = dimension_reduce(m_index, 0)
     pot = PotentialParams(a=a, b=constraint_b(a, c, dim, PHYS), c=c)
-    doc = report.verify_document(pot, dim, PHYS, 0, False)
+    doc = report.verify_document(pot, dim, PHYS, 0)
     psi = ground_state(pot, dim, PHYS).psi
     other = oracle_state(qes_solve(pot.b, pot.c, dim, PHYS, n=1)[0], dim, PHYS, pot.b, pot.c)
     with mpmath.workdps(30):
@@ -126,7 +126,7 @@ def test_reference_ladder_residuals():
     # quadrature of the state's second derivative
     dim = dimension_reduce(3, 0)
     pot = PotentialParams(a=1.0, b=constraint_b(1.0, 0.5, dim, PHYS), c=0.5)
-    doc = report.verify_document(pot, dim, PHYS, 0, False)
+    doc = report.verify_document(pot, dim, PHYS, 0)
     by_name = {check["name"]: check["value"] for check in doc["checks"]}
     assert by_name["ladder_level1_residual_advanced_a"] == pytest.approx(1.203493699, abs=1e-9)
     assert by_name["ladder_level1_residual_fixed_a"] == pytest.approx(2.491972535, abs=1e-9)

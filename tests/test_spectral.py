@@ -1,9 +1,11 @@
-"""The spectral oracle: its levels, and the ladder overlap ``verify`` takes from it.
+"""The spectral oracle: its levels, and the level-0 energy and ladder
+overlap ``verify`` takes from it.
 
-The ladder state is checked against the level-1 state of the Laguerre
-pencil: at b = 0 the two are one state, across basis sizes the overlap
-holds its digits, and at odd M the grid's h -> h/2 Richardson overlap
-agrees with it.
+Level 0 is checked against the closed form at every benchmark surface point
+and at M = 2.  The ladder state is checked against the level-1 state of the
+Laguerre pencil: at b = 0 the two are one state, across basis sizes the
+overlap holds its digits, and at odd M the grid's h -> h/2 Richardson
+overlap agrees with it.
 """
 
 import importlib.util
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from pcoulomb import report
-from pcoulomb.exact import closed_level, constraint_b, hierarchy_states
+from pcoulomb.exact import closed_level, constraint_b, ground_state, hierarchy_states
 from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
 from pcoulomb.numerics import GridFunction, build_grid, eigen_lowest, evaluate_state, overlap
 from pcoulomb.spectral import EVIDENCE_SIZE, SEARCH_SIZE, VALUE_SIZE, _level, spectral_lowest
@@ -82,15 +84,18 @@ def test_overlap_is_the_grid_richardson_limit(m_index):
     assert abs(spectral - richardson) <= 1e-10
 
 
-def test_verify_overlap_does_not_depend_on_the_grid():
+def test_verify_overlap_does_not_depend_on_the_grid(monkeypatch):
+    # verify builds no grid: its overlap is the spectral one, whatever the
+    # grid code does
+    def refused(*_args, **_kwargs):
+        raise AssertionError("verify built a grid")
+
+    monkeypatch.setattr(report, "build_grid", refused)
     dim = dimension_reduce(3, 0)
     pot = PotentialParams(a=1.0, b=constraint_b(1.0, 0.5, dim, PHYS), c=0.5)
-    values = set()
-    for r_max, h in ((None, None), (20.0, 0.01), (12.0, 0.002)):
-        doc = report.verify_document(pot, dim, PHYS, 0, False, r_max=r_max, h=h)
-        values.add(next(c["value"] for c in doc["checks"]
-                        if c["name"] == "ladder_vs_numeric_overlap"))
-    assert values == {0.9699532827}
+    doc = report.verify_document(pot, dim, PHYS, 0)
+    by_name = {c["name"]: c["value"] for c in doc["checks"]}
+    assert by_name["ladder_vs_numeric_overlap"] == 0.9699532827
 
 
 def test_level_out_of_range_is_refused():
@@ -135,3 +140,17 @@ def test_evidence_on_every_benchmark_verify_request():
         evidence = _level(pot_up, PHYS, value.alpha, 1, value.scale, EVIDENCE_SIZE)
         worst = max(worst, abs(abs(value.overlap(ladder)) - abs(evidence.overlap(ladder))))
     assert worst <= 5e-11
+
+
+def test_level0_on_every_benchmark_verify_request():
+    # verify's eigen_lowest is this value on a lattice of 10 digits of the
+    # energy scale; unrounded it is within 1e-11 max(1, |E|) of the closed
+    # form, at M = 2 too, where the grid was 0.959 off
+    points = _benchmark_verify_points() + [(1.0, 0.5, 2, 0)]
+    for a, c, n_dim, ell in points:
+        dim = dimension_reduce(n_dim, ell)
+        pot = PotentialParams(a=a, b=constraint_b(a, c, dim, PHYS), c=c)
+        closed = ground_state(pot, dim, PHYS).energy.total
+        level0 = spectral_lowest(pot, dim, PHYS, 0)
+        assert abs(level0.energy - closed) <= 1e-11 * max(1.0, abs(closed)), (a, c, n_dim, ell)
+        assert "values" not in vars(level0)  # the state is built only when read

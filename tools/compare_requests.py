@@ -47,30 +47,32 @@ SEEDS = range(1, 11)
 #: requests outside the benchmark: the README command lines; coarse user
 #: grids where some levels fell back to their own bisection; k sweeps whose
 #: E0 must not depend on k; an h grid with no coarse grid to seed it; grids
-#: where r_max / h is no multiple of 64; a verify whose level-1
-#: vector needs three steps on 16h; a grid whose 64h grid has under 100
-#: nodes; more levels than the 64h grid seeds (levels 11 and up start on
-#: 16h); two off-diagonals -T/h^2 no benchmark grid has: -0.0, where
-#: T = hbar^2/2m underflows and the matrix is diagonal, and a subnormal;
-#: levels 11-29 on a default grid and a level-12 sweep row with h/2, both
-#: starting on 16h; the two range errors of eig --k; and output paths of the
-#: formatting layer: the solve table, oracle without --check, a verify
-#: table with a FAIL (exit 3), and two sweeps whose second row is rejected
-#: (a non-finite cell, and no closed form at c = 0) with stdout left empty;
-#: ansatz paths: the b = 0 family, level 0, MAX_LEVEL without --check, a
-#: level above it, a level whose p_k overflow at tiny couplings, and c = 0;
-#: battery paths: verify --richardson, and M = 2, whose eigen_vs_closed
-#: checks are info only (every benchmark stratum has M >= 3), with an M = 2
-#: Richardson eig; grid starts interpolated from a coarser grid's iterate:
-#: h grids of 4000..4003 nodes (each count modulo 4, the last nodes running
-#: towards the 4h grid's far zero) at level 1, levels 11 and 12 with h/2,
-#: starting on 16h, and pure Coulomb, whose coarser values lie above the level;
-#: exact moments: solve at M = 2, and at c = 0, whose moments are p!/beta^(p+1);
-#: inputs no grid serves: oracle --check at M = 2 (numbers and divergent
-#: residuals), at c = 1e307 (the grid Hamiltonian overflows), and solve
-#: where a grid would exceed the node budget; the spectral oracle's basis
-#: sizes and scale bracket: verify at M = 51, at hbar 0.3 with mass 2, and
-#: at c = 50 and c = 0.005
+#: where r_max / h is no multiple of 64; a strong-Coulomb verify (a = 50,
+#: c = 1e-3) whose grid level 0 missed the closed form by 2.2e-4; a grid
+#: whose 64h grid has under 100 nodes; more levels than the 64h grid seeds
+#: (levels 11 and up start on 16h); two off-diagonals -T/h^2 no benchmark
+#: grid has: -0.0, where T = hbar^2/2m underflows and the matrix is
+#: diagonal, and a subnormal; levels 11-29 on a default grid and a level-12
+#: sweep row with h/2, both starting on 16h; the two range errors of eig
+#: --k; and output paths of the formatting layer: the solve table, oracle
+#: without --check, a verify table with a FAIL (exit 3, off the surface at
+#: b = 1e-11), and two sweeps whose second row is rejected (a non-finite
+#: cell, and no closed form at c = 0) with stdout left empty; ansatz paths:
+#: the b = 0 family, level 0, MAX_LEVEL without --check, a level above it,
+#: a level whose p_k overflow at tiny couplings, and c = 0; battery paths:
+#: verify at a = 1e-8, whose grid would exceed the node budget, M = 2,
+#: whose eigen_vs_closed the grid could not judge (every benchmark stratum
+#: has M >= 3), with an M = 2 Richardson eig, and mass 1e-200, whose
+#: squared Coulomb length overflows; grid starts interpolated from a
+#: coarser grid's iterate: h grids of 4000..4003 nodes (each count modulo
+#: 4, the last nodes running towards the 4h grid's far zero) at level 1,
+#: levels 11 and 12 with h/2, starting on 16h, and pure Coulomb, whose
+#: coarser values lie above the level; exact moments: solve at M = 2, and
+#: at c = 0, whose moments are p!/beta^(p+1); inputs no grid serves: oracle
+#: --check at M = 2 (numbers and divergent residuals), at c = 1e307 (the
+#: grid Hamiltonian overflows), and solve where a grid would exceed the
+#: node budget; the spectral oracle's basis sizes and scale bracket: verify
+#: at M = 51, at hbar 0.3 with mass 2, and at c = 50 and c = 0.005
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
@@ -80,7 +82,7 @@ EXTRA = [argv.split() for argv in (
     "sweep --sweep a=0.5,1,2 --c 0.5 --derive b",
     "eig --a 1 --b 1 --c 0.5 --k 2 --rmax 40 --h 0.002 --richardson",
     "eig --a 1 --b 1 --c 0.5 --k 4 --rmax 15 --h 0.005",
-    "verify --a 1 --c 0.5 --derive b --rmax 20 --h 0.01",
+    "verify --a 50 --c 1e-3 --derive b --out json",
     "eig --a 1 --b 1 --c 0.5 --rmax 20 --h 0.05 --k 1",
     "eig --a 1 --b 1 --c 0.5 --rmax 20 --h 0.05 --k 3",
     "eig --a 1 --b 1 --c 0.5 --rmax 20 --h 0.05 --k 5",
@@ -100,7 +102,7 @@ EXTRA = [argv.split() for argv in (
     "eig --a 1 --c 0.5 --derive b --rmax 1 --h 0.01 --k 11",
     "solve --a 1 --c 0.5 --derive b --out table",
     "oracle --b 1 --c 0.5 --n 2",
-    "verify --a 1 --c 0.5 --derive b --rmax 20 --h 0.1",
+    "verify --b 1e-11 --c 0.5",
     "sweep --sweep b=1,3e4 --c 1e-300 --rmax 20 --h 0.01",
     "sweep --sweep c=0.5,0 --a 1 --derive b",
     "oracle --b 0 --c 0.5 --N 3 --l 0 --n 3",
@@ -109,7 +111,8 @@ EXTRA = [argv.split() for argv in (
     "oracle --b 1 --c 0.5 --n 9",
     "oracle --b 1e-300 --c 1e-300 --n 8",
     "oracle --b 1 --c 0 --n 1",
-    "verify --a 1 --c 0.5 --derive b --richardson --out json",
+    "verify --a 1e-8 --c 0.5 --derive b --out json",
+    "verify --a 1 --mass 1e-200",
     "verify --a 1 --c 0.5 --N 2 --derive b --out json",
     "eig --a 1 --c 0.5 --N 2 --derive b --k 3 --richardson",
     "eig --a 1 --b 1 --c 0.5 --k 2 --rmax 20 --h 0.005",
