@@ -73,7 +73,10 @@ from .susy import (
 TOL_RICCATI = 1e-12
 #: agreement between the two solution views
 TOL_DUAL_VIEW = 1e-12
-#: spectral level 0 vs closed-form energy
+#: spectral level 0 vs closed-form energy, absolute; where the lattice
+#: ``_energy_lattice`` prints the level on is coarser, its step is the
+#: tolerance (from |E| or T / l^2 of 1e5 up), so the check judges the level
+#: and not the printed digits
 TOL_EIGEN = 1e-4
 #: oracle level-0 root vs the coupling inversion, relative
 TOL_ORACLE_ROOT = 1e-13
@@ -236,11 +239,13 @@ def _rounded_info_check(name, value) -> dict:
     return _check(name, "info", float("%.*g" % (SPECTRAL_DIGITS, value)))
 
 
-def _energy_lattice(energy, closed_e, pot, dim, phys) -> float:
-    """``energy`` correctly rounded to SPECTRAL_DIGITS digits of max(|closed_e|,
-    T / l^2), l the shortest length: a lattice that the inputs alone fix."""
+def _energy_lattice(energy, closed_e, pot, dim, phys) -> tuple[float, float]:
+    """(``energy`` correctly rounded to SPECTRAL_DIGITS digits of
+    max(|closed_e|, T / l^2), l the shortest length, the lattice's step): a
+    lattice that the inputs alone fix."""
     scale = max(abs(closed_e), phys.kinetic / min(length_scales(pot, dim, phys).values()) ** 2)
-    return round(energy, SPECTRAL_DIGITS - 1 - math.floor(math.log10(scale)))
+    digits = SPECTRAL_DIGITS - 1 - math.floor(math.log10(scale))
+    return round(energy, digits), 10.0 ** -digits
 
 
 def _battery(pot, dim, phys, coul, osc) -> list[dict]:
@@ -270,8 +275,10 @@ def _battery(pot, dim, phys, coul, osc) -> list[dict]:
 
     psi, closed_e = (coul or osc).psi, (coul or osc).energy.total
     level0 = spectral_lowest(pot, dim, phys, 0).energy
-    numeric = _energy_lattice(level0, closed_e, pot, dim, phys)
-    checks.append(_assert_check("eigen_vs_closed", abs(numeric - closed_e), TOL_EIGEN))
+    numeric, step = _energy_lattice(level0, closed_e, pot, dim, phys)
+    checks.append(
+        _assert_check("eigen_vs_closed", abs(numeric - closed_e), max(TOL_EIGEN, step))
+    )
     checks.append(_check("eigen_lowest", "info", numeric))
 
     if pot.b > 0 and pot.c > 0:

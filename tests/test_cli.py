@@ -1552,14 +1552,43 @@ def test_closed_stdout_exits_one_with_a_message(argv):
 
 
 def test_spectral_oracle_out_of_range_prints_one_message():
-    # T = 5e199: the squared Coulomb length overflows the float range, and
-    # the spectral level 0 needs no state, so no inverse iteration warns
+    # T = 5e199: at every scale of the search s^2 overflows, so T / s^2 is 0
+    # from a nonzero T; the pencil without its kinetic term is refused, not
+    # solved, and the spectral level 0 needs no state, so no inverse
+    # iteration warns
     result = subprocess.run(
         [sys.executable, "-m", "pcoulomb.cli", "verify", "--a", "1", "--mass", "1e-200"],
         capture_output=True, text=True, env=_child_env({}),
     )
     assert (result.returncode, result.stdout) == (EXIT_USAGE, "")
-    assert result.stderr == "pcoulomb: error: a result overflows the float range\n"
+    assert result.stderr == (
+        "pcoulomb: error: the spectral Hamiltonian at scale 1.16e+197 is not finite\n")
+
+
+def test_spectral_length_out_of_range_prints_one_message():
+    # T = 5e299: the linear length (T / b)^(1/3) is inf, and the search
+    # bracket is refused before its log is taken
+    result = subprocess.run(
+        [sys.executable, "-m", "pcoulomb.cli", "verify", "--mass", "1e-300", "--a", "1",
+         "--c", "0.5", "--derive", "b"],
+        capture_output=True, text=True, env=_child_env({}),
+    )
+    assert (result.returncode, result.stdout) == (EXIT_USAGE, "")
+    assert result.stderr.count("\n") == 1 and "nan" not in result.stderr
+    assert result.stderr.startswith("pcoulomb: error: the spectral basis needs lengths")
+
+
+def test_eigen_tolerance_is_the_energy_lattice_step_at_large_energy(capsys):
+    # E = 2.1e150 is printed on a lattice of step 1e141, which an absolute
+    # 1e-4 cannot judge; the level passes, and the oscillator view's Riccati
+    # identity, which loses its digits there, still fails
+    code, out, _ = run_cli(capsys, "verify", "--c", "1e300", "--out", "json")
+    assert code == EXIT_VERIFY
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    eigen = checks["eigen_vs_closed"]
+    assert (eigen["tol"], eigen["pass"]) == (1e141, True)
+    assert eigen["value"] <= 0.5e141
+    assert [n for n, c in checks.items() if c["pass"] is False] == ["riccati_oscillator_view"]
 
 
 def test_console_entry_point_runs():

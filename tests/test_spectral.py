@@ -9,11 +9,12 @@ overlap agrees with it.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
 
-from pcoulomb import report
+from pcoulomb import report, spectral
 from pcoulomb.exact import closed_level, constraint_b, ground_state, hierarchy_states
 from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
 from pcoulomb.numerics import GridFunction, build_grid, eigen_lowest, evaluate_state, overlap
@@ -114,6 +115,39 @@ def test_problem_with_no_length_is_refused():
         spectral_lowest(PotentialParams(a=-1.0), dimension_reduce(3, 0), PHYS, 0)
 
 
+def test_kinetic_term_underflowing_to_zero_is_refused():
+    # T = 5e199 puts the bracket at s ~ 1e197, where s^2 overflows and
+    # T / s^2 is 0: without its kinetic term the pencil's level is -1.24e-196
+    # against the exact -5e-201
+    with pytest.raises(ValueError, match="not finite"):
+        spectral_lowest(PotentialParams(a=1.0), dimension_reduce(3, 0),
+                        PhysicalParams(mass=1e-200), 0)
+
+
+def test_length_out_of_the_float_range_is_refused():
+    # the linear length (T / b)^(1/3) is inf at T = 5e299, b = 1e-10
+    with pytest.raises(ValueError, match="lengths in the float range.* is inf"):
+        spectral_lowest(PotentialParams(a=1.0, b=1e-10), dimension_reduce(3, 0),
+                        PhysicalParams(mass=1e-300), 0)
+
+
+def test_search_forms_eight_pencils_per_level(monkeypatch):
+    # both brackets of this request (7.1 and 7.6 wide in log s) narrow to
+    # under SEARCH_WIDTH in 8 evaluations, each followed by the value's pencil
+    sizes = []
+    pencil = spectral._pencil
+
+    def counting(pot, phys, alpha, size, s):
+        sizes.append(size)
+        return pencil(pot, phys, alpha, size, s)
+
+    monkeypatch.setattr(spectral, "_pencil", counting)
+    dim = dimension_reduce(3, 0)
+    pot = PotentialParams(a=1.0, b=constraint_b(1.0, 0.5, dim, PHYS), c=0.5)
+    report.verify_document(pot, dim, PHYS, 0)
+    assert sizes == 2 * ([SEARCH_SIZE] * 8 + [VALUE_SIZE])
+
+
 def _benchmark_verify_points():
     """(a, c, N, l) of every verify request of the benchmark, seeds 1-10."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
@@ -140,6 +174,23 @@ def test_evidence_on_every_benchmark_verify_request():
         evidence = _level(pot_up, PHYS, value.alpha, 1, value.scale, EVIDENCE_SIZE)
         worst = max(worst, abs(abs(value.overlap(ladder)) - abs(evidence.overlap(ladder))))
     assert worst <= 5e-11
+
+
+def test_value_is_flat_around_the_searched_scale():
+    # the search stops within SEARCH_WIDTH of the minimizing log s; levels 0
+    # and 1 at VALUE_SIZE hold their value 0.75 either side of where it stopped
+    worst = 0.0
+    for a, c, n_dim, ell in _benchmark_verify_points():
+        dim = dimension_reduce(n_dim, ell)
+        pot = PotentialParams(a=a, b=constraint_b(a, c, dim, PHYS), c=c)
+        for level, problem in ((0, pot), (1, _ladder_problem(a, c, dim, PHYS)[0])):
+            value = spectral_lowest(problem, dim, PHYS, level)
+            for shift in (-0.75, 0.75):
+                moved = _level(problem, PHYS, value.alpha, level,
+                               value.scale * math.exp(shift), VALUE_SIZE)
+                worst = max(worst, abs(moved.energy - value.energy)
+                            / max(1.0, abs(value.energy)))
+    assert worst <= 1e-12
 
 
 def test_level0_on_every_benchmark_verify_request():

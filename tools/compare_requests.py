@@ -72,7 +72,10 @@ SEEDS = range(1, 11)
 #: --check at M = 2 (numbers and divergent residuals), at c = 1e307 (the
 #: grid Hamiltonian overflows), and solve where a grid would exceed the
 #: node budget; the spectral oracle's basis sizes and scale bracket: verify
-#: at M = 51, at hbar 0.3 with mass 2, and at c = 50 and c = 0.005
+#: at M = 51, at hbar 0.3 with mass 2, and at c = 50 and c = 0.005; inputs
+#: at the float range's ends: verify at c = 1e300, whose level sits on an
+#: energy lattice of step 1e141, and at mass 1e-300, whose linear length is
+#: inf (with mass 1e-200 above, where T / s^2 underflows to 0)
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
@@ -132,6 +135,8 @@ EXTRA = [argv.split() for argv in (
     "verify --a 1 --c 0.5 --hbar 0.3 --mass 2 --derive b --out json",
     "verify --a 1 --c 50 --derive b --out json",
     "verify --a 1 --c 0.005 --derive b --out json",
+    "verify --c 1e300 --out json",
+    "verify --mass 1e-300 --a 1 --c 0.5 --derive b",
 )]
 
 # runs the argvs of stdin under ROOT's package and prints [exit code,
