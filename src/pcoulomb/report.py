@@ -75,7 +75,7 @@ TOL_RICCATI = 1e-12
 TOL_DUAL_VIEW = 1e-12
 #: spectral level 0 vs closed-form energy, absolute; where the lattice
 #: ``_energy_lattice`` prints the level on is coarser, its step is the
-#: tolerance (from |E| or T / l^2 of 1e5 up), so the check judges the level
+#: tolerance (from |E| or T / l^2 of 1e6 up), so the check judges the level
 #: and not the printed digits
 TOL_EIGEN = 1e-4
 #: oracle level-0 root vs the coupling inversion, relative
