@@ -28,8 +28,6 @@ import os
 import sys
 from itertools import product
 
-import numpy as np
-
 from . import __version__
 from .exact import ConstraintViolation, derive_couplings
 from .model import DimensionSpec, PhysicalParams, PotentialParams, dimension_reduce
@@ -64,9 +62,9 @@ def dump_json(obj, indent: int = 0) -> str:
         return "null"
     if obj is True or obj is False:
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -87,7 +85,7 @@ def dump_json(obj, indent: int = 0) -> str:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
     return _fmt_float(float(value))
 

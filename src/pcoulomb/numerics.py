@@ -1,7 +1,7 @@
 """Grid representation and the finite-difference radial eigensolver.
 
-This is the second independent oracle: every closed form produced elsewhere
-is re-checked here against the three-point discretization of
+This is the oracle of ``eig``, ``sweep`` and the tests (``verify`` takes
+its energies from ``spectral``): the three-point discretization of
 
     -T f'' + V(r) f = E f,     T = hbar^2 / 2m,
 

@@ -285,8 +285,7 @@ def _battery(pot, dim, phys, coul, osc) -> list[dict]:
         sols1 = qes_solve(pot.b, pot.c, dim, phys, n=1)
         a1, e1 = closed_level(pot, dim, phys, 1)
         checks.extend(_oracle_checks(pot, dim, phys, sols1, a1))
-        checks.extend(_hierarchy_checks(pot, dim, phys, v_eff, sols1, psi, a1, e1,
-                                        spectral_lowest))
+        checks.extend(_hierarchy_checks(pot, dim, phys, v_eff, sols1, psi, a1, e1))
     return checks
 
 
@@ -328,11 +327,10 @@ def _residual_check(name, state, energy, v_eff, phys) -> dict:
     return _check(name, "info", _relative_residual(state, energy, v_eff, phys))
 
 
-def _hierarchy_checks(pot, dim, phys, v_eff, sols1, psi, a1, e1, spectral) -> list[dict]:
+def _hierarchy_checks(pot, dim, phys, v_eff, sols1, psi, a1, e1) -> list[dict]:
     """Shape-invariance, ladder-state, and non-orthogonality diagnostics.
 
-    (``a1``, ``e1``) is level 1 under the linear rule (``closed_level``),
-    and ``spectral`` is ``spectral.spectral_lowest``.
+    (``a1``, ``e1``) is level 1 under the linear rule (``closed_level``).
 
     ``psi`` is the exact ground state: the coulomb view's, or the
     oscillator view's when a <= 0 (both views give the same state where
@@ -365,7 +363,8 @@ def _hierarchy_checks(pot, dim, phys, v_eff, sols1, psi, a1, e1, spectral) -> li
     checks.append(_residual_check("ladder_level1_residual_advanced_a", ladder, e1, v_up, phys))
     checks.append(_residual_check("ladder_level1_residual_fixed_a", ladder, e1, v_eff, phys))
 
-    level1 = spectral(pot_up, dim, phys, 1)
+    from .spectral import spectral_lowest  # as in _battery
+    level1 = spectral_lowest(pot_up, dim, phys, 1)
     checks.append(
         _rounded_info_check("ladder_vs_numeric_overlap", abs(level1.overlap(ladder)))
     )

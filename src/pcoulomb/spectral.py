@@ -43,10 +43,12 @@ lengths the grid is sized by).  That is all the value needs: over the
 benchmark's verify requests, levels 0 and 1 at VALUE_SIZE move by at most
 4.1e-13 max(1, |E|) while log s moves 0.75 either side of the minimizer
 (measured for those two levels only).  The value and its state are taken at
-VALUE_SIZE functions and the evidence at EVIDENCE_SIZE, at the same s.  A
-scale whose pencil leaves the float range reads as +inf in the search and
-is refused as the value's.  No closed form enters, so the oracle stays
-independent of the constructions it checks.
+VALUE_SIZE functions; the evidence, at EVIDENCE_SIZE and the same s, is the
+tests': ``test_evidence_on_every_benchmark_verify_request`` and
+``test_overlap_holds_across_basis_sizes``.  A scale whose pencil leaves the
+float range reads as +inf in the search and is refused as the value's.  No
+closed form enters, so the oracle stays independent of the constructions it
+checks.
 
 The level's value is ``numpy.linalg.eigvalsh`` of the reduced pencil and its
 state, on first use, two steps of inverse iteration (``np.linalg.solve``).
@@ -73,7 +75,7 @@ SEARCH_SIZE = 15
 #: basis size of the value and its state
 VALUE_SIZE = 45
 
-#: basis size of the evidence run, at the value's scale
+#: basis size of the evidence the tests take, at the value's scale
 EVIDENCE_SIZE = 30
 
 #: the search brackets log s from the shortest length over BRACKET_BELOW to
@@ -140,21 +142,16 @@ class SpectralLevel:
         f(x) = P(s x) x^q e^(-lam s x - kap s^2 x^2) (s^q cancels), the
         overlap is sum_i w_i P_u(x_i) f(x_i) x_i^(-Lambda) e^(x_i/2) / ||f||,
         exact where f x^(-Lambda) e^(x/2) is a polynomial of degree below
-        2N - alpha.  sqrt(Gamma(alpha + 1)) (``math.lgamma``), 1 / ||f||
-        (``ClosedFormState.log_norm``) and every power and exponential enter
-        as one exponent of one ``exp`` per point, and the coefficients
-        p_j s^j of P(s x) are formed from their ``frexp`` parts and scaled by
-        one power of two, so no factor leaves the float range at large M or
-        at extreme lengths.
+        2N - alpha.  f = 2^-top s^-q state(s x) is ``state.rescaled(s)``, so
+        log ||f|| = ``state.log_norm()`` - top ln 2 - (q + 1/2) ln s, and it,
+        sqrt(Gamma(alpha + 1)) (``math.lgamma``) and every power and
+        exponential enter as one exponent of one ``exp`` per point: no factor
+        leaves the float range at large M or at extreme lengths.
         """
         s, x = self.scale, self.nodes
-        s_mant, s_exp = math.frexp(s)
-        parts = [(m * s_mant**j, e + j * s_exp)
-                 for j, (m, e) in enumerate(map(math.frexp, state.poly))]
-        top = max(e for m, e in parts if m != 0.0)
-        f = ClosedFormState(poly=tuple(math.ldexp(m, e - top) for m, e in parts),
-                            q=state.q, lam=state.lam * s, kap=state.kap * s * s)
-        exponent = (0.5 * math.lgamma(self.alpha + 1.0) - f.log_norm()
+        f, top = state.rescaled(s)
+        log_norm = state.log_norm() - top * math.log(2.0) - (f.q + 0.5) * math.log(s)
+        exponent = (0.5 * math.lgamma(self.alpha + 1.0) - log_norm
                     + (f.q - (self.alpha - 1.0) / 2.0) * np.log(x)
                     + (0.5 - f.lam) * x - f.kap * x * x)
         polynomial = np.polynomial.polynomial.polyval(x, f.poly)
@@ -268,8 +265,8 @@ def spectral_lowest(
 ) -> SpectralLevel:
     """Level ``level`` (0-based, below SEARCH_SIZE) and its state, at
     VALUE_SIZE functions and the scale that minimizes the level at
-    SEARCH_SIZE.  Its evidence is the same level at EVIDENCE_SIZE functions
-    and that scale (``_level``)."""
+    SEARCH_SIZE.  Its evidence, the same level at EVIDENCE_SIZE functions
+    and that scale (``_level``), is taken by the tests, not here."""
     if not 0 <= level < SEARCH_SIZE:
         raise ValueError(f"spectral level must be in 0..{SEARCH_SIZE - 1}, got {level}")
     lengths = length_scales(pot, dim, phys)

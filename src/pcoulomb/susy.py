@@ -33,11 +33,13 @@ which ``_moments`` computes in plain float arithmetic (``+ - * /`` and
 host).  Norms, overlaps and the residual norm of (H - E) psi
 (``hamiltonian_defect``) are such sums, with no grid.
 
-All objects are immutable; all functions are pure and concurrency-safe.
+All objects are immutable (a ``ClosedFormState`` caches its exact square
+beside its fields); all functions are pure and concurrency-safe.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -165,15 +167,20 @@ class ClosedFormState:
             return float(vals)
         return vals
 
-    def _scaled(self, k: int) -> tuple["ClosedFormState", int]:
-        """(state, e): self in t = r / 2^k with its coefficients divided by
-        2^e, so that the largest has exponent 0: c_j 2^(k j - e), lam 2^k and
-        kap 2^(2k), the r^q factor left out.  Each is exact."""
-        top = max((math.frexp(c)[1] + k * j for j, c in enumerate(self.poly) if c != 0.0),
-                  default=0)
-        poly = tuple(math.ldexp(c, k * j - top) for j, c in enumerate(self.poly))
-        return ClosedFormState(poly=poly, q=self.q, lam=math.ldexp(self.lam, k),
-                               kap=math.ldexp(self.kap, 2 * k)), top
+    def rescaled(self, s: float, k: int = 0) -> tuple["ClosedFormState", int]:
+        """(f, top) with self(r) = (s 2^k)^q 2^top f(r / (s 2^k)): from
+        p_j = m_j 2^e_j and s 2^k = s_mant 2^s_exp, s_mant in (1/2, 1], f has
+        coefficients m_j s_mant^j 2^(e_j + j s_exp - top), top the largest such
+        exponent, and rates lam s 2^k and kap s s 2^(2k), so no part leaves the
+        float range; at s = 1 each is exact, also where 2^k is no float."""
+        s_mant, s_exp = math.frexp(s)
+        s_mant, s_exp = (1.0, s_exp + k - 1) if s_mant == 0.5 else (s_mant, s_exp + k)
+        parts = [(m * s_mant**j, e + j * s_exp)
+                 for j, (m, e) in enumerate(map(math.frexp, self.poly))]
+        top = max((e for m, e in parts if m != 0.0), default=0)
+        return ClosedFormState(poly=tuple(math.ldexp(m, e - top) for m, e in parts),
+                               q=self.q, lam=math.ldexp(self.lam * s, k),
+                               kap=math.ldexp(self.kap * s * s, 2 * k)), top
 
     def _integral_parts(self, other: "ClosedFormState") -> tuple[float, int]:
         """(value, e) with the integral of self * other over r > 0 equal to
@@ -181,7 +188,7 @@ class ClosedFormState:
 
         Both factors are first written in t = r / 2^k, 2^k near the decay
         length of the product, min(1/lam, 1/sqrt(kap)), and each is scaled
-        by one power of two (``_scaled``), so that their product
+        by one power of two (``rescaled``), so that their product
         (``__mul__``) has coefficients of at most deg + 1 and moments near
         p!: no product of coefficients overflows, and none that carries
         weight underflows.  The integral is 2^(k (q + 1)) times the scaled
@@ -207,7 +214,7 @@ class ClosedFormState:
         rate = max(self.lam + other.lam, math.sqrt(self.kap + other.kap))
         k = -math.frexp(rate)[1]
         k -= k % 2
-        (left, e_left), (right, e_right) = self._scaled(k), other._scaled(k)
+        (left, e_left), (right, e_right) = self.rescaled(1.0, k), other.rescaled(1.0, k)
         product = left * right
         if not float(product.q).is_integer():
             raise ValueError(f"r-power q = {product.q} is not an integer")
@@ -230,10 +237,11 @@ class ClosedFormState:
         beyond the float range."""
         return math.ldexp(*self._integral_parts(other))
 
+    @functools.cached_property
     def _square_parts(self) -> tuple[float, int]:
-        """``_integral_parts`` of self * self.  The integral of a square is
-        not negative, so a negative sum (the squares of the coefficients
-        underflowed where cross terms did not) is a ValueError."""
+        """``_integral_parts`` of self * self, once per state.  The integral
+        of a square is not negative, so a negative sum (the squares of the
+        coefficients underflowed where cross terms did not) is a ValueError."""
         value, e = self._integral_parts(self)
         if value < 0.0:
             raise ValueError(
@@ -244,7 +252,7 @@ class ClosedFormState:
     def norm(self) -> float:
         """The exact L2 norm over r > 0, sqrt(inner(self, self)) bit for
         bit wherever that square lies in the float range."""
-        value, e = self._square_parts()
+        value, e = self._square_parts
         if e % 2:
             value, e = 2.0 * value, e - 1
         return math.ldexp(math.sqrt(value), e // 2)
@@ -252,14 +260,14 @@ class ClosedFormState:
     def log_norm(self) -> float:
         """The natural log of ``norm``, finite wherever the norm is not zero,
         also where the norm itself leaves the float range."""
-        value, e = self._square_parts()
+        value, e = self._square_parts
         return 0.5 * (math.log(value) + e * math.log(2.0))
 
     def overlap(self, other: "ClosedFormState") -> float:
         """The exact normalized inner product <self, other> / (||self|| ||other||)."""
         ab, e_ab = self._integral_parts(other)
-        aa, e_aa = self._square_parts()
-        bb, e_bb = other._square_parts()
+        aa, e_aa = self._square_parts
+        bb, e_bb = other._square_parts
         return ab / math.sqrt(math.ldexp(aa * bb, e_aa + e_bb - 2 * e_ab))
 
 
@@ -506,18 +514,16 @@ def _first_order_apply(
     where s = hbar/sqrt(2m) and s_p are the superpotential coefficients.
     """
     s = phys.deriv_scale * dsign
-    p = np.asarray(state.poly, dtype=float)
-    dp = np.polynomial.polynomial.polyder(p) if len(p) > 1 else np.zeros(1)
-
-    q = np.zeros(len(p) + 2)
-    rdp = np.concatenate(([0.0], dp))  # r * P'
-    q[: len(rdp)] += s * rdp
-    q[: len(p)] += (s * state.q + sup.coeff(-1)) * p
-    q[1 : len(p) + 1] += (-s * state.lam + sup.coeff(0)) * p
-    q[2 : len(p) + 2] += (-2.0 * s * state.kap + sup.coeff(1)) * p
-
+    shifts = (s * state.q + sup.coeff(-1), -s * state.lam + sup.coeff(0),
+              -2.0 * s * state.kap + sup.coeff(1))
+    poly = [0.0] * (len(state.poly) + 2)
+    for j, pj in enumerate(state.poly[1:], 1):
+        poly[j] += s * (j * pj)
+    for shift, c in enumerate(shifts):
+        for j, pj in enumerate(state.poly):
+            poly[j + shift] += c * pj
     return ClosedFormState(
-        poly=tuple(q), q=state.q - 1.0, lam=state.lam, kap=state.kap
+        poly=tuple(poly), q=state.q - 1.0, lam=state.lam, kap=state.kap
     )
 
 

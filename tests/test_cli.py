@@ -1249,6 +1249,26 @@ def test_library_sweep_row_is_the_cli_row(capsys):
     assert out.splitlines()[1] == ",".join(cells)
 
 
+def test_documents_hold_plain_python_leaves():
+    # dump_json and _csv_cell serialize these seven types and no numpy
+    # scalar: every value report builds is one of them
+    plain = {int, float, str, bool, type(None), list, dict}
+
+    def walk(obj):
+        assert type(obj) in plain, (type(obj), obj)
+        for value in obj.values() if type(obj) is dict else obj if type(obj) is list else ():
+            walk(value)
+
+    pot, dim, phys = _reference_problem()
+    walk(report.solve_document(pot, dim, phys, 2))
+    walk(report.verify_document(pot, dim, phys, 2))
+    dim2 = dimension_reduce(2, 0)  # its residuals are DIVERGENT strings
+    walk(report.verify_document(derive_couplings(1.0, 0.0, 0.5, "b", dim2, phys), dim2, phys, 0))
+    walk(report.oracle_document(PotentialParams(b=1.0, c=0.5), dim, phys, 2, check=True))
+    walk(report.eig_document(pot, dim, phys, 3, True))
+    walk(list(report.sweep_row(pot, dim, phys, 1, True)))
+
+
 def test_cli_computes_nothing_itself():
     # the grid and ansatz oracles are reached through report only
     import ast

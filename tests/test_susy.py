@@ -309,6 +309,36 @@ def test_ladder_apply_matches_grid_application():
     np.testing.assert_allclose(out.evaluate(radii), numeric, rtol=1e-8)
 
 
+def _slice_form_apply(sup, state, phys, dsign):
+    """The raising or lowering image by numpy slice sums: r P' first, then
+    the r^0, r^1 and r^2 shifts of P, as ``_first_order_apply`` sums them."""
+    s = phys.deriv_scale * dsign
+    p = np.asarray(state.poly, dtype=float)
+    dp = np.polynomial.polynomial.polyder(p) if len(p) > 1 else np.zeros(1)
+    q = np.zeros(len(p) + 2)
+    rdp = np.concatenate(([0.0], dp))
+    q[: len(rdp)] += s * rdp
+    q[: len(p)] += (s * state.q + sup.coeff(-1)) * p
+    q[1 : len(p) + 1] += (-s * state.lam + sup.coeff(0)) * p
+    q[2 : len(p) + 2] += (-2.0 * s * state.kap + sup.coeff(1)) * p
+    return ClosedFormState(poly=tuple(q), q=state.q - 1.0, lam=state.lam, kap=state.kap)
+
+
+def test_ladder_algebra_is_the_slice_form_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        degree = int(rng.integers(0, 9))
+        poly = tuple(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-30, 30, degree + 1))
+        state = ClosedFormState(poly=poly, q=float(rng.choice([0.5, 1.0, 2.5, 4.0])),
+                                lam=float(rng.uniform(0, 3)), kap=float(rng.uniform(0, 3)))
+        sup = Superpotential(LaurentForm(dict(zip((-1, 0, 1), rng.normal(size=3)))))
+        phys = PhysicalParams(mass=float(rng.uniform(0.1, 10)), hbar=float(rng.uniform(0.1, 10)))
+        for apply, dsign in ((ladder_apply, -1.0), (lowering_apply, 1.0)):
+            got, ref = apply(sup, state, phys), _slice_form_apply(sup, state, phys, dsign)
+            assert [c.hex() for c in got.poly] == [c.hex() for c in ref.poly]
+            assert (got.q, got.lam, got.kap) == (ref.q, ref.lam, ref.kap)
+
+
 def test_ladder_apply_requires_regular_state():
     state = ClosedFormState(poly=(1.0,), q=0.0, lam=1.0, kap=0.0)
     with pytest.raises(ValueError, match="regular at the origin"):
@@ -321,3 +351,113 @@ def test_lowering_annihilates_ground_state():
     out = lowering_apply(sup, ground, PHYS)
     assert out.is_zero
     assert max(abs(c) for c in out.poly) <= 1e-15
+
+
+# -- exact integrals: one square per state, one rescaling ----------------------
+
+def _count_integrals(monkeypatch):
+    """A list that grows by one at every ``ClosedFormState._integral_parts``
+    call, each the exact integral of one product of two states."""
+    calls = []
+    integral_parts = ClosedFormState._integral_parts
+
+    def counting(self, other):
+        calls.append((self, other))
+        return integral_parts(self, other)
+
+    monkeypatch.setattr(ClosedFormState, "_integral_parts", counting)
+    return calls
+
+
+def _ldexp_scaled(state, k):
+    """The exact integrals' own rescaling by 2^k before it was shared with
+    the spectral overlap: c_j 2^(k j - top), lam 2^k and kap 2^(2k), each
+    one ``ldexp``."""
+    top = max((math.frexp(c)[1] + k * j for j, c in enumerate(state.poly) if c != 0.0),
+              default=0)
+    poly = tuple(math.ldexp(c, k * j - top) for j, c in enumerate(state.poly))
+    return ClosedFormState(poly=poly, q=state.q, lam=math.ldexp(state.lam, k),
+                           kap=math.ldexp(state.kap, 2 * k)), top
+
+
+def _bits(state, top):
+    return [c.hex() for c in state.poly], state.lam.hex(), state.kap.hex(), top
+
+
+def test_rescaling_by_a_power_of_two_is_the_ldexp_form():
+    # every k the integrals take, 2^k near the decay length: subnormal
+    # rates (k up to 1074, where 2^k is no float) and coefficients that
+    # land among the subnormals once scaled
+    poly = tuple((-1) ** j * (1.0 + j / 7.0) * 10.0 ** (200 - 50 * j) for j in range(9))
+    for k in range(-1023, 1075):
+        state = ClosedFormState(poly=poly, q=1.5, lam=math.ldexp(0.75, -k),
+                                kap=math.ldexp(0.6, -2 * k) if k > -512 else 0.0)
+        expected = _bits(*_ldexp_scaled(state, k))
+        assert _bits(*state.rescaled(1.0, k)) == expected, k
+        if k < 1024:
+            assert _bits(*state.rescaled(math.ldexp(1.0, k))) == expected, k
+
+
+@pytest.mark.parametrize("s", [1e-150, 0.037, 1.0, 3.3, 1e150])
+def test_rescaled_norm_is_the_change_of_variable(s):
+    # ||state||^2 = s^(2q + 1) 4^top ||f||^2: the spectral overlap takes
+    # log ||f|| from the state's own square, not from a second integral
+    state = ClosedFormState(poly=(0.4, -1.3, 2.0, 0.7), q=2.0, lam=0.9 / s, kap=0.2 / s / s)
+    f, top = state.rescaled(s)
+    by_variable = state.log_norm() - top * math.log(2.0) - (state.q + 0.5) * math.log(s)
+    assert by_variable == pytest.approx(f.log_norm(), rel=1e-14, abs=1e-13)
+
+
+def test_square_is_integrated_once_per_state(monkeypatch):
+    calls = _count_integrals(monkeypatch)
+    state = ClosedFormState(poly=(1.0, -0.5), q=1.0, lam=0.8, kap=0.3)
+    twin = ClosedFormState(poly=(1.0, -0.5), q=1.0, lam=0.8, kap=0.3)
+    assert state.norm() == state.norm()
+    assert len(calls) == 1
+    state.log_norm()
+    assert state.overlap(twin) == pytest.approx(1.0, rel=1e-15)
+    assert len(calls) == 3  # the cross term and twin's square
+    # the cache is no field: equality, hash and repr see the fields alone
+    assert state == twin and hash(state) == hash(twin) and repr(state) == repr(twin)
+
+
+def test_a_square_that_raises_raises_again(monkeypatch):
+    calls = _count_integrals(monkeypatch)
+    state = ClosedFormState(poly=(math.inf,), q=1.0, lam=1.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not representable"):
+            state.norm()
+    assert len(calls) == 2
+
+
+def test_spectral_overlap_integrates_nothing_once_the_norm_is_known(monkeypatch):
+    from pcoulomb.exact import closed_level, constraint_b, hierarchy_states
+    from pcoulomb.spectral import spectral_lowest
+
+    pot = PotentialParams(a=1.0, b=constraint_b(1.0, 0.5, DIM3, PHYS), c=0.5)
+    pot_up = PotentialParams(a=closed_level(pot, DIM3, PHYS, 1)[0], b=pot.b, c=pot.c)
+    ladder = hierarchy_states(pot.b, pot.c, DIM3, PHYS, n=1)
+    level = spectral_lowest(pot_up, DIM3, PHYS, 1)
+    cold = ClosedFormState(poly=ladder.poly, q=ladder.q, lam=ladder.lam, kap=ladder.kap)
+    expected = level.overlap(cold)
+    ladder.norm()
+    calls = _count_integrals(monkeypatch)
+    assert level.overlap(ladder) == expected
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv, integrals", [
+    # psi's square (N0 and the nodeless overlap), the ladder state's (both
+    # ladder residuals and the spectral overlap), the two ladder defects',
+    # and the nodeless overlap's cross term and oracle state's square
+    ("verify --a 1 --c 0.5 --derive b --out json", 6),
+    # each of the n + 1 = 4 oracle states' square and its defect's
+    ("oracle --b 1 --c 0.5 --n 3 --check", 8),
+])
+def test_each_request_integrates_each_state_once(argv, integrals, capsys, monkeypatch):
+    from pcoulomb.cli import EXIT_OK, main
+
+    calls = _count_integrals(monkeypatch)
+    assert main(argv.split()) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == integrals

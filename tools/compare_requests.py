@@ -75,7 +75,10 @@ SEEDS = range(1, 11)
 #: at M = 51, at hbar 0.3 with mass 2, and at c = 50 and c = 0.005; inputs
 #: at the float range's ends: verify at c = 1e300, whose level sits on an
 #: energy lattice of step 1e141, and at mass 1e-300, whose linear length is
-#: inf (with mass 1e-200 above, where T / s^2 underflows to 0)
+#: inf (with mass 1e-200 above, where T / s^2 underflows to 0); the
+#: closed-form states' rescaling and moments at the float range's ends:
+#: solve at a = 1e-200 with c = 1e-250, oracle --check at b = c = 1e-150,
+#: and verify at mass 1e157, where the pencil's s^2 is subnormal (exit 3)
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
@@ -137,6 +140,9 @@ EXTRA = [argv.split() for argv in (
     "verify --a 1 --c 0.005 --derive b --out json",
     "verify --c 1e300 --out json",
     "verify --mass 1e-300 --a 1 --c 0.5 --derive b",
+    "solve --a 1e-200 --derive b --c 1e-250",
+    "oracle --b 1e-150 --c 1e-150 --n 2 --check",
+    "verify --a 1 --mass 1e157 --out json",
 )]
 
 # runs the argvs of stdin under ROOT's package and prints [exit code,
