@@ -64,18 +64,7 @@ from .qes import (
     qes_constraint_polynomial,
     qes_solve,
 )
-from .numerics import (
-    GridFunction,
-    RadialGrid,
-    build_grid,
-    eigen_lowest,
-    evaluate_state,
-    h_residual,
-    hamiltonian_apply,
-    normalize,
-    overlap,
-    sturm_count,
-)
+from .numerics import RadialGrid, build_grid, eigen_lowest
 from .report import eig_document, oracle_document, solve_document, sweep_row, verify_document
 
 __all__ = [
@@ -121,16 +110,9 @@ __all__ = [
     "oracle_state",
     "qes_constraint_polynomial",
     "qes_solve",
-    "GridFunction",
     "RadialGrid",
     "build_grid",
     "eigen_lowest",
-    "evaluate_state",
-    "h_residual",
-    "hamiltonian_apply",
-    "normalize",
-    "overlap",
-    "sturm_count",
     "solve_document",
     "verify_document",
     "eig_document",

@@ -54,8 +54,8 @@ bit for bit the grid's own (the finest grid's is written over them).  The
 factors, iterates and T x of every refinement share work arrays allocated
 once per ``eigen_lowest`` call, sized for its finest grid, with the
 COARSEN - 1 entries more that an interpolation from its 4h grid writes,
-and freed when it returns; they are written by in-place ufuncs in the
-order of the plain expressions, so the bits do not depend on them.
+and freed when it returns; they are written in the order of the plain
+expressions, so the bits do not depend on them.
 
 LAPACK comes from scipy's extension module ``scipy/linalg/_flapack``, which
 ``_lapack`` loads on its own (see there): the solver calls only ``dstebz``
@@ -66,11 +66,13 @@ command imports the ``scipy.linalg`` package; one imported later binds
 
 The solver and ``hamiltonian_apply`` (so ``h_residual``) share one
 three-point matrix, ``_matrix``, and one product, ``_product``.  No command
-calls ``h_residual``: ``oracle --check`` takes its residuals from exact
-moments, and the tests use it as the grid cross-check of the oracle
-states.  Quadrature is the trapezoid rule with the boundary zeros, h times
-the samples' pairwise ``np.add.reduce`` sum, as is every sum here.  A grid
-computes its nodes once and keeps them read-only.
+calls the six grid helpers ``evaluate_state``, ``normalize``,
+``hamiltonian_apply``, ``h_residual``, ``overlap`` and ``sturm_count``:
+``verify`` and ``oracle --check`` take norms, overlaps and residuals from
+exact moments, and the helpers are the tests' cross-check references for
+those and for the solver.  Quadrature is the trapezoid rule with the
+boundary zeros, h times the samples' pairwise ``np.add.reduce`` sum, as is
+every sum here.  A grid computes its nodes once and keeps them read-only.
 
 Validity note for half-integer Lambda (even M): the leading r^(Lambda+1)
 behavior is non-smooth at the origin, so pointwise residual diagnostics
@@ -689,13 +691,11 @@ def h_residual(
     are excluded so Dirichlet truncation does not pollute the measurement.
     Its norms are sums of squares as in ``norm``; an overflow is an inf.
     """
-    hf = hamiltonian_apply(v_eff, f, phys)
-    defect = np.multiply(f.values, energy)
-    np.subtract(hf.values, defect, out=defect)
     sl = slice(RESIDUAL_TRIM, -RESIDUAL_TRIM)
+    defect = (hamiltonian_apply(v_eff, f, phys).values - energy * f.values)[sl]
     with np.errstate(over="ignore"):
-        num = math.sqrt(np.add.reduce(np.multiply(defect, defect, out=defect)[sl]))
-        den = math.sqrt(np.add.reduce(np.multiply(f.values, f.values, out=defect)[sl]))
+        num = math.sqrt(np.add.reduce(defect * defect))
+        den = math.sqrt(np.add.reduce(f.values[sl] * f.values[sl]))
     if den == 0.0:
         raise ValueError("state vanishes on the interior nodes")
     return num / den

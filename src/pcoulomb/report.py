@@ -241,9 +241,11 @@ def _rounded_info_check(name, value) -> dict:
 
 def _energy_lattice(energy, closed_e, pot, dim, phys) -> tuple[float, float]:
     """(``energy`` correctly rounded to SPECTRAL_DIGITS digits of
-    max(|closed_e|, T / l^2), l the shortest length, the lattice's step): a
-    lattice that the inputs alone fix."""
-    scale = max(abs(closed_e), phys.kinetic / min(length_scales(pot, dim, phys).values()) ** 2)
+    max(|closed_e|, T / l / l), l the shortest length, the lattice's step):
+    a lattice that the inputs alone fix.  T is divided by l twice, as l^2
+    can leave the float range where T / l / l does not."""
+    shortest = min(length_scales(pot, dim, phys).values())
+    scale = max(abs(closed_e), phys.kinetic / shortest / shortest)
     digits = SPECTRAL_DIGITS - 1 - math.floor(math.log10(scale))
     return round(energy, digits), 10.0 ** -digits
 

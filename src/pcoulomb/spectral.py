@@ -208,11 +208,12 @@ def _pencil(pot: PotentialParams, phys: PhysicalParams, alpha: float, size: int,
     """The reduced pencil at scale ``s``, with the Gauss points and Q[0, :];
     None for the pencil where an entry is not finite, or where a term's
     coefficient is (it left the float range, or underflowed to 0 from a
-    nonzero coupling).  Call it under ``np.errstate(over="ignore",
+    nonzero coupling; T is divided by s twice, as s^2 can leave the float
+    range where T / s / s does not).  Call it under ``np.errstate(over="ignore",
     invalid="ignore")``: the entries may overflow."""
     x, lead, kinetic, linear, quadratic = _reduced(alpha, size)
     couplings = (phys.kinetic, pot.a, pot.b, pot.c)
-    coefficients = (phys.kinetic / (s * s), pot.a / s, pot.b * s, pot.c * s * s)
+    coefficients = (phys.kinetic / s / s, pot.a / s, pot.b * s, pot.c * s * s)
     if not all(math.isfinite(f) and (f != 0.0 or g == 0.0)
                for g, f in zip(couplings, coefficients)):
         return None, x, lead

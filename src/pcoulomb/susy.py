@@ -140,32 +140,13 @@ class ClosedFormState:
         )
 
     def evaluate(self, r):
-        """Pointwise values with the exponent computed in log space.
-
-        The exponent q log r - lam r - kap r r and P (Horner's rule in
-        ``polyval``'s order: c_deg + r * 0, then c * r + c_i) are written
-        into two arrays of r's shape by in-place ufuncs in the order of
-        those expressions, so the bits are theirs; a scalar r is a 0-d array
-        on the same path.
-        """
+        """Pointwise values P(r) exp(q log r - lam r - kap r r), the
+        exponent computed in log space; a float for a scalar r.  The tests
+        use it as the grid cross-check of the exact integrals."""
         r = np.asarray(r, dtype=float)
-        vals, scratch = np.empty_like(r), np.empty_like(r)
-        np.log(r, out=vals)
-        vals *= self.q
-        vals -= np.multiply(r, self.lam, out=scratch)
-        np.multiply(r, self.kap, out=scratch)
-        scratch *= r
-        vals -= scratch
-        np.exp(vals, out=vals)
-        pref = np.multiply(r, 0.0, out=scratch)
-        pref += self.poly[-1]
-        for c in reversed(self.poly[:-1]):
-            pref *= r
-            pref += c
-        vals *= pref
-        if vals.ndim == 0:
-            return float(vals)
-        return vals
+        vals = np.polynomial.polynomial.polyval(r, self.poly) * np.exp(
+            self.q * np.log(r) - self.lam * r - self.kap * r * r)
+        return float(vals) if vals.ndim == 0 else vals
 
     def rescaled(self, s: float, k: int = 0) -> tuple["ClosedFormState", int]:
         """(f, top) with self(r) = (s 2^k)^q 2^top f(r / (s 2^k)): from
@@ -276,6 +257,9 @@ def _moments(beta: float, k: float, lo: int, hi: int) -> list[tuple[float, int]]
     (m, e) with I_p = m 2^e and m = frexp(I_p)[0]; beta, k >= 0, not both 0.
 
     k = 0: I_p = I_(p-1) p / beta from I_0 = 1 / beta, so I_p = p! / beta^(p+1).
+    The same recurrence serves where x = beta / (2 sqrt(k)) of the k > 0
+    case squares beyond the float range: there k r^2 is below 1e-300 of
+    beta r wherever r^p exp(-beta r) carries weight.
 
     k > 0: with t = sqrt(k) r, I_p = J_p / k^((p+1)/2), where
     J_p = int_0^inf t^p exp(-2 x t - t^2) dt and x = beta / (2 sqrt(k)).
@@ -297,7 +281,9 @@ def _moments(beta: float, k: float, lo: int, hi: int) -> list[tuple[float, int]]
     The chain of products is renormalized by ``frexp`` at every step, which
     is exact, so no I_p overflows or underflows on the way.
     """
-    if k == 0.0:
+    root = math.sqrt(k)
+    x = beta / (2.0 * root) if root else math.inf
+    if not math.isfinite(x * x):
         value, e = math.frexp(1.0 / beta)
         moments = [(value, e)]
         for p in range(1, hi + 1):
@@ -305,8 +291,6 @@ def _moments(beta: float, k: float, lo: int, hi: int) -> list[tuple[float, int]]
             e += shift
             moments.append((value, e))
         return moments[lo:]
-    root = math.sqrt(k)
-    x = beta / (2.0 * root)
     depth = hi + MOMENT_TAIL_STEPS
     ratio = _tail_ratio(x, depth + 1)
     ratios = [0.0] * (hi + 2)

@@ -1571,18 +1571,44 @@ def test_closed_stdout_exits_one_with_a_message(argv):
     assert "Traceback" not in result.stderr and "Exception ignored" not in result.stderr
 
 
+@pytest.mark.parametrize("mass", ["1e-200", "1e157", "1e160", "1e200"])
+def test_verify_where_the_scale_squared_leaves_the_float_range(mass, capsys):
+    # the spectral scale s is near the Coulomb length 1 / mass: s^2
+    # overflows at mass 1e-200 and is subnormal or 0 from 1e157 up, while
+    # T / s / s stays in range
+    code, out, _ = run_cli(capsys, "verify", "--a", "1", "--mass", mass, "--out", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    checks = {check["name"]: check["value"] for check in doc["checks"]}
+    assert checks["eigen_lowest"] == doc["views"]["coulomb"]["E"] == -float(mass) / 2.0
+
+
+@pytest.mark.parametrize("c", ["2e-220", "2e-225", "2e-300"])
+def test_solve_where_the_gaussian_carries_no_weight(c, capsys):
+    # psi = r exp(-1e150 r - kappa r^2) with kappa 1e-10 or less: kappa's
+    # relative weight in the moments is below 1e-300, and N0 is that of a
+    # larger kappa, 3.2e-8 at c = 2e-215
+    def n0(c):
+        code, out, _ = run_cli(capsys, "solve", "--a", "1e-50", "--c", c, "--hbar", "1e-100",
+                               "--derive", "b")
+        assert code == EXIT_OK
+        return json.loads(out)["psi"]["N0"]
+
+    assert n0(c) == n0("2e-215") == 2.0000000000000002e225
+
+
 def test_spectral_oracle_out_of_range_prints_one_message():
-    # T = 5e199: at every scale of the search s^2 overflows, so T / s^2 is 0
-    # from a nonzero T; the pencil without its kinetic term is refused, not
-    # solved, and the spectral level 0 needs no state, so no inverse
-    # iteration warns
+    # a = 1e-320 puts the Coulomb length at 1e20: at every scale of the
+    # search a / s underflows to 0 from a nonzero a; the pencil without its
+    # Coulomb term is refused, not solved, and the spectral level 0 needs no
+    # state, so no inverse iteration warns
     result = subprocess.run(
-        [sys.executable, "-m", "pcoulomb.cli", "verify", "--a", "1", "--mass", "1e-200"],
+        [sys.executable, "-m", "pcoulomb.cli", "verify", "--a", "1e-320", "--mass", "1e300"],
         capture_output=True, text=True, env=_child_env({}),
     )
     assert (result.returncode, result.stdout) == (EXIT_USAGE, "")
     assert result.stderr == (
-        "pcoulomb: error: the spectral Hamiltonian at scale 1.16e+197 is not finite\n")
+        "pcoulomb: error: the spectral Hamiltonian at scale 1.16e+17 is not finite\n")
 
 
 def test_spectral_length_out_of_range_prints_one_message():

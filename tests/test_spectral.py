@@ -115,13 +115,13 @@ def test_problem_with_no_length_is_refused():
         spectral_lowest(PotentialParams(a=-1.0), dimension_reduce(3, 0), PHYS, 0)
 
 
-def test_kinetic_term_underflowing_to_zero_is_refused():
-    # T = 5e199 puts the bracket at s ~ 1e197, where s^2 overflows and
-    # T / s^2 is 0: without its kinetic term the pencil's level is -1.24e-196
-    # against the exact -5e-201
+def test_coulomb_term_underflowing_to_zero_is_refused():
+    # a = 1e-320 at T = 5e-301 puts the bracket at s ~ 1e17..1e20, where
+    # a / s underflows to 0 from a nonzero a: the pencil without its Coulomb
+    # term is refused, not solved
     with pytest.raises(ValueError, match="not finite"):
-        spectral_lowest(PotentialParams(a=1.0), dimension_reduce(3, 0),
-                        PhysicalParams(mass=1e-200), 0)
+        spectral_lowest(PotentialParams(a=1e-320), dimension_reduce(3, 0),
+                        PhysicalParams(mass=1e300), 0)
 
 
 def test_length_out_of_the_float_range_is_refused():

@@ -75,10 +75,13 @@ SEEDS = range(1, 11)
 #: at M = 51, at hbar 0.3 with mass 2, and at c = 50 and c = 0.005; inputs
 #: at the float range's ends: verify at c = 1e300, whose level sits on an
 #: energy lattice of step 1e141, and at mass 1e-300, whose linear length is
-#: inf (with mass 1e-200 above, where T / s^2 underflows to 0); the
+#: inf (with mass 1e-200 above, where the pencil's s^2 overflows); the
 #: closed-form states' rescaling and moments at the float range's ends:
 #: solve at a = 1e-200 with c = 1e-250, oracle --check at b = c = 1e-150,
-#: and verify at mass 1e157, where the pencil's s^2 is subnormal (exit 3)
+#: and verify at mass 1e157, 1e160 and 1e200, where the pencil's s^2 is
+#: subnormal or 0; a pencil whose Coulomb term a / s underflows to 0 from a
+#: = 1e-320 (exit 1); and solve where the Gaussian carries no weight beside
+#: the exponential, so x^2 of the moments' recurrence overflows
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
@@ -143,6 +146,10 @@ EXTRA = [argv.split() for argv in (
     "solve --a 1e-200 --derive b --c 1e-250",
     "oracle --b 1e-150 --c 1e-150 --n 2 --check",
     "verify --a 1 --mass 1e157 --out json",
+    "verify --a 1 --mass 1e160 --out json",
+    "verify --a 1 --mass 1e200 --out json",
+    "verify --a 1e-320 --mass 1e300",
+    "solve --a 1e-50 --c 2e-220 --hbar 1e-100 --derive b",
 )]
 
 # runs the argvs of stdin under ROOT's package and prints [exit code,
