@@ -4,11 +4,11 @@ The library constructs the closed-form ground solutions of the radial
 problem on its coupling-constraint surface, generates the excited-level
 hierarchy, and checks its claims against independent oracles: a
 polynomial-ansatz reduction (``qes``) and a Laguerre-basis spectral solver
-(``spectral``, loaded by ``verify``'s battery alone); ``eig``, ``sweep``
-and the tests use a finite-difference eigensolver (``numerics``).  ``report``
-builds what each command of the ``pcoulomb`` command line prints (the
-solve / verify / oracle / eig documents and the sweep rows) and runs the
-verification battery, all without argparse.
+(``spectral``, loaded by ``verify``'s battery and ``sweep``'s rows alone);
+``eig`` and the tests use a finite-difference eigensolver (``numerics``).
+``report`` builds what each command of the ``pcoulomb`` command line prints
+(the solve / verify / oracle / eig documents and the sweep rows) and runs
+the verification battery, all without argparse.
 """
 
 # bound before the submodules import: ``report`` stamps it on its documents

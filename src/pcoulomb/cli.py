@@ -186,7 +186,10 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     sweep = commands.add_parser("sweep", help="CSV scan over one or two parameters")
     _add_problem_options(sweep)
-    _add_grid_options(sweep)
+    sweep.add_argument(
+        "--richardson", action="store_true",
+        help="accepted and ignored: sweep takes each level from the spectral oracle"
+    )
     sweep.add_argument(
         "--sweep",
         action="append",
@@ -360,7 +363,7 @@ def cmd_sweep(args) -> tuple[int, str]:
     names = [name for name, _ in sweeps]
     for combo in product(*(values for _, values in sweeps)):
         pot, dim, phys = _problem(argparse.Namespace(**(vars(args) | dict(zip(names, combo)))))
-        row = sweep_row(pot, dim, phys, args.n, args.richardson, r_max=args.rmax, h=args.h)
+        row = sweep_row(pot, dim, phys, args.n)
         cells = (pot.a, pot.b, pot.c, dim.n_dim, dim.ell, args.n, *row)
         lines.append(",".join(map(_csv_cell, cells)))
     return EXIT_OK, "\n".join(lines)

@@ -1,7 +1,7 @@
 """Grid representation and the finite-difference radial eigensolver.
 
-This is the oracle of ``eig``, ``sweep`` and the tests (``verify`` takes
-its energies from ``spectral``): the three-point discretization of
+This is the oracle of ``eig`` and the tests (``verify`` and ``sweep`` take
+their energies from ``spectral``): the three-point discretization of
 
     -T f'' + V(r) f = E f,     T = hbar^2 / 2m,
 
@@ -575,8 +575,9 @@ def eigen_lowest(
     The values are not limited by the bisection tolerance ULP * ||T||_1
     (about 4 eps T / h^2): at h = 1e-3 on the reference problem they are
     within 1.3e-11 of a tight-tolerance dstebz solve, where it is 4.4e-10.
-    On n = 0, odd-M sweep rows of the benchmark (seeds 1-10) the
-    extrapolation is within 6.1e-11 of the closed form (median 9.7e-12).
+    On the n = 0, odd-M rows of the benchmark's sweep-scan requests (seeds
+    1-10) the extrapolation is within 6.1e-11 of the closed form (median
+    9.7e-12).
 
     Returns the eigenvalue, or, when ``eigenvectors`` is set, (eigenvalue,
     vector): the unit iterate, signed so that its largest-magnitude

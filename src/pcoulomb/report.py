@@ -4,7 +4,7 @@
 take a problem (couplings, dimension, units) and the number of spectrum
 levels; ``schema/report.schema.json`` describes them.  ``eig_document``
 holds the lowest grid eigenvalues, ``oracle_document`` the ansatz solutions
-of one level and ``sweep_row`` one level's closed-form and grid values.
+of one level and ``sweep_row`` one level's closed-form and spectral values.
 Each check is a plain dict ``{name, kind, value, tol, pass}``: an
 ``assert`` check carries its tolerance and verdict, an ``info`` check only
 its value; each tolerance is a ``TOL_*`` constant below.
@@ -19,20 +19,21 @@ depend on the host.  A residual whose (H - E) psi is not square integrable
 at the origin is reported as the string ``DIVERGENT``, never as a number.
 That happens only at M = 2, where the defect keeps an r^-1/2 term: the
 ladder state's, and an oracle state's whose coefficient, the constraint
-D(a_root) evaluated in float, is not exactly 0.  Only ``eig`` and
-``sweep`` build a grid and solve its eigenproblem.
+D(a_root) evaluated in float, is not exactly 0.  Only ``eig`` builds a
+grid and solves its eigenproblem.
 
-``verify``'s two numeric values come from the spectral oracle
-(``spectral_lowest``), whose module is loaded on that path alone:
-``eigen_lowest`` is its level 0, and ``ladder_vs_numeric_overlap`` the
+``verify``'s two numeric values and ``sweep``'s E_numeric come from the
+spectral oracle (``spectral_lowest``), whose module is loaded on those paths
+alone: ``eigen_lowest`` is its level 0, ``ladder_vs_numeric_overlap`` the
 ladder state against its level-1 state by the Gauss rule of its Laguerre
-basis.  LAPACK moves their last bits with the OpenBLAS kernel and numpy's
-exp/log with the host CPU, so each is printed at ``SPECTRAL_DIGITS`` (10)
-significant digits: the overlap of its own value, the energy of the scale
-max(|E|, T / l^2) that the inputs fix (``_energy_lattice``).  With that,
-``verify`` documents are the same at every numpy SIMD dispatch level and
-OpenBLAS kernel the tests try; glibc's libm FMA variants cannot be switched
-off from inside the process and stay untested.
+basis, and a sweep row's E_numeric its level n at the row's a_n.  LAPACK
+moves their last bits with the OpenBLAS kernel and numpy's exp/log with the
+host CPU, so each is printed at ``SPECTRAL_DIGITS`` (10) significant digits:
+the overlap of its own value, an energy of the scale max(|E|, T / l^2) that
+the inputs fix (``_energy_lattice``).  With that, ``verify`` documents and
+``sweep`` rows are the same at every numpy SIMD dispatch level and OpenBLAS
+kernel the tests try; glibc's libm FMA variants cannot be switched off from
+inside the process and stay untested.
 """
 
 from __future__ import annotations
@@ -208,17 +209,17 @@ def oracle_document(
 
 def sweep_row(
     pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams, n: int,
-    richardson: bool, r_max: float | None = None, h: float | None = None,
 ) -> tuple[float, float, float, float]:
     """One ``sweep`` row: (E_closed, E_numeric, abs_err, constraint_residual).
-    Level ``n``'s closed form (``closed_level``), grid eigenvalue ``n`` at its
-    a, and the input's relative distance from the coupling surface."""
+    Level ``n``'s closed form (``closed_level``), the spectral level ``n`` at
+    its a on the lattice of E_closed (``_energy_lattice``), their distance,
+    and the input's relative distance from the coupling surface.  ``n``
+    above ``spectral.MAX_LEVEL`` raises ``ValueError``."""
     a_level, e_closed = closed_level(pot, dim, phys, n)
     pot_level = PotentialParams(a=a_level, b=pot.b, c=pot.c)
-    grid = build_grid(pot_level, dim, phys, r_max=r_max, h=h)
-    numeric = eigen_lowest(
-        effective_potential(pot_level, dim, phys), grid, phys, n, richardson=richardson,
-    )
+    from .spectral import spectral_lowest  # as in _battery
+    level = spectral_lowest(pot_level, dim, phys, n).energy
+    numeric, _ = _energy_lattice(level, e_closed, pot_level, dim, phys)
     return e_closed, numeric, abs(e_closed - numeric), constraint_residual(pot, dim, phys)
 
 
@@ -271,8 +272,8 @@ def _battery(pot, dim, phys, coul, osc) -> list[dict]:
             _assert_check("dual_view_psi_params", dual["psi_param_diff"], TOL_DUAL_VIEW)
         )
 
-    # imported on the one path that needs it: loading the module is 4-5 ms
-    # of a cold start that solve, oracle, eig and sweep do not need to pay
+    # imported on the paths that need it: loading the module is 4-5 ms of a
+    # cold start that solve, oracle and eig do not need to pay
     from .spectral import spectral_lowest
 
     psi, closed_e = (coul or osc).psi, (coul or osc).energy.total

@@ -41,14 +41,19 @@ SEARCH_WIDTH (0.5) in log s, by a golden-section search on log s over a
 bracket set by the problem's length scales (``model.length_scales``, the
 lengths the grid is sized by).  That is all the value needs: over the
 benchmark's verify requests, levels 0 and 1 at VALUE_SIZE move by at most
-4.1e-13 max(1, |E|) while log s moves 0.75 either side of the minimizer
-(measured for those two levels only).  The value and its state are taken at
-VALUE_SIZE functions; the evidence, at EVIDENCE_SIZE and the same s, is the
-tests': ``test_evidence_on_every_benchmark_verify_request`` and
+4.1e-13 max(1, |E|) while log s moves 0.75 either side of the minimizer,
+and levels 0 to MAX_LEVEL by at most 1.2e-11 max(1, |E|) within the 0.19
+of it where the search stops (see SEARCH_WIDTH).  Only levels 0 to
+MAX_LEVEL (5) are taken: above it VALUE_SIZE functions no longer hold the
+level to 1e-12 (see MAX_LEVEL).
+The value and its state are taken at VALUE_SIZE functions; the evidence, at
+EVIDENCE_SIZE and the same s, is the tests':
+``test_evidence_on_every_benchmark_verify_request`` and
 ``test_overlap_holds_across_basis_sizes``.  A scale whose pencil leaves the
 float range reads as +inf in the search and is refused as the value's.  No
 closed form enters, so the oracle stays independent of the constructions it
-checks.
+checks.  ``verify`` takes its levels 0 and 1 from here, and ``sweep`` its
+level n.
 
 The level's value is ``numpy.linalg.eigvalsh`` of the reduced pencil and its
 state, on first use, two steps of inverse iteration (``np.linalg.solve``).
@@ -83,13 +88,25 @@ EVIDENCE_SIZE = 30
 #: benchmark's verify requests lie within 0.07 to 1.1 shortest lengths
 BRACKET_BELOW = 1000.0
 
-#: the search stops once its bracket on log s is narrower than this, so the
-#: scale lies within SEARCH_WIDTH of the SEARCH_SIZE minimizer t*: over the
-#: benchmark's verify requests, levels 0 and 1 at VALUE_SIZE stay within
-#: 4.1e-13 of VALUE_SIZE + 15 functions over t* +- 0.75 and first degrade at
-#: +- 1.0 (by up to 8.4e-9 at level 1).  Measured for levels 0 and 1 only:
-#: re-measure before a caller asks for a higher level
+#: the search stops once its bracket on log s is narrower than this, and
+#: takes the better of its two inner points, so the scale lies within 0.382
+#: SEARCH_WIDTH (0.19) of the SEARCH_SIZE minimizer t* (at most 0.114 over
+#: the benchmark's verify requests, levels 0 to 6).  Over those requests, at
+#: the linear rule's a_n for level n, levels 0 to 4 at VALUE_SIZE stay
+#: within 5.0e-13 max(1, |E|) of 90 functions over t* +- 0.19, and level 5
+#: (MAX_LEVEL) within 1.2e-11, 1.4e-13 at the scale the search found; over
+#: t* +- 0.5, levels 0 to 2 stay within 1.1e-13, level 3 within 2.4e-12,
+#: level 4 within 6.8e-11 and level 5 within 9.8e-9.  Levels 0 and 1 stay
+#: within 4.1e-13 of VALUE_SIZE + 15 functions over t* +- 0.75 and first
+#: degrade at +- 1.0 (by up to 8.4e-9 at level 1)
 SEARCH_WIDTH = 0.5
+
+#: the highest level the oracle takes.  Over the surface points (a, c) of
+#: the benchmark's strata and the reference (1, 0.5), at M 2..11 and the
+#: linear rule's a_n, levels 0 to 5 at VALUE_SIZE are within 3.0e-13
+#: max(1, |E|) of 90 functions at the same scale; level 6 is 4.3e-12 off,
+#: level 7 1.6e-11, level 8 2.7e-9 and level 9 1.4e-7
+MAX_LEVEL = 5
 
 #: steps of inverse iteration that give the level's vector, from a ones
 #: vector, at the level's eigenvalue plus INVERSE_SHIFT ||H||_1 (so that the
@@ -264,12 +281,12 @@ def _level(pot, phys, alpha: float, level: int, scale: float, size: int) -> Spec
 def spectral_lowest(
     pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams, level: int = 0,
 ) -> SpectralLevel:
-    """Level ``level`` (0-based, below SEARCH_SIZE) and its state, at
+    """Level ``level`` (0-based, at most MAX_LEVEL) and its state, at
     VALUE_SIZE functions and the scale that minimizes the level at
     SEARCH_SIZE.  Its evidence, the same level at EVIDENCE_SIZE functions
     and that scale (``_level``), is taken by the tests, not here."""
-    if not 0 <= level < SEARCH_SIZE:
-        raise ValueError(f"spectral level must be in 0..{SEARCH_SIZE - 1}, got {level}")
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"spectral level must be in 0..{MAX_LEVEL}, got {level}")
     lengths = length_scales(pot, dim, phys)
     if not lengths:
         raise ValueError("the spectral basis needs an attractive or confining"

@@ -19,6 +19,7 @@ from pcoulomb.exact import constraint_a, constraint_b, derive_couplings, ground_
 from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
 from pcoulomb.numerics import RadialGrid, build_grid, eigen_lowest
 from pcoulomb.qes import qes_solve
+from pcoulomb.spectral import spectral_lowest
 from pcoulomb.susy import ClosedFormState
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -604,11 +605,13 @@ def test_verify_strong_coulomb_point_passes(capsys):
     assert abs(by_name["eigen_lowest"]["value"] - doc["views"]["coulomb"]["E"]) <= 1e-6
 
 
-@pytest.mark.parametrize("command", ["solve", "oracle", "verify"])
+@pytest.mark.parametrize("command", ["solve", "oracle", "verify", "sweep"])
 @pytest.mark.parametrize("flag", ["--rmax", "--h"])
 def test_grid_flags_only_on_grid_eigenvalue_commands(capsys, command, flag):
     problem = (["--b", "1", "--c", "0.5", "--n", "1", "--check"] if command == "oracle"
                else ["--a", "1", "--c", "0.5", "--derive", "b"])
+    if command == "sweep":
+        problem = ["--sweep", "a=1,2", "--c", "0.5", "--derive", "b"]
     code, out, err = run_cli_usage(capsys, command, *problem, flag, "20")
     assert (code, out) == (EXIT_USAGE, "")
     assert f"unrecognized arguments: {flag} 20" in err
@@ -700,17 +703,19 @@ def test_oracle_non_finite_result_exits_one(capsys):
 
 
 def test_overflowing_grid_hamiltonian_exits_one(capsys):
-    # c r^2 overflows at the far nodes: eig and sweep refuse the one matrix
-    # with one message, and no numpy RuntimeWarning on the way
+    # c r^2 overflows at the far nodes: eig refuses the one matrix with one
+    # message, and no numpy RuntimeWarning on the way; sweep builds no grid,
+    # and its grid flags are a usage error
     grid = ["--rmax", "20", "--h", "0.01"]
-    for argv in (["eig", "--a", "1", "--c", "1e307", *grid],
-                 ["sweep", "--sweep", "a=1", "--c", "1e307", *grid]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (EXIT_USAGE, ""), argv
-        assert err == ("pcoulomb: error: the grid Hamiltonian overflows:"
-                       " a matrix entry is not finite\n"), argv
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "eig", "--a", "1", "--c", "1e307", *grid)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == ("pcoulomb: error: the grid Hamiltonian overflows:"
+                   " a matrix entry is not finite\n")
+    code, out, err = run_cli_usage(capsys, "sweep", "--sweep", "a=1", "--c", "1e307", *grid)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments: --rmax 20 --h 0.01" in err
 
 
 def test_oracle_check_needs_no_grid_hamiltonian(capsys):
@@ -784,23 +789,27 @@ def test_oracle_recursion_overflow_exits_one_naming_the_level(capsys, argv, mess
 
 def test_off_diagonal_whose_square_overflows_exits_one(capsys):
     # at --rmax 20 --h 0.01, T/h^2 squares beyond the float range below a
-    # mass of about 3.5e-151: eig and sweep refuse the matrix with one
-    # message naming T/h^2, where mass 1e-151 overflowed in a Sturm count
-    # and 1e-300 failed in dstebz; mass 1e-150 still solves
+    # mass of about 3.5e-151: eig refuses the matrix with one message naming
+    # T/h^2, where mass 1e-151 overflowed in a Sturm count and 1e-300 failed
+    # in dstebz; mass 1e-150 still solves.  sweep builds no grid, and its
+    # grid flags are a usage error
     grid = ["--rmax", "20", "--h", "0.01"]
-    commands = (["eig", "--a", "1", "--b", "1", "--c", "0.5"],
-                ["sweep", "--sweep", "a=1,2", "--c", "0.5", "--derive", "b"])
-    for argv in commands:
-        for mass in ("1e-151", "1e-300"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code, out, err = run_cli(capsys, *argv, "--mass", mass, *grid)
-            assert (code, out) == (EXIT_USAGE, ""), (argv, mass)
-            assert err.startswith("pcoulomb: error: the grid Hamiltonian overflows: T/h^2 = ")
-            assert err.endswith(" squares beyond the float range\n"), (argv, mass)
-        code, out, err = run_cli(capsys, *argv, "--mass", "1e-150", *grid)
-        assert (code, err) == (EXIT_OK, ""), argv
-        assert out
+    argv = ["eig", "--a", "1", "--b", "1", "--c", "0.5"]
+    for mass in ("1e-151", "1e-300"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv, "--mass", mass, *grid)
+        assert (code, out) == (EXIT_USAGE, ""), mass
+        assert err.startswith("pcoulomb: error: the grid Hamiltonian overflows: T/h^2 = ")
+        assert err.endswith(" squares beyond the float range\n"), mass
+    code, out, err = run_cli(capsys, *argv, "--mass", "1e-150", *grid)
+    assert (code, err) == (EXIT_OK, "")
+    assert out
+    sweep = ["sweep", "--sweep", "a=1,2", "--c", "0.5", "--derive", "b"]
+    for mass in ("1e-151", "1e-150"):
+        code, out, err = run_cli_usage(capsys, *sweep, "--mass", mass, *grid)
+        assert (code, out) == (EXIT_USAGE, ""), mass
+        assert "unrecognized arguments: --rmax 20 --h 0.01" in err
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
@@ -818,17 +827,17 @@ def _sweep_level(capsys, n):
 
 
 def test_sweep_row_is_the_single_level_solve(capsys):
-    # n = 0 is the k = 1 solve, as before; n = 1 solves level 1 alone
+    # row n is the spectral level n at the linear rule's a_n, on the lattice
+    # of E_n: 10 digits of max(|E_n|, T / l^2)
     phys = PhysicalParams()
     dim = dimension_reduce(3, 0)
     pot = PotentialParams(a=1.0, b=constraint_b(1.0, 0.5, dim, phys), c=0.5)
-    grid = build_grid(pot, dim, phys)
-    v_eff = effective_potential(pot, dim, phys)
-    assert _sweep_level(capsys, 0) == eigen_lowest(v_eff, grid, phys)
-    pot1 = PotentialParams(a=constraint_a(pot.b, pot.c, dim, phys, n=1), b=pot.b, c=pot.c)
-    grid1 = build_grid(pot1, dim, phys)
-    v_eff1 = effective_potential(pot1, dim, phys)
-    assert _sweep_level(capsys, 1) == eigen_lowest(v_eff1, grid1, phys, 1)
+    for n, e_closed in ((0, 1.0), (1, 2.0)):
+        pot_n = PotentialParams(a=constraint_a(pot.b, pot.c, dim, phys, n=n), b=pot.b, c=pot.c)
+        level = spectral_lowest(pot_n, dim, phys, n).energy
+        expected, step = report._energy_lattice(level, e_closed, pot_n, dim, phys)
+        assert step == 1e-9
+        assert _sweep_level(capsys, n) == expected == round(level, 9)
 
 
 def test_level_bits_do_not_depend_on_k(capsys):
@@ -912,20 +921,26 @@ def _benchmark_requests(workload, seeds):
 
 
 def test_richardson_sweep_rows_match_closed_form(capsys):
-    # n = 0 rows with odd M of the sweep-scan requests, seeds 1-3: the
-    # extrapolated value is within 1e-10 of the closed form (measured up to
-    # 4.7e-11; 3.8e-9 when each grid value was bisected to ULP * ||T||_1)
+    # every n = 0 row of the sweep-scan requests, seeds 1-3, odd and even M:
+    # the printed spectral level is within one step of its lattice of the
+    # closed form (the unrounded level is within 1.4e-13 max(1, |E|) of
+    # it, where FD Richardson was up to 3.0e-8 away at even M)
     rows = 0
     for argv in _benchmark_requests("sweep-scan", range(1, 4)):
         flags = dict(zip(argv[1::2], argv[2::2]))
-        if flags["--n"] != "0" or (int(flags["--N"]) + 2 * int(flags["--l"])) % 2 == 0:
+        if flags["--n"] != "0":
             continue
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
         for line in out.strip().split("\n")[1:]:
-            assert float(line.split(",")[8]) <= 1e-10, (argv, line)
+            cells = line.split(",")
+            a, b, c = map(float, cells[:3])
+            dim = dimension_reduce(int(cells[3]), int(cells[4]))
+            pot = PotentialParams(a=a, b=b, c=c)
+            _, step = report._energy_lattice(0.0, float(cells[6]), pot, dim, PhysicalParams())
+            assert float(cells[8]) <= step, (argv, line)
             rows += 1
-    assert rows == 36
+    assert rows == 60
 
 
 def test_sweep_requires_a_range(capsys):
@@ -956,6 +971,36 @@ def test_sweep_level_one_measures_linear_rule(capsys):
     assert int(row[5]) == 1
     assert float(row[6]) == 2.0  # formula level energy
     assert float(row[8]) > 0.01  # measured discrepancy, genuinely nonzero
+
+
+def test_sweep_rows_at_m2_are_the_closed_form(capsys):
+    # at M = 2 the grid did not converge to the closed form (E_numeric
+    # 0.858 against E_closed 0.5); the spectral level 0 is on its lattice
+    code, out, _ = run_cli(capsys, "sweep", "--sweep", "a=0.5,1", "--c", "0.5", "--N", "2",
+                           "--derive", "b", "--richardson")
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert [float(r[6]) for r in rows] == [0.5, -1.0]
+    assert [float(r[7]) for r in rows] == [0.5, -1.0]
+    assert all(float(r[8]) <= 1e-9 for r in rows)
+
+
+def test_sweep_richardson_flag_changes_nothing(capsys):
+    base = ["sweep", "--sweep", "a=0.5,1", "--sweep", "c=0.4,0.8", "--N", "4", "--derive", "b"]
+    for n in ("0", "2"):
+        plain = run_cli(capsys, *base, "--n", n)
+        assert plain[0] == EXIT_OK
+        assert run_cli(capsys, *base, "--n", n, "--richardson") == plain
+
+
+def test_sweep_level_above_the_spectral_bound_exits_one(capsys):
+    # the basis resolves levels 0..5; level 6 is refused before any row prints
+    argv = ["sweep", "--sweep", "a=0.5,1", "--c", "0.5", "--derive", "b", "--richardson"]
+    code, out, _ = run_cli(capsys, *argv, "--n", "5")
+    assert code == EXIT_OK and len(out.splitlines()) == 3
+    code, out, err = run_cli(capsys, *argv, "--n", "6")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "pcoulomb: error: spectral level must be in 0..5, got 6\n"
 
 
 # -- config ----------------------------------------------------------------------
@@ -1051,10 +1096,11 @@ def test_config_skips_keys_of_other_commands(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["solve"], ["oracle", "--n", "1", "--check"],
-                                  ["verify", "--out", "json"]])
+                                  ["verify", "--out", "json"], ["sweep", "--sweep", "a=1,2"]])
 def test_config_grid_keys_are_skipped_by_commands_without_a_grid(tmp_path, capsys, argv):
     # eig's rmax, h and richardson lines still serve a config file that
-    # solve, oracle and verify read
+    # solve, oracle, verify and sweep read; sweep takes richardson, and
+    # ignores it
     config = tmp_path / "run.conf"
     config.write_text(_SURFACE_CONFIG + "rmax = 20\nh = 0.01\nrichardson = true\n")
     code, out, _ = run_cli(capsys, *argv, "--config", str(config))
@@ -1244,7 +1290,7 @@ def test_library_sweep_row_is_the_cli_row(capsys):
     _, out, _ = run_cli(capsys, "sweep", "--sweep", "a=1", "--c", "0.5", "--derive", "b",
                         "--n", "1", "--richardson")
     pot, dim, phys = _reference_problem()
-    row = report.sweep_row(pot, dim, phys, 1, True)
+    row = report.sweep_row(pot, dim, phys, 1)
     cells = [cli._csv_cell(value) for value in (1.0, 1.0, 0.5, 3, 0, 1, *row)]
     assert out.splitlines()[1] == ",".join(cells)
 
@@ -1266,7 +1312,7 @@ def test_documents_hold_plain_python_leaves():
     walk(report.verify_document(derive_couplings(1.0, 0.0, 0.5, "b", dim2, phys), dim2, phys, 0))
     walk(report.oracle_document(PotentialParams(b=1.0, c=0.5), dim, phys, 2, check=True))
     walk(report.eig_document(pot, dim, phys, 3, True))
-    walk(list(report.sweep_row(pot, dim, phys, 1, True)))
+    walk(list(report.sweep_row(pot, dim, phys, 1)))
 
 
 def test_cli_computes_nothing_itself():
@@ -1387,6 +1433,9 @@ _UNGOLDEN_RUNS = (
     ["oracle", "--b", "2.2", "--c", "0.2", "--N", "4", "--l", "2", "--n", "8"],
     ["oracle", "--b", "2.2", "--c", "0.2", "--N", "4", "--l", "2", "--n", "8", "--check"],
     ["eig", "--a", "1", "--b", "1", "--c", "0.5", "--k", "3", "--rmax", "40", "--h", "0.002",
+     "--richardson"],
+    ["sweep", "--sweep", "a=0.5,1", "--c", "0.5", "--N", "2", "--derive", "b", "--richardson"],
+    ["sweep", "--sweep", "a=0.5,1", "--c", "0.5", "--N", "2", "--derive", "b", "--n", "1",
      "--richardson"],
 )
 
@@ -1510,8 +1559,8 @@ def test_commands_load_lapack_without_scipy_linalg():
         ["solve", "--a", "1", "--c", "0.5", "--derive", "b"],
         ["oracle", "--b", "1", "--c", "0.5", "--n", "3", "--check"],
         ["verify", "--a", "1", "--c", "0.5", "--derive", "b"],
-        ["eig", "--a", "1", "--c", "0.5", "--derive", "b"],
         ["sweep", "--sweep", "a=1,2", "--c", "0.5", "--derive", "b", "--richardson"],
+        ["eig", "--a", "1", "--c", "0.5", "--derive", "b"],
     ]
     result = subprocess.run(
         [sys.executable, "-c", _LAPACK_CHILD, json.dumps(argvs)],
@@ -1520,9 +1569,9 @@ def test_commands_load_lapack_without_scipy_linalg():
     assert result.returncode == 0, result.stderr
     linalg, flapack = zip(*json.loads(result.stdout))
     assert linalg == (False,) * 5
-    # verify needs no LAPACK beyond numpy's; the first grid eigensolve (eig)
-    # loads the extension on its own
-    assert flapack == (False, False, False, True, True)
+    # verify and sweep need no LAPACK beyond numpy's; the first grid
+    # eigensolve (eig) loads the extension on its own
+    assert flapack == (False, False, False, False, True)
 
 
 # runs eig, then imports scipy.linalg as a library user would

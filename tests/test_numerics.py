@@ -34,7 +34,6 @@ from pcoulomb.numerics import (
     sturm_count,
 )
 from pcoulomb.qes import oracle_state, qes_solve
-from pcoulomb.report import sweep_row
 from pcoulomb.susy import ClosedFormState
 
 PHYS = PhysicalParams()
@@ -1213,10 +1212,10 @@ def test_interpolation_is_exact_on_piecewise_linear_data():
 
 
 def test_sweep_strata_do_not_fall_back(monkeypatch):
-    # the sweep-scan rows, (a, c) in {0.8, 1.6} x {0.4, 0.8} at M 3..11 and
-    # n 0..2, as sweep_row solves them, with and without Richardson: every
-    # grid seeded from a coarser grid's iterate proves its window, so only
-    # the coarsest grid of each chain is bisected
+    # the sweep-scan strata, (a, c) in {0.8, 1.6} x {0.4, 0.8} at M 3..11 and
+    # n 0..2, level n at the linear rule's a_n on its default grid, with and
+    # without Richardson: every grid seeded from a coarser grid's iterate
+    # proves its window, so only the coarsest grid of each chain is bisected
     index_solve, coarsest, interpolated = numerics._index_solve, [0], [0]
 
     def coarsest_only(diag, off, level):
@@ -1238,12 +1237,14 @@ def test_sweep_strata_do_not_fall_back(monkeypatch):
             pot = PotentialParams(a=a, b=constraint_b(a, c, dim, PHYS), c=c)
             for n in range(3):
                 a_level, _ = closed_level(pot, dim, PHYS, n)
-                grid = build_grid(PotentialParams(a=a_level, b=pot.b, c=c), dim, PHYS)
+                pot_level = PotentialParams(a=a_level, b=pot.b, c=c)
+                grid = build_grid(pot_level, dim, PHYS)
+                v_eff = effective_potential(pot_level, dim, PHYS)
                 coarse = numerics._coarse_grids(grid, n + 1)
                 coarsest[0] = coarse[0].count
                 for richardson in (False, True):
                     before = interpolated[0]
-                    sweep_row(pot, dim, PHYS, n, richardson)
+                    eigen_lowest(v_eff, grid, PHYS, n, richardson=richardson)
                     assert interpolated[0] - before == len(coarse) - 1 + richardson >= 1
 
 
@@ -1301,7 +1302,8 @@ def test_overlap_grid_mismatch_rejected():
 # -- grid kernels in their own arrays, bit for bit -------------------------------
 
 def _plain_evaluate(state, r):
-    """The expression ``ClosedFormState.evaluate`` replaces."""
+    """A copy of ``ClosedFormState.evaluate``'s expression, which is now this
+    plain numpy expression itself: kept until the grid helpers go."""
     r = np.asarray(r, dtype=float)
     pref = np.polynomial.polynomial.polyval(r, np.asarray(state.poly))
     return pref * np.exp(state.q * np.log(r) - state.lam * r - state.kap * r * r)
@@ -1320,7 +1322,8 @@ def _solver_apply(v_eff, f, phys):
 
 
 def _plain_residual(v_eff, f, energy, phys):
-    """The expression ``h_residual`` replaces: pairwise sums of squares."""
+    """A copy of ``h_residual``'s expression, pairwise sums of squares, which
+    is now the kernel's own body: kept until the grid helpers go."""
     defect = _solver_apply(v_eff, f, phys) - energy * f.values
     sl = slice(numerics.RESIDUAL_TRIM, -numerics.RESIDUAL_TRIM)
     return (math.sqrt(np.add.reduce(defect[sl] * defect[sl]))

@@ -2,13 +2,13 @@
 in an exit code 0-3 with no exception escaping; exit 0 means strict JSON, or
 for ``sweep`` a CSV whose cells are all finite.
 
-``cli.main`` runs in-process.  Every command that builds a grid (``eig``,
-``sweep``) gets ``--rmax 20 --h 0.01``, so no grid exceeds 2,000 nodes
-(4,000 for the h/2 grid of ``--richardson``); one example in about ten
-gets ``--h 1e-9`` instead, which exceeds the 2^24-node budget and is
-refused before any array is allocated.  These commands, ``verify`` and
-``oracle --check`` draw couplings and units mostly of order one, so that
-most examples reach the eigensolves, the battery and the exact residuals.
+``cli.main`` runs in-process.  ``eig``, the one command that builds a grid,
+gets ``--rmax 20 --h 0.01``, so no grid exceeds 2,000 nodes (4,000 for the
+h/2 grid of ``--richardson``); one example in about ten gets ``--h 1e-9``
+instead, which exceeds the 2^24-node budget and is refused before any array
+is allocated.  ``eig``, ``sweep``, ``verify`` and ``oracle --check`` draw
+couplings and units mostly of order one, so that most examples reach the
+eigensolves, the battery and the exact residuals.
 """
 
 import contextlib
@@ -149,19 +149,19 @@ def test_oracle_check_exits_cleanly(b, c, n_dim, ell, derive, n, a, hbar, mass):
 
 @PROPERTY_SETTINGS
 @given(ranges=_sweep_ranges(), a=MODERATE, b=MODERATE, c=MODERATE,
-       derive=DERIVE, hbar=MODERATE, mass=MODERATE, step=STEP,
+       derive=DERIVE, hbar=MODERATE, mass=MODERATE,
        richardson=st.booleans(), n=st.integers(0, 3))
 @example(ranges=["--sweep=a=1.0,2.0"], a=0.0, b=0.0, c=0.0, derive=None, hbar=1.0,
-         mass=1.0, step="0.01", richardson=False, n=1)
+         mass=1.0, richardson=False, n=1)
 @example(ranges=["--sweep=c=0.0,0.5"], a=0.0, b=1.0, c=0.0, derive=None, hbar=1.0,
-         mass=1.0, step="0.01", richardson=False, n=0)
+         mass=1.0, richardson=False, n=0)
 @example(ranges=["--sweep=b=26816.0"], a=0.0, b=0.0, c=1e-300, derive=None, hbar=1e-300,
-         mass=1.0, step="0.01", richardson=False, n=0)
+         mass=1.0, richardson=False, n=0)
 @example(ranges=["--sweep=a=0.5,1.0", "--sweep=l=0,1"], a=0.0, b=0.0, c=0.5,
-         derive="b", hbar=1.0, mass=1.0, step="0.01", richardson=True, n=2)
-def test_sweep_exits_cleanly(ranges, a, b, c, derive, hbar, mass, step, richardson, n):
+         derive="b", hbar=1.0, mass=1.0, richardson=True, n=2)
+def test_sweep_exits_cleanly(ranges, a, b, c, derive, hbar, mass, richardson, n):
     argv = ["sweep", *ranges, *_problem_flags(a, b, c, 3, 0, derive),
-            *_unit_and_grid_flags(hbar, mass, step, richardson), f"--n={n}"]
+            *_unit_flags(hbar, mass), *(["--richardson"] if richardson else []), f"--n={n}"]
     code, out = _run(argv)
     assert code in (0, 1, 2, 3), argv
     if code == 0:

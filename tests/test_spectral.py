@@ -5,7 +5,9 @@ Level 0 is checked against the closed form at every benchmark surface point
 and at M = 2.  The ladder state is checked against the level-1 state of the
 Laguerre pencil: at b = 0 the two are one state, across basis sizes the
 overlap holds its digits, and at odd M the grid's h -> h/2 Richardson
-overlap agrees with it.
+overlap agrees with it.  The levels ``sweep`` prints are checked against the
+grid's Richardson values, and the highest level taken, MAX_LEVEL, against a
+basis twice as large.
 """
 
 import importlib.util
@@ -14,11 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from pcoulomb import report, spectral
+from pcoulomb import cli, report, spectral
 from pcoulomb.exact import closed_level, constraint_b, ground_state, hierarchy_states
 from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
 from pcoulomb.numerics import GridFunction, build_grid, eigen_lowest, evaluate_state, overlap
-from pcoulomb.spectral import EVIDENCE_SIZE, SEARCH_SIZE, VALUE_SIZE, _level, spectral_lowest
+from pcoulomb.spectral import (
+    EVIDENCE_SIZE, MAX_LEVEL, SEARCH_SIZE, VALUE_SIZE, _level, spectral_lowest,
+)
 
 PHYS = PhysicalParams()
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -100,8 +104,26 @@ def test_verify_overlap_does_not_depend_on_the_grid(monkeypatch):
 
 
 def test_level_out_of_range_is_refused():
-    with pytest.raises(ValueError, match="spectral level"):
-        spectral_lowest(PotentialParams(a=1.0), dimension_reduce(3, 0), PHYS, SEARCH_SIZE)
+    for level in (-1, MAX_LEVEL + 1, SEARCH_SIZE):
+        with pytest.raises(ValueError, match=f"spectral level must be in 0..5, got {level}"):
+            spectral_lowest(PotentialParams(a=1.0), dimension_reduce(3, 0), PHYS, level)
+
+
+def test_max_level_holds_at_value_size():
+    # at the surface points of the benchmark's strata and the reference
+    # point, M 2..11, level MAX_LEVEL at the linear rule's a_n holds within
+    # 1e-12 max(1, |E|) of twice the basis at the same scale (measured up to
+    # 1.7e-13; level 6 is 4.3e-12 off, level 9 1.4e-7)
+    worst = 0.0
+    for a, c in ((0.7, 0.8), (1.1, 0.6), (1.6, 0.4), (1.0, 0.5)):
+        for m_index in range(2, 12):
+            dim = dimension_reduce(m_index, 0)
+            pot = PotentialParams(a=a, b=constraint_b(a, c, dim, PHYS), c=c)
+            pot_top = PotentialParams(a=closed_level(pot, dim, PHYS, MAX_LEVEL)[0], b=pot.b, c=c)
+            value = spectral_lowest(pot_top, dim, PHYS, MAX_LEVEL)
+            double = _level(pot_top, PHYS, value.alpha, MAX_LEVEL, value.scale, 2 * VALUE_SIZE)
+            worst = max(worst, abs(value.energy - double.energy) / max(1.0, abs(double.energy)))
+    assert worst <= 1e-12
 
 
 def test_state_arrays_are_read_only():
@@ -148,19 +170,29 @@ def test_search_forms_eight_pencils_per_level(monkeypatch):
     assert sizes == 2 * ([SEARCH_SIZE] * 8 + [VALUE_SIZE])
 
 
-def _benchmark_verify_points():
-    """(a, c, N, l) of every verify request of the benchmark, seeds 1-10."""
+def _workloads():
+    """``perfbench/workloads.py``, loaded by path."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _benchmark_requests(workloads, seeds):
+    """Every request of ``workloads`` for ``seeds``, in run order."""
+    module = _workloads()
+    return [argv for workload in workloads for seed in seeds
+            for argv in module.requests(workload, seed)]
+
+
+def _benchmark_verify_points():
+    """(a, c, N, l) of every verify request of the benchmark, seeds 1-10."""
     points = set()
-    for workload in module.WORKLOADS:
-        for seed in range(1, 11):
-            for argv in module.requests(workload, seed):
-                if argv[0] == "verify":
-                    flags = dict(zip(argv[1::2], argv[2::2]))
-                    points.add((float(flags["--a"]), float(flags["--c"]),
-                                int(flags["--N"]), int(flags["--l"])))
+    for argv in _benchmark_requests(_workloads().WORKLOADS, range(1, 11)):
+        if argv[0] == "verify":
+            flags = dict(zip(argv[1::2], argv[2::2]))
+            points.add((float(flags["--a"]), float(flags["--c"]),
+                        int(flags["--N"]), int(flags["--l"])))
     return sorted(points)
 
 
@@ -205,3 +237,32 @@ def test_level0_on_every_benchmark_verify_request():
         level0 = spectral_lowest(pot, dim, PHYS, 0)
         assert abs(level0.energy - closed) <= 1e-11 * max(1.0, abs(closed)), (a, c, n_dim, ell)
         assert "values" not in vars(level0)  # the state is built only when read
+
+
+def test_sweep_rows_agree_with_grid_richardson(capsys):
+    # every row of the sweep-scan requests, seeds 1-3, levels 0..2 at M
+    # 3..11.  Level 0 is within 1e-12 max(1, |E|) of the closed form
+    # (measured up to 1.4e-13), where the grid's h -> h/2 Richardson value
+    # is up to 3.6e-11 off at odd M and 2.9e-8 at even M; levels 1 and 2 are
+    # within 1e-11 max(1, |E|) of that Richardson value at odd M (measured
+    # up to 3.5e-12).  At every M the printed E_numeric is within the grid's
+    # own |E_R - E_h| of the Richardson value (measured up to 0.028 of it)
+    rows = 0
+    for argv in _benchmark_requests(["sweep-scan"], range(1, 4)):
+        assert cli.main(argv) == 0
+        for line in capsys.readouterr().out.strip().split("\n")[1:]:
+            a, b, c, n_dim, ell, n, closed, printed = map(float, line.split(",")[:8])
+            dim, n = dimension_reduce(int(n_dim), int(ell)), int(n)
+            pot = PotentialParams(a=closed_level(PotentialParams(a=a, b=b, c=c), dim, PHYS, n)[0],
+                                  b=b, c=c)
+            v_eff, grid = effective_potential(pot, dim, PHYS), build_grid(pot, dim, PHYS)
+            grid_h = eigen_lowest(v_eff, grid, PHYS, n)
+            grid_r = eigen_lowest(v_eff, grid, PHYS, n, richardson=True)
+            level = spectral_lowest(pot, dim, PHYS, n).energy
+            if n == 0:
+                assert abs(level - closed) <= 1e-12 * max(1.0, abs(closed)), line
+            elif dim.m_index % 2:
+                assert abs(level - grid_r) <= 1e-11 * max(1.0, abs(grid_r)), line
+            assert abs(printed - grid_r) <= abs(grid_r - grid_h), line
+            rows += 1
+    assert rows == 180

@@ -81,7 +81,11 @@ SEEDS = range(1, 11)
 #: and verify at mass 1e157, 1e160 and 1e200, where the pencil's s^2 is
 #: subnormal or 0; a pencil whose Coulomb term a / s underflows to 0 from a
 #: = 1e-320 (exit 1); and solve where the Gaussian carries no weight beside
-#: the exponential, so x^2 of the moments' recurrence overflows
+#: the exponential, so x^2 of the moments' recurrence overflows; sweep rows
+#: from the spectral oracle: M = 2 at levels 0 and 1, a level one above
+#: spectral.MAX_LEVEL (refused, exit 1), and the grid flags, which sweep no
+#: longer takes (exit 1).  The sweeps above that pass --rmax and --h, and the
+#: level-12 sweep row, now exit 1 as well
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
@@ -150,6 +154,10 @@ EXTRA = [argv.split() for argv in (
     "verify --a 1 --mass 1e200 --out json",
     "verify --a 1e-320 --mass 1e300",
     "solve --a 1e-50 --c 2e-220 --hbar 1e-100 --derive b",
+    "sweep --sweep a=0.5,1 --c 0.5 --N 2 --derive b --richardson",
+    "sweep --sweep a=0.5,1 --c 0.5 --N 2 --derive b --n 1 --richardson",
+    "sweep --sweep a=0.5,1 --c 0.5 --derive b --n 6 --richardson",
+    "sweep --sweep a=0.5,1 --c 0.5 --derive b --rmax 20 --h 0.01",
 )]
 
 # runs the argvs of stdin under ROOT's package and prints [exit code,
