@@ -45,10 +45,9 @@ benchmark's verify requests, levels 0 and 1 at VALUE_SIZE move by at most
 and levels 0 to MAX_LEVEL by at most 1.2e-11 max(1, |E|) within the 0.19
 of it where the search stops (see SEARCH_WIDTH).  Only levels 0 to
 MAX_LEVEL (5) are taken: above it VALUE_SIZE functions no longer hold the
-level to 1e-12 (see MAX_LEVEL).
-The value and its state are taken at VALUE_SIZE functions; the evidence, at
-EVIDENCE_SIZE and the same s, is the tests':
-``test_evidence_on_every_benchmark_verify_request`` and
+level to 1e-12 (see MAX_LEVEL).  The value and its state are taken at
+VALUE_SIZE functions; the evidence, at EVIDENCE_SIZE and the same s, is the
+tests': ``test_evidence_on_every_benchmark_verify_request`` and
 ``test_overlap_holds_across_basis_sizes``.  A scale whose pencil leaves the
 float range reads as +inf in the search and is refused as the value's.  No
 closed form enters, so the oracle stays independent of the constructions it
@@ -90,8 +89,9 @@ BRACKET_BELOW = 1000.0
 
 #: the search stops once its bracket on log s is narrower than this, and
 #: takes the better of its two inner points, so the scale lies within 0.382
-#: SEARCH_WIDTH (0.19) of the SEARCH_SIZE minimizer t* (at most 0.114 over
-#: the benchmark's verify requests, levels 0 to 6).  Over those requests, at
+#: SEARCH_WIDTH (0.19) of the SEARCH_SIZE minimizer t* where the level is
+#: unimodal in log s (at most 0.114 away over the benchmark's verify
+#: requests, levels 0 to 6).  Over those requests, at
 #: the linear rule's a_n for level n, levels 0 to 4 at VALUE_SIZE stay
 #: within 5.0e-13 max(1, |E|) of 90 functions over t* +- 0.19, and level 5
 #: (MAX_LEVEL) within 1.2e-11, 1.4e-13 at the scale the search found; over
