@@ -4,7 +4,7 @@ Usage:
     pcoulomb solve  --a 1 --c 0.5 --N 3 --l 0 --derive b
     pcoulomb verify --a 1 --c 0.5 --N 3 --l 0 --derive b --out json
     pcoulomb oracle --b 1 --c 0.5 --N 3 --l 0 --n 1
-    pcoulomb eig    --a 1 --b 1 --c 0.5 --N 3 --l 0 --k 3 --richardson
+    pcoulomb eig    --a 1 --b 1 --c 0.5 --N 3 --l 0 --k 3
     pcoulomb sweep  --sweep a=0.5,1,2 --c 0.5 --derive b
 
 Exit codes: 0 ok, 1 usage error, 2 constraint violation, 3 verification
@@ -141,14 +141,6 @@ def _add_problem_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="file of key = value flags")
 
 
-def _add_grid_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--rmax", type=float, default=None, help="grid extent override")
-    sub.add_argument("--h", type=float, default=None, help="grid step override")
-    sub.add_argument(
-        "--richardson", action="store_true", help="extrapolate eigenvalues over (h, h/2)"
-    )
-
-
 @functools.cache
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     """The parser and its command parsers by name, built once per process:
@@ -178,9 +170,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     )
     oracle.set_defaults(func=cmd_oracle)
 
-    eig = commands.add_parser("eig", help="lowest numeric eigenvalues")
+    eig = commands.add_parser("eig", help="lowest spectral-oracle eigenvalues")
     _add_problem_options(eig)
-    _add_grid_options(eig)
     eig.add_argument("--k", type=int, default=1, help="number of eigenvalues")
     eig.set_defaults(func=cmd_eig)
 
@@ -323,7 +314,7 @@ def cmd_oracle(args) -> tuple[int, str]:
 
 
 def cmd_eig(args) -> tuple[int, str]:
-    doc = eig_document(*_problem(args), args.k, args.richardson, r_max=args.rmax, h=args.h)
+    doc = eig_document(*_problem(args), args.k)
     return EXIT_OK, dump_json(doc)
 
 

@@ -3,7 +3,7 @@
 ``solve_document`` and ``verify_document`` (with the verification battery)
 take a problem (couplings, dimension, units) and the number of spectrum
 levels; ``schema/report.schema.json`` describes them.  ``eig_document``
-holds the lowest grid eigenvalues, ``oracle_document`` the ansatz solutions
+holds the lowest spectral levels, ``oracle_document`` the ansatz solutions
 of one level and ``sweep_row`` one level's closed-form and spectral values.
 Each check is a plain dict ``{name, kind, value, tol, pass}``: an
 ``assert`` check carries its tolerance and verdict, an ``info`` check only
@@ -19,20 +19,21 @@ depend on the host.  A residual whose (H - E) psi is not square integrable
 at the origin is reported as the string ``DIVERGENT``, never as a number.
 That happens only at M = 2, where the defect keeps an r^-1/2 term: the
 ladder state's, and an oracle state's whose coefficient, the constraint
-D(a_root) evaluated in float, is not exactly 0.  Only ``eig`` builds a
-grid and solves its eigenproblem.
+D(a_root) evaluated in float, is not exactly 0.  No command builds a grid.
 
-``verify``'s two numeric values and ``sweep``'s E_numeric come from the
-spectral oracle (``spectral_lowest``), whose module is loaded on those paths
-alone: ``eigen_lowest`` is its level 0, ``ladder_vs_numeric_overlap`` the
-ladder state against its level-1 state by the Gauss rule of its Laguerre
-basis, and a sweep row's E_numeric its level n at the row's a_n.  LAPACK
-moves their last bits with the OpenBLAS kernel and numpy's exp/log with the
-host CPU, so each is printed at ``SPECTRAL_DIGITS`` (10) significant digits:
-the overlap of its own value, an energy of the scale max(|E|, T / l^2) that
-the inputs fix (``_energy_lattice``).  With that, ``verify`` documents and
-``sweep`` rows are the same at every numpy SIMD dispatch level and OpenBLAS
-kernel the tests try; glibc's libm FMA variants cannot be switched off from
+``verify``'s two numeric values, ``eig``'s eigenvalues and ``sweep``'s
+E_numeric come from the spectral oracle (``spectral_lowest``), whose module
+is loaded on those paths alone: ``eigen_lowest`` is its level 0,
+``ladder_vs_numeric_overlap`` the ladder state against its level-1 state by
+the Gauss rule of its Laguerre basis, ``eig``'s values its levels 0..k-1 and
+a sweep row's E_numeric its level n at the row's a_n.  LAPACK moves their
+last bits with the OpenBLAS kernel and numpy's exp/log with the host CPU, so
+each is printed at ``SPECTRAL_DIGITS`` (10) significant digits: the overlap
+of its own value, an energy of the scale max(|E|, T / l^2)
+(``_energy_lattice``), E the closed form where one applies and ``eig``'s
+level itself otherwise.  With that, ``verify`` documents, ``eig`` documents
+and ``sweep`` rows are the same at every numpy SIMD dispatch level and
+OpenBLAS kernel the tests try; glibc's libm FMA variants cannot be switched off from
 inside the process and stay untested.
 """
 
@@ -63,7 +64,6 @@ from .model import (
     effective_potential,
     length_scales,
 )
-from .numerics import build_grid, eigen_lowest
 from .qes import oracle_state, qes_constraint_polynomial, qes_solve
 from .susy import (
     hamiltonian_defect, partner_potential, perturbation_residual, riccati_residual,
@@ -166,23 +166,24 @@ def verify_document(
     return doc
 
 
-def eig_document(
-    pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams, k: int,
-    richardson: bool, r_max: float | None = None, h: float | None = None,
-) -> dict:
-    """The ``eig`` document: the lowest ``k`` grid eigenvalues, one solve per
-    level.  ``k`` is checked against the grid first, so an unresolved level
-    fails before the levels below it are solved."""
-    grid = build_grid(pot, dim, phys, r_max=r_max, h=h)
-    v_eff = effective_potential(pot, dim, phys)
+def eig_document(pot: PotentialParams, dim: DimensionSpec, phys: PhysicalParams, k: int) -> dict:
+    """The ``eig`` document: the lowest ``k`` levels of the spectral oracle,
+    one scale search per level, each on the lattice of its own energy
+    (``_energy_lattice``).  ``k`` is checked first, so a level beyond
+    ``spectral.MAX_LEVEL`` fails before the levels below it are solved."""
+    from .spectral import MAX_LEVEL, VALUE_SIZE, spectral_lowest  # as in _battery
+
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if k > grid.levels:
-        raise ValueError(f"levels 0..{k - 1} out of range for {grid.count} nodes")
-    values = [eigen_lowest(v_eff, grid, phys, level, richardson=richardson)
-              for level in range(k)]
+    if k > MAX_LEVEL + 1:
+        raise ValueError(f"levels 0..{k - 1} out of range: the spectral oracle takes"
+                         f" levels 0..{MAX_LEVEL}")
+    values = []
+    for level in range(k):
+        energy = spectral_lowest(pot, dim, phys, level).energy
+        values.append(_energy_lattice(energy, energy, pot, dim, phys)[0])
     return {"inputs": _inputs_block(pot, dim, phys),
-            "grid": {"r_max": grid.r_max, "h": grid.h, "richardson": bool(richardson)},
+            "grid": {"method": "spectral", "size": VALUE_SIZE},
             "eigenvalues": values, "meta": _meta_block()}
 
 

@@ -38,8 +38,8 @@ alone and are cached read-only.
 
 The scale s minimizes the level at SEARCH_SIZE functions to within
 SEARCH_WIDTH (0.5) in log s, by a golden-section search on log s over a
-bracket set by the problem's length scales (``model.length_scales``, the
-lengths the grid is sized by).  That is all the value needs: over the
+bracket set by the problem's length scales (``model.length_scales``).
+That is all the value needs: over the
 benchmark's verify requests, levels 0 and 1 at VALUE_SIZE move by at most
 4.1e-13 max(1, |E|) while log s moves 0.75 either side of the minimizer,
 and levels 0 to MAX_LEVEL by at most 1.2e-11 max(1, |E|) within the 0.19

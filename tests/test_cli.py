@@ -15,11 +15,11 @@ import pytest
 import pcoulomb
 from pcoulomb import cli, exact, report
 from pcoulomb.cli import EXIT_CONSTRAINT, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, dump_json, main
-from pcoulomb.exact import constraint_a, constraint_b, derive_couplings, ground_state
+from pcoulomb.exact import closed_level, constraint_a, constraint_b, derive_couplings, ground_state
 from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
 from pcoulomb.numerics import RadialGrid, build_grid, eigen_lowest
 from pcoulomb.qes import qes_solve
-from pcoulomb.spectral import spectral_lowest
+from pcoulomb.spectral import MAX_LEVEL, VALUE_SIZE, spectral_lowest
 from pcoulomb.susy import ClosedFormState
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -309,31 +309,76 @@ def test_units_flags_honored(capsys):
 
 
 def test_eig_flags_honored(capsys):
-    code, out, _ = run_cli(
-        capsys, "eig", "--a", "1", "--b", "1", "--c", "0.5", "--k", "3",
-        "--rmax", "40", "--h", "0.002", "--richardson",
-    )
+    # the lowest k spectral levels, each on the lattice of its own energy:
+    # 10 digits of max(|E|, T / l^2)
+    code, out, _ = run_cli(capsys, "eig", "--a", "1", "--b", "1", "--c", "0.5", "--k", "3")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["grid"] == {"r_max": 40.0, "h": 0.002, "richardson": True}
-    assert len(doc["eigenvalues"]) == 3
-    assert doc["eigenvalues"][0] == pytest.approx(1.0, abs=1e-4)
+    assert set(doc) == {"inputs", "grid", "eigenvalues", "meta"}
+    assert doc["grid"] == {"method": "spectral", "size": VALUE_SIZE}
+    pot, dim, phys = PotentialParams(a=1.0, b=1.0, c=0.5), dimension_reduce(3, 0), PhysicalParams()
+    expected = []
+    for level in range(3):
+        energy = spectral_lowest(pot, dim, phys, level).energy
+        expected.append(report._energy_lattice(energy, energy, pot, dim, phys)[0])
+    assert doc["eigenvalues"] == expected
+    assert doc["eigenvalues"][0] == 1.0
+
+
+def test_eig_level_zero_at_m2_is_the_closed_form(capsys):
+    # M = 2, where the grid's level 0 missed the closed form E = -1 by 0.96:
+    # the spectral level 0 is within one lattice step of it
+    code, out, _ = run_cli(capsys, "eig", "--a", "1", "--c", "0.5", "--N", "2", "--derive", "b",
+                           "--k", "2")
+    assert code == EXIT_OK
+    values = json.loads(out)["eigenvalues"]
+    assert len(values) == 2
+    dim, phys = dimension_reduce(2, 0), PhysicalParams()
+    pot = derive_couplings(1.0, 0.0, 0.5, "b", dim, phys)
+    e_closed = closed_level(pot, dim, phys, 0)[1]
+    _, step = report._energy_lattice(values[0], values[0], pot, dim, phys)
+    assert e_closed == -1.0
+    assert abs(values[0] - e_closed) <= step
+
+
+def test_eig_benchmark_levels_agree_with_the_closed_form_and_the_grid(capsys):
+    # every cli-cold eig request of seeds 1-10, each on the coupling surface:
+    # level 0 is within one lattice step of the closed form, and level 1 is
+    # within the grid's Richardson correction |E_R - E_h| of E_R
+    argvs = {tuple(argv) for argv in _benchmark_requests("cli-cold", range(1, 11))
+             if argv[0] == "eig"}
+    assert len(argvs) == 40
+    phys = PhysicalParams()
+    for argv in sorted(argvs):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        values = json.loads(out)["eigenvalues"]
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        dim = dimension_reduce(int(flags["--N"]), int(flags["--l"]))
+        pot = derive_couplings(float(flags["--a"]), 0.0, float(flags["--c"]), "b", dim, phys)
+        e_closed = closed_level(pot, dim, phys, 0)[1]
+        _, step = report._energy_lattice(values[0], values[0], pot, dim, phys)
+        assert abs(values[0] - e_closed) <= step, argv
+        v_eff, grid = effective_potential(pot, dim, phys), build_grid(pot, dim, phys)
+        e_h, e_r = (eigen_lowest(v_eff, grid, phys, 1, richardson=r) for r in (False, True))
+        assert abs(values[1] - e_r) <= abs(e_r - e_h), argv
 
 
 def test_eig_of_a_diagonal_grid_matrix(capsys):
     # T = hbar^2/2m underflows to 0 at hbar = 1e-200: the grid matrix is
-    # diagonal, so its lowest levels are the lowest potential samples, bit
-    # for bit
-    code, out, _ = run_cli(
-        capsys, "eig", "--a", "1", "--b", "1", "--c", "0.5", "--hbar", "1e-200",
-        "--rmax", "20", "--h", "0.01", "--k", "3",
-    )
-    assert code == EXIT_OK
+    # diagonal, so the reference solver's lowest levels are the lowest
+    # potential samples, bit for bit; eig, whose basis needs a Coulomb
+    # length in the float range, refuses the input with one message
     phys = PhysicalParams(hbar=1e-200)
     assert phys.kinetic == 0.0
     v_eff = effective_potential(PotentialParams(a=1.0, b=1.0, c=0.5), dimension_reduce(3, 0), phys)
-    samples = np.sort(v_eff(RadialGrid(r_max=20.0, h=0.01).nodes))
-    assert json.loads(out)["eigenvalues"] == samples[:3].tolist()
+    grid = RadialGrid(r_max=20.0, h=0.01)
+    samples = np.sort(v_eff(grid.nodes))
+    assert [eigen_lowest(v_eff, grid, phys, level) for level in range(3)] == samples[:3].tolist()
+    code, out, err = run_cli(capsys, "eig", "--a", "1", "--b", "1", "--c", "0.5",
+                             "--hbar", "1e-200", "--k", "3")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("pcoulomb: error: the spectral basis needs lengths in the float range")
 
 
 # -- sweep -----------------------------------------------------------------------
@@ -440,25 +485,26 @@ def test_non_finite_inputs_named(capsys, flags, field):
 
 
 @pytest.mark.parametrize(
-    "argv, cause",
-    [
-        (["eig", "--a", "1e-8", "--c", "0.5", "--derive", "b"], "the Coulomb length"),
-        (["eig", "--a", "1", "--c", "0.5", "--derive", "b", "--h", "1e-9"], "(--h)"),
-    ],
+    "overrides, cause",
+    [({}, "the Coulomb length"), ({"h": 1e-9}, "the step override")],
 )
-def test_grid_over_budget_exits_one(capsys, argv, cause):
+def test_build_grid_over_budget_names_its_cause(overrides, cause):
+    # the grid that eig sized before it took the spectral oracle's levels:
+    # refused before any grid array exists, naming what set the step
+    dim, phys = dimension_reduce(3, 0), PhysicalParams()
+    a = 1e-8 if not overrides else 1.0
+    pot = PotentialParams(a=a, b=constraint_b(a, 0.5, dim, phys), c=0.5)
     tracemalloc.start()
     try:
-        code, out, err = run_cli(capsys, *argv)
+        with pytest.raises(ValueError) as err:
+            build_grid(pot, dim, phys, **overrides)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "exceeds the budget" in err
-    assert cause in err
-    assert "Traceback" not in err
-    assert peak < 2**24  # refused before any grid array exists
+    assert "exceeds the budget" in str(err.value)
+    assert cause in str(err.value)
+    assert "--" not in str(err.value)
+    assert peak < 2**24
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
@@ -558,7 +604,7 @@ def test_oracle_check_samples_no_state_and_builds_no_grid(capsys, monkeypatch, a
 ])
 def test_verify_builds_no_grid_and_runs_no_grid_eigensolve(capsys, monkeypatch, flags):
     # level 0 and the ladder overlap's level 1 come from the spectral oracle:
-    # building a grid, a grid eigensolve and loading its LAPACK all raise
+    # building a grid and a grid eigensolve both raise
     from pcoulomb import numerics
 
     def refused(*_args, **_kwargs):
@@ -567,8 +613,6 @@ def test_verify_builds_no_grid_and_runs_no_grid_eigensolve(capsys, monkeypatch, 
     _, gridded, built = _count_samples(monkeypatch)
     for name in ("build_grid", "eigen_lowest"):
         monkeypatch.setattr(numerics, name, refused)
-        monkeypatch.setattr(report, name, refused)
-    monkeypatch.setattr(numerics, "_lapack", refused)
     code, out, err = run_cli(capsys, "verify", *flags, "--out", "json")
     assert (code, err) == (EXIT_VERIFY if "--b" in flags else EXIT_OK, "")
     assert "grid" not in json.loads(out)["inputs"]
@@ -576,9 +620,13 @@ def test_verify_builds_no_grid_and_runs_no_grid_eigensolve(capsys, monkeypatch, 
 
 
 def test_solve_and_verify_build_no_grid_where_eig_is_over_budget(capsys):
-    # the Coulomb length is 1e8 oscillator lengths: eig's grid exceeds the
-    # node budget, but solve and verify need no grid
+    # the Coulomb length is 1e8 oscillator lengths: the grid eig used to
+    # size exceeds the node budget, but solve, verify and eig need no grid
     flags = ["--a", "1e-8", "--c", "0.5", "--derive", "b"]
+    dim, phys = dimension_reduce(3, 0), PhysicalParams()
+    pot = PotentialParams(a=1e-8, b=constraint_b(1e-8, 0.5, dim, phys), c=0.5)
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        build_grid(pot, dim, phys)
     code, out, err = run_cli(capsys, "solve", *flags)
     assert (code, err) == (EXIT_OK, "")
     assert json.loads(out)["psi"]["N0"] > 0.0
@@ -587,8 +635,8 @@ def test_solve_and_verify_build_no_grid_where_eig_is_over_budget(capsys):
     by_name = {c["name"]: c for c in json.loads(out)["checks"]}
     assert by_name["eigen_vs_closed"]["value"] <= 1e-10
     code, out, err = run_cli(capsys, "eig", *flags)
-    assert (code, out) == (EXIT_USAGE, "")
-    assert "exceeds the budget" in err
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["eigenvalues"] == [by_name["eigen_lowest"]["value"]]
 
 
 def test_verify_strong_coulomb_point_passes(capsys):
@@ -605,9 +653,10 @@ def test_verify_strong_coulomb_point_passes(capsys):
     assert abs(by_name["eigen_lowest"]["value"] - doc["views"]["coulomb"]["E"]) <= 1e-6
 
 
-@pytest.mark.parametrize("command", ["solve", "oracle", "verify", "sweep"])
+@pytest.mark.parametrize("command", ["solve", "oracle", "verify", "eig", "sweep"])
 @pytest.mark.parametrize("flag", ["--rmax", "--h"])
 def test_grid_flags_only_on_grid_eigenvalue_commands(capsys, command, flag):
+    # no command takes the grid flags
     problem = (["--b", "1", "--c", "0.5", "--n", "1", "--check"] if command == "oracle"
                else ["--a", "1", "--c", "0.5", "--derive", "b"])
     if command == "sweep":
@@ -638,7 +687,7 @@ def test_verify_builds_each_view_once(capsys, monkeypatch):
     "argv",
     [
         ["solve", "--a", "1e300", "--c", "0.5", "--derive", "b"],
-        ["eig", "--a", "1e300", "--c", "0.5", "--derive", "b"],
+        ["eig", "--a", "1", "--b", "1", "--derive", "c", "--hbar", "1e200"],
         ["sweep", "--sweep", "a=1e300", "--c", "0.5", "--derive", "b"],
         ["verify", "--a", "1e300", "--c", "0.5", "--derive", "b"],
         ["oracle", "--b", "1e200", "--c", "0.5", "--n", "2"],
@@ -659,8 +708,9 @@ def test_float_overflow_exits_one(capsys, argv):
         # hbar**2 underflows in the coulomb view's epsilon
         ["verify", "--a", "1e-300", "--b", "1", "--c", "1e200", "--N", "1", "--l", "3",
          "--derive", "b", "--hbar", "1e-300"],
-        # sqrt(2mc) underflows in the oscillator length of the grid sizing
-        ["eig", "--a", "1", "--c", "1e-300", "--mass", "1e-300", "--rmax", "20", "--h", "0.01"],
+        # sqrt(2mc) underflows in the oscillator length the spectral basis
+        # is sized by
+        ["eig", "--a", "1", "--c", "1e-300", "--mass", "1e-300"],
         # m c overflows, so the ground state vanishes on the grid and the
         # level-0 formula a of the oracle check underflows
         ["verify", "--a", "1e8", "--b", "3.86", "--c", "1e200", "--N", "1", "--l", "3",
@@ -703,19 +753,25 @@ def test_oracle_non_finite_result_exits_one(capsys):
 
 
 def test_overflowing_grid_hamiltonian_exits_one(capsys):
-    # c r^2 overflows at the far nodes: eig refuses the one matrix with one
-    # message, and no numpy RuntimeWarning on the way; sweep builds no grid,
-    # and its grid flags are a usage error
-    grid = ["--rmax", "20", "--h", "0.01"]
+    # c r^2 overflows at the far nodes: the grid reference refuses the one
+    # matrix with one message, and no numpy RuntimeWarning on the way; eig
+    # builds no grid and prints the spectral level 0, and the grid flags are
+    # a usage error on eig and sweep alike
+    pot, dim = PotentialParams(a=1.0, c=1e307), dimension_reduce(3, 0)
+    v_eff = effective_potential(pot, dim, PhysicalParams())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, "eig", "--a", "1", "--c", "1e307", *grid)
-    assert (code, out) == (EXIT_USAGE, "")
-    assert err == ("pcoulomb: error: the grid Hamiltonian overflows:"
-                   " a matrix entry is not finite\n")
-    code, out, err = run_cli_usage(capsys, "sweep", "--sweep", "a=1", "--c", "1e307", *grid)
-    assert (code, out) == (EXIT_USAGE, "")
-    assert "unrecognized arguments: --rmax 20 --h 0.01" in err
+        with pytest.raises(ValueError) as err:
+            eigen_lowest(v_eff, RadialGrid(r_max=20.0, h=0.01), PhysicalParams())
+        code, out, _ = run_cli(capsys, "eig", "--a", "1", "--c", "1e307")
+    assert str(err.value) == "the grid Hamiltonian overflows: a matrix entry is not finite"
+    assert code == EXIT_OK
+    assert json.loads(out)["eigenvalues"][0] > 0.0
+    grid = ["--rmax", "20", "--h", "0.01"]
+    for argv in (["eig", "--a", "1"], ["sweep", "--sweep", "a=1"]):
+        code, out, err = run_cli_usage(capsys, *argv, "--c", "1e307", *grid)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "unrecognized arguments: --rmax 20 --h 0.01" in err
 
 
 def test_oracle_check_needs_no_grid_hamiltonian(capsys):
@@ -788,28 +844,30 @@ def test_oracle_recursion_overflow_exits_one_naming_the_level(capsys, argv, mess
 
 
 def test_off_diagonal_whose_square_overflows_exits_one(capsys):
-    # at --rmax 20 --h 0.01, T/h^2 squares beyond the float range below a
-    # mass of about 3.5e-151: eig refuses the matrix with one message naming
-    # T/h^2, where mass 1e-151 overflowed in a Sturm count and 1e-300 failed
-    # in dstebz; mass 1e-150 still solves.  sweep builds no grid, and its
-    # grid flags are a usage error
-    grid = ["--rmax", "20", "--h", "0.01"]
-    argv = ["eig", "--a", "1", "--b", "1", "--c", "0.5"]
-    for mass in ("1e-151", "1e-300"):
+    # at r_max 20, h 0.01, T/h^2 squares beyond the float range below a mass
+    # of about 3.5e-151: the grid reference refuses the matrix with one
+    # message naming T/h^2; mass 1e-150 still solves.  eig and sweep build
+    # no grid, and their grid flags are a usage error
+    dim, grid = dimension_reduce(3, 0), RadialGrid(r_max=20.0, h=0.01)
+    pot = PotentialParams(a=1.0, b=1.0, c=0.5)
+    for mass in (1e-151, 1e-300):
+        phys = PhysicalParams(mass=mass)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, *argv, "--mass", mass, *grid)
-        assert (code, out) == (EXIT_USAGE, ""), mass
-        assert err.startswith("pcoulomb: error: the grid Hamiltonian overflows: T/h^2 = ")
-        assert err.endswith(" squares beyond the float range\n"), mass
-    code, out, err = run_cli(capsys, *argv, "--mass", "1e-150", *grid)
-    assert (code, err) == (EXIT_OK, "")
-    assert out
-    sweep = ["sweep", "--sweep", "a=1,2", "--c", "0.5", "--derive", "b"]
-    for mass in ("1e-151", "1e-150"):
-        code, out, err = run_cli_usage(capsys, *sweep, "--mass", mass, *grid)
-        assert (code, out) == (EXIT_USAGE, ""), mass
-        assert "unrecognized arguments: --rmax 20 --h 0.01" in err
+            with pytest.raises(ValueError) as err:
+                eigen_lowest(effective_potential(pot, dim, phys), grid, phys)
+        message = str(err.value)
+        assert message.startswith("the grid Hamiltonian overflows: T/h^2 = "), mass
+        assert message.endswith(" squares beyond the float range"), mass
+    phys = PhysicalParams(mass=1e-150)
+    assert math.isfinite(eigen_lowest(effective_potential(pot, dim, phys), grid, phys))
+    grid_flags = ["--rmax", "20", "--h", "0.01"]
+    for argv in (["eig", "--a", "1", "--b", "1", "--c", "0.5"],
+                 ["sweep", "--sweep", "a=1,2", "--c", "0.5", "--derive", "b"]):
+        for mass in ("1e-151", "1e-150"):
+            code, out, err = run_cli_usage(capsys, *argv, "--mass", mass, *grid_flags)
+            assert (code, out) == (EXIT_USAGE, ""), mass
+            assert "unrecognized arguments: --rmax 20 --h 0.01" in err
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
@@ -841,21 +899,13 @@ def test_sweep_row_is_the_single_level_solve(capsys):
 
 
 def test_level_bits_do_not_depend_on_k(capsys):
-    # each level is solved on its own on every grid of its own chain, so a
-    # level is the same double whichever k asks for it: also where the
-    # higher levels fall back to their own bisection on coarse grids (--h
-    # 0.05: levels 1..4 on the 400-node h grid; --h 0.01 --k 10: levels
-    # 5..9 on 1600), and on the default grid, where levels 0..10 are
-    # bisected on 64h and levels 11 and up on 16h
-    grids = {("--rmax", "40", "--h", "0.002"): ("1", "2", "3"),
-             ("--rmax", "20", "--h", "0.05"): ("1", "3", "5"),
-             ("--rmax", "16", "--h", "0.01"): ("1", "10"),
-             (): ("1", "12", "16")}
-    for flags, ks in grids.items():
+    # each level is its own spectral solve, with its own scale search, so a
+    # level is the same double whichever k asks for it
+    for flags in (["--a", "1", "--b", "1", "--c", "0.5"], ["--a", "1", "--c", "0.5", "--N", "2",
+                                                           "--derive", "b"]):
         runs = []
-        for k in ks:
-            code, out, _ = run_cli(capsys, "eig", "--a", "1", "--b", "1", "--c", "0.5",
-                                   *flags, "--k", k)
+        for k in ("1", "3", str(MAX_LEVEL + 1)):
+            code, out, _ = run_cli(capsys, "eig", *flags, "--k", k)
             assert code == EXIT_OK
             runs.append(json.loads(out)["eigenvalues"])
         assert all(run == runs[-1][:len(run)] for run in runs), flags
@@ -863,50 +913,38 @@ def test_level_bits_do_not_depend_on_k(capsys):
 
 @pytest.mark.parametrize("flags, message", [
     (["--k", "0"], "need k >= 1, got 0"),
-    (["--rmax", "1", "--h", "0.01", "--k", "11"], "levels 0..10 out of range for 100 nodes"),
+    (["--k", str(MAX_LEVEL + 2)],
+     f"levels 0..{MAX_LEVEL + 1} out of range: the spectral oracle takes levels 0..{MAX_LEVEL}"),
 ])
 def test_eig_k_is_checked_before_any_solve(flags, message, capsys, monkeypatch):
-    # a k the grid cannot resolve fails at once, not after solving the
-    # levels below it one by one
-    from pcoulomb import numerics
+    # a k the spectral oracle cannot take fails at once, not after solving
+    # the levels below it one by one
+    from pcoulomb import spectral
 
     def no_solve(*_args):
-        raise AssertionError("an eigensolve ran")
+        raise AssertionError("a level was solved")
 
-    monkeypatch.setattr(numerics, "_chain_matrices", no_solve)
-    monkeypatch.setattr(numerics, "_index_solve", no_solve)
+    monkeypatch.setattr(spectral, "spectral_lowest", no_solve)
     code, out, err = run_cli(capsys, "eig", "--a", "1", "--c", "0.5", "--derive", "b", *flags)
     assert (code, out, err) == (EXIT_USAGE, "", f"pcoulomb: error: {message}\n")
 
 
-@pytest.mark.parametrize("argv, coarse_nodes", [
-    (["eig", "--a", "1", "--b", "1", "--c", "0.5", "--k", "4", "--rmax", "15", "--h", "0.005"],
-     750),
-    (["eig", "--a", "1", "--c", "0.5", "--derive", "b", "--rmax", "20", "--h", "0.01"], 500),
-])
-def test_coarse_user_grids_do_not_fall_back(argv, coarse_nodes, capsys, monkeypatch):
-    # each level's window on the 4h and h grids (coarse_nodes, and 3000 and
-    # 2000 nodes) proves itself even where a level moves by 2.2e-4 relative
-    # from 4h to h: the 4h grid takes three steps from the bisected value,
-    # so only the chain's coarsest grid (16h; 64h has under 100 nodes) is
-    # bisected, never 4h or h
+@pytest.mark.parametrize("command", ["solve", "verify", "oracle", "eig", "sweep"])
+def test_no_command_builds_a_grid_or_runs_a_grid_eigensolve(command, capsys, monkeypatch):
     from pcoulomb import numerics
 
-    flags = dict(zip(argv[1::2], argv[2::2]))
-    grid = numerics.RadialGrid(r_max=float(flags["--rmax"]), h=float(flags["--h"]))
-    coarsest, coarse = numerics._coarse_grids(grid, 4)
-    assert (coarsest.h, coarse.count) == (numerics.COARSEN**2 * grid.h, coarse_nodes)
-    sizes = []
-    index_solve = numerics._index_solve
+    def refused(*_args, **_kwargs):
+        raise AssertionError("a grid or a grid eigensolve was asked for")
 
-    def recording(diag, off, level):
-        sizes.append(len(diag))
-        return index_solve(diag, off, level)
-
-    monkeypatch.setattr(numerics, "_index_solve", recording)
-    code, _, _ = run_cli(capsys, *argv)
-    assert code == EXIT_OK
-    assert sizes and set(sizes) == {coarsest.count}
+    for name in ("build_grid", "eigen_lowest"):
+        monkeypatch.setattr(numerics, name, refused)
+    argv = {"oracle": ["--b", "1", "--c", "0.5", "--n", "2", "--check"],
+            "sweep": ["--sweep", "a=1,2", "--c", "0.5", "--derive", "b", "--n", "1"],
+            "eig": ["--a", "1", "--c", "0.5", "--derive", "b", "--k", "3"]}.get(
+                command, ["--a", "1", "--c", "0.5", "--derive", "b"])
+    code, out, err = run_cli(capsys, command, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out
 
 
 def _benchmark_requests(workload, seeds):
@@ -1074,17 +1112,17 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, command, line, m
 
 def test_config_switch_takes_true_or_false(tmp_path, capsys):
     config = tmp_path / "run.conf"
-    argv = ["eig", "--config", str(config)]
+    argv = ["oracle", "--config", str(config)]
     for text, expected in (("true", True), ("false", False)):
-        config.write_text(_SURFACE_CONFIG + f"richardson = {text}\n")
+        config.write_text(f"b = 1\nc = 0.5\nn = 1\ncheck = {text}\n")
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
-        assert json.loads(out)["grid"]["richardson"] is expected
+        assert all(("h_residual" in entry) is expected for entry in json.loads(out))
 
-    config.write_text(_SURFACE_CONFIG + "richardson = yes\n")
+    config.write_text("b = 1\nc = 0.5\nn = 1\ncheck = yes\n")
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
-    assert "config key richardson takes true or false, not 'yes'" in err
+    assert "config key check takes true or false, not 'yes'" in err
 
 
 def test_config_skips_keys_of_other_commands(tmp_path, capsys):
@@ -1096,13 +1134,19 @@ def test_config_skips_keys_of_other_commands(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["solve"], ["oracle", "--n", "1", "--check"],
-                                  ["verify", "--out", "json"], ["sweep", "--sweep", "a=1,2"]])
-def test_config_grid_keys_are_skipped_by_commands_without_a_grid(tmp_path, capsys, argv):
-    # eig's rmax, h and richardson lines still serve a config file that
-    # solve, oracle, verify and sweep read; sweep takes richardson, and
-    # ignores it
+                                  ["verify", "--out", "json"], ["eig", "--k", "2"],
+                                  ["sweep", "--sweep", "a=1,2"]])
+def test_config_grid_keys_are_refused_and_richardson_is_skipped(tmp_path, capsys, argv):
+    # no command takes rmax or h, so either line is an unknown key (exit 1);
+    # a richardson line is skipped by every command but sweep, which takes
+    # it and ignores it
     config = tmp_path / "run.conf"
-    config.write_text(_SURFACE_CONFIG + "rmax = 20\nh = 0.01\nrichardson = true\n")
+    for line, key in (("rmax = 20", "rmax"), ("h = 0.01", "h")):
+        config.write_text(_SURFACE_CONFIG + line + "\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(config))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"pcoulomb: error: unknown config keys: {key}\n"
+    config.write_text(_SURFACE_CONFIG + "richardson = true\n")
     code, out, _ = run_cli(capsys, *argv, "--config", str(config))
     assert code == EXIT_OK
     config.write_text(_SURFACE_CONFIG)
@@ -1270,11 +1314,10 @@ def _reference_problem():
 
 
 def test_library_eig_document_is_the_cli_output(capsys):
-    _, out, _ = run_cli(capsys, "eig", "--a", "1", "--b", "1", "--c", "0.5", "--k", "3",
-                        "--rmax", "40", "--h", "0.002", "--richardson")
+    _, out, _ = run_cli(capsys, "eig", "--a", "1", "--b", "1", "--c", "0.5", "--k", "3")
     _, dim, phys = _reference_problem()
     pot = PotentialParams(a=1.0, b=1.0, c=0.5)
-    doc = report.eig_document(pot, dim, phys, 3, True, r_max=40.0, h=0.002)
+    doc = report.eig_document(pot, dim, phys, 3)
     assert dump_json(doc) + "\n" == out
 
 
@@ -1311,7 +1354,7 @@ def test_documents_hold_plain_python_leaves():
     dim2 = dimension_reduce(2, 0)  # its residuals are DIVERGENT strings
     walk(report.verify_document(derive_couplings(1.0, 0.0, 0.5, "b", dim2, phys), dim2, phys, 0))
     walk(report.oracle_document(PotentialParams(b=1.0, c=0.5), dim, phys, 2, check=True))
-    walk(report.eig_document(pot, dim, phys, 3, True))
+    walk(report.eig_document(pot, dim, phys, 3))
     walk(list(report.sweep_row(pot, dim, phys, 1)))
 
 
@@ -1432,8 +1475,7 @@ _UNGOLDEN_RUNS = (
     ["verify", "--a", "1", "--c", "0.5", "--N", "2", "--l", "0", "--derive", "b", "--out", "json"],
     ["oracle", "--b", "2.2", "--c", "0.2", "--N", "4", "--l", "2", "--n", "8"],
     ["oracle", "--b", "2.2", "--c", "0.2", "--N", "4", "--l", "2", "--n", "8", "--check"],
-    ["eig", "--a", "1", "--b", "1", "--c", "0.5", "--k", "3", "--rmax", "40", "--h", "0.002",
-     "--richardson"],
+    ["eig", "--a", "1", "--b", "1", "--c", "0.5", "--k", "3"],
     ["sweep", "--sweep", "a=0.5,1", "--c", "0.5", "--N", "2", "--derive", "b", "--richardson"],
     ["sweep", "--sweep", "a=0.5,1", "--c", "0.5", "--N", "2", "--derive", "b", "--n", "1",
      "--richardson"],
@@ -1539,63 +1581,35 @@ def test_oracle_check_does_not_move_with_the_openblas_kernel():
     assert outputs[0] == outputs[1]
 
 
-# prints, after each argv, whether the scipy.linalg package and the LAPACK
-# routines of pcoulomb.numerics have been loaded so far
-_LAPACK_CHILD = """
+# runs each argv in turn and prints, after each, whether scipy is loaded
+_SCIPY_CHILD = """
 import contextlib, io, json, sys
-from pcoulomb import numerics
 from pcoulomb.cli import main
 loaded = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-    loaded.append(["scipy.linalg" in sys.modules, numerics._lapack.cache_info().currsize > 0])
+    loaded.append("scipy" in sys.modules)
 sys.stdout.write(json.dumps(loaded))
 """
 
 
-def test_commands_load_lapack_without_scipy_linalg():
+def test_commands_load_no_scipy():
+    # every command's LAPACK is numpy's own; scipy serves the tests' grid
+    # reference alone
     argvs = [
         ["solve", "--a", "1", "--c", "0.5", "--derive", "b"],
         ["oracle", "--b", "1", "--c", "0.5", "--n", "3", "--check"],
         ["verify", "--a", "1", "--c", "0.5", "--derive", "b"],
         ["sweep", "--sweep", "a=1,2", "--c", "0.5", "--derive", "b", "--richardson"],
-        ["eig", "--a", "1", "--c", "0.5", "--derive", "b"],
+        ["eig", "--a", "1", "--c", "0.5", "--derive", "b", "--k", "2"],
     ]
     result = subprocess.run(
-        [sys.executable, "-c", _LAPACK_CHILD, json.dumps(argvs)],
+        [sys.executable, "-c", _SCIPY_CHILD, json.dumps(argvs)],
         capture_output=True, text=True, env=_child_env({}),
     )
     assert result.returncode == 0, result.stderr
-    linalg, flapack = zip(*json.loads(result.stdout))
-    assert linalg == (False,) * 5
-    # verify and sweep need no LAPACK beyond numpy's; the first grid
-    # eigensolve (eig) loads the extension on its own
-    assert flapack == (False, False, False, False, True)
-
-
-# runs eig, then imports scipy.linalg as a library user would
-_IMPORT_AFTER_EIG_CHILD = """
-import contextlib, io
-from pcoulomb import numerics
-from pcoulomb.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["eig", "--a", "1", "--c", "0.5", "--derive", "b"]) == 0
-import scipy.linalg
-assert scipy.linalg._flapack.dstebz is numerics._lapack().dstebz
-assert scipy.linalg.lapack.dpttrs is numerics._lapack().dpttrs
-assert scipy.linalg.lapack.dpttrf is numerics._lapack().dpttrf
-print("ok")
-"""
-
-
-def test_import_scipy_linalg_after_an_eigensolve_binds_flapack():
-    result = subprocess.run(
-        [sys.executable, "-c", _IMPORT_AFTER_EIG_CHILD],
-        capture_output=True, text=True, env=_child_env({}),
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "ok\n"
+    assert json.loads(result.stdout) == [False] * 5
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,11 +2,9 @@
 in an exit code 0-3 with no exception escaping; exit 0 means strict JSON, or
 for ``sweep`` a CSV whose cells are all finite.
 
-``cli.main`` runs in-process.  ``eig``, the one command that builds a grid,
-gets ``--rmax 20 --h 0.01``, so no grid exceeds 2,000 nodes (4,000 for the
-h/2 grid of ``--richardson``); one example in about ten gets ``--h 1e-9``
-instead, which exceeds the 2^24-node budget and is refused before any array
-is allocated.  ``eig``, ``sweep``, ``verify`` and ``oracle --check`` draw
+``cli.main`` runs in-process.  ``eig``'s k runs one past the spectral
+oracle's last level, which is refused before any level is solved.  ``eig``,
+``sweep``, ``verify`` and ``oracle --check`` draw
 couplings and units mostly of order one, so that most examples reach the
 eigensolves, the battery and the exact residuals.
 """
@@ -24,6 +22,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from pcoulomb.cli import main  # noqa: E402
+from pcoulomb.spectral import MAX_LEVEL  # noqa: E402
 
 #: the edges of the double range, zero, the reference couplings and the
 #: non-finite values, plus any finite float
@@ -34,7 +33,7 @@ COUPLINGS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 #: nine draws in ten a float of order one, one in ten from COUPLINGS: units
-#: and couplings of the grid commands, so that most examples get past the
+#: and couplings of the eigensolving commands, so that most examples get past the
 #: unit and coupling checks into the eigensolves and the battery, while the
 #: edges and the rejection of zero, negative and non-finite values stay
 #: covered
@@ -42,7 +41,6 @@ MODERATE = st.integers(0, 9).flatmap(
     lambda i: COUPLINGS if i == 0 else st.floats(min_value=0.25, max_value=4.0)
 )
 DERIVE = st.sampled_from([None, "a", "b", "c"])
-STEP = st.sampled_from(["0.01"] * 9 + ["1e-9"])
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -67,11 +65,6 @@ def _problem_flags(a, b, c, n_dim, ell, derive) -> list[str]:
 
 def _unit_flags(hbar, mass) -> list[str]:
     return [f"--hbar={hbar!r}", f"--mass={mass!r}"]
-
-
-def _unit_and_grid_flags(hbar, mass, step, richardson) -> list[str]:
-    flags = [*_unit_flags(hbar, mass), "--rmax=20", f"--h={step}"]
-    return flags + (["--richardson"] if richardson else [])
 
 
 def _check_exit(argv: list[str]) -> None:
@@ -125,14 +118,13 @@ def test_verify_exits_cleanly(a, b, c, n_dim, ell, derive, hbar, mass):
 @PROPERTY_SETTINGS
 @given(a=MODERATE, b=MODERATE, c=MODERATE, n_dim=st.integers(1, 9),
        ell=st.integers(0, 3), derive=DERIVE, hbar=MODERATE, mass=MODERATE,
-       step=STEP, richardson=st.booleans(), k=st.integers(0, 4))
-@example(a=1.0, b=0.0, c=1e-300, n_dim=3, ell=0, derive=None, hbar=1.0, mass=1e-300,
-         step="0.01", richardson=False, k=1)
-@example(a=1.0, b=0.0, c=0.5, n_dim=3, ell=0, derive="b", hbar=1.0, mass=1.0,
-         step="0.01", richardson=True, k=3)
-def test_eig_exits_cleanly(a, b, c, n_dim, ell, derive, hbar, mass, step, richardson, k):
+       k=st.integers(0, MAX_LEVEL + 2))
+@example(a=1.0, b=0.0, c=1e-300, n_dim=3, ell=0, derive=None, hbar=1.0, mass=1e-300, k=1)
+@example(a=1.0, b=0.0, c=0.5, n_dim=3, ell=0, derive="b", hbar=1.0, mass=1.0, k=3)
+@example(a=1.0, b=0.0, c=0.5, n_dim=2, ell=0, derive="b", hbar=1.0, mass=1.0, k=MAX_LEVEL + 1)
+def test_eig_exits_cleanly(a, b, c, n_dim, ell, derive, hbar, mass, k):
     _check_exit(["eig", *_problem_flags(a, b, c, n_dim, ell, derive),
-                 *_unit_and_grid_flags(hbar, mass, step, richardson), f"--k={k}"])
+                 *_unit_flags(hbar, mass), f"--k={k}"])
 
 
 @PROPERTY_SETTINGS

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from pcoulomb import cli, report, spectral
+from pcoulomb import cli, numerics, report, spectral
 from pcoulomb.exact import closed_level, constraint_b, ground_state, hierarchy_states
 from pcoulomb.model import PhysicalParams, PotentialParams, dimension_reduce, effective_potential
 from pcoulomb.numerics import GridFunction, build_grid, eigen_lowest, evaluate_state, overlap
@@ -95,7 +95,7 @@ def test_verify_overlap_does_not_depend_on_the_grid(monkeypatch):
     def refused(*_args, **_kwargs):
         raise AssertionError("verify built a grid")
 
-    monkeypatch.setattr(report, "build_grid", refused)
+    monkeypatch.setattr(numerics, "build_grid", refused)
     dim = dimension_reduce(3, 0)
     pot = PotentialParams(a=1.0, b=constraint_b(1.0, 0.5, dim, PHYS), c=0.5)
     doc = report.verify_document(pot, dim, PHYS, 0)

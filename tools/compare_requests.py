@@ -10,15 +10,12 @@ lives in, which is loaded by path and only read.  The fixed ``EXTRA``
 argvs run after them as a group of their own (paths no benchmark request
 takes).  For each root one fresh interpreter imports that root's
 ``pcoulomb.cli`` and runs every request in turn through ``main``, capturing
-the exit code, stdout and stderr, and counts the unseeded fallbacks of its
-eigensolves: the ``numerics._index_solve`` bisections beyond the one on the
-coarsest grid of each seeding chain.  The two roots run side by side, one
+the exit code, stdout and stderr.  The two roots run side by side, one
 process each.
 
 Prints, per command, how many benchmark requests gave identical (exit code,
-stdout, stderr), the same tally for the ``EXTRA`` group, per root the
-unseeded fallbacks of the benchmark requests and of the ``EXTRA`` group,
-then the first differing line of each differing request, then, per numeric
+stdout, stderr), the same tally for the ``EXTRA`` group, then the first
+differing line of each differing request, then, per numeric
 field, how many differing requests moved it and its largest absolute and
 relative moves over them, the ``EXTRA`` group's fields apart.  The fields
 are the numbers of the ``solve`` and ``verify --out json`` documents
@@ -44,75 +41,63 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 SEEDS = range(1, 11)
 
-#: requests outside the benchmark: the README command lines; coarse user
-#: grids where some levels fell back to their own bisection; k sweeps whose
-#: E0 must not depend on k; an h grid with no coarse grid to seed it; grids
-#: where r_max / h is no multiple of 64; a strong-Coulomb verify (a = 50,
-#: c = 1e-3) whose grid level 0 missed the closed form by 2.2e-4; a grid
-#: whose 64h grid has under 100 nodes; more levels than the 64h grid seeds
-#: (levels 11 and up start on 16h); two off-diagonals -T/h^2 no benchmark
-#: grid has: -0.0, where T = hbar^2/2m underflows and the matrix is
-#: diagonal, and a subnormal; levels 11-29 on a default grid and a level-12
-#: sweep row with h/2, both starting on 16h; the two range errors of eig
-#: --k; and output paths of the formatting layer: the solve table, oracle
-#: without --check, a verify table with a FAIL (exit 3, off the surface at
-#: b = 1e-11), and two sweeps whose second row is rejected (a non-finite
-#: cell, and no closed form at c = 0) with stdout left empty; ansatz paths:
-#: the b = 0 family, level 0, MAX_LEVEL without --check, a level above it,
-#: a level whose p_k overflow at tiny couplings, and c = 0; battery paths:
-#: verify at a = 1e-8, whose grid would exceed the node budget, M = 2,
-#: whose eigen_vs_closed the grid could not judge (every benchmark stratum
-#: has M >= 3), with an M = 2 Richardson eig, and mass 1e-200, whose
-#: squared Coulomb length overflows; grid starts interpolated from a
-#: coarser grid's iterate: h grids of 4000..4003 nodes (each count modulo
-#: 4, the last nodes running towards the 4h grid's far zero) at level 1,
-#: levels 11 and 12 with h/2, starting on 16h, and pure Coulomb, whose
-#: coarser values lie above the level; exact moments: solve at M = 2, and
-#: at c = 0, whose moments are p!/beta^(p+1); inputs no grid serves: oracle
-#: --check at M = 2 (numbers and divergent residuals), at c = 1e307 (the
-#: grid Hamiltonian overflows), and solve where a grid would exceed the
-#: node budget; the spectral oracle's basis sizes and scale bracket: verify
-#: at M = 51, at hbar 0.3 with mass 2, and at c = 50 and c = 0.005; inputs
-#: at the float range's ends: verify at c = 1e300, whose level sits on an
-#: energy lattice of step 1e141, and at mass 1e-300, whose linear length is
-#: inf (with mass 1e-200 above, where the pencil's s^2 overflows); the
-#: closed-form states' rescaling and moments at the float range's ends:
-#: solve at a = 1e-200 with c = 1e-250, oracle --check at b = c = 1e-150,
-#: and verify at mass 1e157, 1e160 and 1e200, where the pencil's s^2 is
-#: subnormal or 0; a pencil whose Coulomb term a / s underflows to 0 from a
-#: = 1e-320 (exit 1); and solve where the Gaussian carries no weight beside
-#: the exponential, so x^2 of the moments' recurrence overflows; sweep rows
-#: from the spectral oracle: M = 2 at levels 0 and 1, a level one above
+#: requests outside the benchmark: the README command lines; eig's k from 1 to
+#: spectral.MAX_LEVEL + 1, whose levels must not depend on k; a strong-Coulomb
+#: verify (a = 50, c = 1e-3) whose grid level 0 missed the closed form by
+#: 2.2e-4; eig where T = hbar^2/2m underflows (hbar 1e-200, refused: the basis
+#: needs a Coulomb length in the float range) and where it is subnormal (hbar
+#: 1e-160); a level-12 sweep row; the two range errors of eig --k; the grid
+#: flags --rmax, --h and --richardson, which eig no longer takes (exit 1); and
+#: output paths of the formatting layer: the solve table, oracle without
+#: --check, a verify table with a FAIL (exit 3, off the surface at b = 1e-11),
+#: and two sweeps whose second row is rejected (a non-finite cell, and no
+#: closed form at c = 0) with stdout left empty; ansatz paths: the b = 0
+#: family, level 0, MAX_LEVEL without --check, a level above it, a level whose
+#: p_k overflow at tiny couplings, and c = 0; battery paths: verify at a =
+#: 1e-8, whose grid would exceed the node budget, M = 2, whose eigen_vs_closed
+#: the grid could not judge (every benchmark stratum has M >= 3), with an M = 2
+#: eig, and mass 1e-200, whose squared Coulomb length overflows; pure Coulomb
+#: eig and sweep; exact moments: solve at M = 2, and at c = 0, whose moments
+#: are p!/beta^(p+1); inputs no grid serves: oracle --check at M = 2 (numbers
+#: and divergent residuals), at c = 1e307 (the grid Hamiltonian overflows), and
+#: solve where a grid would exceed the node budget; the spectral oracle's basis
+#: sizes and scale bracket: verify at M = 51, at hbar 0.3 with mass 2, and at c
+#: = 50 and c = 0.005; inputs at the float range's ends: verify at c = 1e300,
+#: whose level sits on an energy lattice of step 1e141, and at mass 1e-300,
+#: whose linear length is inf (with mass 1e-200 above, where the pencil's s^2
+#: overflows); the closed-form states' rescaling and moments at the float
+#: range's ends: solve at a = 1e-200 with c = 1e-250, oracle --check at b = c =
+#: 1e-150, and verify at mass 1e157, 1e160 and 1e200, where the pencil's s^2 is
+#: subnormal or 0; a pencil whose Coulomb term a / s underflows to 0 from a =
+#: 1e-320 (exit 1); and solve where the Gaussian carries no weight beside the
+#: exponential, so x^2 of the moments' recurrence overflows; sweep rows from
+#: the spectral oracle: M = 2 at levels 0 and 1, a level one above
 #: spectral.MAX_LEVEL (refused, exit 1), and the grid flags, which sweep no
 #: longer takes (exit 1).  The sweeps above that pass --rmax and --h, and the
-#: level-12 sweep row, now exit 1 as well
+#: level-12 sweep row, exit 1 as well
 EXTRA = [argv.split() for argv in (
     "solve --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b",
     "verify --a 1 --c 0.5 --N 3 --l 0 --derive b --out json",
     "oracle --b 1 --c 0.5 --N 3 --l 0 --n 1 --check",
-    "eig --a 1 --b 1 --c 0.5 --k 3 --rmax 40 --h 0.002 --richardson",
+    "eig --a 1 --b 1 --c 0.5 --k 3",
     "sweep --sweep a=0.5,1,2 --c 0.5 --derive b",
-    "eig --a 1 --b 1 --c 0.5 --k 2 --rmax 40 --h 0.002 --richardson",
-    "eig --a 1 --b 1 --c 0.5 --k 4 --rmax 15 --h 0.005",
+    "eig --a 1 --b 1 --c 0.5 --k 1",
+    "eig --a 1 --b 1 --c 0.5 --k 2",
+    "eig --a 1 --b 1 --c 0.5 --k 4",
+    "eig --a 1 --b 1 --c 0.5 --k 5",
+    "eig --a 1 --b 1 --c 0.5 --k 6",
     "verify --a 50 --c 1e-3 --derive b --out json",
-    "eig --a 1 --b 1 --c 0.5 --rmax 20 --h 0.05 --k 1",
-    "eig --a 1 --b 1 --c 0.5 --rmax 20 --h 0.05 --k 3",
-    "eig --a 1 --b 1 --c 0.5 --rmax 20 --h 0.05 --k 5",
-    "eig --a 1 --b 1 --c 0.5 --rmax 16 --h 0.01 --k 1",
-    "eig --a 1 --b 1 --c 0.5 --rmax 16 --h 0.01 --k 10",
-    "eig --a 1 --b 1 --c 0.5 --k 2 --rmax 20 --h 0.1 --richardson",
-    "eig --a 1 --b 1 --c 0.5 --k 3 --rmax 19.992 --h 0.001 --richardson",
     "sweep --sweep a=0.5,1 --c 0.5 --derive b --n 2 --rmax 19.992 --h 0.001 --richardson",
     "verify --a 1.64046 --c 0.40084 --N 4 --l 0 --derive b --out json",
-    "eig --a 1 --b 1 --c 0.5 --k 3 --rmax 20 --h 0.004",
-    "eig --a 1 --b 1 --c 0.5 --k 16",
-    "eig --a 1 --b 1 --c 0.5 --hbar 1e-200 --rmax 20 --h 0.01 --k 3",
-    "eig --a 1 --b 1 --c 0.5 --hbar 1e-160 --rmax 20 --h 0.01 --k 3 --richardson",
-    "eig --a 1 --b 1 --c 0.5 --k 30",
+    "eig --a 1 --b 1 --c 0.5 --hbar 1e-200 --k 3",
+    "eig --a 1 --b 1 --c 0.5 --hbar 1e-160 --k 3",
     "sweep --sweep a=0.8,1.6 --c 0.5 --derive b --n 12 --richardson",
     "eig --a 1 --c 0.5 --derive b --k 0",
-    "eig --a 1 --c 0.5 --derive b --rmax 1 --h 0.01 --k 11",
+    "eig --a 1 --c 0.5 --derive b --k 7",
+    "eig --a 1 --b 1 --c 0.5 --k 3 --rmax 40",
+    "eig --a 1 --b 1 --c 0.5 --k 3 --h 0.002",
+    "eig --a 1 --b 1 --c 0.5 --k 3 --richardson",
     "solve --a 1 --c 0.5 --derive b --out table",
     "oracle --b 1 --c 0.5 --n 2",
     "verify --b 1e-11 --c 0.5",
@@ -127,13 +112,8 @@ EXTRA = [argv.split() for argv in (
     "verify --a 1e-8 --c 0.5 --derive b --out json",
     "verify --a 1 --mass 1e-200",
     "verify --a 1 --c 0.5 --N 2 --derive b --out json",
-    "eig --a 1 --c 0.5 --N 2 --derive b --k 3 --richardson",
-    "eig --a 1 --b 1 --c 0.5 --k 2 --rmax 20 --h 0.005",
-    "eig --a 1 --b 1 --c 0.5 --k 2 --rmax 20.005 --h 0.005",
-    "eig --a 1 --b 1 --c 0.5 --k 2 --rmax 20.01 --h 0.005 --richardson",
-    "eig --a 1 --b 1 --c 0.5 --k 2 --rmax 20.015 --h 0.005",
-    "eig --a 1 --b 1 --c 0.5 --k 13 --richardson",
-    "eig --a 1 --k 3 --richardson",
+    "eig --a 1 --c 0.5 --N 2 --derive b --k 3",
+    "eig --a 1 --k 3",
     "sweep --sweep a=1,2 --richardson",
     "verify --a 1 --N 3 --l 1 --out json",
     "solve --a 1 --c 0.5 --N 2 --l 0 --derive b",
@@ -161,36 +141,20 @@ EXTRA = [argv.split() for argv in (
 )]
 
 # runs the argvs of stdin under ROOT's package and prints [exit code,
-# stdout, stderr, unseeded fallbacks] per argv as one JSON list; a chain
-# with coarse grids bisects its coarsest grid, and every other bisection is
-# a fallback
+# stdout, stderr] per argv as one JSON list
 _CHILD = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
-from pcoulomb import numerics
 from pcoulomb.cli import main
-index_solve, coarse_grids, tally = numerics._index_solve, numerics._coarse_grids, [0]
-
-def counting_index_solve(*args):
-    tally[0] += 1
-    return index_solve(*args)
-
-def counting_coarse_grids(*args):
-    coarse = coarse_grids(*args)
-    tally[0] -= bool(coarse)
-    return coarse
-
-numerics._index_solve, numerics._coarse_grids = counting_index_solve, counting_coarse_grids
 results = []
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
-    tally[0] = 0
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 1
-    results.append([code, out.getvalue(), err.getvalue(), tally[0]])
+    results.append([code, out.getvalue(), err.getvalue()])
 json.dump(results, sys.stdout)
 """
 
@@ -336,11 +300,8 @@ def main(argv: list[str]) -> int:
     children = [_start(root, argvs) for root in roots]
     old, new = (_collect(child, root) for child, root in zip(children, roots))
     total, same, diffs, moves = Counter(), Counter(), [], {}
-    fallbacks = [[0, 0], [0, 0]]  # per root: benchmark, extra
     for i, (request, a, b) in enumerate(zip(argvs, old, new)):
         group = request[0] if i < len(requests) else "extra"
-        for tally, result in zip(fallbacks, (a, b)):
-            tally[group == "extra"] += result.pop()
         total[group] += 1
         if a == b:
             same[group] += 1
@@ -352,8 +313,6 @@ def main(argv: list[str]) -> int:
         print(f"{command:<8}{same[command]:>5} of {total[command]:>4} identical")
     print(f"{'all':<8}{sum(same.values()):>5} of {len(requests):>4} identical")
     print(f"{'extra':<8}{extra[0]:>5} of {extra[1]:>4} identical")
-    for root, (benchmark, extras) in zip(roots, fallbacks):
-        print(f"unseeded fallbacks: {benchmark} on benchmark requests, {extras} on extra: {root}")
     for line in diffs:
         print(line)
     if diffs:
